@@ -1,4 +1,4 @@
-.PHONY: build test lint cram check check-smoke bench bench-json bench-gate metrics-smoke profile clean
+.PHONY: build test lint cram check check-smoke bench bench-json bench-gate metrics-smoke perfbench-smoke profile clean
 
 build:
 	dune build
@@ -34,8 +34,9 @@ cram:
 
 # One-stop verification: lint, build, the full test suite (unit +
 # property + cram), an explicit uncached run of the session/mutation
-# cram, and a fresh machine-readable bench run re-parsed through the
-# JSON schema checker and diffed against the checked-in baseline.
+# cram, the static-analysis, metrics and spec-to-verdict smokes, and a
+# fresh machine-readable bench run re-parsed through the JSON schema
+# checker and diffed against the checked-in baseline.
 check:
 	$(MAKE) lint
 	dune build
@@ -43,6 +44,7 @@ check:
 	$(MAKE) cram
 	$(MAKE) check-smoke
 	$(MAKE) metrics-smoke
+	$(MAKE) perfbench-smoke
 	$(MAKE) bench-gate
 
 # Static-analysis smoke: `sekitei check` must accept every shipped
@@ -102,6 +104,27 @@ metrics-smoke:
 	  { echo "metrics-smoke: trace_report cannot read the dump"; exit 1; }
 	@echo "metrics-smoke: ok"
 
+# Spec-to-verdict smoke: a 2 s run of each perfbench workload (release
+# build in .bench_build, see perfbench/README.md).  Every run checks its
+# own verdicts — the optimum of 76, certification of each plan, "no plan"
+# on the infeasible corpus, warm == cold after every session delta — and
+# the smoke fails unless the result line reports them all correct with
+# no failed request.
+PERFBENCH_WORKLOADS = cold-fine session-churn infeasible
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 \
+	    --seconds 2 --trace 0) || \
+	    { echo "perfbench-smoke: $$w: run failed"; exit 1; }; \
+	  line=$$(echo "$$out" | tail -n 1); \
+	  echo "$$line" | python3 -c 'import json, sys; \
+	    r = json.loads(sys.stdin.read()); \
+	    sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || \
+	    { echo "perfbench-smoke: $$w: $$line"; exit 1; }; \
+	  echo "perfbench-smoke: $$w ok"; \
+	done
+
 # Full benchmark run: every paper exhibit, ablations, microbenchmarks.
 bench:
 	dune exec bench/main.exe
@@ -114,7 +137,7 @@ bench:
 # records warm_search_ms, the search time of a session re-plan that
 # reuses the compiled problem and the hot SLRG oracle.
 bench-json:
-	dune exec bench/main.exe -- --json --tag pr9 --repeat 3 --jobs 1 --warm
+	dune exec bench/main.exe -- --json --tag pr13 --repeat 3 --jobs 1 --warm
 
 # Profile the Small-C run: trace every planner phase to JSONL and render
 # the span tree / counter summary.

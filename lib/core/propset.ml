@@ -60,6 +60,8 @@ end)
 
 type handle = { id : int; set : int array }
 
+let no_handle = { id = -1; set = [||] }
+
 module Interner = struct
   (* Hash-consing of canonical sets: every distinct set gets one physical
      representative array and a dense id assigned in first-seen order.
@@ -72,8 +74,8 @@ module Interner = struct
     mutable size : int;
   }
 
-  let dummy = { id = -1; set = [||] }
-  let create () = { table = Tbl.create 256; by_id = Array.make 64 dummy; size = 0 }
+  let create () =
+    { table = Tbl.create 256; by_id = Array.make 64 no_handle; size = 0 }
   let size t = t.size
 
   let intern t (set : int array) =
@@ -83,7 +85,7 @@ module Interner = struct
         let h = { id = t.size; set } in
         Tbl.replace t.table set h;
         if t.size = Array.length t.by_id then begin
-          let grown = Array.make (2 * t.size) dummy in
+          let grown = Array.make (2 * t.size) no_handle in
           Array.blit t.by_id 0 grown 0 t.size;
           t.by_id <- grown
         end;
@@ -102,11 +104,6 @@ type ctx = {
   mutable pre_canon : int array array;
       (** per action id, canonical preconditions *)
   interner : Interner.t;
-  mutable n_actions : int;
-  regress_memo : (int, handle) Hashtbl.t;
-      (** (parent set id * n_actions + action id) -> interned result; one
-          merge per distinct regression edge across every search sharing
-          this ctx *)
 }
 
 let action_tables (pb : Problem.t) =
@@ -127,28 +124,19 @@ let action_tables (pb : Problem.t) =
 
 let make_ctx (pb : Problem.t) =
   let closure_sorted, pre_canon = action_tables pb in
-  {
-    closure_sorted;
-    pre_canon;
-    interner = Interner.create ();
-    n_actions = Array.length pb.Problem.actions;
-    regress_memo = Hashtbl.create 1024;
-  }
+  { closure_sorted; pre_canon; interner = Interner.create () }
 
 (* Rebinding a ctx to a recompiled problem keeps the interner (prop ids —
    and therefore canonical sets and their dense handle ids — are stable
-   across topology deltas; see {!Session}) but rebuilds everything keyed
-   by action ids, which the recompile renumbers.  The regression memo
-   must go with them: its key mixes [n_actions] into the encoding, and
-   its values depend on the per-action tables.  The caller is responsible
-   for checking that [pb.init] is unchanged — a different initial section
-   changes what "canonical" means and requires a fresh ctx. *)
+   across topology deltas; see {!Session}) but rebuilds the per-action
+   tables, which are keyed by action ids the recompile renumbers.  The
+   caller is responsible for checking that [pb.init] is unchanged — a
+   different initial section changes what "canonical" means and requires
+   a fresh ctx. *)
 let refresh_ctx ctx (pb : Problem.t) =
   let closure_sorted, pre_canon = action_tables pb in
   ctx.closure_sorted <- closure_sorted;
-  ctx.pre_canon <- pre_canon;
-  ctx.n_actions <- Array.length pb.Problem.actions;
-  Hashtbl.reset ctx.regress_memo
+  ctx.pre_canon <- pre_canon
 
 let intern ctx set = Interner.intern ctx.interner set
 let handle_of_id ctx id = Interner.get ctx.interner id
@@ -192,12 +180,3 @@ let regress ctx (set : int array) (a : Action.t) =
     end
   done;
   if !k = ns + np then out else Array.sub out 0 !k
-
-let regress_h ctx (h : handle) (a : Action.t) =
-  let key = (h.id * ctx.n_actions) + a.Action.act_id in
-  match Hashtbl.find_opt ctx.regress_memo key with
-  | Some h' -> h'
-  | None ->
-      let h' = intern ctx (regress ctx h.set a) in
-      Hashtbl.replace ctx.regress_memo key h';
-      h'

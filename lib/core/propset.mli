@@ -9,10 +9,11 @@
 
     On top of the raw arrays the module hash-conses: a per-{!ctx}
     {!Interner} maps each distinct canonical array to a unique physical
-    representative and a dense {!handle} id.  Search structures keyed by
-    interned handles (the RG duplicate table, the SLRG solved/bound
-    caches, the per-query g/parent maps) compare and hash a single int
-    instead of re-walking the array on every probe — the FNV sweep runs
+    representative and a dense {!handle} id.  Search structures index
+    flat arrays by that id (the SLRG solved/bound/h_max caches and its
+    epoch-stamped per-query g/parent arrays, the {!Supports} candidate
+    and successor rows) or hash a single int (the RG duplicate table)
+    instead of re-walking the set on every probe — the FNV sweep runs
     once per distinct set, at interning time. *)
 
 (** [canonical pb props] sorts, deduplicates and drops initially-true
@@ -46,6 +47,10 @@ module Tbl : Hashtbl.S with type key = int array
     not be mutated. *)
 type handle = { id : int; set : int array }
 
+(** A handle no interner returns (id [-1]): the sentinel for an absent
+    entry in arrays of handles, compared physically. *)
+val no_handle : handle
+
 module Interner : sig
   type t
 
@@ -67,22 +72,22 @@ end
 (** Per-problem regression tables: each action's add-closure and
     precondition set pre-sorted (and the preconditions pre-canonicalized)
     so a regression step is a linear merge instead of quadratic scans.
-    Also owns the {!Interner} and the regression memo — share one [ctx]
-    across the SLRG oracle and the RG search of a query so their handle
-    ids agree and repeated regression edges are computed once. *)
+    Also owns the {!Interner} — share one [ctx] across the SLRG oracle
+    and the RG search of a query so their handle ids agree.  Each
+    distinct regression edge is computed once per ctx binding by the
+    successor rows of {!Supports}, not here. *)
 type ctx
 
 val make_ctx : Problem.t -> ctx
 
 (** [refresh_ctx ctx pb] rebinds the ctx to a recompiled problem: the
-    per-action regression tables are rebuilt and the regression memo is
-    cleared (both are keyed by action ids, which recompilation
-    renumbers), while the interner — and with it every dense handle id —
-    is kept, because proposition ids are stable across topology deltas.
-    The caller must ensure [pb.init] equals the init array the ctx was
-    created with; a changed initial section changes canonicalization
-    itself and requires a fresh ctx ({!Session} checks this and rebuilds
-    from scratch on a mismatch). *)
+    per-action regression tables are rebuilt (they are keyed by action
+    ids, which recompilation renumbers), while the interner — and with it
+    every dense handle id — is kept, because proposition ids are stable
+    across topology deltas.  The caller must ensure [pb.init] equals the
+    init array the ctx was created with; a changed initial section
+    changes canonicalization itself and requires a fresh ctx ({!Session}
+    checks this and rebuilds from scratch on a mismatch). *)
 val refresh_ctx : ctx -> Problem.t -> unit
 
 (** Intern a canonical set in the ctx's interner. *)
@@ -99,9 +104,3 @@ val interned_count : ctx -> int
     deciding that [a] closes the plan suffix.  [set] must be canonical;
     the result is canonical (raw arrays, no interning). *)
 val regress : ctx -> int array -> Action.t -> int array
-
-(** [regress_h ctx h a] is {!regress} over interned handles, memoized on
-    (set id, action id): each distinct regression edge runs the merge
-    once per ctx, every revisit — across SLRG queries and the RG search
-    sharing the ctx — is one int-keyed table probe. *)
-val regress_h : ctx -> handle -> Action.t -> handle

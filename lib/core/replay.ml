@@ -4,7 +4,7 @@ module Topology = Sekitei_network.Topology
 module Model = Sekitei_spec.Model
 module Telemetry = Sekitei_telemetry.Telemetry
 
-type mode = Optimistic | From_init | Regression
+type mode = From_init | Regression
 
 type failure = { failed_index : int; failed_action : string; reason : string }
 
@@ -23,11 +23,38 @@ type outcome = (metrics, failure) result
 
 exception Fail of string
 
+(* The execution state is four persistent maps in mutable fields: an
+   action rebinds the fields of its own state record, so snapshotting a
+   state for {!extend} is a four-field record copy and the parent's maps
+   are never touched.  Keys compare monomorphically. *)
+module Site_map = Map.Make (struct
+  type t = int * int  (* iface, node *)
+
+  let compare ((i1 : int), (n1 : int)) (i2, n2) =
+    match Int.compare i1 i2 with 0 -> Int.compare n1 n2 | c -> c
+end)
+
+module Prop_map = Map.Make (struct
+  type t = int * int * string  (* iface, node, secondary property *)
+
+  let compare ((i1 : int), (n1 : int), p1) (i2, n2, p2) =
+    match Int.compare i1 i2 with
+    | 0 -> ( match Int.compare n1 n2 with 0 -> String.compare p1 p2 | c -> c)
+    | c -> c
+end)
+
+module Res_map = Map.Make (struct
+  type t = int * string  (* node or link id, resource *)
+
+  let compare ((x1 : int), r1) (x2, r2) =
+    match Int.compare x1 x2 with 0 -> String.compare r1 r2 | c -> c
+end)
+
 type state = {
-  prim : (int * int, I.t) Hashtbl.t;
-  sec : (int * int * string, I.t) Hashtbl.t;
-  node_rem : (int * string, float) Hashtbl.t;
-  link_rem : (int * string, float) Hashtbl.t;
+  mutable prim : I.t Site_map.t;
+  mutable sec : I.t Prop_map.t;
+  mutable node_rem : float Res_map.t;
+  mutable link_rem : float Res_map.t;
 }
 
 let split_var v =
@@ -64,19 +91,22 @@ let scale_interval scale ivl =
 let init_state ?(source_scale = 1.) (pb : Problem.t) =
   let st =
     {
-      prim = Hashtbl.create 32;
-      sec = Hashtbl.create 32;
-      node_rem = Hashtbl.create 32;
-      link_rem = Hashtbl.create 32;
+      prim = Site_map.empty;
+      sec = Prop_map.empty;
+      node_rem = Res_map.empty;
+      link_rem = Res_map.empty;
     }
   in
   List.iter
     (fun (s : Problem.source) ->
-      Hashtbl.replace st.prim (s.src_iface, s.src_node)
-        (scale_interval source_scale s.src_interval);
+      st.prim <-
+        Site_map.add (s.src_iface, s.src_node)
+          (scale_interval source_scale s.src_interval)
+          st.prim;
       List.iter
         (fun (p, v) ->
-          Hashtbl.replace st.sec (s.src_iface, s.src_node, p) (I.point v))
+          st.sec <-
+            Prop_map.add (s.src_iface, s.src_node, p) (I.point v) st.sec)
         s.src_secondary)
     pb.sources;
   st
@@ -98,12 +128,12 @@ let node_base (pb : Problem.t) node r =
 let link_base (pb : Problem.t) link r = Problem.link_cap pb link r
 
 let node_remaining (pb : Problem.t) st node r =
-  match Hashtbl.find_opt st.node_rem (node, r) with
+  match Res_map.find_opt (node, r) st.node_rem with
   | Some v -> v
   | None -> node_base pb node r
 
 let link_remaining (pb : Problem.t) st link r =
-  match Hashtbl.find_opt st.link_rem (link, r) with
+  match Res_map.find_opt (link, r) st.link_rem with
   | Some v -> v
   | None -> link_base pb link r
 
@@ -111,8 +141,8 @@ let link_remaining (pb : Problem.t) st link r =
 let op ivl = I.hi ivl
 
 let eval_cost env_ivl cost =
-  (* Cost at operating points; meaningless pieces (unbounded intervals in
-     optimistic mode) degrade to the infimum. *)
+  (* Cost at operating points; meaningless pieces (unbounded intervals
+     seeded in [Regression] mode) degrade to the infimum. *)
   let env v =
     let ivl = env_ivl v in
     if Float.is_finite (I.hi ivl) then I.hi ivl else I.lo ivl
@@ -130,11 +160,12 @@ let find_iface_index (pb : Problem.t) name =
   go 0
 
 (* Fetch the effective input interval for [iface] at [node], seeding
-   unknown inputs in optimistic mode, and throttle it into [assumed]. *)
+   unknown inputs optimistically in [Regression] mode, and throttle it
+   into [assumed]. *)
 let effective_input pb st ~mode iface node assumed =
   let tag = pb.Problem.iface_tags.(iface) in
   let cur =
-    match Hashtbl.find_opt st.prim (iface, node) with
+    match Site_map.find_opt (iface, node) st.prim with
     | Some cur -> cur
     | None -> (
         match mode with
@@ -143,11 +174,11 @@ let effective_input pb st ~mode iface node assumed =
               (Fail
                  (Printf.sprintf "interface %s not available on node %d"
                     pb.ifaces.(iface).Model.iface_name node))
-        | Optimistic | Regression -> I.of_points [ 0.; pb.iface_max.(iface) ])
+        | Regression -> I.of_points [ 0.; pb.iface_max.(iface) ])
   in
   match meet tag cur assumed with
   | Some eff ->
-      Hashtbl.replace st.prim (iface, node) eff;
+      st.prim <- Site_map.add (iface, node) eff st.prim;
       eff
   | None ->
       raise
@@ -156,17 +187,13 @@ let effective_input pb st ~mode iface node assumed =
               pb.ifaces.(iface).Model.iface_name node (I.to_string cur)
               (I.to_string assumed)))
 
-let secondary_value pb st ~mode iface node p =
-  match Hashtbl.find_opt st.sec (iface, node, p) with
+let secondary_value pb st iface node p =
+  match Prop_map.find_opt (iface, node, p) st.sec with
   | Some ivl -> ivl
   | None -> (
-      let default () =
-        match Model.find_property pb.Problem.ifaces.(iface) p with
-        | Some prop -> I.point prop.Model.prop_default
-        | None -> raise (Fail ("unknown property " ^ p))
-      in
-      match mode with
-      | From_init | Optimistic | Regression -> default ())
+      match Model.find_property pb.Problem.ifaces.(iface) p with
+      | Some prop -> I.point prop.Model.prop_default
+      | None -> raise (Fail ("unknown property " ^ p)))
 
 let consume_node pb st node r amount =
   if not (Float.is_finite amount) then
@@ -175,7 +202,7 @@ let consume_node pb st node r amount =
   if rem < -1e-9 then
     raise
       (Fail (Printf.sprintf "node %d out of %s (needs %g more)" node r (-.rem)));
-  Hashtbl.replace st.node_rem (node, r) rem
+  st.node_rem <- Res_map.add (node, r) rem st.node_rem
 
 let consume_link pb st link r amount =
   if not (Float.is_finite amount) then
@@ -184,22 +211,21 @@ let consume_link pb st link r amount =
   if rem < -1e-9 then
     raise
       (Fail (Printf.sprintf "link %d out of %s (needs %g more)" link r (-.rem)));
-  Hashtbl.replace st.link_rem (link, r) rem
+  st.link_rem <- Res_map.add (link, r) rem st.link_rem
 
 (* A checked (unimportant) level assumption on the remaining amount of a
    node/link resource.  In [From_init] mode the remaining amount is exact,
    so the level must contain it (the upper boundary counts as inside: full
-   capacity satisfies "at least the top cutpoint").  In [Optimistic] mode,
-   actions prepended later can only lower the remaining amount, so the
-   assumption is still reachable whenever the level's infimum is.
-   [Regression] mode replays in regression order, so the state's running
-   remainder includes consumption by actions that execute *after* this one
-   in plan time; callers therefore pass the base remaining amount (full
-   capacity minus static pre-consumption), against which the infimum test
-   is the correct optimistic check. *)
+   capacity satisfies "at least the top cutpoint").  [Regression] mode
+   replays in regression order, so the state's running remainder includes
+   consumption by actions that execute *after* this one in plan time;
+   callers therefore pass the base remaining amount (full capacity minus
+   static pre-consumption), and since actions prepended later can only
+   lower the amount actually remaining, the assumption is still reachable
+   whenever the level's infimum is. *)
 let checked_level_ok ~mode rem ivl =
   match mode with
-  | Optimistic | Regression -> rem >= I.lo ivl -. 1e-9
+  | Regression -> rem >= I.lo ivl -. 1e-9
   | From_init -> I.mem rem ivl || rem = I.hi ivl
 
 let store_output out_ivl assumed what =
@@ -234,15 +260,15 @@ let exec_place pb st ~mode (act : Action.t) comp node =
         I.point
           (match mode with
           | Regression -> node_base pb node r
-          | Optimistic | From_init -> node_remaining pb st node r)
+          | From_init -> node_remaining pb st node r)
     | iface_name, prop_name -> (
         let i = find_iface_index pb iface_name in
         let primary = Problem.primary pb i in
         if String.equal prop_name primary then
-          match Hashtbl.find_opt st.prim (i, node) with
+          match Site_map.find_opt (i, node) st.prim with
           | Some ivl -> ivl
           | None -> I.full (* a provide not yet computed *)
-        else secondary_value pb st ~mode i node prop_name)
+        else secondary_value pb st i node prop_name)
   in
   (* 3. conditions and checked node levels *)
   List.iter
@@ -255,7 +281,7 @@ let exec_place pb st ~mode (act : Action.t) comp node =
       let rem =
         match mode with
         | Regression -> node_base pb node r
-        | Optimistic | From_init -> node_remaining pb st node r
+        | From_init -> node_remaining pb st node r
       in
       if not (checked_level_ok ~mode rem ivl) then
         raise
@@ -286,14 +312,14 @@ let exec_place pb st ~mode (act : Action.t) comp node =
       let out_ivl = Expr.eval_interval ~env effect in
       let narrowed = store_output out_ivl assumed act.Action.label in
       let final =
-        match Hashtbl.find_opt st.prim (o, node) with
+        match Site_map.find_opt (o, node) st.prim with
         | None -> narrowed
         | Some existing -> (
             match I.inter existing narrowed with
             | Some x -> x
             | None -> narrowed (* a fresh production supersedes *))
       in
-      Hashtbl.replace st.prim (o, node) final;
+      st.prim <- Site_map.add (o, node) final st.prim;
       (* secondary properties of the produced interface *)
       List.iter
         (fun (p : Model.property) ->
@@ -308,7 +334,7 @@ let exec_place pb st ~mode (act : Action.t) comp node =
               | Some (_, _, e) -> Expr.eval_interval ~env e
               | None -> I.point p.Model.prop_default
             in
-            Hashtbl.replace st.sec (o, node, p.Model.prop_name) value
+            st.sec <- Prop_map.add (o, node, p.Model.prop_name) value st.sec
           end)
         pb.Problem.ifaces.(o).Model.properties)
     act.Action.out_levels;
@@ -329,10 +355,10 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
         I.point
           (match mode with
           | Regression -> link_base pb link r
-          | Optimistic | From_init -> link_remaining pb st link r)
+          | From_init -> link_remaining pb st link r)
     | "", p ->
         if String.equal p primary then eff
-        else secondary_value pb st ~mode iface src p
+        else secondary_value pb st iface src p
     | _, _ -> raise (Fail ("unexpected variable in cross formula: " ^ v))
   in
   List.iter
@@ -345,7 +371,7 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
       let rem =
         match mode with
         | Regression -> link_base pb link r
-        | Optimistic | From_init -> link_remaining pb st link r
+        | From_init -> link_remaining pb st link r
       in
       if not (checked_level_ok ~mode rem ivl) then
         raise
@@ -363,7 +389,7 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
         | None ->
             ( p,
               if String.equal p primary then eff
-              else secondary_value pb st ~mode iface src p ))
+              else secondary_value pb st iface src p ))
       ifc.Model.properties
   in
   List.iter
@@ -381,16 +407,16 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
       if String.equal p primary then begin
         let narrowed = store_output ivl assumed_out act.Action.label in
         let final =
-          match Hashtbl.find_opt st.prim (iface, dst) with
+          match Site_map.find_opt (iface, dst) st.prim with
           | None -> narrowed
           | Some existing -> (
               match I.inter existing narrowed with
               | Some x -> x
               | None -> narrowed)
         in
-        Hashtbl.replace st.prim (iface, dst) final
+        st.prim <- Site_map.add (iface, dst) final st.prim
       end
-      else Hashtbl.replace st.sec (iface, dst, p) ivl)
+      else st.sec <- Prop_map.add (iface, dst, p) ivl st.sec)
     transformed;
   eval_cost env ifc.Model.cross_cost
 
@@ -415,21 +441,23 @@ let collect_metrics (pb : Problem.t) st realized_cost =
             wan_total := !wan_total +. used
       end)
     (Topology.links pb.topo);
+  (* Map folds run in ascending key order, so the reversed accumulations
+     come out sorted by node and by (iface, node) respectively. *)
   let node_cpu_used =
-    Hashtbl.fold
-      (fun (node, r) _rem acc ->
+    Res_map.fold
+      (fun (node, r) rem acc ->
         if String.equal r "cpu" then
-          (node, Problem.node_cap pb node r -. node_remaining pb st node r) :: acc
+          (node, Problem.node_cap pb node r -. rem) :: acc
         else acc)
       st.node_rem []
-    |> List.sort compare
+    |> List.rev
   in
   let delivered =
-    Hashtbl.fold
+    Site_map.fold
       (fun (iface, node) ivl acc ->
         if Float.is_finite (op ivl) then (iface, node, op ivl) :: acc else acc)
       st.prim []
-    |> List.sort compare
+    |> List.rev
   in
   {
     realized_cost;
@@ -500,19 +528,16 @@ let run ?(telemetry = Telemetry.null) ?source_scale pb ~mode tail =
 
 type rstate = { rst : state; rcost : float; rlen : int }
 
-let copy_state st =
-  {
-    prim = Hashtbl.copy st.prim;
-    sec = Hashtbl.copy st.sec;
-    node_rem = Hashtbl.copy st.node_rem;
-    link_rem = Hashtbl.copy st.link_rem;
-  }
-
 let initial ?source_scale pb =
   { rst = init_state ?source_scale pb; rcost = 0.; rlen = 0 }
 
 let extend pb ~mode rs (act : Action.t) =
-  let st = copy_state rs.rst in
+  (* The child rebinds its own fields; the parent's maps are shared, not
+     copied, and never change. *)
+  let p = rs.rst in
+  let st =
+    { prim = p.prim; sec = p.sec; node_rem = p.node_rem; link_rem = p.link_rem }
+  in
   match exec_action pb st ~mode act with
   | c -> Ok { rst = st; rcost = rs.rcost +. c; rlen = rs.rlen + 1 }
   | exception Fail reason ->

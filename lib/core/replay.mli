@@ -11,28 +11,26 @@
     operating point), and finally produces its outputs by monotone
     interval evaluation of the effect formulae.
 
-    Three modes:
-    - [Optimistic] — unknown inputs are seeded from the action's assumed
-      level capped by the interface's global maximum ({!Problem.t.iface_max});
-      used to prune partial plans during RG search.  A failure here is
-      definitive: no completion of the tail can succeed.
+    Two modes:
     - [From_init] — inputs must be produced by earlier actions or the
       initial state; used for the final soundness check and for deployment
       metrics.
-    - [Regression] — [Optimistic], except that checked (unimportant)
-      node/link levels and [node.r]/[link.r] condition variables are
-      evaluated against the {e base} capacity rather than the running
-      remainder.  This is the mode for the RG search's incremental
-      extension: there each [extend] appends the action that executes
-      {e first} in plan time, so the running remainder already includes
-      consumption by plan-later actions — amounts that are not yet
-      consumed at the moment the new action really runs.  Consumption
-      sums themselves are order-independent, so capacity exhaustion
-      checks stay exact. *)
+    - [Regression] — optimistic execution for the RG search's incremental
+      extension, where each [extend] appends the action that executes
+      {e first} in plan time.  Unknown inputs are seeded from the
+      action's assumed level capped by the interface's global maximum
+      ({!Problem.t.iface_max}), and checked (unimportant) node/link
+      levels and [node.r]/[link.r] condition variables are evaluated
+      against the {e base} capacity rather than the running remainder —
+      the running remainder already includes consumption by plan-later
+      actions, amounts not yet consumed at the moment the new action
+      really runs.  Consumption sums themselves are order-independent,
+      so capacity exhaustion checks stay exact, and a failure here is
+      definitive: no completion of the tail can succeed. *)
 
 module I = Sekitei_util.Interval
 
-type mode = Optimistic | From_init | Regression
+type mode = From_init | Regression
 
 type failure = {
   failed_index : int;  (** position in the tail, -1 for goal checks *)
@@ -73,10 +71,12 @@ val run :
 (** {1 Incremental replay states}
 
     A snapshot of the replay execution state after some action sequence.
-    [extend] applies {e one} action against a copy-on-write snapshot of the
-    parent state, leaving the parent untouched — the RG search carries one
-    [rstate] per node so pushing a successor costs one action execution
-    instead of a full tail replay.
+    The state's tables are persistent maps, so [extend] applies {e one}
+    action to a fresh four-field record sharing the parent's maps and
+    leaves the parent untouched — the RG search carries one [rstate] per
+    node, so pushing a successor costs one action execution (plus the
+    map nodes it rebinds) instead of a full tail replay or a table
+    copy.
 
     Equivalence guarantee: folding [extend pb ~mode] over an action list
     [l] from [initial pb] yields the same accept/reject outcome — and on
@@ -90,8 +90,8 @@ type rstate
 val initial : ?source_scale:float -> Problem.t -> rstate
 
 (** [extend pb ~mode rs act] executes [act] against a snapshot of [rs].
-    [rs] itself is never mutated and remains valid for further extensions
-    (search-tree branching).  The failure's [failed_index] is the number
+    [rs] itself is never mutated — whether [act] succeeds or fails — and
+    remains valid for further extensions (search-tree branching).  The failure's [failed_index] is the number
     of actions already applied to [rs]. *)
 val extend : Problem.t -> mode:mode -> rstate -> Action.t -> (rstate, failure) result
 

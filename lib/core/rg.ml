@@ -155,7 +155,7 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
   and refined_count = ref 0 in
   (* The SLRG oracle owns the hash-consing ctx and the supports table;
      sharing them keeps handle ids consistent across the two phases and
-     lets the regression memo and candidate cache pay off twice. *)
+     lets the candidate and successor rows pay off twice. *)
   let ctx = Slrg.ctx slrg in
   let supports = Slrg.supports slrg in
   (* (pending set, action set) pairs already on the open list.  A node
@@ -395,22 +395,23 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
                   loop ())
       end
       else begin
-        Array.iter
-          (fun aid ->
-            if not (Iset.mem aid node.acts) then begin
-              let a = pb.actions.(aid) in
-              match Replay.extend pb ~mode:Replay.Regression node.rs a with
-              | Error _ -> incr replay_pruned
-              | Ok rs' ->
-                  push
-                    (mk
-                       ~tail:(a :: node.tail)
-                       ~set:(Propset.regress_h ctx node.set a)
-                       ~g:(node.g +. a.Action.cost_lb)
-                       ~acts:(Iset.add aid node.acts)
-                       ~rs:rs' ~chain:node.chain)
-            end)
-          (Supports.candidates_h supports node.set);
+        let cands = Supports.candidates supports node.set in
+        for i = 0 to Array.length cands - 1 do
+          let aid = cands.(i) in
+          if not (Iset.mem aid node.acts) then begin
+            let a = pb.actions.(aid) in
+            match Replay.extend pb ~mode:Replay.Regression node.rs a with
+            | Error _ -> incr replay_pruned
+            | Ok rs' ->
+                push
+                  (mk
+                     ~tail:(a :: node.tail)
+                     ~set:(Supports.successor supports node.set i)
+                     ~g:(node.g +. a.Action.cost_lb)
+                     ~acts:(Iset.add aid node.acts)
+                     ~rs:rs' ~chain:node.chain)
+          end
+        done;
         loop ()
       end
     end

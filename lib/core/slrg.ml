@@ -1,5 +1,4 @@
 module Heap = Sekitei_util.Heap
-module Itbl = Hashtbl.Make (Int)
 module Timer = Sekitei_util.Timer
 module Deadline = Sekitei_util.Deadline
 module Telemetry = Sekitei_telemetry.Telemetry
@@ -83,15 +82,30 @@ type t = {
       (** PLRG h_max per interned set id, [nan] = not yet computed — the
           same sets recur across queries (and in the RG push path), so
           the per-proposition sweep runs once per distinct set *)
+  mutable epoch : int;  (** the running A*'s stamp, bumped per solve *)
+  mutable stamp : int array;
+      (** per set id: the epoch that last wrote [g_val]/[parent]; an
+          entry is part of the running solve's g/parent maps only when
+          its stamp equals [epoch], so a new solve starts empty without
+          clearing anything *)
+  mutable g_val : float array;  (** best g found for the set this solve *)
+  mutable parent : Propset.handle array;
+      (** the set it was reached from this solve, [Propset.no_handle] for
+          the root *)
+  mutable touched : int array;
+      (** the first [n_touched] slots: ids stamped by the running solve,
+          in first-touch order *)
+  mutable n_touched : int;
 }
 
 let create ?(telemetry = Telemetry.null) ?metrics ?(query_budget = 500)
     (problem : Problem.t) plrg =
+  let ctx = Propset.make_ctx problem in
   {
     problem;
     plrg;
-    ctx = Propset.make_ctx problem;
-    supports = Supports.make problem plrg;
+    ctx;
+    supports = Supports.make ctx problem plrg;
     query_budget;
     deadline = Deadline.none;
     solved_val = Array.make 1024 Float.nan;
@@ -115,6 +129,12 @@ let create ?(telemetry = Telemetry.null) ?metrics ?(query_budget = 500)
     gc_minor_words = 0.;
     gc_major_collections = 0;
     hmax_by_id = Array.make 1024 Float.nan;
+    epoch = 0;
+    stamp = Array.make 64 0;
+    g_val = Array.make 64 0.;
+    parent = Array.make 64 Propset.no_handle;
+    touched = Array.make 64 0;
+    n_touched = 0;
   }
 
 let ctx t = t.ctx
@@ -124,13 +144,8 @@ let supports t = t.supports
    capacity (absent), writes grow geometrically. *)
 let[@inline] dget arr id = if id < Array.length arr then arr.(id) else Float.nan
 
-let grow_float arr cap =
-  let grown = Array.make cap Float.nan in
-  Array.blit arr 0 grown 0 (Array.length arr);
-  grown
-
-let grow_int arr cap =
-  let grown = Array.make cap 0 in
+let grow arr cap fill =
+  let grown = Array.make cap fill in
   Array.blit arr 0 grown 0 (Array.length arr);
   grown
 
@@ -140,7 +155,8 @@ let[@inline] bound t id = dget t.bound_val id
 let set_solved t id c =
   let n = Array.length t.solved_val in
   if id >= n then
-    t.solved_val <- grow_float t.solved_val (Stdlib.max (2 * n) (id + 1024));
+    t.solved_val <-
+      grow t.solved_val (Stdlib.max (2 * n) (id + 1024)) Float.nan;
   if Float.is_nan t.solved_val.(id) then t.solved_ids <- id :: t.solved_ids;
   t.solved_val.(id) <- c
 
@@ -148,8 +164,8 @@ let set_bound t id b spent =
   let n = Array.length t.bound_val in
   if id >= n then begin
     let cap = Stdlib.max (2 * n) (id + 1024) in
-    t.bound_val <- grow_float t.bound_val cap;
-    t.bound_spent <- grow_int t.bound_spent cap
+    t.bound_val <- grow t.bound_val cap Float.nan;
+    t.bound_spent <- grow t.bound_spent cap 0
   end;
   t.bound_val.(id) <- b;
   t.bound_spent.(id) <- spent
@@ -169,7 +185,8 @@ let h_max_h t (handle : Propset.handle) =
   let id = handle.Propset.id in
   let n = Array.length t.hmax_by_id in
   if id >= n then
-    t.hmax_by_id <- grow_float t.hmax_by_id (Stdlib.max (2 * n) (id + 1024));
+    t.hmax_by_id <-
+      grow t.hmax_by_id (Stdlib.max (2 * n) (id + 1024)) Float.nan;
   let v = t.hmax_by_id.(id) in
   if Float.is_nan v then begin
     let v = h_max t handle.Propset.set in
@@ -178,46 +195,73 @@ let h_max_h t (handle : Propset.handle) =
   end
   else v
 
+(* The running solve's g/parent maps (see [stamp]).  [g_of] is NaN for a
+   set the solve has not reached; g values themselves are finite sums of
+   action cost bounds. *)
+let[@inline] g_of t id =
+  if id < Array.length t.stamp && t.stamp.(id) = t.epoch then t.g_val.(id)
+  else Float.nan
+
+let[@inline] parent_of t id =
+  if id < Array.length t.stamp && t.stamp.(id) = t.epoch then t.parent.(id)
+  else Propset.no_handle
+
+let set_g t id g (from : Propset.handle) =
+  let n = Array.length t.stamp in
+  if id >= n then begin
+    let cap = Stdlib.max (2 * n) (id + 1) in
+    t.stamp <- grow t.stamp cap 0;
+    t.g_val <- grow t.g_val cap 0.;
+    t.parent <- grow t.parent cap Propset.no_handle
+  end;
+  if t.stamp.(id) <> t.epoch then begin
+    t.stamp.(id) <- t.epoch;
+    if t.n_touched = Array.length t.touched then
+      t.touched <- grow t.touched (2 * t.n_touched) 0;
+    t.touched.(t.n_touched) <- id;
+    t.n_touched <- t.n_touched + 1
+  end;
+  t.g_val.(id) <- g;
+  t.parent.(id) <- from
+
 (* Suffix-cost harvesting: at exact termination with optimum [cost], every
    set on the recorded best complete path satisfies
    [cost_to_empty set = cost - g(set)] — going through the set is one way
    to complete (so [cost <= g + cost_to_empty]) and the recorded suffix
    achieves exactly [cost - g].  One solve thus fills the [solved] cache
-   for the whole chain.  [g_best] may exceed the optimal prefix cost on
-   degenerate reopening orders, in which case the harvested value is an
-   underestimate — still a sound lower bound, never an overestimate. *)
-let harvest t ~(root : Propset.handle) ~cost ~g_best ~parent from =
+   for the whole chain.  The recorded g may exceed the optimal prefix
+   cost on degenerate reopening orders, in which case the harvested value
+   is an underestimate — still a sound lower bound, never an
+   overestimate. *)
+let harvest t ~(root : Propset.handle) ~cost from =
   match from with
   | None -> ()
   | Some (s0 : Propset.handle) ->
       let rec walk (s : Propset.handle) =
-        if Array.length s.Propset.set > 0 && s.Propset.id <> root.Propset.id
+        let id = s.Propset.id in
+        let g = g_of t id in
+        if
+          Array.length s.Propset.set > 0
+          && id <> root.Propset.id
+          && not (Float.is_nan g)
         then begin
-          (match Itbl.find_opt g_best s.Propset.id with
-          | None -> ()
-          | Some g ->
-              let c = cost -. g in
-              (* h_max is consistent under regression, hence admissible
-                 against the exact suffix cost at every chain node. *)
-              assert (h_max t s.Propset.set <= c +. 1e-6);
-              if Float.is_nan (solved t s.Propset.id) then begin
-                set_solved t s.Propset.id c;
-                t.suffix_harvested <- t.suffix_harvested + 1;
-                Telemetry.incr t.harv_ctr 1;
-                if not (Float.is_nan (bound t s.Propset.id)) then begin
-                  clear_bound t s.Propset.id;
-                  t.bound_promoted <- t.bound_promoted + 1;
-                  Telemetry.incr t.prom_ctr 1
-                end
-              end);
-          match Itbl.find_opt parent s.Propset.id with
-          | Some p -> walk p
-          | None -> ()
-        end
-        else
-          match Itbl.find_opt parent s.Propset.id with
-          | Some p -> walk p
-          | None -> ()
+          let c = cost -. g in
+          (* h_max is consistent under regression, hence admissible
+             against the exact suffix cost at every chain node. *)
+          assert (h_max t s.Propset.set <= c +. 1e-6);
+          if Float.is_nan (solved t id) then begin
+            set_solved t id c;
+            t.suffix_harvested <- t.suffix_harvested + 1;
+            Telemetry.incr t.harv_ctr 1;
+            if not (Float.is_nan (bound t id)) then begin
+              clear_bound t id;
+              t.bound_promoted <- t.bound_promoted + 1;
+              Telemetry.incr t.prom_ctr 1
+            end
+          end
+        end;
+        let p = parent_of t id in
+        if p != Propset.no_handle then walk p
       in
       walk s0
 
@@ -247,22 +291,22 @@ let run_query t (root : Propset.handle) ~prior ~budget =
       Float.infinity
     end
     else begin
-      let g_best = Itbl.create 64 in
-      let parent = Itbl.create 64 in
+      t.epoch <- t.epoch + 1;
+      t.n_touched <- 0;
       let heap = Heap.create () in
-      Itbl.replace g_best root.Propset.id 0.;
+      set_g t root.Propset.id 0. Propset.no_handle;
       Heap.add heap ~prio:h_root (root, 0.);
       t.generated <- t.generated + 1;
       let best_complete = ref Float.infinity in
-      (* The g_best key the best complete path descends from; its parent
-         chain is harvested on exact termination. *)
+      (* The set the best complete path descends from; its parent chain
+         is harvested on exact termination. *)
       let complete_from = ref None in
       let result = ref None in
       let exact = ref true in
       (* Bound seeding can make the heuristic inconsistent, and after a
-         node reopening [g_best] values need not telescope along the
-         parent chain any more — the root answer stays exact, but suffix
-         harvesting is skipped for that (rare) run. *)
+         node reopening the recorded g values need not telescope along
+         the parent chain any more — the root answer stays exact, but
+         suffix harvesting is skipped for that (rare) run. *)
       let reopened = ref false in
       while !result = None do
         match Heap.peek heap with
@@ -283,11 +327,8 @@ let run_query t (root : Propset.handle) ~prior ~budget =
             end
             else begin
               ignore (Heap.pop heap);
-              let stale =
-                match Itbl.find_opt g_best set.Propset.id with
-                | Some g' -> g' < g -. 1e-12
-                | None -> false
-              in
+              (* An absent entry (NaN) is never stale. *)
+              let stale = g_of t set.Propset.id < g -. 1e-12 in
               if not stale then begin
                 incr expansions;
                 if Array.length set.Propset.set = 0 then begin
@@ -298,52 +339,52 @@ let run_query t (root : Propset.handle) ~prior ~budget =
                   result := Some !best_complete
                 end
                 else
-                  Array.iter
-                    (fun aid ->
-                      let a = pb.actions.(aid) in
-                      let set' = Propset.regress_h t.ctx set a in
-                      let g' = g +. a.Action.cost_lb in
-                      let rest = solved t set'.Propset.id in
-                      if not (Float.is_nan rest) then begin
-                        if g' +. rest < !best_complete then begin
-                          best_complete := g' +. rest;
-                          complete_from := Some set
-                        end
+                  let cands = Supports.candidates t.supports set in
+                  for i = 0 to Array.length cands - 1 do
+                    let a = pb.actions.(cands.(i)) in
+                    let set' = Supports.successor t.supports set i in
+                    let g' = g +. a.Action.cost_lb in
+                    let rest = solved t set'.Propset.id in
+                    if not (Float.is_nan rest) then begin
+                      if g' +. rest < !best_complete then begin
+                        best_complete := g' +. rest;
+                        complete_from := Some set
                       end
-                      else
-                        let h = h_max_h t set' in
-                        if Float.is_finite h then begin
-                          (* Solved-subset seeding: a cached partial
-                             bound for the successor strengthens its
-                             f-value (still admissible), so exhausted
-                             earlier queries sharpen later ones instead
-                             of being discarded. *)
-                          let b = bound t set'.Propset.id in
-                          let h = if Float.is_nan b then h else Float.max h b in
-                          (* Dominated successors (f no better than a
-                             completion already in hand) can never
-                             improve the answer; with the harvested
-                             bounds folded into h this prunes most of
-                             the frontier of a re-query. *)
-                          if g' +. h < !best_complete then
-                            match Itbl.find_opt g_best set'.Propset.id with
-                            | Some g_old when g_old <= g' +. 1e-12 -> ()
-                            | existing ->
-                                if Option.is_some existing then
-                                  reopened := true;
-                                Itbl.replace g_best set'.Propset.id g';
-                                Itbl.replace parent set'.Propset.id set;
-                                t.generated <- t.generated + 1;
-                                Heap.add heap ~prio:(g' +. h) (set', g')
-                        end)
-                    (Supports.candidates_h t.supports set)
+                    end
+                    else
+                      let h = h_max_h t set' in
+                      if Float.is_finite h then begin
+                        (* Solved-subset seeding: a cached partial
+                           bound for the successor strengthens its
+                           f-value (still admissible), so exhausted
+                           earlier queries sharpen later ones instead
+                           of being discarded. *)
+                        let b = bound t set'.Propset.id in
+                        let h = if Float.is_nan b then h else Float.max h b in
+                        (* Dominated successors (f no better than a
+                           completion already in hand) can never
+                           improve the answer; with the harvested
+                           bounds folded into h this prunes most of
+                           the frontier of a re-query. *)
+                        if g' +. h < !best_complete then
+                          let g_old = g_of t set'.Propset.id in
+                          if Float.is_nan g_old || g_old > g' +. 1e-12
+                          then begin
+                            if not (Float.is_nan g_old) then
+                              reopened := true;
+                            set_g t set'.Propset.id g' set;
+                            t.generated <- t.generated + 1;
+                            Heap.add heap ~prio:(g' +. h) (set', g')
+                          end
+                      end
+                  done
               end
             end
       done;
       let cost = Option.get !result in
       if !exact then begin
         if not !reopened then
-          harvest t ~root ~cost ~g_best ~parent !complete_from;
+          harvest t ~root ~cost !complete_from;
         (* Adaptive-A*-style bound harvesting: all queries regress toward
            the same target (the empty set), so cost-to-empty is one shared
            function across queries.  For every set touched by this exact
@@ -352,19 +393,19 @@ let run_query t (root : Propset.handle) ~prior ~budget =
            and any recorded g only overestimates the optimal prefix.
            Folded into later queries' f-values by bound seeding, this is
            what makes correlated RG queries terminate almost immediately. *)
-        if Float.is_finite cost && Itbl.length g_best <= harvest_cap then
-          Itbl.iter
-            (fun sid g ->
-              let b = cost -. g in
-              if
-                b > 0.
-                && Float.is_nan (solved t sid)
-                && b > h_max_h t (Propset.handle_of_id t.ctx sid)
-              then
-                let b0 = bound t sid in
-                if Float.is_nan b0 then set_bound t sid b 0
-                else if b0 < b then set_bound t sid b t.bound_spent.(sid))
-            g_best;
+        if Float.is_finite cost && t.n_touched <= harvest_cap then
+          for k = 0 to t.n_touched - 1 do
+            let sid = t.touched.(k) in
+            let b = cost -. t.g_val.(sid) in
+            if
+              b > 0.
+              && Float.is_nan (solved t sid)
+              && b > h_max_h t (Propset.handle_of_id t.ctx sid)
+            then
+              let b0 = bound t sid in
+              if Float.is_nan b0 then set_bound t sid b 0
+              else if b0 < b then set_bound t sid b t.bound_spent.(sid)
+          done;
         if not (Float.is_nan (bound t root.Propset.id)) then begin
           clear_bound t root.Propset.id;
           t.bound_promoted <- t.bound_promoted + 1;
@@ -477,8 +518,8 @@ let begin_request t ~deadline =
 let refresh t (pb : Problem.t) plrg ~dirty =
   t.problem <- pb;
   t.plrg <- plrg;
-  t.supports <- Supports.make pb plrg;
   Propset.refresh_ctx t.ctx pb;
+  t.supports <- Supports.make t.ctx pb plrg;
   let evicted = ref 0 in
   (* Solved entries over a set with a dirty proposition may regress
      through tainted actions; everything else regresses through actions

@@ -2,19 +2,34 @@
    searches (SLRG and RG).  Both phases branch on "distinct relevant
    actions supporting any pending proposition"; keeping the filtered
    per-proposition tables and the scratch bitmap in one place means the
-   phases cannot drift apart. *)
+   phases cannot drift apart.
+
+   The searches re-expand the same pending sets across queries, so the
+   expansion of a set — its candidate actions and, slot by slot, the
+   interned regression through each — is kept in rows indexed by the
+   set's dense interned id: a revisit is two array loads, no hashing.
+   Successor slots are filled on first read only, so sets are interned
+   in exactly the order the searches first ask for them. *)
 
 type t = {
+  ctx : Propset.ctx;
+  actions : Action.t array;
   rel : int array array;
       (** per proposition: relevant supporting actions, ascending id *)
   seen : bool array;  (** scratch bitmap over action ids, false at rest *)
-  memo : (int, int array) Hashtbl.t;
-      (** per interned-set id: the candidate array, computed once — the
-          searches re-expand the same pending sets across queries, and
-          with hash-consed handles the cache probe is one int hash *)
+  mutable cands : int array array;
+      (** per set id: its candidate actions, [unfilled] until first read *)
+  mutable succs : Propset.handle array array;
+      (** per set id, parallel to [cands]: slot [i] is the set regressed
+          through candidate [i], [Propset.no_handle] until first read *)
 }
 
-let make (pb : Problem.t) plrg =
+(* A physically unique sentinel: every empty array is the same atom, so
+   an unfilled row must be a distinct non-empty block.  A [succs] row is
+   only read after [candidates] has filled it. *)
+let unfilled = [| -1 |]
+
+let make ctx (pb : Problem.t) plrg =
   let rel =
     Array.map
       (fun aids ->
@@ -26,12 +41,15 @@ let make (pb : Problem.t) plrg =
       pb.Problem.supports
   in
   {
+    ctx;
+    actions = pb.Problem.actions;
     rel;
     seen = Array.make (Array.length pb.Problem.actions) false;
-    memo = Hashtbl.create 512;
+    cands = Array.make 64 unfilled;
+    succs = Array.make 64 [||];
   }
 
-let candidates t (set : int array) =
+let collect t (set : int array) =
   let acc = ref [] in
   let count = ref 0 in
   Array.iter
@@ -50,6 +68,41 @@ let candidates t (set : int array) =
   List.iter (fun aid -> t.seen.(aid) <- false) !acc;
   Array.sort Int.compare out;
   out
+
+let grow t id =
+  let n = Array.length t.cands in
+  let cap = Stdlib.max (2 * n) (id + 1) in
+  let cands = Array.make cap unfilled and succs = Array.make cap [||] in
+  Array.blit t.cands 0 cands 0 n;
+  Array.blit t.succs 0 succs 0 n;
+  t.cands <- cands;
+  t.succs <- succs
+
+let candidates t (h : Propset.handle) =
+  let id = h.Propset.id in
+  if id >= Array.length t.cands then grow t id;
+  let row = t.cands.(id) in
+  if row != unfilled then row
+  else begin
+    let row = collect t h.Propset.set in
+    t.cands.(id) <- row;
+    t.succs.(id) <- Array.make (Array.length row) Propset.no_handle;
+    row
+  end
+
+let successor t (h : Propset.handle) i =
+  let row = candidates t h in
+  let slots = t.succs.(h.Propset.id) in
+  let s = slots.(i) in
+  if s != Propset.no_handle then s
+  else begin
+    let s =
+      Propset.intern t.ctx
+        (Propset.regress t.ctx h.Propset.set t.actions.(row.(i)))
+    in
+    slots.(i) <- s;
+    s
+  end
 
 (* Dependency-tracked invalidation support for long-lived sessions.
 
@@ -109,11 +162,3 @@ let taint (pb : Problem.t) ~node_touched ~link_touched =
     List.iter taint_act consumers.(p)
   done;
   (tainted, dirty)
-
-let candidates_h t (h : Propset.handle) =
-  match Hashtbl.find_opt t.memo h.Propset.id with
-  | Some out -> out
-  | None ->
-      let out = candidates t h.Propset.set in
-      Hashtbl.replace t.memo h.Propset.id out;
-      out

@@ -120,6 +120,12 @@ let split_dotted v =
       (String.sub v 0 d, String.sub v (d + 1) (String.length v - d - 1))
   | None -> fail "expected qualified name X.y, got %S" v
 
+(* A numeric literal; NaN is never a meaningful value. *)
+let number what text =
+  match float_of_string_opt text with
+  | Some v when not (Float.is_nan v) -> v
+  | Some _ | None -> fail "bad %s %S" what text
+
 let parse_expr_or_fail what text =
   match Expr.parse text with
   | e -> e
@@ -151,9 +157,12 @@ let parse_property rest =
   match words rest with
   | [ name ] -> Model.property name
   | [ name; tag ] -> Model.property ~tag:(parse_tag tag) name
-  | [ name; "="; v ] -> Model.property ~default:(float_of_string v) name
+  | [ name; "="; v ] ->
+      Model.property ~default:(number "property default" v) name
   | [ name; "="; v; tag ] ->
-      Model.property ~default:(float_of_string v) ~tag:(parse_tag tag) name
+      Model.property
+        ~default:(number "property default" v)
+        ~tag:(parse_tag tag) name
   | _ -> fail "bad property statement %S" rest
 
 let parse_levels_stmt rest =
@@ -167,10 +176,7 @@ let parse_levels_stmt rest =
         |> String.split_on_char ','
         |> List.map String.trim
         |> List.filter (fun s -> s <> "")
-        |> List.map (fun s ->
-               match float_of_string_opt s with
-               | Some f -> f
-               | None -> fail "bad cutpoint %S" s)
+        |> List.map (number "cutpoint")
       in
       (target, cuts)
 
@@ -301,12 +307,7 @@ let parse_component name stmts =
 let rec parse_resource_pairs acc = function
   | [] -> List.rev acc
   | name :: value :: rest ->
-      let v =
-        match float_of_string_opt value with
-        | Some v -> v
-        | None -> fail "bad resource value %S" value
-      in
-      parse_resource_pairs ((name, v) :: acc) rest
+      parse_resource_pairs ((name, number "resource value" value) :: acc) rest
   | [ odd ] -> fail "dangling resource token %S" odd
 
 let parse_network stmts =
@@ -399,7 +400,10 @@ let parse_deploy node_names stmts =
                   let iface, prop = split_dotted qualified in
                   goals :=
                     Model.Available
-                      (iface, prop, node_id node_names node, float_of_string v)
+                      ( iface,
+                        prop,
+                        node_id node_names node,
+                        number "goal value" v )
                     :: !goals
               | _ -> fail "bad goal statement %S" stmt)
           | None -> fail "unknown deploy statement %S" stmt))
@@ -448,18 +452,34 @@ let parse_document text =
       goals;
     }
   in
+  (* Leveling rejects cutpoints that are not finite, positive and
+     strictly increasing; report that as a spec error naming the
+     statement. *)
+  let checked target cuts add =
+    match add () with
+    | leveling -> leveling
+    | exception Invalid_argument _ ->
+        fail
+          "levels %s: cutpoints must be finite, positive and strictly \
+           increasing, got %s"
+          target
+          (String.concat ", " (List.map (Printf.sprintf "%g") cuts))
+  in
   let leveling =
     List.fold_left
-      (fun acc (iface, prop, cuts) -> Leveling.with_iface acc iface prop cuts)
+      (fun acc (iface, prop, cuts) ->
+        checked (iface ^ "." ^ prop) cuts (fun () ->
+            Leveling.with_iface acc iface prop cuts))
       Leveling.empty !iface_levels
   in
   let leveling =
     List.fold_left
       (fun acc (target, cuts) ->
-        match split_dotted target with
-        | "link", res -> Leveling.with_link acc res cuts
-        | "node", res -> Leveling.with_node acc res cuts
-        | iface, prop -> Leveling.with_iface acc iface prop cuts)
+        checked target cuts (fun () ->
+            match split_dotted target with
+            | "link", res -> Leveling.with_link acc res cuts
+            | "node", res -> Leveling.with_node acc res cuts
+            | iface, prop -> Leveling.with_iface acc iface prop cuts))
       leveling !extra_levels
   in
   { topo = Option.map fst !network; app; leveling }

@@ -227,6 +227,7 @@ let test_slrg_harvest_agrees_with_fresh () =
 (* ---------------- Propset interner ---------------- *)
 
 module Propset = Sekitei_core.Propset
+module Supports = Sekitei_core.Supports
 
 let test_interner_canonicalizes () =
   let i = Propset.Interner.create () in
@@ -256,30 +257,57 @@ let test_interner_dense_ids () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_ctx_regress_memo_interns () =
+(* Successor rows: every slot of every interned set's row is the
+   interned regression through its candidate, a re-read is the
+   physically same handle, and both still hold for the rows rebuilt when
+   a warm oracle is rebound to a recompiled problem. *)
+let check_successor_rows what (pb : Problem.t) slrg =
+  let ctx = Slrg.ctx slrg and sup = Slrg.supports slrg in
+  let n0 = Propset.interned_count ctx in
+  let slots = ref 0 in
+  for id = 0 to n0 - 1 do
+    let h = Propset.handle_of_id ctx id in
+    let cands = Supports.candidates sup h in
+    Alcotest.(check bool)
+      (what ^ ": candidate row is memoized") true
+      (cands == Supports.candidates sup h);
+    Array.iteri
+      (fun i aid ->
+        let s = Supports.successor sup h i in
+        let expect =
+          Propset.intern ctx
+            (Propset.regress ctx h.Propset.set pb.Problem.actions.(aid))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: slot %d of set %d is its regression" what i id)
+          true (s == expect);
+        Alcotest.(check bool)
+          (what ^ ": second read is the same handle") true
+          (Supports.successor sup h i == s);
+        incr slots)
+      cands
+  done;
+  Alcotest.(check bool) (what ^ ": rows checked") true (!slots > 0)
+
+let test_successor_rows () =
   let pb = tiny Media.C in
-  let ctx = Propset.make_ctx pb in
-  let goal =
-    Propset.intern ctx
-      (Propset.canonical_array pb pb.Problem.goal_props)
-  in
-  let a = pb.Problem.actions.(0) in
-  let r1 = Propset.regress_h ctx goal a in
-  let r2 = Propset.regress_h ctx goal a in
-  Alcotest.(check int) "memoized regression returns same handle"
-    r1.Propset.id r2.Propset.id;
-  Alcotest.(check bool) "regression result is canonical" true
-    (Propset.equal r1.Propset.set
-       (Propset.canonical_array pb r1.Propset.set));
-  Alcotest.(check bool) "ids stay below interned count" true
-    (r1.Propset.id < Propset.interned_count ctx)
+  let plrg = Plrg.build pb in
+  let slrg = Slrg.create pb plrg in
+  ignore (Slrg.query slrg (Array.to_list pb.Problem.goal_props));
+  check_successor_rows "cold" pb slrg;
+  let pb' = tiny Media.C in
+  let plrg' = Plrg.build pb' in
+  let evicted = Slrg.refresh slrg pb' plrg' ~dirty:(fun _ -> false) in
+  Alcotest.(check int) "clean refresh evicts nothing" 0 evicted;
+  ignore (Slrg.query slrg (Array.to_list pb'.Problem.goal_props));
+  check_successor_rows "after refresh" pb' slrg
 
 let suite =
   [
     ("plrg init props cost zero", `Quick, test_init_props_cost_zero);
     ("interner canonicalizes", `Quick, test_interner_canonicalizes);
     ("interner dense ids", `Quick, test_interner_dense_ids);
-    ("ctx regression memo interns", `Quick, test_ctx_regress_memo_interns);
+    ("successor rows", `Quick, test_successor_rows);
     ("plrg goal reachable", `Quick, test_goal_reachable);
     ("plrg goal unreachable partitioned", `Quick, test_goal_unreachable_partitioned);
     ("plrg admissible", `Quick, test_costs_admissible);

@@ -1,4 +1,4 @@
-(* Unit tests for Sekitei_core.Replay: optimistic vs from-init execution,
+(* Unit tests for Sekitei_core.Replay: regression vs from-init execution,
    throttling, consumption accounting, metrics. *)
 
 module Compile = Sekitei_core.Compile
@@ -82,7 +82,8 @@ let test_full_replay_succeeds () =
 
 let test_replay_order_dependent () =
   (* Consuming Z at node 1 before it has been produced fails from-init but
-     is optimistically allowed. *)
+     is allowed in regression mode, which seeds unknown inputs
+     optimistically. *)
   let pb = tiny Media.C in
   let tail = [ place_action pb "Unzip" ~node:1 ~in_level:31.5 ] in
   (match Replay.run pb ~mode:Replay.From_init tail with
@@ -90,16 +91,16 @@ let test_replay_order_dependent () =
   | Error f ->
       Alcotest.(check bool) "mentions Z" true
         (Sekitei_spec.Str_split.split_once f.Replay.reason "Z" <> None));
-  match Replay.run pb ~mode:Replay.Optimistic tail with
+  match Replay.run pb ~mode:Replay.Regression tail with
   | Ok _ -> ()
-  | Error f -> Alcotest.failf "optimistic should pass: %s" f.Replay.reason
+  | Error f -> Alcotest.failf "regression should pass: %s" f.Replay.reason
 
 let test_greedy_cpu_failure () =
   (* Scenario A: placing the splitter at the full 200 units blows the
-     CPU budget even optimistically (the greedy failure mode). *)
+     CPU budget even in regression mode (the greedy failure mode). *)
   let pb = tiny Media.A in
   let splitter = place_action pb "Splitter" ~node:0 ~in_level:0. in
-  match Replay.run pb ~mode:Replay.Optimistic [ splitter ] with
+  match Replay.run pb ~mode:Replay.Regression [ splitter ] with
   | Ok _ -> Alcotest.fail "should exceed CPU at max utilization"
   | Error f ->
       Alcotest.(check bool) "cpu mentioned" true
@@ -109,7 +110,7 @@ let test_leveled_cpu_ok () =
   (* The same placement throttled into [90,100) fits. *)
   let pb = tiny Media.C in
   let splitter = place_action pb "Splitter" ~node:0 ~in_level:90. in
-  match Replay.run pb ~mode:Replay.Optimistic [ splitter ] with
+  match Replay.run pb ~mode:Replay.Regression [ splitter ] with
   | Ok _ -> ()
   | Error f -> Alcotest.failf "unexpected failure: %s" f.Replay.reason
 

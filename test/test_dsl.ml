@@ -114,6 +114,47 @@ let test_errors () =
   expect_error "deploy { place X at n0; }";
   expect_error "stray statement;"
 
+(* Malformed numbers and cutpoint lists are spec errors, never escaping
+   [Failure] / [Invalid_argument] exceptions.  Each case edits one
+   statement of [minimal] (which parses cleanly) and expects the error to
+   name the offending construct. *)
+let test_bad_numbers_reported () =
+  let edit old by =
+    match Sekitei_spec.Str_split.split_once minimal old with
+    | Some (before, after) -> before ^ by ^ after
+    | None -> Alcotest.failf "%S not in the minimal spec" old
+  in
+  let expect_mentioning what text =
+    match Dsl.parse_document text with
+    | _ -> Alcotest.failf "expected Dsl_error for %s" what
+    | exception Dsl.Dsl_error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names it" what msg)
+          true
+          (Sekitei_spec.Str_split.split_once msg what <> None)
+  in
+  let prop = "property ibw degradable;" in
+  expect_mentioning "property default" (edit prop "property ibw = fast;");
+  expect_mentioning "property default"
+    (edit prop "property ibw = 3x degradable;");
+  expect_mentioning "property default" (edit prop "property ibw = nan;");
+  let goal = "goal Snk on b;" in
+  ignore (parse (edit goal "goal S.ibw >= 10 on b;"));
+  expect_mentioning "goal value" (edit goal "goal S.ibw >= lots on b;");
+  expect_mentioning "goal value" (edit goal "goal S.ibw >= nan on b;");
+  let levels = "levels ibw: 10, 20;" in
+  List.iter
+    (fun cuts ->
+      expect_mentioning "levels S.ibw"
+        (edit levels ("levels ibw: " ^ cuts ^ ";")))
+    [ "20, 10"; "10, 10"; "0, 10"; "10, inf" ];
+  expect_mentioning "cutpoint" (edit levels "levels ibw: 10, nan;");
+  expect_mentioning "levels link.lbw"
+    (minimal ^ "\nlevels link.lbw: 62, 31;\n");
+  expect_mentioning "levels node.cpu" (minimal ^ "\nlevels node.cpu: -5;\n");
+  expect_mentioning "resource value"
+    (edit "node a cpu 30;" "node a cpu nan;")
+
 let test_bad_expression_reported () =
   expect_error
     {|
@@ -171,6 +212,7 @@ let suite =
     ("top-level link levels", `Quick, test_top_level_link_levels);
     ("errors", `Quick, test_errors);
     ("bad expression reported", `Quick, test_bad_expression_reported);
+    ("bad numbers reported", `Quick, test_bad_numbers_reported);
     ("round-trip media", `Quick, test_roundtrip_media);
     ("print without topo", `Quick, test_print_without_topo);
     ("expression fidelity", `Quick, test_expression_fidelity);

@@ -2,7 +2,8 @@
 
    - the Replay snapshot/extend API agrees with from-scratch Replay.run
      over random action tails (accept/reject outcome AND metrics);
-   - extend is persistent (branching from one parent never cross-talks);
+   - extend is persistent (branching from one parent never cross-talks,
+     and a failed extension leaves the parent as it was);
    - RG duplicate detection never changes the returned plan cost on the
      Tiny/Small scenarios;
    - the machine-readable bench pipeline emits schema-valid JSON. *)
@@ -80,35 +81,35 @@ let prop_equiv level mode mode_name =
     (fun tail ->
       same_outcome (Replay.run pb ~mode tail) (run_incremental pb ~mode tail))
 
-let prop_equiv_optimistic = prop_equiv Media.C Replay.Optimistic "optimistic, C"
 let prop_equiv_from_init = prop_equiv Media.C Replay.From_init "from-init, C"
 
 let prop_equiv_regression =
   prop_equiv Media.C Replay.Regression "regression, C"
 
 let prop_equiv_greedy =
-  prop_equiv Media.A Replay.Optimistic "optimistic, greedy A"
+  prop_equiv Media.A Replay.Regression "regression, greedy A"
 
 let prop_equiv_regression_e =
   prop_equiv Media.E Replay.Regression "regression, E"
 
 (* ---------------- persistence of parent states ---------------- *)
 
+let splitter_at_server pb =
+  Array.to_list pb.Problem.actions
+  |> List.filter (fun (a : Action.t) ->
+         match a.Action.kind with
+         | Action.Place { comp; node = 0 } ->
+             Problem.comp_index pb "Splitter" = comp
+         | _ -> false)
+  |> List.hd
+
 let test_extend_persistent () =
   let pb = tiny_pb Media.C in
   let parent = Replay.initial pb in
-  let splitter =
-    Array.to_list pb.Problem.actions
-    |> List.filter (fun (a : Action.t) ->
-           match a.Action.kind with
-           | Action.Place { comp; node = 0 } ->
-               Problem.comp_index pb "Splitter" = comp
-           | _ -> false)
-    |> List.hd
-  in
+  let splitter = splitter_at_server pb in
   let snapshot rs = Replay.rstate_metrics pb rs in
   let before = snapshot parent in
-  (match Replay.extend pb ~mode:Replay.Optimistic parent splitter with
+  (match Replay.extend pb ~mode:Replay.Regression parent splitter with
   | Ok child ->
       Alcotest.(check bool)
         "child advanced" true
@@ -117,14 +118,67 @@ let test_extend_persistent () =
   (* The parent must be untouched and re-extensible with identical results. *)
   Alcotest.(check bool) "parent unchanged" true (same_metrics before (snapshot parent));
   match
-    ( Replay.extend pb ~mode:Replay.Optimistic parent splitter,
-      Replay.extend pb ~mode:Replay.Optimistic parent splitter )
+    ( Replay.extend pb ~mode:Replay.Regression parent splitter,
+      Replay.extend pb ~mode:Replay.Regression parent splitter )
   with
   | Ok a, Ok b ->
       Alcotest.(check bool)
         "re-extension deterministic" true
         (same_metrics (Replay.rstate_metrics pb a) (Replay.rstate_metrics pb b))
   | _ -> Alcotest.fail "re-extension failed"
+
+(* A failed extension must not leak into its parent either.  On greedy
+   level A the server's splitter overruns the CPU only after its input
+   has been throttled into the state; a partial write-through to the
+   parent would change the parent's metrics or its later extensions,
+   and both are checked. *)
+let test_failed_extend_persistent () =
+  let pb = tiny_pb Media.A in
+  let mode = Replay.Regression in
+  let splitter = splitter_at_server pb in
+  (* A non-empty parent: the first action that extends the initial
+     state and leaves the splitter still failing. *)
+  let parent, first =
+    Array.to_list pb.Problem.actions
+    |> List.find_map (fun a ->
+           match Replay.extend pb ~mode (Replay.initial pb) a with
+           | Ok rs when Result.is_error (Replay.extend pb ~mode rs splitter) ->
+               Some (rs, a)
+           | Ok _ | Error _ -> None)
+    |> Option.get
+  in
+  let before = Replay.rstate_metrics pb parent in
+  (match Replay.extend pb ~mode parent splitter with
+  | Ok _ -> Alcotest.fail "splitter at full rate should overrun the CPU"
+  | Error f ->
+      Alcotest.(check bool) "cpu overrun" true
+        (Sekitei_spec.Str_split.split_once f.Replay.reason "cpu" <> None);
+      Alcotest.(check int) "failure indexed after the parent" 1
+        f.Replay.failed_index);
+  Alcotest.(check bool) "parent metrics unchanged" true
+    (same_metrics before (Replay.rstate_metrics pb parent));
+  Alcotest.(check int)
+    "parent length unchanged" 1
+    (Replay.rstate_length parent);
+  (* Still extensible: some action extends the parent, exactly as a
+     from-scratch run of the two-action tail. *)
+  let extended =
+    Array.to_list pb.Problem.actions
+    |> List.filter_map (fun a ->
+           match Replay.extend pb ~mode parent a with
+           | Ok rs -> Some (a, rs)
+           | Error _ -> None)
+  in
+  Alcotest.(check bool) "parent still extensible" true (extended <> []);
+  List.iter
+    (fun ((a : Action.t), rs) ->
+      Alcotest.(check bool)
+        ("extension agrees with run: " ^ a.Action.label)
+        true
+        (same_outcome
+           (Replay.run pb ~mode [ first; a ])
+           (Ok (Replay.rstate_metrics pb rs))))
+    extended
 
 (* ---------------- duplicate detection preserves plan cost ------------ *)
 
@@ -200,7 +254,6 @@ let test_bench_json_schema () =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_equiv_optimistic;
       prop_equiv_from_init;
       prop_equiv_regression;
       prop_equiv_greedy;
@@ -208,6 +261,9 @@ let suite =
     ]
   @ [
       ("extend is persistent", `Quick, test_extend_persistent);
+      ( "failed extend leaves parent intact",
+        `Quick,
+        test_failed_extend_persistent );
       ("dedup neutral on tiny-C", `Quick, test_dedup_tiny);
       ("dedup neutral on small-C", `Quick, test_dedup_small);
       ("dedup counts duplicates", `Quick, test_dedup_counts_duplicates);
