@@ -73,24 +73,22 @@ let arb_tail pb =
       String.concat "; " (List.map (fun a -> a.Action.label) tail))
     (tail_gen pb)
 
-let prop_equiv level mode mode_name =
+let prop_equiv level mode name =
   let pb = tiny_pb level in
-  Q.Test.make ~count:500
-    ~name:(Printf.sprintf "extend == run (%s)" mode_name)
-    (arb_tail pb)
-    (fun tail ->
+  Q.Test.make ~count:500 ~name (arb_tail pb) (fun tail ->
       same_outcome (Replay.run pb ~mode tail) (run_incremental pb ~mode tail))
 
-let prop_equiv_from_init = prop_equiv Media.C Replay.From_init "from-init, C"
+let prop_equiv_from_init =
+  prop_equiv Media.C Replay.From_init "extend == run (from-init, C)"
 
 let prop_equiv_regression =
-  prop_equiv Media.C Replay.Regression "regression, C"
+  prop_equiv Media.C Replay.Regression "extend == run (regression, C)"
 
 let prop_equiv_greedy =
-  prop_equiv Media.A Replay.Regression "regression, greedy A"
+  prop_equiv Media.A Replay.Regression "extend == run greedy-A (regression)"
 
 let prop_equiv_regression_e =
-  prop_equiv Media.E Replay.Regression "regression, E"
+  prop_equiv Media.E Replay.Regression "extend == run (regression, E)"
 
 (* ---------------- persistence of parent states ---------------- *)
 
