@@ -70,11 +70,13 @@ check-smoke:
 	done
 
 # Regression gate: rerun the tracked scenarios and fail if any gated
-# metric (search_ms, rg_created, slrg_ms, warm_search_ms) regressed
-# >200% against BENCH_rg.json.  The timing threshold is deliberately
-# loose — the small scenarios finish in well under a millisecond, where
-# run-to-run noise is large — while rg_created is exactly reproducible,
-# so an algorithmic search-space blowup trips the gate on any hardware.
+# metric (search_ms, rg_created, slrg_ms, warm_search_ms,
+# compile_minor_words) regressed >200% against BENCH_rg.json.  The
+# timing threshold is deliberately loose — the small scenarios finish in
+# well under a millisecond, where run-to-run noise is large — while
+# rg_created and compile_minor_words are exactly reproducible, so an
+# algorithmic search-space or grounding blowup trips the gate on any
+# hardware.
 # After an intentional perf change, refresh the baseline with
 # `make bench-json` and commit the BENCH_rg.json diff.
 bench-gate:
@@ -137,7 +139,7 @@ bench:
 # records warm_search_ms, the search time of a session re-plan that
 # reuses the compiled problem and the hot SLRG oracle.
 bench-json:
-	dune exec bench/main.exe -- --json --tag pr13 --repeat 3 --jobs 1 --warm
+	dune exec bench/main.exe -- --json --tag pr14 --repeat 3 --jobs 1 --warm
 
 # Profile the Small-C run: trace every planner phase to JSONL and render
 # the span tree / counter summary.

@@ -24,7 +24,10 @@ type t = {
   pre : int array;  (** required propositions (interned) *)
   add : int array;  (** directly achieved propositions *)
   add_closure : int array;
-      (** achieved propositions closed under degradability/upgradability *)
+      (** achieved propositions closed under degradability/upgradability,
+          strictly increasing: {!Compile}, the only constructor of
+          actions, emits them so, and {!Propset.regress} merges them
+          without sorting *)
   cost_lb : float;
   cost_extra : float;
       (** additive adjustment already folded into [cost_lb] (redeployment

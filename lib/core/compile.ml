@@ -16,11 +16,19 @@ let split_var v =
       (String.sub v 0 dot, String.sub v (dot + 1) (String.length v - dot - 1))
   | None -> ("", v)
 
-let rec cartesian = function
-  | [] -> [ [] ]
-  | xs :: rest ->
-      let tails = cartesian rest in
-      List.concat_map (fun x -> List.map (fun tl -> x :: tl) tails) xs
+(* Every combination picking one element of each row, the first row
+   varying slowest; no combination when a row is empty, one empty
+   combination when there are no rows. *)
+let product rows =
+  let n = Array.length rows in
+  let stride = Array.make (n + 1) 1 in
+  for j = n - 1 downto 0 do
+    stride.(j) <- stride.(j + 1) * Array.length rows.(j)
+  done;
+  Array.init stride.(0) (fun k ->
+      Array.init n (fun j ->
+          let row = rows.(j) in
+          row.(k / stride.(j + 1) mod Array.length row)))
 
 (* ------------------------------------------------------------------ *)
 (* Goal preprocessing: Available goals become sink components          *)
@@ -54,18 +62,199 @@ let rewrite_goals (app : Model.app) =
     !restrictions )
 
 (* ------------------------------------------------------------------ *)
-(* Level machinery                                                     *)
+(* Resolved schemas                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Levels annotated with their index. *)
-let indexed levels = List.mapi (fun i ivl -> (i, ivl)) levels
+(* A formula variable resolved once per schema: where the environment of
+   a level combination finds its value.  Grounding then evaluates
+   [slot Expr.gen] formulas with array reads instead of splitting names
+   and scanning association lists per combination. *)
+type slot =
+  | Level of int
+      (* the combination's k-th interval: the input levels, then the
+         checked site-resource levels *)
+  | Cap of int  (* the site's k-th unleveled capacity, as a point *)
+  | Full  (* a secondary property: unconstrained *)
+  | Unbound of string  (* raises [Expr.Unbound_variable] when read *)
 
-(* Which levels an achieved proposition implies, given the tag. *)
-let implied_levels tag n_levels level =
-  match tag with
-  | Model.Degradable -> List.init (level + 1) Fun.id
-  | Model.Upgradable -> List.init (n_levels - level) (fun k -> level + k)
-  | Model.Neither -> [ level ]
+(* The interval environment of one site.  [cur] holds the combination
+   being grounded; [caps] the site's unleveled capacities, [None] for a
+   non-finite one, which has no point interval. *)
+let slot_env cur caps = function
+  | Level k -> cur.(k)
+  | Cap k -> (
+      match caps.(k) with Some ivl -> ivl | None -> raise I.Empty_interval)
+  | Full -> I.full
+  | Unbound v -> raise (Expr.Unbound_variable v)
+
+let cap_point c = if Float.is_finite c then Some (I.point c) else None
+
+(* Checked-level combinations of a site: each leveled resource's levels
+   cut to [0, capacity]. *)
+let checked_combos checked cap =
+  product
+    (Array.map
+       (fun (r, lvls) ->
+         let site = I.of_points [ 0.; cap r ] in
+         Array.of_list
+           (List.filter_map
+              (fun ivl -> Option.map (fun x -> (r, x)) (I.inter ivl site))
+              lvls))
+       checked)
+
+(* What a schema checks and prices at every level combination, with its
+   variables resolved to slots: [first] input slots, then one per
+   leveled resource of its site (the node of a placement, the link of a
+   crossing). *)
+type formulas = {
+  first : int;
+  checked_res : (string * I.t list) array;  (* leveled site resources *)
+  cap_res : string array;  (* the other site resources read, by [Cap] slot *)
+  conditions : slot Expr.cond_gen list;
+  consumes : (string * slot Expr.gen) array;
+  cost : slot Expr.gen;
+}
+
+(* Resolve a schema's formulas.  [site] names its site resources ("node"
+   or "link") and [input] resolves every other variable.  The site
+   resources a schema mentions are the ones it consumes and those its
+   formulas read, [other_vars] being the variables of its formulas
+   beyond these three (effects, transforms).  Only non-trivially leveled
+   resources give checked-level choices; the others are read at the
+   site's capacity and never runtime-checked.  [extra] resolves the
+   schema's remaining formulas with the same resolver, before the
+   capacity slots are listed. *)
+let resolve_formulas ~site ~levels_of ~first ~input ~other_vars ~conditions
+    ~consumes ~cost extra =
+  let vars =
+    List.concat
+      [
+        other_vars;
+        List.concat_map Expr.cond_vars conditions;
+        List.concat_map (fun (_, e) -> Expr.vars e) consumes;
+        Expr.vars cost;
+      ]
+  in
+  let checked =
+    Array.of_list
+      (List.filter_map
+         (fun r ->
+           match levels_of r with
+           | [ single ] when I.equal single I.full -> None
+           | lvls -> Some (r, lvls))
+         (List.sort_uniq String.compare
+            (List.map fst consumes
+            @ List.filter_map
+                (fun v ->
+                  match split_var v with
+                  | p, r when String.equal p site -> Some r
+                  | _ -> None)
+                vars)))
+  in
+  let caps = ref [] in
+  let site_slot r =
+    match Array.find_index (fun (c, _) -> String.equal c r) checked with
+    | Some j -> Level (first + j)
+    | None -> (
+        match List.assoc_opt r !caps with
+        | Some k -> Cap k
+        | None ->
+            let k = List.length !caps in
+            caps := (r, k) :: !caps;
+            Cap k)
+  in
+  let resolve v =
+    match split_var v with
+    | p, r when String.equal p site -> site_slot r
+    | _ -> input v
+  in
+  let conditions = List.map (Expr.map_cond_vars resolve) conditions in
+  let consumes =
+    Array.of_list
+      (List.map (fun (r, e) -> (r, Expr.map_vars resolve e)) consumes)
+  in
+  let cost = Expr.map_vars resolve cost in
+  let x = extra resolve in
+  ( {
+      first;
+      checked_res = checked;
+      cap_res = Array.of_list (List.rev_map fst !caps);
+      conditions;
+      consumes;
+      cost;
+    },
+    x )
+
+(* A schema's formulas at one site, whose resource capacities [cap]
+   gives.  The caller sets the input slots of [cur]; [admits checked]
+   sets the checked slots and tells whether the conditions and the
+   resource demands hold (a division by zero in a demand rules the
+   combination out); [price ()] is the cost at the interval infima. *)
+type site = {
+  combos : (string * I.t) array array;  (* checked-level combinations *)
+  cur : I.t array;
+  env : slot -> I.t;
+  admits : (string * I.t) array -> bool;
+  price : unit -> float;
+}
+
+let bind f cap =
+  let combos = checked_combos f.checked_res cap in
+  let cur = Array.make (f.first + Array.length f.checked_res) I.full in
+  let env = slot_env cur (Array.map (fun r -> cap_point (cap r)) f.cap_res) in
+  let caps = Array.map (fun (r, _) -> cap r) f.consumes in
+  let fits k =
+    match Expr.eval_interval ~env (snd f.consumes.(k)) with
+    | ivl -> I.lo ivl <= caps.(k) +. 1e-9
+    | exception Division_by_zero -> false
+  in
+  let rec consumption_ok k =
+    k = Array.length f.consumes || (fits k && consumption_ok (k + 1))
+  in
+  let admits checked =
+    Array.iteri (fun j (_, ivl) -> cur.(f.first + j) <- ivl) checked;
+    let conditions_ok = List.for_all (fun c -> Expr.sat ~env c) f.conditions in
+    let consumption_ok = consumption_ok 0 in
+    conditions_ok && consumption_ok
+  in
+  let price () = Expr.eval ~env:(fun v -> I.lo (env v)) f.cost in
+  { combos; cur; env; admits; price }
+
+(* One input-level combination of a placement schema. *)
+type in_combo = {
+  ivls : I.t array;  (* per required interface *)
+  lvls : int array;
+  in_levels : (int * I.t) array;
+  suffix : string;  (* label suffix, e.g. "[T:1,I:1]" *)
+}
+
+(* A provided interface: its index and resolved primary effect, or the
+   error grounding raises when it first needs them. *)
+type output = Output of int * slot Expr.gen | Bad_output of exn
+
+(* Everything about a placeable component that does not depend on the
+   node it is placed on. *)
+type place_schema = {
+  req : int array;
+  in_combos : in_combo array;
+  outputs : output array;
+  place : formulas;
+}
+
+(* The same for crossings of one interface; slot 0 is the stream's
+   primary property. *)
+type cross_schema = { transform : slot Expr.gen; cross : formulas }
+
+(* One (input level, checked link levels) combination of a link that
+   yields crossings, with its candidate output levels.  It holds for
+   both directions of the link. *)
+type crossing = {
+  in_lvl : int;
+  in_levels : (int * I.t) array;
+  checked_link : (string * I.t) array;
+  cost_lb : float;
+  candidates : (int * (int * I.t) array) array;  (* out level, out_levels *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* Compilation proper                                                  *)
@@ -222,8 +411,8 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
   (* ---------------- action construction ---------------- *)
   let actions = ref [] in
   let next_id = ref 0 in
-  let emit ~kind ~pre ~add ~cost_lb ~in_levels ~out_levels ~checked_node
-      ~checked_link ~label =
+  let emit ~kind ~pre ~add ~add_closure ~cost_lb ~in_levels ~out_levels
+      ~checked_node ~checked_link ~label =
     if cost_lb < 0. || Float.is_nan cost_lb then
       fail "negative cost bound for action %s" label;
     let cost_extra =
@@ -235,31 +424,19 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
     (* Adjustments may discount, but never below zero total. *)
     let cost_extra = Float.max cost_extra (-.cost_lb) in
     let cost_lb = cost_lb +. cost_extra in
-    let add_closure =
-      List.concat_map
-        (fun pid ->
-          match Prop.of_id props pid with
-          | Prop.Placed _ -> [ pid ]
-          | Prop.Avail (i, n, l) ->
-              List.map
-                (fun l' -> Prop.avail_id props ~iface:i ~node:n ~level:l')
-                (implied_levels iface_tags.(i) (Array.length iface_levels.(i)) l))
-        add
-      |> List.sort_uniq compare
-    in
     actions :=
       {
         Action.act_id = !next_id;
         kind;
-        pre = Array.of_list pre;
-        add = Array.of_list add;
-        add_closure = Array.of_list add_closure;
+        pre;
+        add;
+        add_closure;
         cost_lb;
         cost_extra;
-        in_levels = Array.of_list in_levels;
-        out_levels = Array.of_list out_levels;
-        checked_node = Array.of_list checked_node;
-        checked_link = Array.of_list checked_link;
+        in_levels;
+        out_levels;
+        checked_node;
+        checked_link;
         label;
       }
       :: !actions;
@@ -274,7 +451,43 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
     incr next_id
   in
 
-  let lo_env_of ivl_env v = I.lo (ivl_env v) in
+  (* The add-closure of one achieved availability: the levels it implies
+     under its interface's tag, a contiguous, increasing id range.  Built
+     once per proposition and shared by every action achieving it. *)
+  let implied = Array.make (Prop.count props) [||] in
+  let implied_closure i node level =
+    let pid = Prop.avail_id props ~iface:i ~node ~level in
+    if Array.length implied.(pid) = 0 then begin
+      let lo, hi =
+        match iface_tags.(i) with
+        | Model.Degradable -> (0, level)
+        | Model.Upgradable -> (level, Array.length iface_levels.(i) - 1)
+        | Model.Neither -> (level, level)
+      in
+      let base = pid - level + lo in
+      implied.(pid) <- Array.init (hi - lo + 1) (fun k -> base + k)
+    end;
+    implied.(pid)
+  in
+  (* Placed ids precede every availability id, so a placement's closure
+     is its placed id, then its outputs' closures merged. *)
+  let place_closure placed = function
+    | [||] -> [| placed |]
+    | [| c |] -> Array.append [| placed |] c
+    | cs ->
+        let all = Array.concat (Array.to_list cs) in
+        Array.sort Int.compare all;
+        let n = ref 0 in
+        Array.iter
+          (fun p ->
+            if !n = 0 || all.(!n - 1) <> p then begin
+              all.(!n) <- p;
+              incr n
+            end)
+          all;
+        Array.append [| placed |] (Array.sub all 0 !n)
+  in
+  let node_name n = (Topology.get_node topo n).Topology.node_name in
 
   (* Leveled grounding: everything from here to the [actions] array is
      schema replication over level assignments plus pruning — the
@@ -282,9 +495,157 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
   let sp_leveling = Telemetry.begin_span telemetry "leveling" in
 
   (* ----- place actions ----- *)
+  (* Node-independent part of a placement schema: required interfaces,
+     input-level combinations and formulas with their variables resolved
+     to slots, input levels first, then checked node levels. *)
+  let place_schema (comp : Model.component) =
+    let req = Array.of_list (List.map iface_idx comp.Model.requires) in
+    let n_in = Array.length req in
+    let input v =
+      let iface_name, prop_name = split_var v in
+      let rec find k =
+        if k = n_in then Unbound v
+        else
+          let i = req.(k) in
+          if String.equal ifaces.(i).Model.iface_name iface_name then
+            if String.equal prop_name (primary i) then Level k else Full
+          else find (k + 1)
+      in
+      find 0
+    in
+    let output resolve prov =
+      match iface_idx prov with
+      | exception (Compile_error _ as e) -> Bad_output e
+      | o -> (
+          let prim = primary o in
+          match
+            List.find_opt
+              (fun (fi, fp, _) -> String.equal fi prov && String.equal fp prim)
+              comp.Model.effects
+          with
+          | Some (_, _, e) -> Output (o, Expr.map_vars resolve e)
+          | None ->
+              Bad_output
+                (Compile_error
+                   (Printf.sprintf "component %s sets no %s.%s"
+                      comp.Model.comp_name prov prim)))
+    in
+    let place, outputs =
+      resolve_formulas ~site:"node" ~levels_of:(Leveling.node_levels leveling)
+        ~first:n_in ~input
+        ~other_vars:
+          (List.concat_map (fun (_, _, e) -> Expr.vars e) comp.Model.effects)
+        ~conditions:comp.Model.conditions ~consumes:comp.Model.consumes
+        ~cost:comp.Model.place_cost
+        (fun resolve ->
+          Array.of_list (List.map (output resolve) comp.Model.provides))
+    in
+    let in_combos =
+      Array.map
+        (fun combo ->
+          {
+            ivls = Array.map snd combo;
+            lvls = Array.map fst combo;
+            in_levels = Array.mapi (fun k (_, ivl) -> (req.(k), ivl)) combo;
+            suffix =
+              (if n_in = 0 then ""
+               else
+                 "["
+                 ^ String.concat ","
+                     (Array.to_list
+                        (Array.mapi
+                           (fun k (l, _) ->
+                             ifaces.(req.(k)).Model.iface_name ^ ":"
+                             ^ string_of_int l)
+                           combo))
+                 ^ "]");
+          })
+        (product
+           (Array.map
+              (fun i -> Array.mapi (fun l ivl -> (l, ivl)) iface_levels.(i))
+              req))
+    in
+    { req; in_combos; outputs; place }
+  in
+  let ground_place c (comp : Model.component) (s : place_schema) node =
+    let site = bind s.place (node_cap node) in
+    let env = site.env in
+    let kind = Action.Place { comp = c; node } in
+    let placed = Prop.placed_id props ~comp:c ~node in
+    Array.iter
+      (fun ic ->
+        Array.blit ic.ivls 0 site.cur 0 (Array.length ic.ivls);
+        (* Shared by every action of this input combination on [node],
+           built with the first. *)
+        let pre_label = ref None in
+        Array.iter
+          (fun checked_node ->
+            if site.admits checked_node then begin
+              (* Output level candidates per provided interface. *)
+              let out_choices =
+                Array.map
+                  (function
+                    | Bad_output e -> raise e
+                    | Output (o, effect) ->
+                        let out_ivl = Expr.eval_interval ~env effect in
+                        let cands = ref [] in
+                        for l = Array.length iface_levels.(o) - 1 downto 0 do
+                          match I.inter iface_levels.(o).(l) out_ivl with
+                          | Some achieved -> cands := (o, l, achieved) :: !cands
+                          | None -> ()
+                        done;
+                        Array.of_list !cands)
+                  s.outputs
+              in
+              let out_combos = product out_choices in
+              if Array.length out_combos > 0 then begin
+                let cost_lb = site.price () in
+                let pre, label =
+                  match !pre_label with
+                  | Some pl -> pl
+                  | None ->
+                      let pl =
+                        ( Array.mapi
+                            (fun k l ->
+                              Prop.avail_id props ~iface:s.req.(k) ~node
+                                ~level:l)
+                            ic.lvls,
+                          "place(" ^ comp.Model.comp_name ^ "," ^ node_name node
+                          ^ ")" ^ ic.suffix )
+                      in
+                      pre_label := Some pl;
+                      pl
+                in
+                Array.iter
+                  (fun out_combo ->
+                    emit ~kind ~pre
+                      ~add:
+                        (Array.append [| placed |]
+                           (Array.map
+                              (fun (o, l, _) ->
+                                Prop.avail_id props ~iface:o ~node ~level:l)
+                              out_combo))
+                      ~add_closure:
+                        (place_closure placed
+                           (Array.map
+                              (fun (o, l, _) -> implied_closure o node l)
+                              out_combo))
+                      ~cost_lb ~in_levels:ic.in_levels
+                      ~out_levels:
+                        (Array.map (fun (o, _, ivl) -> (o, ivl)) out_combo)
+                      ~checked_node ~checked_link:[||] ~label)
+                  out_combos
+              end
+            end)
+          site.combos)
+      s.in_combos
+  in
   Array.iteri
     (fun c (comp : Model.component) ->
-      if comp.Model.placeable then
+      if comp.Model.placeable then begin
+        (* Built at the first placement grounded afresh: that is where
+           an unknown required interface is reported. *)
+        let schema = lazy (place_schema comp) in
         for node = 0 to n_nodes - 1 do
           let allowed =
             match comp_allowed_node.(c) with
@@ -295,284 +656,127 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
             Deadline.guard deadline ~phase:"compile";
             match reuse.reuse_place ~comp:c ~node with
             | Some olds -> List.iter emit_copy olds
-            | None ->
-            let req = List.map iface_idx comp.Model.requires in
-            (* Node resources this component touches. *)
-            let node_resources =
-              let mentioned = Hashtbl.create 4 in
-              List.iter (fun (r, _) -> Hashtbl.replace mentioned r ()) comp.Model.consumes;
-              let scan_vars vs =
-                List.iter
-                  (fun v ->
-                    match split_var v with
-                    | "node", r -> Hashtbl.replace mentioned r ()
-                    | _ -> ())
-                  vs
-              in
-              List.iter (fun cond -> scan_vars (Expr.cond_vars cond)) comp.Model.conditions;
-              List.iter (fun (_, _, e) -> scan_vars (Expr.vars e)) comp.Model.effects;
-              List.iter (fun (_, e) -> scan_vars (Expr.vars e)) comp.Model.consumes;
-              scan_vars (Expr.vars comp.Model.place_cost);
-              Hashtbl.fold (fun r () acc -> r :: acc) mentioned [] |> List.sort compare
-            in
-            (* Only non-trivially leveled resources contribute checked-level
-               choices; unleveled ones default to full availability in the
-               environment below and are never runtime-checked. *)
-            let node_level_choices =
-              List.filter_map
-                (fun r ->
-                  let cap = node_cap node r in
-                  match Leveling.node_levels leveling r with
-                  | [ single ] when I.equal single I.full -> None
-                  | lvls ->
-                      Some
-                        (List.filter_map
-                           (fun ivl ->
-                             Option.map
-                               (fun x -> (r, x))
-                               (I.inter ivl (I.of_points [ 0.; cap ])))
-                           lvls))
-                node_resources
-            in
-            let in_choices =
-              List.map
-                (fun i -> List.map (fun (l, ivl) -> (i, l, ivl)) (indexed (Array.to_list iface_levels.(i))))
-                req
-            in
-            List.iter
-              (fun in_combo ->
-                List.iter
-                  (fun checked_node ->
-                    let ivl_env v =
-                      match split_var v with
-                      | "node", r -> (
-                          match List.assoc_opt r checked_node with
-                          | Some ivl -> ivl
-                          | None -> I.point (node_cap node r))
-                      | iface_name, prop_name -> (
-                          match
-                            List.find_opt
-                              (fun (i, _, _) ->
-                                String.equal ifaces.(i).Model.iface_name iface_name)
-                              in_combo
-                          with
-                          | Some (i, _, ivl) ->
-                              if String.equal prop_name (primary i) then ivl else I.full
-                          | None -> raise (Expr.Unbound_variable v))
-                    in
-                    let conditions_ok =
-                      List.for_all (fun cond -> Expr.sat ~env:ivl_env cond)
-                        comp.Model.conditions
-                    in
-                    let consumption_ok =
-                      List.for_all
-                        (fun (r, e) ->
-                          match Expr.eval_interval ~env:ivl_env e with
-                          | ivl -> I.lo ivl <= node_cap node r +. 1e-9
-                          | exception Division_by_zero -> false)
-                        comp.Model.consumes
-                    in
-                    if conditions_ok && consumption_ok then begin
-                      (* Output level candidates per provided interface. *)
-                      let out_choices =
-                        List.map
-                          (fun prov ->
-                            let o = iface_idx prov in
-                            let prim = primary o in
-                            let effect =
-                              match
-                                List.find_opt
-                                  (fun (fi, fp, _) ->
-                                    String.equal fi prov && String.equal fp prim)
-                                  comp.Model.effects
-                              with
-                              | Some (_, _, e) -> e
-                              | None -> fail "component %s sets no %s.%s"
-                                          comp.Model.comp_name prov prim
-                            in
-                            let out_ivl = Expr.eval_interval ~env:ivl_env effect in
-                            List.filter_map
-                              (fun (l, lvl_ivl) ->
-                                Option.map
-                                  (fun achieved -> (o, l, achieved))
-                                  (I.inter lvl_ivl out_ivl))
-                              (indexed (Array.to_list iface_levels.(o))))
-                          comp.Model.provides
-                      in
-                      List.iter
-                        (fun out_combo ->
-                          let cost_lb =
-                            Expr.eval ~env:(lo_env_of ivl_env) comp.Model.place_cost
-                          in
-                          let pre =
-                            List.map
-                              (fun (i, l, _) ->
-                                Prop.avail_id props ~iface:i ~node ~level:l)
-                              in_combo
-                          in
-                          let add =
-                            Prop.placed_id props ~comp:c ~node
-                            :: List.map
-                                 (fun (o, l, _) ->
-                                   Prop.avail_id props ~iface:o ~node ~level:l)
-                                 out_combo
-                          in
-                          let label =
-                            Printf.sprintf "place(%s,%s)%s" comp.Model.comp_name
-                              (Topology.get_node topo node).Topology.node_name
-                              (if in_combo = [] then ""
-                               else
-                                 "["
-                                 ^ String.concat ","
-                                     (List.map
-                                        (fun (i, l, _) ->
-                                          Printf.sprintf "%s:%d"
-                                            ifaces.(i).Model.iface_name l)
-                                        in_combo)
-                                 ^ "]")
-                          in
-                          emit
-                            ~kind:(Action.Place { comp = c; node })
-                            ~pre ~add ~cost_lb
-                            ~in_levels:(List.map (fun (i, _, ivl) -> (i, ivl)) in_combo)
-                            ~out_levels:(List.map (fun (o, _, ivl) -> (o, ivl)) out_combo)
-                            ~checked_node ~checked_link:[] ~label)
-                        (cartesian out_choices)
-                    end)
-                  (cartesian node_level_choices))
-              (cartesian in_choices)
+            | None -> ground_place c comp (Lazy.force schema) node
           end
-        done)
+        done
+      end)
     comps;
 
   (* ----- cross actions ----- *)
+  let cross_schema i (iface : Model.iface) =
+    let prim = primary i in
+    let input v =
+      match split_var v with
+      | "", p -> if String.equal p prim then Level 0 else Full
+      | _ -> Unbound v
+    in
+    let cross, transform =
+      resolve_formulas ~site:"link" ~levels_of:(Leveling.link_levels leveling)
+        ~first:1 ~input
+        ~other_vars:
+          (List.concat_map
+             (fun (_, e) -> Expr.vars e)
+             iface.Model.cross_transforms)
+        ~conditions:iface.Model.cross_conditions
+        ~consumes:iface.Model.cross_consumes ~cost:iface.Model.cross_cost
+        (fun resolve ->
+          match List.assoc_opt prim iface.Model.cross_transforms with
+          | Some e -> Expr.map_vars resolve e
+          | None -> Expr.Var (Level 0) (* unchanged by crossing *))
+    in
+    { transform; cross }
+  in
+  (* The crossings of one link, evaluated once for both directions:
+     crossing formulas read only [link.*] and the stream's own
+     properties.  [on_crossing] sees each one as soon as it is evaluated,
+     so the first direction grounds in the same order as evaluating each
+     direction separately would. *)
+  let link_crossings i (s : cross_schema) lid =
+    let site = bind s.cross (link_cap lid) in
+    let levels = iface_levels.(i) in
+    fun ~on_crossing ->
+      let found = ref [] in
+      Array.iteri
+        (fun in_lvl in_ivl ->
+          site.cur.(0) <- in_ivl;
+          Array.iter
+            (fun checked_link ->
+              if site.admits checked_link then begin
+                let out_ivl = Expr.eval_interval ~env:site.env s.transform in
+                let candidates = ref [] in
+                for lvl = Array.length levels - 1 downto 0 do
+                  match I.inter levels.(lvl) out_ivl with
+                  | None -> ()
+                  | Some achieved ->
+                      (* Dominance pruning for monotone streams: entering at
+                         a higher level than what comes out is never
+                         useful. *)
+                      let dominated =
+                        match iface_tags.(i) with
+                        | Model.Degradable -> lvl < in_lvl
+                        | Model.Upgradable -> lvl > in_lvl
+                        | Model.Neither -> false
+                      in
+                      if not dominated then
+                        candidates := (lvl, [| (i, achieved) |]) :: !candidates
+                done;
+                match !candidates with
+                | [] -> ()
+                | candidates ->
+                    let x =
+                      {
+                        in_lvl;
+                        in_levels = [| (i, in_ivl) |];
+                        checked_link;
+                        cost_lb = site.price ();
+                        candidates = Array.of_list candidates;
+                      }
+                    in
+                    on_crossing x;
+                    found := x :: !found
+              end)
+            site.combos)
+        levels;
+      List.rev !found
+  in
+  let emit_crossings i (iface : Model.iface) lid (src, dst) =
+    let kind = Action.Cross { iface = i; link = lid; src; dst } in
+    let labels = Array.make (Array.length iface_levels.(i)) "" in
+    fun x ->
+      if labels.(x.in_lvl) = "" then
+        labels.(x.in_lvl) <-
+          "cross(" ^ iface.Model.iface_name ^ "," ^ node_name src ^ "->"
+          ^ node_name dst ^ ")[" ^ string_of_int x.in_lvl ^ "]";
+      let pre = [| Prop.avail_id props ~iface:i ~node:src ~level:x.in_lvl |] in
+      Array.iter
+        (fun (out_lvl, out_levels) ->
+          emit ~kind ~pre
+            ~add:[| Prop.avail_id props ~iface:i ~node:dst ~level:out_lvl |]
+            ~add_closure:(implied_closure i dst out_lvl)
+            ~cost_lb:x.cost_lb ~in_levels:x.in_levels ~out_levels
+            ~checked_node:[||] ~checked_link:x.checked_link
+            ~label:labels.(x.in_lvl))
+        x.candidates
+  in
   Array.iteri
     (fun i (iface : Model.iface) ->
-      let prim = primary i in
-      let link_resources =
-        let mentioned = Hashtbl.create 4 in
-        List.iter (fun (r, _) -> Hashtbl.replace mentioned r ()) iface.Model.cross_consumes;
-        let scan_vars vs =
-          List.iter
-            (fun v ->
-              match split_var v with
-              | "link", r -> Hashtbl.replace mentioned r ()
-              | _ -> ())
-            vs
-        in
-        List.iter (fun (_, e) -> scan_vars (Expr.vars e)) iface.Model.cross_transforms;
-        List.iter (fun (_, e) -> scan_vars (Expr.vars e)) iface.Model.cross_consumes;
-        List.iter (fun c -> scan_vars (Expr.cond_vars c)) iface.Model.cross_conditions;
-        scan_vars (Expr.vars iface.Model.cross_cost);
-        Hashtbl.fold (fun r () acc -> r :: acc) mentioned [] |> List.sort compare
-      in
+      let schema = cross_schema i iface in
       Array.iter
         (fun (l : Topology.link) ->
+          let lid = l.Topology.link_id in
           let a, b = l.Topology.ends in
-          let link_level_choices =
-            List.filter_map
-              (fun r ->
-                let cap = link_cap l.Topology.link_id r in
-                match Leveling.link_levels leveling r with
-                | [ single ] when I.equal single I.full -> None
-                | lvls ->
-                    Some
-                      (List.filter_map
-                         (fun ivl ->
-                           Option.map
-                             (fun x -> (r, x))
-                             (I.inter ivl (I.of_points [ 0.; cap ])))
-                         lvls))
-              link_resources
-          in
+          let evaluate = link_crossings i schema lid in
+          let crossings = ref None in
           List.iter
             (fun (src, dst) ->
               Deadline.guard deadline ~phase:"compile";
-              match
-                reuse.reuse_cross ~iface:i ~link_id:l.Topology.link_id ~src ~dst
-              with
+              match reuse.reuse_cross ~iface:i ~link_id:lid ~src ~dst with
               | Some olds -> List.iter emit_copy olds
-              | None ->
-              List.iter
-                (fun (in_lvl, in_ivl) ->
-                  List.iter
-                    (fun checked_link ->
-                      let ivl_env v =
-                        match split_var v with
-                        | "link", r -> (
-                            match List.assoc_opt r checked_link with
-                            | Some ivl -> ivl
-                            | None -> I.point (link_cap l.Topology.link_id r))
-                        | "", p ->
-                            if String.equal p prim then in_ivl else I.full
-                        | _ -> raise (Expr.Unbound_variable v)
-                      in
-                      let conditions_ok =
-                        List.for_all (fun c -> Expr.sat ~env:ivl_env c)
-                          iface.Model.cross_conditions
-                      in
-                      let consumption_ok =
-                        List.for_all
-                          (fun (r, e) ->
-                            match Expr.eval_interval ~env:ivl_env e with
-                            | ivl ->
-                                I.lo ivl <= link_cap l.Topology.link_id r +. 1e-9
-                            | exception Division_by_zero -> false)
-                          iface.Model.cross_consumes
-                      in
-                      if conditions_ok && consumption_ok then begin
-                        let transform =
-                          match List.assoc_opt prim iface.Model.cross_transforms with
-                          | Some e -> e
-                          | None -> Expr.Var prim (* unchanged by crossing *)
-                        in
-                        let out_ivl = Expr.eval_interval ~env:ivl_env transform in
-                        let candidates =
-                          List.filter_map
-                            (fun (lvl, lvl_ivl) ->
-                              match I.inter lvl_ivl out_ivl with
-                              | None -> None
-                              | Some achieved ->
-                                  (* Dominance pruning for monotone streams:
-                                     entering at a higher level than what
-                                     comes out is never useful. *)
-                                  let dominated =
-                                    match iface_tags.(i) with
-                                    | Model.Degradable -> lvl < in_lvl
-                                    | Model.Upgradable -> lvl > in_lvl
-                                    | Model.Neither -> false
-                                  in
-                                  if dominated then None
-                                  else Some (lvl, achieved))
-                            (indexed (Array.to_list iface_levels.(i)))
-                        in
-                        List.iter
-                          (fun (out_lvl, achieved) ->
-                            let cost_lb =
-                              Expr.eval ~env:(lo_env_of ivl_env)
-                                iface.Model.cross_cost
-                            in
-                            let label =
-                              Printf.sprintf "cross(%s,%s->%s)[%d]"
-                                iface.Model.iface_name
-                                (Topology.get_node topo src).Topology.node_name
-                                (Topology.get_node topo dst).Topology.node_name
-                                in_lvl
-                            in
-                            emit
-                              ~kind:
-                                (Action.Cross
-                                   { iface = i; link = l.Topology.link_id; src; dst })
-                              ~pre:[ Prop.avail_id props ~iface:i ~node:src ~level:in_lvl ]
-                              ~add:[ Prop.avail_id props ~iface:i ~node:dst ~level:out_lvl ]
-                              ~cost_lb
-                              ~in_levels:[ (i, in_ivl) ]
-                              ~out_levels:[ (i, achieved) ]
-                              ~checked_node:[] ~checked_link ~label)
-                          candidates
-                      end)
-                    (cartesian link_level_choices))
-                (indexed (Array.to_list iface_levels.(i))))
+              | None -> (
+                  let on_crossing = emit_crossings i iface lid (src, dst) in
+                  match !crossings with
+                  | Some xs -> List.iter on_crossing xs
+                  | None -> crossings := Some (evaluate ~on_crossing)))
             [ (a, b); (b, a) ])
         (Topology.links topo))
     ifaces;
@@ -664,22 +868,63 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
               a.Action.in_levels
           then live.(k) <- false)
         actions;
+      (* Worklist reachability: [missing.(k)] counts live action [k]'s
+         preconditions not yet producible (with multiplicity), and
+         [waiting] lists, per such proposition, the actions it blocks
+         (a compressed index: proposition [p]'s run starts at
+         [start.(p)]).  An action fires when its count reaches zero. *)
       let producible = Array.copy init in
+      let missing = Array.make n 0 in
+      let start = Array.make (Array.length init + 1) 0 in
+      Array.iteri
+        (fun k (a : Action.t) ->
+          if live.(k) then
+            Array.iter
+              (fun p ->
+                if not producible.(p) then begin
+                  missing.(k) <- missing.(k) + 1;
+                  start.(p + 1) <- start.(p + 1) + 1
+                end)
+              a.Action.pre)
+        actions;
+      for p = 1 to Array.length init do
+        start.(p) <- start.(p) + start.(p - 1)
+      done;
+      let waiting = Array.make start.(Array.length init) 0 in
+      let fill = Array.sub start 0 (Array.length init) in
+      Array.iteri
+        (fun k (a : Action.t) ->
+          if live.(k) then
+            Array.iter
+              (fun p ->
+                if not producible.(p) then begin
+                  waiting.(fill.(p)) <- k;
+                  fill.(p) <- fill.(p) + 1
+                end)
+              a.Action.pre)
+        actions;
       let applied = Array.make n false in
-      let fired = ref true in
-      while !fired do
-        fired := false;
-        Array.iteri
-          (fun k (a : Action.t) ->
-            if
-              live.(k) && (not applied.(k))
-              && Array.for_all (fun p -> producible.(p)) a.Action.pre
-            then begin
-              applied.(k) <- true;
-              fired := true;
-              Array.iter (fun p -> producible.(p) <- true) a.Action.add_closure
+      let queue = Array.make n 0 and head = ref 0 and tail = ref 0 in
+      let push k =
+        applied.(k) <- true;
+        queue.(!tail) <- k;
+        incr tail
+      in
+      Array.iteri (fun k m -> if live.(k) && m = 0 then push k) missing;
+      while !head < !tail do
+        let a = actions.(queue.(!head)) in
+        incr head;
+        Array.iter
+          (fun p ->
+            if not producible.(p) then begin
+              producible.(p) <- true;
+              for w = start.(p) to start.(p + 1) - 1 do
+                let k = waiting.(w) in
+                missing.(k) <- missing.(k) - 1;
+                if missing.(k) = 0 then push k
+              done
             end)
-          actions
+          a.Action.add_closure
       done;
       for k = 0 to n - 1 do
         if live.(k) && not applied.(k) then live.(k) <- false

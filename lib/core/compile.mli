@@ -15,7 +15,24 @@
       by entering at the lower level).
 
     [Available] goals are rewritten into synthetic zero-cost sink
-    components so the planner only ever pursues [Placed] goals. *)
+    components so the planner only ever pursues [Placed] goals.
+
+    Grounding reads the specification once per schema, not once per
+    level combination.  Each placement schema (per component) and
+    crossing schema (per interface) resolves its formulas' variables to
+    slots ([slot Sekitei_expr.Expr.gen]: an input level, a checked
+    site-resource level, a site capacity, an unconstrained secondary
+    property), and computes what does not depend on the site: required
+    interfaces, mentioned resources, input-level combinations with
+    their label suffixes, and the resource levels.  A combination then
+    costs array reads and interval arithmetic.  A crossing's formulas
+    read only [link.*] and the stream's own properties, so each link's
+    combinations are evaluated once and serve both directions.
+    Add-closures are contiguous per-proposition id ranges, built once
+    and shared by the actions achieving them.  None of this changes
+    what is emitted: action order, ids, labels, cost bits and the
+    exceptions raised on malformed specifications are those of grounding
+    each combination from the raw specification. *)
 
 exception Compile_error of string
 
@@ -37,7 +54,9 @@ exception Compile_error of string
     interface's achievable maximum ([iface_max], the same admissible
     bound Regression replay seeds unknown streams with), plus any action
     whose preconditions only such actions could have produced (relaxed
-    forward reachability).  The removed count is surfaced as
+    forward reachability, run as a worklist: an action fires once its
+    count of unproduced preconditions reaches zero, so each action and
+    proposition is visited once).  The removed count is surfaced as
     [Problem.pruned_actions]; survivors keep their relative order and
     are renumbered, so plans are unaffected.  Pass [~prune:false] to
     keep the raw grounding (used by tests comparing the two).

@@ -99,32 +99,20 @@ module Interner = struct
 end
 
 type ctx = {
-  mutable closure_sorted : int array array;
-      (** per action id, sorted add-closure *)
   mutable pre_canon : int array array;
       (** per action id, canonical preconditions *)
   interner : Interner.t;
 }
 
-let action_tables (pb : Problem.t) =
-  let closure_sorted =
-    Array.map
-      (fun (a : Action.t) ->
-        let c = Array.copy a.Action.add_closure in
-        sort_ints c;
-        c)
-      pb.Problem.actions
-  in
-  let pre_canon =
-    Array.map
-      (fun (a : Action.t) -> canonical_array pb a.Action.pre)
-      pb.Problem.actions
-  in
-  (closure_sorted, pre_canon)
+(* Add-closures need no table: {!Action.t} keeps them strictly
+   increasing, so [regress] merges them as they are. *)
+let pre_tables (pb : Problem.t) =
+  Array.map
+    (fun (a : Action.t) -> canonical_array pb a.Action.pre)
+    pb.Problem.actions
 
 let make_ctx (pb : Problem.t) =
-  let closure_sorted, pre_canon = action_tables pb in
-  { closure_sorted; pre_canon; interner = Interner.create () }
+  { pre_canon = pre_tables pb; interner = Interner.create () }
 
 (* Rebinding a ctx to a recompiled problem keeps the interner (prop ids —
    and therefore canonical sets and their dense handle ids — are stable
@@ -133,10 +121,7 @@ let make_ctx (pb : Problem.t) =
    caller is responsible for checking that [pb.init] is unchanged — a
    different initial section changes what "canonical" means and requires
    a fresh ctx. *)
-let refresh_ctx ctx (pb : Problem.t) =
-  let closure_sorted, pre_canon = action_tables pb in
-  ctx.closure_sorted <- closure_sorted;
-  ctx.pre_canon <- pre_canon
+let refresh_ctx ctx (pb : Problem.t) = ctx.pre_canon <- pre_tables pb
 
 let intern ctx set = Interner.intern ctx.interner set
 let handle_of_id ctx id = Interner.get ctx.interner id
@@ -146,7 +131,7 @@ let interned_count ctx = Interner.size ctx.interner
    is sorted and duplicate-free; [set] and [pre] contain no initially-true
    propositions, so the result is canonical. *)
 let regress ctx (set : int array) (a : Action.t) =
-  let closure = ctx.closure_sorted.(a.Action.act_id)
+  let closure = a.Action.add_closure
   and pre = ctx.pre_canon.(a.Action.act_id) in
   let ns = Array.length set
   and nc = Array.length closure

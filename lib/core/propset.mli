@@ -69,9 +69,10 @@ module Interner : sig
   val get : t -> int -> handle
 end
 
-(** Per-problem regression tables: each action's add-closure and
-    precondition set pre-sorted (and the preconditions pre-canonicalized)
-    so a regression step is a linear merge instead of quadratic scans.
+(** Per-problem regression tables: each action's precondition set
+    pre-canonicalized, so that with the add-closure (strictly increasing
+    as emitted, see {!Action.t}) a regression step is a linear merge
+    instead of quadratic scans.
     Also owns the {!Interner} — share one [ctx] across the SLRG oracle
     and the RG search of a query so their handle ids agree.  Each
     distinct regression edge is computed once per ctx binding by the

@@ -2,20 +2,45 @@ module I = Sekitei_util.Interval
 
 type var = string
 
-type t =
+type 'v gen =
   | Const of float
-  | Var of var
-  | Neg of t
-  | Add of t * t
-  | Sub of t * t
-  | Mul of t * t
-  | Div of t * t
-  | Min of t * t
-  | Max of t * t
+  | Var of 'v
+  | Neg of 'v gen
+  | Add of 'v gen * 'v gen
+  | Sub of 'v gen * 'v gen
+  | Mul of 'v gen * 'v gen
+  | Div of 'v gen * 'v gen
+  | Min of 'v gen * 'v gen
+  | Max of 'v gen * 'v gen
+
+type t = var gen
 
 type cmp = Ge | Gt | Le | Lt | Eq
 
-type cond = True | Cmp of cmp * t * t | And of cond * cond | Or of cond * cond
+type 'v cond_gen =
+  | True
+  | Cmp of cmp * 'v gen * 'v gen
+  | And of 'v cond_gen * 'v cond_gen
+  | Or of 'v cond_gen * 'v cond_gen
+
+type cond = var cond_gen
+
+let rec map_vars f = function
+  | Const c -> Const c
+  | Var v -> Var (f v)
+  | Neg a -> Neg (map_vars f a)
+  | Add (a, b) -> Add (map_vars f a, map_vars f b)
+  | Sub (a, b) -> Sub (map_vars f a, map_vars f b)
+  | Mul (a, b) -> Mul (map_vars f a, map_vars f b)
+  | Div (a, b) -> Div (map_vars f a, map_vars f b)
+  | Min (a, b) -> Min (map_vars f a, map_vars f b)
+  | Max (a, b) -> Max (map_vars f a, map_vars f b)
+
+let rec map_cond_vars f = function
+  | True -> True
+  | Cmp (op, a, b) -> Cmp (op, map_vars f a, map_vars f b)
+  | And (a, b) -> And (map_cond_vars f a, map_cond_vars f b)
+  | Or (a, b) -> Or (map_cond_vars f a, map_cond_vars f b)
 
 let var v = Var v
 let const c = Const c
@@ -67,45 +92,54 @@ let neg_interval i =
   if not (Float.is_finite (I.hi i)) then
     invalid_arg "Expr: negation of an unbounded interval"
   else if I.is_point i then I.point (-.I.lo i)
-  else I.of_points [ -.I.hi i; -.I.lo i ]
+  else I.of_extremes (-.I.hi i) (-.I.lo i)
 
 (* Corner product with the interval-arithmetic convention 0 * inf = 0. *)
 let corner_mul x y =
   let p = x *. y in
   if Float.is_nan p then 0. else p
 
+(* The least and greatest corner, as [I.of_points] of the four corners
+   would take them, without building the list. *)
 let mul_interval a b =
-  let corners =
-    [
-      corner_mul (I.lo a) (I.lo b);
-      corner_mul (I.lo a) (I.hi b);
-      corner_mul (I.hi a) (I.lo b);
-      corner_mul (I.hi a) (I.hi b);
-    ]
-  in
-  I.of_points corners
+  let c1 = corner_mul (I.lo a) (I.lo b)
+  and c2 = corner_mul (I.lo a) (I.hi b)
+  and c3 = corner_mul (I.hi a) (I.lo b)
+  and c4 = corner_mul (I.hi a) (I.hi b) in
+  I.of_extremes
+    (Float.min (Float.min (Float.min c1 c2) c3) c4)
+    (Float.max (Float.max (Float.max c1 c2) c3) c4)
 
 let div_interval a b =
   if ( && ) (( <= ) (I.lo b) 0.) (( >= ) (I.hi b) 0.)
   then raise Division_by_zero
   else
-    let corners =
-      List.filter
-        (fun x -> not (Float.is_nan x))
-        [ I.lo a /. I.lo b; I.lo a /. I.hi b; I.hi a /. I.lo b; I.hi a /. I.hi b ]
+    (* NaN (inf/inf) corners drop out; keep the enclosure sound by
+       starting from an infinite upper corner when the numerator is
+       unbounded and the divisor positive.  Float.min/max are
+       order-independent on non-NaN values, so folding the surviving
+       corners in any order gives the same extremes. *)
+    let lo = ref Float.nan and hi = ref Float.nan in
+    let corner x =
+      if not (Float.is_nan x) then
+        if Float.is_nan !lo then begin
+          lo := x;
+          hi := x
+        end
+        else begin
+          lo := Float.min !lo x;
+          hi := Float.max !hi x
+        end
     in
-    let corners =
-      (* inf/inf corners drop out; keep the enclosure sound by re-adding an
-         infinite upper corner when the numerator is unbounded and the
-         divisor positive. *)
-      if
-        Stdlib.( && )
-          (not (Float.is_finite (I.hi a)))
-          (( > ) (I.lo b) 0.)
-      then Float.infinity :: corners
-      else corners
-    in
-    I.of_points corners
+    if
+      Stdlib.( && ) (not (Float.is_finite (I.hi a))) (( > ) (I.lo b) 0.)
+    then corner Float.infinity;
+    corner (I.lo a /. I.lo b);
+    corner (I.lo a /. I.hi b);
+    corner (I.hi a /. I.lo b);
+    corner (I.hi a /. I.hi b);
+    if Float.is_nan !lo then invalid_arg "Interval.of_points: empty"
+    else I.of_extremes !lo !hi
 
 let rec eval_interval ~env e =
   match e with

@@ -13,20 +13,39 @@ type var = string
 (** Variable names are dot-qualified: ["M.ibw"], ["node.cpu"],
     ["link.lbw"]. *)
 
-type t =
+(** Formulas are generic over the type of their variables.  Specifications
+    use names ({!t}); a consumer that evaluates one formula many times can
+    {!map_vars} each name once to a pre-resolved reference of its own
+    (compilation maps them to slots of its level combinations) and hand
+    the evaluators an environment over that type instead. *)
+type 'v gen =
   | Const of float
-  | Var of var
-  | Neg of t
-  | Add of t * t
-  | Sub of t * t
-  | Mul of t * t
-  | Div of t * t
-  | Min of t * t
-  | Max of t * t
+  | Var of 'v
+  | Neg of 'v gen
+  | Add of 'v gen * 'v gen
+  | Sub of 'v gen * 'v gen
+  | Mul of 'v gen * 'v gen
+  | Div of 'v gen * 'v gen
+  | Min of 'v gen * 'v gen
+  | Max of 'v gen * 'v gen
+
+type t = var gen
 
 type cmp = Ge | Gt | Le | Lt | Eq
 
-type cond = True | Cmp of cmp * t * t | And of cond * cond | Or of cond * cond
+type 'v cond_gen =
+  | True
+  | Cmp of cmp * 'v gen * 'v gen
+  | And of 'v cond_gen * 'v cond_gen
+  | Or of 'v cond_gen * 'v cond_gen
+
+type cond = var cond_gen
+
+(** [map_vars f e] replaces every variable [v] of [e] by [f v]; the
+    formula's shape is unchanged. *)
+val map_vars : ('a -> 'b) -> 'a gen -> 'b gen
+
+val map_cond_vars : ('a -> 'b) -> 'a cond_gen -> 'b cond_gen
 
 (** {1 Construction helpers} *)
 
@@ -46,31 +65,38 @@ val ( = ) : t -> t -> cond
 val ( && ) : cond -> cond -> cond
 val ( || ) : cond -> cond -> cond
 
-(** {1 Evaluation} *)
+(** {1 Evaluation}
+
+    The evaluators take formulas over any variable type and read each
+    variable through [env]; whatever [env] raises propagates (by
+    convention {!Unbound_variable} for a name it does not know). *)
 
 exception Unbound_variable of var
 
 (** Exact evaluation at a point; the environment maps variables to values.
     @raise Unbound_variable when a variable is missing.
     @raise Division_by_zero on division by exactly 0. *)
-val eval : env:(var -> float) -> t -> float
+val eval : env:('v -> float) -> 'v gen -> float
 
 (** Exact truth of a condition at a point. *)
-val holds : env:(var -> float) -> cond -> bool
+val holds : env:('v -> float) -> 'v cond_gen -> bool
 
 (** Sound interval enclosure of the expression's range when each variable
     ranges over its interval.  Exact for expressions where every variable
     occurs once (our specification formulae); an over-approximation in
     general — which is the safe direction for {e optimistic} resource maps.
+    Products and quotients take the least and greatest of their four
+    corners directly, allocating only the result interval.
     @raise Unbound_variable when a variable is missing.
     @raise Division_by_zero when a divisor interval contains 0. *)
-val eval_interval : env:(var -> Sekitei_util.Interval.t) -> t -> Sekitei_util.Interval.t
+val eval_interval :
+  env:('v -> Sekitei_util.Interval.t) -> 'v gen -> Sekitei_util.Interval.t
 
 (** Optimistic satisfiability: [true] when some assignment drawing each
     variable independently from its interval satisfies the condition.
     Sound in the optimistic direction: never [false] for a satisfiable
     condition; may be [true] for conditions that couple variables. *)
-val sat : env:(var -> Sekitei_util.Interval.t) -> cond -> bool
+val sat : env:('v -> Sekitei_util.Interval.t) -> 'v cond_gen -> bool
 
 (** {1 Analysis} *)
 

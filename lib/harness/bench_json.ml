@@ -35,6 +35,7 @@ type record = {
   search_ms_p99 : float;
   warm_search_ms : float;
   compile_ms : float;
+  compile_minor_words : float;
   plrg_ms : float;
   slrg_ms : float;
   rg_ms : float;
@@ -152,6 +153,8 @@ let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
     search_ms_p99 = search_p 0.99;
     warm_search_ms;
     compile_ms = med (fun r -> r.Planner.phases.Planner.compile.Planner.ms);
+    compile_minor_words =
+      med (fun r -> r.Planner.phases.Planner.compile.Planner.minor_words);
     plrg_ms = med (fun r -> r.Planner.phases.Planner.plrg.Planner.ms);
     slrg_ms = med (fun r -> r.Planner.phases.Planner.slrg.Planner.ms);
     rg_ms = med (fun r -> r.Planner.phases.Planner.rg.Planner.ms);
@@ -204,6 +207,7 @@ let record_to_json ?tag r =
         ("search_ms_p99", ms r.search_ms_p99);
         ("warm_search_ms", ms r.warm_search_ms);
         ("compile_ms", ms r.compile_ms);
+        ("compile_minor_words", Json.Float (Float.round r.compile_minor_words));
         ("plrg_ms", ms r.plrg_ms);
         ("slrg_ms", ms r.slrg_ms);
         ("rg_ms", ms r.rg_ms);
@@ -237,6 +241,7 @@ let required_keys =
     "\"search_ms_p99\"";
     "\"warm_search_ms\"";
     "\"compile_ms\"";
+    "\"compile_minor_words\"";
     "\"plrg_ms\"";
     "\"slrg_ms\"";
     "\"rg_ms\"";
@@ -301,8 +306,8 @@ let parse_check doc =
                 None
             | ( ( "search_ms" | "search_ms_p50" | "search_ms_p90"
                 | "search_ms_p99" | "warm_search_ms" | "compile_ms"
-                | "plrg_ms" | "slrg_ms" | "rg_ms" | "minor_words"
-                | "wall_ms_batch" ),
+                | "compile_minor_words" | "plrg_ms" | "slrg_ms" | "rg_ms"
+                | "minor_words" | "wall_ms_batch" ),
                 (Json.Float _ | Json.Int _) ) ->
                 None
             | _ -> Some k)
@@ -313,8 +318,8 @@ let parse_check doc =
           "slrg_cache_hits"; "slrg_suffix_harvested"; "slrg_bound_promoted";
           "slrg_deferred"; "slrg_saved"; "search_ms"; "search_ms_p50";
           "search_ms_p90"; "search_ms_p99"; "warm_search_ms"; "compile_ms";
-          "plrg_ms"; "slrg_ms"; "rg_ms"; "minor_words"; "major_collections";
-          "jobs"; "wall_ms_batch";
+          "compile_minor_words"; "plrg_ms"; "slrg_ms"; "rg_ms"; "minor_words";
+          "major_collections"; "jobs"; "wall_ms_batch";
         ]
       in
       let rec go i = function
@@ -346,17 +351,22 @@ type delta = {
 
 (* The gated metrics: RG search wall time, RG nodes created (exactly
    reproducible — it catches search-space blowups that a fast machine
-   would hide), the SLRG share of the search, and the warm session
-   re-plan time (a cross-request reuse regression shows up there first;
-   when neither baseline nor current run measured warm, both sides are
-   0.0 and the comparison is a no-op). *)
-let gated_metrics = [ "search_ms"; "rg_created"; "slrg_ms"; "warm_search_ms" ]
+   would hide), the SLRG share of the search, the warm session re-plan
+   time (a cross-request reuse regression shows up there first; when
+   neither baseline nor current run measured warm, both sides are 0.0
+   and the comparison is a no-op), and the words compilation allocates
+   (exactly reproducible too: a grounding blowup trips it on any host). *)
+let gated_metrics =
+  [
+    "search_ms"; "rg_created"; "slrg_ms"; "warm_search_ms"; "compile_minor_words";
+  ]
 
 let metric_of_record r = function
   | "search_ms" -> r.search_ms
   | "rg_created" -> float_of_int r.rg_created
   | "slrg_ms" -> r.slrg_ms
   | "warm_search_ms" -> r.warm_search_ms
+  | "compile_minor_words" -> r.compile_minor_words
   | m -> invalid_arg ("Bench_json.metric_of_record: " ^ m)
 
 let diff_baseline ~baseline records =

@@ -4,8 +4,8 @@
     [{scenario, actions, rg_created, rg_expanded, rg_duplicates,
     slrg_cache_hits, slrg_suffix_harvested, slrg_bound_promoted,
     slrg_deferred, slrg_saved, search_ms, warm_search_ms, compile_ms,
-    plrg_ms, slrg_ms, rg_ms, minor_words, major_collections, jobs,
-    wall_ms_batch}] —
+    compile_minor_words, plrg_ms, slrg_ms, rg_ms, minor_words,
+    major_collections, jobs, wall_ms_batch}] —
     collected into a JSON array written to [BENCH_rg.json] so the
     planner's perf trajectory (per-phase split, SLRG cache reuse,
     deferred-evaluation savings, search-phase GC footprint) is tracked
@@ -36,6 +36,9 @@ type record = {
           when the run did not measure warm timings ([--warm] off), so
           the schema is fixed either way *)
   compile_ms : float;  (** {!Sekitei_core.Planner.phases} [compile.ms] *)
+  compile_minor_words : float;
+      (** minor-heap words allocated by compilation ([compile.minor_words]);
+          deterministic, so the gate compares it exactly *)
   plrg_ms : float;
   slrg_ms : float;
       (** oracle construction + lazy queries; the queries run {e inside}
@@ -107,10 +110,11 @@ val write_file : string -> string -> unit
     [bench --json --baseline BENCH_rg.json --max-regress PCT] diffs the
     current run against the checked-in baseline and exits non-zero when
     any gated metric regressed by more than [PCT] percent.  The gated
-    metrics are [search_ms], [rg_created], [slrg_ms] and
-    [warm_search_ms]; [rg_created] is machine-independent, so a
-    search-space blowup trips the gate even on hardware fast enough to
-    hide it in the timings, and [warm_search_ms] catches cross-request
+    metrics are [search_ms], [rg_created], [slrg_ms], [warm_search_ms]
+    and [compile_minor_words]; [rg_created] and [compile_minor_words]
+    are machine-independent, so a search-space or grounding blowup trips
+    the gate even on hardware fast enough to hide it in the timings, and
+    [warm_search_ms] catches cross-request
     reuse regressions (compared only when measured on both sides — an
     unmeasured run records 0.0, and 0-vs-0 never trips). *)
 

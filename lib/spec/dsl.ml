@@ -304,10 +304,14 @@ let parse_component name stmts =
 (* Network block                                                          *)
 (* --------------------------------------------------------------------- *)
 
+(* Capacities must be finite: grounding reads an unleveled resource as
+   the point interval at its capacity, and [inf] has none. *)
 let rec parse_resource_pairs acc = function
   | [] -> List.rev acc
   | name :: value :: rest ->
-      parse_resource_pairs ((name, number "resource value" value) :: acc) rest
+      let v = number "resource value" value in
+      if not (Float.is_finite v) then fail "bad resource value %S" value;
+      parse_resource_pairs ((name, v) :: acc) rest
   | [ odd ] -> fail "dangling resource token %S" odd
 
 let parse_network stmts =

@@ -85,14 +85,18 @@ let to_string i =
 
 let pp fmt i = Format.pp_print_string fmt (to_string i)
 
+let of_extremes lo hi =
+  if Float.is_nan lo || Float.is_nan hi || not (Float.is_finite lo) then
+    invalid_arg "Interval.of_points: non-finite lower bound"
+  else if hi < lo then invalid_arg "Interval.of_extremes: hi < lo"
+  else { lo; hi }
+
 let of_points = function
   | [] -> invalid_arg "Interval.of_points: empty"
   | x :: rest ->
-      let lo = List.fold_left Float.min x rest
-      and hi = List.fold_left Float.max x rest in
-      if Float.is_nan lo || Float.is_nan hi || not (Float.is_finite lo) then
-        invalid_arg "Interval.of_points: non-finite lower bound"
-      else { lo; hi }
+      of_extremes
+        (List.fold_left Float.min x rest)
+        (List.fold_left Float.max x rest)
 
 let of_cutpoints cuts =
   let rec check prev = function

@@ -91,6 +91,12 @@ val pp : Format.formatter -> t -> unit
     bound. *)
 val of_points : float list -> t
 
+(** [of_extremes lo hi] is [of_points xs] for a point set [xs] whose
+    minimum is [lo] and maximum [hi], without building the list (the
+    interval-arithmetic corners of {!Sekitei_expr.Expr}).
+    @raise Invalid_argument like [of_points], or when [hi < lo]. *)
+val of_extremes : float -> float -> t
+
 (** [of_cutpoints cuts] turns a sorted list of strictly positive cutpoints
     [c1 < c2 < ...] into levels [[0,c1); [c1,c2); ...; [cn, inf)].
     An empty list yields [[full]].

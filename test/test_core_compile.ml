@@ -255,6 +255,161 @@ let test_checked_link_levels_scenario_e () =
         (Array.length a.Action.checked_link))
     pb_c.Problem.actions
 
+(* ---------------- closure order and fingerprint ---------------- *)
+
+module Scenarios = Sekitei_harness.Scenarios
+module Dsl = Sekitei_spec.Dsl
+
+let scenario_problems ~prune =
+  List.concat_map
+    (fun (sc : Scenarios.t) ->
+      List.map
+        (fun level ->
+          ( Printf.sprintf "%s-%s" sc.Scenarios.name (Media.scenario_name level),
+            Compile.compile ~prune sc.Scenarios.topo sc.Scenarios.app
+              (Media.leveling level sc.Scenarios.app) ))
+        Media.all_scenarios)
+    [ Scenarios.tiny (); Scenarios.small (); Scenarios.large () ]
+
+let test_add_closure_increasing () =
+  (* Propset uses every action's add_closure as a sorted merge operand
+     without copying it, which relies on this invariant. *)
+  List.iter
+    (fun (name, (pb : Problem.t)) ->
+      Array.iter
+        (fun (a : Action.t) ->
+          let c = a.Action.add_closure in
+          for k = 1 to Array.length c - 1 do
+            if c.(k - 1) >= c.(k) then
+              Alcotest.failf "%s: %s add_closure not strictly increasing" name
+                a.Action.label
+          done)
+        pb.Problem.actions)
+    (scenario_problems ~prune:false)
+
+(* A canonical dump of everything compilation decides: every field of
+   every action (pruned and ground sets), supports, the initial state,
+   [iface_max] and the pruned count, with floats in exact hex. *)
+let problem_digest (pb : Problem.t) =
+  let b = Buffer.create 65536 in
+  let fl x = Printf.bprintf b "%h " x in
+  let ints a =
+    Array.iter (Printf.bprintf b "%d ") a;
+    Buffer.add_string b "; "
+  in
+  let levels show a =
+    Array.iter
+      (fun (k, ivl) ->
+        show k;
+        fl (I.lo ivl);
+        fl (I.hi ivl))
+      a;
+    Buffer.add_string b "; "
+  in
+  let action (a : Action.t) =
+    Printf.bprintf b "%d " a.Action.act_id;
+    (match a.Action.kind with
+    | Action.Place { comp; node } -> Printf.bprintf b "place %d %d " comp node
+    | Action.Cross { iface; link; src; dst } ->
+        Printf.bprintf b "cross %d %d %d %d " iface link src dst);
+    ints a.Action.pre;
+    ints a.Action.add;
+    ints a.Action.add_closure;
+    fl a.Action.cost_lb;
+    fl a.Action.cost_extra;
+    levels (Printf.bprintf b "%d:") a.Action.in_levels;
+    levels (Printf.bprintf b "%d:") a.Action.out_levels;
+    levels (Printf.bprintf b "%s:") a.Action.checked_node;
+    levels (Printf.bprintf b "%s:") a.Action.checked_link;
+    Printf.bprintf b "%S\n" a.Action.label
+  in
+  Array.iter action pb.Problem.actions;
+  Buffer.add_string b "supports\n";
+  Array.iter (fun l -> ints (Array.of_list l)) pb.Problem.supports;
+  Buffer.add_string b "\ninit\n";
+  Array.iter
+    (fun x -> Buffer.add_char b (if x then '1' else '0'))
+    pb.Problem.init;
+  Buffer.add_string b "\niface_max\n";
+  Array.iter fl pb.Problem.iface_max;
+  Printf.bprintf b "\npruned %d\nground\n" pb.Problem.pruned_actions;
+  Array.iter action pb.Problem.ground_actions;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The shipped specs, read from the build tree (the test's dependencies)
+   or, when the runner is started from the repository root, from there. *)
+let spec_problems ~prune =
+  List.map
+    (fun name ->
+      let file = Printf.sprintf "examples/specs/%s.spec" name in
+      let path = if Sys.file_exists ("../" ^ file) then "../" ^ file else file in
+      let doc = Dsl.load_file path in
+      ( name,
+        Compile.compile ~prune (Option.get doc.Dsl.topo) doc.Dsl.app
+          doc.Dsl.leveling ))
+    [ "infeasible"; "video" ]
+
+(* Pinned digests of the problems above.  Any change to what compilation
+   emits changes one; a deliberate change refreshes them from the list
+   the failure prints. *)
+let fingerprints =
+  [
+    ("Tiny-A", "719b23c70f2f3705adf59b0f10efbd1a");
+    ("Tiny-B", "ff47302d8dfffa06df355c358382b3c3");
+    ("Tiny-C", "dddd6708fd5892077bb63d71bbe24fdf");
+    ("Tiny-D", "a15911377639b0d156a55b2e9f9d5d7e");
+    ("Tiny-E", "ce537713e9fec3f013d03b4d32aceb0f");
+    ("Small-A", "0ffb84f74a405ffb2e938c54e4b3b6b0");
+    ("Small-B", "ff4884178e05c42e8bcb1ec9ab22ae4a");
+    ("Small-C", "da8fd401e92b336cf0d08424c27ba242");
+    ("Small-D", "9a36681c3c540ed8d4b7616be2bda8de");
+    ("Small-E", "5ca2f9f0694f3b627b5168fc91ebfabf");
+    ("Large-A", "aaa3b62059763b75529b8ec754b20694");
+    ("Large-B", "5bb299d6e3d0d03089e333c497f5657b");
+    ("Large-C", "c6be9e6447aa1a290178e608ba4d2a8c");
+    ("Large-D", "1ec80f0366adf962a4803f46cc9d137d");
+    ("Large-E", "4264fbfae8c53c8a50639c37b8d4a449");
+    ("infeasible", "c2291d0e1e5b924491825c878d02e3e4");
+    ("video", "7d3f8e2663843db1d4c86ed19ba74628");
+    ("Tiny-A/noprune", "719b23c70f2f3705adf59b0f10efbd1a");
+    ("Tiny-B/noprune", "ff47302d8dfffa06df355c358382b3c3");
+    ("Tiny-C/noprune", "dddd6708fd5892077bb63d71bbe24fdf");
+    ("Tiny-D/noprune", "a15911377639b0d156a55b2e9f9d5d7e");
+    ("Tiny-E/noprune", "ce537713e9fec3f013d03b4d32aceb0f");
+    ("Small-A/noprune", "0ffb84f74a405ffb2e938c54e4b3b6b0");
+    ("Small-B/noprune", "ff4884178e05c42e8bcb1ec9ab22ae4a");
+    ("Small-C/noprune", "da8fd401e92b336cf0d08424c27ba242");
+    ("Small-D/noprune", "9a36681c3c540ed8d4b7616be2bda8de");
+    ("Small-E/noprune", "5ca2f9f0694f3b627b5168fc91ebfabf");
+    ("Large-A/noprune", "aaa3b62059763b75529b8ec754b20694");
+    ("Large-B/noprune", "5bb299d6e3d0d03089e333c497f5657b");
+    ("Large-C/noprune", "c6be9e6447aa1a290178e608ba4d2a8c");
+    ("Large-D/noprune", "1ec80f0366adf962a4803f46cc9d137d");
+    ("Large-E/noprune", "4264fbfae8c53c8a50639c37b8d4a449");
+    ("infeasible/noprune", "8613cfde5642e63d92ec17bdd130a883");
+    ("video/noprune", "ec8b31ecdcdb638925b425fa20547812");
+  ]
+
+let test_compile_fingerprint () =
+  let got =
+    List.concat_map
+      (fun prune ->
+        let suffix = if prune then "" else "/noprune" in
+        List.map
+          (fun (name, pb) -> (name ^ suffix, problem_digest pb))
+          (scenario_problems ~prune @ spec_problems ~prune))
+      [ true; false ]
+  in
+  let bad =
+    List.filter
+      (fun (name, d) -> List.assoc_opt name fingerprints <> Some d)
+      got
+  in
+  if bad <> [] then
+    Alcotest.failf "compiled problems changed:\n%s"
+      (String.concat "\n"
+         (List.map (fun (name, d) -> Printf.sprintf "    (%S, %S);" name d) got))
+
 let suite =
   [
     ("prop round-trip", `Quick, test_prop_roundtrip);
@@ -274,4 +429,6 @@ let suite =
     ("available goal rewritten", `Quick, test_available_goal_rewritten);
     ("pre-placed with requires rejected", `Quick, test_preplaced_with_requires_rejected);
     ("checked link levels (E)", `Quick, test_checked_link_levels_scenario_e);
+    ("add closure strictly increasing", `Quick, test_add_closure_increasing);
+    ("compile fingerprint", `Quick, test_compile_fingerprint);
   ]

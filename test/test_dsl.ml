@@ -152,8 +152,11 @@ let test_bad_numbers_reported () =
   expect_mentioning "levels link.lbw"
     (minimal ^ "\nlevels link.lbw: 62, 31;\n");
   expect_mentioning "levels node.cpu" (minimal ^ "\nlevels node.cpu: -5;\n");
-  expect_mentioning "resource value"
-    (edit "node a cpu 30;" "node a cpu nan;")
+  List.iter
+    (fun v ->
+      expect_mentioning "resource value"
+        (edit "node a cpu 30;" ("node a cpu " ^ v ^ ";")))
+    [ "nan"; "inf" ]
 
 let test_bad_expression_reported () =
   expect_error

@@ -178,6 +178,7 @@ let bench_record ?(scenario = "Tiny-C") ?(search_ms = 10.) ?(rg_created = 100)
     search_ms_p99 = search_ms;
     warm_search_ms = 4.;
     compile_ms = 0.1;
+    compile_minor_words = 30_000.;
     plrg_ms = 0.02;
     slrg_ms;
     rg_ms = 9.;
