@@ -26,15 +26,17 @@ lint:
 	    "with (* lint: allow-catch-all *)"; exit 1; \
 	else echo "lint: no catch-all handlers"; fi
 
-# The session/mutation cram tests, re-run even when dune's cache is
-# warm: these pin the CLI surface of stable link ids (stale-id updates
-# are script errors) and the warm-replan output format.
+# The CLI cram tests, re-run even when dune's cache is warm: cli.t pins
+# the session/mutation surface (stable link ids, stale-id and
+# non-finite updates as script errors, the warm-replan output format)
+# and check.t the static-analysis reports; both pin the CLI's exit-2
+# paths (spec errors, script errors, bad topology sizes).
 cram:
-	dune test --force test/cli.t
+	dune test --force test/cli.t test/check.t
 
 # One-stop verification: lint, build, the full test suite (unit +
-# property + cram), an explicit uncached run of the session/mutation
-# cram, the static-analysis, metrics and spec-to-verdict smokes, and a
+# property + cram), an explicit uncached run of the CLI crams, the
+# static-analysis, metrics and spec-to-verdict smokes, and a
 # fresh machine-readable bench run re-parsed through the JSON schema
 # checker and diffed against the checked-in baseline.
 check:

@@ -117,13 +117,6 @@ let hquality_arg =
              violations, and the wasted-work ratio." in
   Arg.(value & flag & info [ "hquality" ] ~doc)
 
-let eager_h_arg =
-  let doc = "Disable lazy two-stage heuristic evaluation: run the SLRG \
-             oracle on every generated RG node instead of on pop.  \
-             Solvability and the optimal cost bound are identical either \
-             way; the flag exists for A/B timing of the deferral." in
-  Arg.(value & flag & info [ "eager-h" ] ~doc)
-
 let verify_arg =
   let doc = "Re-validate every emitted plan through the independent \
              certifier (forward semantic replay plus a bit-exact cost \
@@ -137,7 +130,16 @@ let deadline_arg =
              expired request stops gracefully with a Deadline_exceeded \
              failure carrying the interrupted phase and, when the search \
              frontier was reached, an admissible cost lower bound." in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"MS" ~doc)
+  let ms =
+    let parse s =
+      match Arg.conv_parser Arg.float s with
+      | Ok v when Float.is_nan v || v < 0. ->
+          Error (`Msg (Printf.sprintf "expected a non-negative number, got %s" s))
+      | parsed -> parsed
+    in
+    Arg.conv (parse, Arg.conv_printer Arg.float)
+  in
+  Arg.(value & opt (some ms) None & info [ "deadline" ] ~docv:"MS" ~doc)
 
 (* Assemble the run's telemetry handle from --trace/--progress/--flight;
    returns the handle and a finalizer that flushes and closes the sinks.
@@ -182,21 +184,72 @@ let telemetry_of ?flight trace progress =
           close_out oc;
           Format.printf "trace written to %s@." file )
 
-let scenario_of = function
+let scenario_of ?seed = function
   | `Tiny -> Scenarios.tiny ()
   | `Small -> Scenarios.small ()
-  | `Large -> Scenarios.large ()
+  | `Large -> Scenarios.large ?seed ()
 
-let config_of ?(explain = false) ?(profile_h = false) ?(defer_h = true)
-    ?(certify = false) ?deadline_ms rg slrg =
+let config_of ?(explain = false) ?(profile_h = false) ?(certify = false)
+    ?deadline_ms rg slrg =
   { Planner.default_config with
     Planner.rg_max_expansions = rg;
     slrg_query_budget = slrg;
     explain;
     profile_h;
-    defer_h;
     certify;
     deadline_ms }
+
+(* ------------------------------------------------------------------ *)
+(* Spec and scenario loading                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A spec error: one line on stderr, exit 2. *)
+let spec_failure line =
+  Format.eprintf "%s@." line;
+  2
+
+(* A spec file's topology, app and leveling; the file must carry a
+   network block.  [Error] holds the line to report. *)
+let load_spec file =
+  match Dsl.load_file file with
+  | exception Dsl.Dsl_error msg -> Error ("spec error: " ^ msg)
+  | { Dsl.topo = None; _ } -> Error "spec file has no network block"
+  | { Dsl.topo = Some topo; app; leveling } -> Ok (topo, app, leveling)
+
+(* What a command plans or checks: the --spec file when given, else the
+   built-in --network scenario (named, for the plan header) at the
+   --levels scenario.  [suggest] replaces either leveling with
+   Leveling.suggest. *)
+type case = {
+  name : string option;
+  topo : Topology.t;
+  app : Model.app;
+  leveling : Sekitei_spec.Leveling.t;
+}
+
+let resolve_case ?(suggest = false) spec network levels seed =
+  let case name (topo, app, leveling) =
+    let leveling =
+      if suggest then Sekitei_spec.Leveling.suggest app else leveling
+    in
+    { name; topo; app; leveling }
+  in
+  match spec with
+  | Some file -> Result.map (case None) (load_spec file)
+  | None ->
+      let sc = scenario_of ~seed network in
+      Ok
+        (case (Some sc.Scenarios.name)
+           ( sc.Scenarios.topo,
+             sc.Scenarios.app,
+             Media.leveling levels sc.Scenarios.app ))
+
+(* A spec can validate and still fail to ground (a pre-placed component
+   exceeding its node's capacity): a spec error too. *)
+let compile_case c =
+  match Compile.compile c.topo c.app c.leveling with
+  | pb -> Ok pb
+  | exception Compile.Compile_error msg -> Error ("spec error: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
@@ -248,53 +301,30 @@ let report_outcome ?dot_file ?(audit = false) pb (report : Planner.report) =
 
 let plan_cmd =
   let run spec network levels seed rg slrg deadline dot_file audit suggest
-      trace progress flight explain hquality eager_h verify verbose =
+      trace progress flight explain hquality verify verbose =
     setup_logs verbose;
     let config =
-      config_of ~explain ~profile_h:hquality ~defer_h:(not eager_h)
-        ~certify:verify ?deadline_ms:deadline rg slrg
+      config_of ~explain ~profile_h:hquality ~certify:verify
+        ?deadline_ms:deadline rg slrg
     in
     let telemetry, finish_telemetry = telemetry_of ?flight trace progress in
     let code =
-      match spec with
-      | Some file -> (
-          match Dsl.load_file file with
-          | exception Dsl.Dsl_error msg ->
-              Format.eprintf "spec error: %s@." msg;
-              2
-          | doc -> (
-              match doc.Dsl.topo with
-              | None ->
-                  Format.eprintf "spec file has no network block@.";
-                  2
-              | Some topo ->
-                  let leveling =
-                    if suggest then Sekitei_spec.Leveling.suggest doc.Dsl.app
-                    else doc.Dsl.leveling
-                  in
-                  let pb = Compile.compile topo doc.Dsl.app leveling in
-                  report_outcome ?dot_file ~audit pb
-                    (Planner.plan
-                       (Planner.request ~config ~telemetry topo doc.Dsl.app
-                          ~leveling))))
-      | None ->
-          let sc =
-            match network with
-            | `Large -> Scenarios.large ~seed ()
-            | other -> scenario_of other
-          in
-          let leveling =
-            if suggest then Sekitei_spec.Leveling.suggest sc.Scenarios.app
-            else Media.leveling levels sc.Scenarios.app
-          in
-          let pb = Compile.compile sc.Scenarios.topo sc.Scenarios.app leveling in
-          Format.printf "Planning %s with %s...@." sc.Scenarios.name
-            (if suggest then "suggested levels"
-             else "level scenario " ^ Media.scenario_name levels);
-          report_outcome ?dot_file ~audit pb
-            (Planner.plan
-               (Planner.request ~config ~telemetry sc.Scenarios.topo
-                  sc.Scenarios.app ~leveling))
+      match resolve_case ~suggest spec network levels seed with
+      | Error line -> spec_failure line
+      | Ok c -> (
+          match compile_case c with
+          | Error line -> spec_failure line
+          | Ok pb ->
+              Option.iter
+                (fun name ->
+                  Format.printf "Planning %s with %s...@." name
+                    (if suggest then "suggested levels"
+                     else "level scenario " ^ Media.scenario_name levels))
+                c.name;
+              report_outcome ?dot_file ~audit pb
+                (Planner.plan
+                   (Planner.request ~config ~telemetry c.topo c.app
+                      ~leveling:c.leveling)))
     in
     finish_telemetry ();
     if verify && code = 0 then Format.printf "plan independently certified@.";
@@ -309,7 +339,7 @@ let plan_cmd =
       const run $ spec_arg $ network_arg $ levels_arg $ seed_arg $ rg_budget_arg
       $ slrg_budget_arg $ deadline_arg $ deployment_dot_arg $ audit_arg
       $ suggest_arg $ trace_arg $ progress_arg $ flight_arg $ explain_arg
-      $ hquality_arg $ eager_h_arg $ verify_arg $ verbose_arg)
+      $ hquality_arg $ verify_arg $ verbose_arg)
   in
   Cmd.v (Cmd.info "plan" ~doc:"Solve a component placement problem") term
 
@@ -331,30 +361,24 @@ let batch_cmd =
     in
     Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
-  let run files jobs rg slrg eager_h verify verbose =
+  let run files jobs rg slrg verify verbose =
     setup_logs verbose;
-    let config = config_of ~defer_h:(not eager_h) ~certify:verify rg slrg in
+    let config = config_of ~certify:verify rg slrg in
     (* Parse every spec up front: a syntax error anywhere aborts the
        batch before any planning starts (exit 2, like plan --spec). *)
     let parsed =
       List.map
         (fun file ->
-          match Dsl.load_file file with
-          | exception Dsl.Dsl_error msg -> Error (file, msg)
-          | doc -> (
-              match doc.Dsl.topo with
-              | None -> Error (file, "spec file has no network block")
-              | Some topo ->
-                  Ok (file, Planner.request ~config topo doc.Dsl.app
-                              ~leveling:doc.Dsl.leveling)))
+          match load_spec file with
+          | Error line -> Error (file, line)
+          | Ok (topo, app, leveling) ->
+              Ok (file, Planner.request ~config topo app ~leveling))
         files
     in
     match
       List.find_map (function Error e -> Some e | Ok _ -> None) parsed
     with
-    | Some (file, msg) ->
-        Format.eprintf "%s: spec error: %s@." file msg;
-        2
+    | Some (file, line) -> spec_failure (file ^ ": " ^ line)
     | None ->
         let named =
           List.filter_map
@@ -388,13 +412,13 @@ let batch_cmd =
           worker domain; results print in input order)")
     Term.(
       const run $ files $ jobs_arg $ rg_budget_arg $ slrg_budget_arg
-      $ eager_h_arg $ verify_arg $ verbose_arg)
+      $ verify_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
 (* session                                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Session = Planner.Session
+module Session = Sekitei_core.Session
 
 exception Script_error of int * string
 
@@ -516,93 +540,85 @@ let session_cmd =
   in
   let run spec script rg slrg deadline flight verify verbose =
     setup_logs verbose;
-    match Dsl.load_file spec with
-    | exception Dsl.Dsl_error msg ->
-        Format.eprintf "spec error: %s@." msg;
-        2
-    | doc -> (
-        match doc.Dsl.topo with
-        | None ->
-            Format.eprintf "spec file has no network block@.";
+    match load_spec spec with
+    | Error line -> spec_failure line
+    | Ok (topo, app, leveling) -> (
+        match parse_script script with
+        | exception Script_error (line, msg) ->
+            Format.eprintf "%s:%d: %s@." script line msg;
             2
-        | Some topo -> (
-            match parse_script script with
-            | exception Script_error (line, msg) ->
-                Format.eprintf "%s:%d: %s@." script line msg;
-                2
-            | cmds ->
-                let config =
-                  config_of ~certify:verify ?deadline_ms:deadline rg slrg
-                in
-                let telemetry, finish_telemetry =
-                  telemetry_of ?flight None false
-                in
-                let session =
-                  Session.create
-                    (Planner.request ~config ~telemetry topo doc.Dsl.app
-                       ~leveling:doc.Dsl.leveling)
-                in
-                let finish code =
-                  finish_telemetry ();
-                  code
-                in
-                let plans = ref 0 and failed = ref 0 in
-                try
-                List.iter
-                  (fun (line, cmd) ->
-                    match cmd with
-                    | Do_plan ->
-                        incr plans;
-                        let warm = Session.is_warm session in
-                        let r = Session.plan session in
-                        let s = r.Session.stats in
-                        let temperature = if warm then "warm" else "cold" in
-                        (match r.Session.result with
-                        | Ok p ->
-                            Format.printf
-                              "plan %d (%s): cost %g (%d actions), \
-                               invalidated=%d evicted=%d@."
-                              !plans temperature p.Plan.cost_lb (Plan.length p)
-                              s.Session.invalidated_actions
-                              s.Session.evicted_entries
-                        | Error reason ->
-                            incr failed;
-                            Format.printf
-                              "plan %d (%s): no plan: %a, invalidated=%d \
-                               evicted=%d@."
-                              !plans temperature Session.pp_failure reason
-                              s.Session.invalidated_actions
-                              s.Session.evicted_entries)
-                    | Do_metrics ->
-                        print_string
-                          (Export.to_prometheus (Session.metrics_snapshot session))
-                    | Do_update delta -> (
-                        match Session.update session delta with
-                        | (_ : Session.t) ->
-                            Format.printf
-                              "update %s: ok (%d nodes, %d links)@."
-                              (render_delta delta)
-                              (Topology.node_count (Session.topology session))
-                              (Topology.link_count (Session.topology session))
-                        | exception Topology.Stale_link l ->
-                            raise
-                              (Script_error
-                                 ( line,
-                                   Printf.sprintf
-                                     "update %s: link %d was removed by an \
-                                      earlier update"
-                                     (render_delta delta) l ))
-                        | exception Invalid_argument msg ->
-                            raise
-                              (Script_error
-                                 ( line,
-                                   Printf.sprintf "update %s: %s"
-                                     (render_delta delta) msg ))))
-                  cmds;
-                finish (if !failed = 0 then 0 else 1)
-                with Script_error (line, msg) ->
-                  Format.eprintf "%s:%d: %s@." script line msg;
-                  finish 2))
+        | cmds ->
+            let config =
+              config_of ~certify:verify ?deadline_ms:deadline rg slrg
+            in
+            let telemetry, finish_telemetry =
+              telemetry_of ?flight None false
+            in
+            let session =
+              Session.create
+                (Planner.request ~config ~telemetry topo app ~leveling)
+            in
+            let finish code =
+              finish_telemetry ();
+              code
+            in
+            let plans = ref 0 and failed = ref 0 in
+            try
+            List.iter
+              (fun (line, cmd) ->
+                match cmd with
+                | Do_plan ->
+                    incr plans;
+                    let warm = Session.is_warm session in
+                    let r = Session.plan session in
+                    let s = r.Session.stats in
+                    let temperature = if warm then "warm" else "cold" in
+                    (match r.Session.result with
+                    | Ok p ->
+                        Format.printf
+                          "plan %d (%s): cost %g (%d actions), \
+                           invalidated=%d evicted=%d@."
+                          !plans temperature p.Plan.cost_lb (Plan.length p)
+                          s.Session.invalidated_actions
+                          s.Session.evicted_entries
+                    | Error reason ->
+                        incr failed;
+                        Format.printf
+                          "plan %d (%s): no plan: %a, invalidated=%d \
+                           evicted=%d@."
+                          !plans temperature Session.pp_failure reason
+                          s.Session.invalidated_actions
+                          s.Session.evicted_entries)
+                | Do_metrics ->
+                    print_string
+                      (Export.to_prometheus (Session.metrics_snapshot session))
+                | Do_update delta -> (
+                    match Session.update session delta with
+                    | (_ : Session.t) ->
+                        Format.printf
+                          "update %s: ok (%d nodes, %d links)@."
+                          (render_delta delta)
+                          (Topology.node_count (Session.topology session))
+                          (Topology.link_count (Session.topology session))
+                    | exception Topology.Stale_link l ->
+                        raise
+                          (Script_error
+                             ( line,
+                               Printf.sprintf
+                                 "update %s: link %d was removed by an \
+                                  earlier update"
+                                 (render_delta delta) l ))
+                    | exception Invalid_argument msg ->
+                        raise
+                          (Script_error
+                             ( line,
+                               Printf.sprintf "update %s: %s"
+                                 (render_delta delta) msg ))))
+              cmds;
+            finish (if !failed = 0 then 0 else 1)
+            with Script_error (line, msg) ->
+              Format.eprintf "%s:%d: %s@." script line msg;
+              finish 2)
   in
   Cmd.v
     (Cmd.info "session"
@@ -645,36 +661,13 @@ let metrics_cmd =
       verbose =
     setup_logs verbose;
     let config = config_of ?deadline_ms:deadline rg slrg in
-    let request =
-      match spec with
-      | Some file -> (
-          match Dsl.load_file file with
-          | exception Dsl.Dsl_error msg ->
-              Format.eprintf "spec error: %s@." msg;
-              Error 2
-          | doc -> (
-              match doc.Dsl.topo with
-              | None ->
-                  Format.eprintf "spec file has no network block@.";
-                  Error 2
-              | Some topo ->
-                  Ok
-                    (Planner.request ~config topo doc.Dsl.app
-                       ~leveling:doc.Dsl.leveling)))
-      | None ->
-          let sc =
-            match network with
-            | `Large -> Scenarios.large ~seed ()
-            | other -> scenario_of other
-          in
-          Ok
-            (Planner.request ~config sc.Scenarios.topo sc.Scenarios.app
-               ~leveling:(Media.leveling levels sc.Scenarios.app))
-    in
-    match request with
-    | Error code -> code
-    | Ok req -> (
-        let session = Session.create req in
+    match resolve_case spec network levels seed with
+    | Error line -> spec_failure line
+    | Ok c -> (
+        let session =
+          Session.create
+            (Planner.request ~config c.topo c.app ~leveling:c.leveling)
+        in
         for _ = 1 to max 1 repeat do
           ignore (Session.plan session : Planner.report)
         done;
@@ -765,47 +758,18 @@ let check_cmd =
   in
   let run spec network levels seed suggest format verbose =
     setup_logs verbose;
-    let case =
-      match spec with
-      | Some file -> (
-          match Dsl.load_file file with
-          | exception Dsl.Dsl_error msg ->
-              Format.eprintf "spec error: %s@." msg;
-              Error 2
-          | doc -> (
-              match doc.Dsl.topo with
-              | None ->
-                  Format.eprintf "spec file has no network block@.";
-                  Error 2
-              | Some topo ->
-                  let leveling =
-                    if suggest then Sekitei_spec.Leveling.suggest doc.Dsl.app
-                    else doc.Dsl.leveling
-                  in
-                  Ok (topo, doc.Dsl.app, leveling)))
-      | None ->
-          let sc =
-            match network with
-            | `Large -> Scenarios.large ~seed ()
-            | other -> scenario_of other
-          in
-          let leveling =
-            if suggest then Sekitei_spec.Leveling.suggest sc.Scenarios.app
-            else Media.leveling levels sc.Scenarios.app
-          in
-          Ok (sc.Scenarios.topo, sc.Scenarios.app, leveling)
-    in
-    match case with
-    | Error code -> code
-    | Ok (topo, app, leveling) -> (
-        match Validate.check_diagnostics topo app with
+    match resolve_case ~suggest spec network levels seed with
+    | Error line -> spec_failure line
+    | Ok c -> (
+        match Validate.check_diagnostics c.topo c.app with
         | _ :: _ as spec_diags ->
             (* Invalid specs never reach the compiler, so the preflight
                passes cannot run; report what the validator found. *)
             render format None spec_diags
-        | [] ->
-            let pb = Compile.compile topo app leveling in
-            render format (Some pb) (Preflight.check pb))
+        | [] -> (
+            match compile_case c with
+            | Error line -> spec_failure line
+            | Ok pb -> render format (Some pb) (Preflight.check pb)))
   in
   Cmd.v
     (Cmd.info "check"
@@ -920,13 +884,20 @@ let figure_cmd =
 (* ------------------------------------------------------------------ *)
 
 let topology_cmd =
+  let kinds =
+    [ ("line", `Line); ("ring", `Ring); ("star", `Star); ("grid", `Grid);
+      ("transit-stub", `Ts) ]
+  in
   let kind =
     Arg.(value
-         & opt (enum
-             [ ("line", `Line); ("ring", `Ring); ("star", `Star); ("grid", `Grid);
-               ("transit-stub", `Ts) ])
-             `Ts
+         & opt (enum kinds) `Ts
          & info [ "kind"; "k" ] ~docv:"KIND" ~doc:"Generator kind")
+  in
+  (* The generators' own minimums; transit-stub clamps any size. *)
+  let min_size = function
+    | `Ring -> 3
+    | `Line | `Star | `Grid -> 1
+    | `Ts -> min_int
   in
   let size =
     Arg.(value & opt int 10 & info [ "size" ] ~docv:"N" ~doc:"Node count parameter")
@@ -936,25 +907,33 @@ let topology_cmd =
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write DOT here instead of stdout")
   in
   let run kind size seed out =
-    let rng = Sekitei_util.Prng.create ~seed in
-    let topo =
-      match kind with
-      | `Line -> Generators.line size
-      | `Ring -> Generators.ring size
-      | `Star -> Generators.star size
-      | `Grid -> Generators.grid size size
-      | `Ts ->
-          Generators.transit_stub ~rng ~transit:3 ~stubs_per_transit:3
-            ~stub_size:(max 1 (size / 9)) ()
-    in
-    let dot = Dot.to_dot topo in
-    (match out with
-    | Some file ->
-        Dot.write_file topo file;
-        Format.printf "wrote %s (%d nodes, %d links)@." file
-          (Topology.node_count topo) (Topology.link_count topo)
-    | None -> print_string dot);
-    0
+    if size < min_size kind then begin
+      Format.eprintf "topology: --kind %s needs --size >= %d, got %d@."
+        (fst (List.find (fun (_, k) -> k = kind) kinds))
+        (min_size kind) size;
+      2
+    end
+    else begin
+      let rng = Sekitei_util.Prng.create ~seed in
+      let topo =
+        match kind with
+        | `Line -> Generators.line size
+        | `Ring -> Generators.ring size
+        | `Star -> Generators.star size
+        | `Grid -> Generators.grid size size
+        | `Ts ->
+            Generators.transit_stub ~rng ~transit:3 ~stubs_per_transit:3
+              ~stub_size:(max 1 (size / 9)) ()
+      in
+      let dot = Dot.to_dot topo in
+      (match out with
+      | Some file ->
+          Dot.write_file topo file;
+          Format.printf "wrote %s (%d nodes, %d links)@." file
+            (Topology.node_count topo) (Topology.link_count topo)
+      | None -> print_string dot);
+      0
+    end
   in
   Cmd.v
     (Cmd.info "topology" ~doc:"Generate a synthetic topology (DOT)")

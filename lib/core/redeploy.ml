@@ -24,12 +24,9 @@ let adjust_of policy previous ~comp ~node =
   | None -> 0.
 
 let replan ?config ?(policy = default_policy) ~previous topo app leveling =
-  let report =
-    Planner.plan
-      ~adjust:(adjust_of policy previous)
-      (Planner.request ?config topo app ~leveling)
-  in
-  { Planner.result = report.Planner.result; stats = report.Planner.stats }
+  Planner.plan
+    ~adjust:(adjust_of policy previous)
+    (Planner.request ?config topo app ~leveling)
 
 let diff ~previous pb plan =
   let current = Plan.placements pb plan in

@@ -39,7 +39,7 @@ val replan :
   Sekitei_network.Topology.t ->
   Sekitei_spec.Model.app ->
   Sekitei_spec.Leveling.t ->
-  Planner.outcome
+  Planner.report
 
 (** Placement diff between a previous deployment and a new plan. *)
 val diff : previous:(string * int) list -> Problem.t -> Plan.t -> diff

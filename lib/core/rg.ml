@@ -39,20 +39,20 @@ type node = {
   g : float;
   serial : int;
       (** creation order; the heap tie-break key, preserved across
-          deferred re-insertions so the expansion order is identical to
-          eager evaluation *)
+          deferred re-insertions so a re-inserted node keeps its place
+          among f- and g-tied nodes *)
   acts : Iset.t;  (** action ids in [tail] (repetition guard) *)
   rs : Replay.rstate;
       (** optimistic replay state of the suffix, built incrementally in
           regression order (one [Replay.extend] per search edge) *)
   mutable refined : bool;
-      (** whether [h] is the SLRG value (true) or the cheap PLRG bound a
-          deferred push queued the node with (false) *)
+      (** whether [h] is the SLRG value (true) or the cheap PLRG bound
+          [push] queued the node with (false) *)
   mutable chain : hsample list;
       (** under [?profile]: this node's h-quality sample consed onto its
           ancestors' (leaf first); [[]] when profiling is off.  Set by
           [push]; the [h_slrg] column of the head sample is patched in
-          at refinement time under deferred evaluation. *)
+          at refinement time. *)
 }
 
 (* Duplicate-detection key: interned pending set plus the set of action
@@ -141,9 +141,9 @@ let repair_order ?(max_steps = 20_000) pb tail =
   | Repaired (tail', metrics) -> Some (tail', metrics)
   | Infeasible | Gave_up -> None
 
-let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
-    ?profile ?(telemetry = Telemetry.null) ?metrics ?(deadline = Deadline.none)
-    (pb : Problem.t) (_plrg : Plrg.t) slrg =
+let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
+    ?metrics ?(deadline = Deadline.none) (pb : Problem.t) (_plrg : Plrg.t)
+    slrg =
   let progress_interval = Telemetry.progress_interval telemetry in
   let created = ref 0
   and expanded = ref 0
@@ -180,9 +180,9 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
   let repair_pool = ref 500_000 in
   let heap = Heap.create () in
   (* PLRG h_max of a pending set: the per-proposition heuristic the SLRG
-     refines.  Under deferred evaluation it is also the cheap first-stage
-     bound successors are queued with; served from the oracle's per-id
-     memo, which the oracle's own A* expansions share. *)
+     refines, and the cheap first-stage bound successors are queued
+     with; served from the oracle's per-id memo, which the oracle's own
+     A* expansions share. *)
   let h_plrg (h : Propset.handle) = Slrg.h_max_h slrg h in
   let push node =
     (* Two-stage heuristic evaluation (the deferred-evaluation trick from
@@ -191,9 +191,10 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
        only when the node reaches the top of the heap — most generated
        nodes never do, and never pay an oracle query.  Since the SLRG h
        dominates the PLRG h, the refined f only grows; re-inserting the
-       popped node under its refined value (below) is sound A*. *)
+       popped node under its refined value (below) is sound A*.  A
+       candidate solution (empty pending set) is refined at once. *)
     let h =
-      if defer && Array.length node.set.Propset.set > 0 then h_plrg node.set
+      if Array.length node.set.Propset.set > 0 then h_plrg node.set
       else begin
         node.refined <- true;
         Slrg.query_h slrg node.set
@@ -201,8 +202,7 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
     in
     if Float.is_finite h then begin
       let keep =
-        (not dedup)
-        || Array.length node.set.Propset.set = 0
+        Array.length node.set.Propset.set = 0
         ||
         let key = (node.set.Propset.id, node.acts) in
         if Ktbl.mem seen_keys key then begin

@@ -44,17 +44,17 @@ type stats = {
           {!repair_order} *)
   slrg_deferred : int;
       (** nodes queued with the cheap PLRG bound instead of an SLRG query
-          (always [0] with [~defer:false]) *)
+          (every queued node except candidate solutions) *)
   slrg_saved : int;
       (** deferred nodes that terminated still unrefined — oracle queries
-          the eager strategy would have paid and this search never ran *)
+          this search never ran *)
 }
 
 (** One heuristic-quality sample, recorded (under [?profile]) for every
     node on the ancestor chain of the accepted solution: the node's
     pending-set size, its path cost [g], the SLRG heuristic the search
-    expanded it under (with [~defer:true] the value refined at pop), and
-    the PLRG h_max value of the same pending set.
+    expanded it under (the value refined at pop), and the PLRG h_max
+    value of the same pending set.
     Against the solution cost [C*], the realized cost-to-go of the node
     is [C* - g]; admissibility demands [h <= C* - g] for both columns. *)
 type hsample = { set_size : int; g : float; h_slrg : float; h_plrg : float }
@@ -97,28 +97,24 @@ val repair_order :
   Action.t list ->
   (Action.t list * Replay.metrics) option
 
-(** [dedup] (default [true]) toggles the duplicate-detection table —
-    exposed so tests can assert that pruning never changes the returned
-    plan cost.
+(** Heuristic evaluation is lazy and two-stage: successors are queued
+    under the cheap PLRG h_max bound and the expensive SLRG oracle query
+    runs only when a node first reaches the top of the open list,
+    re-inserting it if the refined f-value exceeds the new frontier
+    minimum.  Because the SLRG heuristic dominates the PLRG one and node
+    serial numbers are preserved across re-insertion, a node is never
+    expanded before its refined f is proven minimal, so the A*
+    admissibility argument — and with it solvability and the optimal
+    cost bound — holds.  SLRG-infeasible successors are detected at pop
+    rather than at push, and the queries saved are reported in
+    [slrg_deferred]/[slrg_saved].
 
-    [defer] (default [true]) enables lazy two-stage heuristic evaluation:
-    successors are queued under the cheap PLRG h_max bound and the
-    expensive SLRG oracle query runs only when a node first reaches the
-    top of the open list, re-inserting it if the refined f-value exceeds
-    the new frontier minimum.  Because the SLRG heuristic dominates the
-    PLRG one and node serial numbers are preserved across re-insertion,
-    a node is never expanded before its refined f is proven minimal, so
-    the admissibility argument — and with it solvability and the optimal
-    cost bound — is unchanged; [created]/[duplicates] differ by design
-    (SLRG-infeasible successors are detected at pop instead of at push)
-    and the savings are reported in [slrg_deferred]/[slrg_saved].
-
-    The replay is {e not} guaranteed bit-identical, for two reasons the
-    oracle shares with {!Session}'s warm-vs-cold contract.  First, a
+    The oracle's answers depend on the order it is queried in, for two
+    reasons {!Session}'s warm-vs-cold contract relies on.  First, a
     budget-exhausted query records a bound that depends on the shared
-    escalation pool, which the two modes drain differently.  Second,
-    even exact values are path-independent only mathematically: a set
-    with several equally-optimal support paths caches the cost of
+    escalation pool, which different query sequences drain differently.
+    Second, even exact values are path-independent only mathematically:
+    a set with several equally-optimal support paths caches the cost of
     whichever query harvested it first, and float addition is not
     associative, so h can differ in the last ulp between query orders —
     enough to swap f-tied frontier nodes, perturb [expanded], and return
@@ -148,8 +144,6 @@ val repair_order :
     ["rg.duplicates"] counters and the ["rg.open_left"] gauge. *)
 val search :
   ?max_expansions:int ->
-  ?dedup:bool ->
-  ?defer:bool ->
   ?profile:hsample list ref ->
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
   ?metrics:Sekitei_telemetry.Registry.t ->

@@ -41,7 +41,6 @@ type config = {
   validate_spec : bool;
   explain : bool;
   profile_h : bool;
-  defer_h : bool;
   deadline_ms : float option;
   certify : bool;
 }
@@ -53,7 +52,6 @@ let default_config =
     validate_spec = true;
     explain = false;
     profile_h = false;
-    defer_h = true;
     deadline_ms = None;
     certify = false;
   }
@@ -593,9 +591,8 @@ let plan_exn t =
             let gc_rg0 = gc_snap () in
             let profile = if config.profile_h then Some (ref []) else None in
             let result, rg_stats =
-              Rg.search ~max_expansions:config.rg_max_expansions
-                ~defer:config.defer_h ?profile ~telemetry ~metrics:t.metrics
-                ~deadline pb plrg slrg
+              Rg.search ~max_expansions:config.rg_max_expansions ?profile
+                ~telemetry ~metrics:t.metrics ~deadline pb plrg slrg
             in
             let rg_gc = gc_delta gc_rg0 (gc_snap ()) in
             let rg_ms =

@@ -23,15 +23,14 @@
     path-independent, and the per-request reset ({!Slrg.begin_request})
     drops everything that is not — budget-exhausted bounds and the
     escalation pool — so carried cache state cannot steer the search.
-    Two kinds of noise are tolerated, with provisos shared with
-    {!Rg.search}'s [defer] contract: a cold run whose root queries
-    exhaust their budget records order-dependent bounds a warm run may
-    not reproduce, and exact costs of sets with several equally-optimal
-    support paths are cached from whichever query harvested them first,
-    so warm and cold h-values can differ in the last ulp and swap f-tied
-    frontier nodes (possibly returning a different equally-cheap
-    optimum).  Timing fields and cumulative oracle statistics naturally
-    differ.
+    Two kinds of noise are tolerated, the oracle provisos {!Rg.search}
+    documents: a cold run whose root queries exhaust their budget
+    records order-dependent bounds a warm run may not reproduce, and
+    exact costs of sets with several equally-optimal support paths are
+    cached from whichever query harvested them first, so warm and cold
+    h-values can differ in the last ulp and swap f-tied frontier nodes
+    (possibly returning a different equally-cheap optimum).  Timing
+    fields and cumulative oracle statistics naturally differ.
 
     {b Deadlines.}  [config.deadline_ms] arms a monotonic
     ({!Sekitei_util.Timer}) cancellation token for each request, polled
@@ -41,8 +40,9 @@
     when the RG frontier was reached — the same admissible best-[f]
     lower bound a [Search_limit] failure reports.
 
-    This module is the engine; {!Planner} re-exports its types and wraps
-    one-shot [plan] / [plan_batch] over throwaway sessions. *)
+    This module is the engine; {!Planner} includes it and adds the
+    one-shot [Planner.plan] / [Planner.plan_batch] over throwaway
+    sessions. *)
 
 type config = {
   slrg_query_budget : int;  (** set-node budget per SLRG query *)
@@ -56,11 +56,9 @@ type config = {
       (** record heuristic-quality samples ({!Rg.hsample}) along the
           solution path (default [false]; adds a PLRG sweep per queued
           RG node, so leave off when benchmarking) *)
-  defer_h : bool;
-      (** lazy two-stage heuristic evaluation in the RG search (default
-          [true]); see {!Rg.search} *)
   deadline_ms : float option;
-      (** per-request wall-clock budget (monotonic); [None] (default)
+      (** per-request wall-clock budget (monotonic {!Sekitei_util.Timer}
+          time, polled cooperatively by every phase); [None] (default)
           never expires *)
   certify : bool;
       (** re-validate every emitted plan through the installed
@@ -88,8 +86,9 @@ type failure_reason =
       phase : string;  (** ["compile"], ["plrg"], or ["rg"] *)
       expansions : int;  (** RG expansions completed (0 outside the RG) *)
       best_f : float option;
-          (** admissible lower bound when the RG frontier was reached *)
-    }
+          (** admissible lower bound when the RG frontier was reached —
+              the same evidence a {!Search_limit} carries *)
+    }  (** the request's [config.deadline_ms] expired first *)
   | Certification_failed of string
       (** [config.certify] was set and the independent certifier
           rejected the emitted plan — always a planner bug; carries the
@@ -106,15 +105,26 @@ type stats = {
   replay_pruned : int;
   final_replay_rejected : int;
   rg_duplicates : int;
+      (** RG nodes pruned by duplicate detection (pending set re-derived
+          at an equal-or-worse g) *)
   order_repaired : int;
+      (** candidate tails recovered by the RG backtracking re-sequencer
+          after failing from-init validation *)
   slrg_cache_hits : int;
-      (** SLRG queries answered from cache {e during this request} (warm
-          sessions report per-request deltas; for a one-shot run these
-          equal the oracle totals) *)
+      (** SLRG queries answered from the solved or capped-bound caches
+          {e during this request} (warm sessions report per-request
+          deltas; for a one-shot run these equal the oracle totals) *)
   slrg_suffix_harvested : int;
+      (** exact SLRG cache entries recorded by suffix-cost harvesting
+          beyond the queried roots themselves *)
   slrg_bound_promoted : int;
+      (** budget-exhausted SLRG bounds later replaced by exact entries *)
   slrg_deferred : int;
+      (** RG nodes queued with the cheap PLRG bound instead of an
+          up-front SLRG query *)
   slrg_saved : int;
+      (** deferred nodes never refined — SLRG oracle queries the search
+          skipped entirely *)
   invalidated_actions : int;
       (** actions the {!update}s since the previous plan call could not
           reuse (recompiled or dropped); 0 on cold runs *)
@@ -147,7 +157,10 @@ val request :
   request
 
 (** One phase of the pipeline: wall time, a characteristic size, and the
-    phase's GC footprint.  On a warm request the compile and plrg phases
+    phase's GC footprint ([Gc.quick_stat] deltas bracketing the phase —
+    minor-heap words allocated and major collections triggered).  Rising
+    allocation pressure is the usual early warning when a phase's wall
+    time regresses.  On a warm request the compile and plrg phases
     report [ms = 0.] (the work was done by an earlier request or update)
     while keeping their item counts. *)
 type phase = {
@@ -174,9 +187,10 @@ type phases = {
   compile : phase;  (** items = leveled actions after pruning *)
   plrg : phase;  (** items = relevant propositions *)
   slrg : phase;
-      (** items = set nodes generated this request; [ms] = oracle
-          construction (first request only) plus the footprint of its
-          lazy queries, which run {e inside} the RG search *)
+      (** items = set nodes generated this request; [ms] (and the GC
+          fields) = oracle construction (first request only) plus the
+          footprint of its lazy queries, which run {e inside} the RG
+          search (so the slrg phase overlaps the rg one) *)
   slrg_cache : slrg_cache;
   rg : phase;  (** items = RG nodes created *)
   reuse : reuse_counters;
@@ -185,10 +199,20 @@ type phases = {
 type report = {
   result : (Plan.t, failure_reason) Stdlib.result;
   phases : phases;
+      (** per-phase timings are measured monotonically even with the null
+          telemetry; phases not reached report [{ ms = 0.; items = 0 }] *)
   stats : stats;
   explanation : Explain.t option;
+      (** per-action cost/level/slack account; [Some] iff
+          [config.explain] and the run solved *)
   certificate : Explain.certificate option;
+      (** unsolvability evidence; [Some] iff [config.explain] and the
+          run failed with {!Unreachable_goal}, {!Search_limit}, or an
+          in-search {!Deadline_exceeded} *)
   hquality : Rg.hsample list option;
+      (** solution-path heuristic samples, root first; [Some] iff
+          [config.profile_h] (empty list when no solution was found) —
+          analyze with [Sekitei_harness.Hquality] *)
 }
 
 (** A topology perturbation, mirroring {!Sekitei_network.Mutate}.  Node
@@ -269,13 +293,16 @@ val plan : t -> report
     or when the mutated spec no longer compiles.  Returns [t] (the
     session is updated in place).
 
-    A delta with a bad site id is rejected {e before} anything mutates:
+    A bad delta is rejected {e before} anything mutates:
     {!Sekitei_network.Topology.Stale_link} for a link id tombstoned by
     an earlier update, [Invalid_argument] for node/link ids that never
-    existed.  The session's topology and compiled state are untouched in
-    either case. *)
+    existed and for a NaN or infinite resource value.  The session's
+    topology and compiled state are untouched in each case. *)
 val update : t -> delta -> t
 
+(** Render a failure reason for humans — the single formatter behind the
+    CLI's "No plan:" line and the ["failure"] span attribute
+    trace_report surfaces. *)
 val pp_failure : Format.formatter -> failure_reason -> unit
 val pp_stats : Format.formatter -> stats -> unit
 val pp_phases : Format.formatter -> phases -> unit

@@ -444,6 +444,7 @@ let tokenize s =
   let i = ref 0 in
   let push t = toks := t :: !toks in
   let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !i)) in
+  let digit_at j = ( && ) (( < ) j n) (is_digit s.[j]) in
   while ( < ) !i n do
     let c = s.[!i] in
     if ( || ) (Char.equal c ' ') (List.mem c [ '\t'; '\n'; '\r' ]) then
@@ -457,6 +458,24 @@ let tokenize s =
       do
         incr i
       done;
+      (* An exponent [eE][+-]?digits, taken only when a digit follows:
+         {!float_lit} prints very small and very large constants in
+         this form. *)
+      (if ( && ) (( < ) !i n) (List.mem s.[!i] [ 'e'; 'E' ]) then
+         let j =
+           if
+             ( && )
+               (digit_at (( + ) !i 2))
+               (List.mem s.[( + ) !i 1] [ '+'; '-' ])
+           then ( + ) !i 2
+           else ( + ) !i 1
+         in
+         if digit_at j then begin
+           i := j;
+           while digit_at !i do
+             incr i
+           done
+         end);
       let lit = String.sub s start (( - ) !i start) in
       match float_of_string_opt lit with
       | Some f -> push (TNum f)

@@ -8,6 +8,7 @@
    emitted text independently of the writer. *)
 
 module Planner = Sekitei_core.Planner
+module Session = Sekitei_core.Session
 module Media = Sekitei_domains.Media
 module Json = Sekitei_util.Json
 module Timer = Sekitei_util.Timer
@@ -103,7 +104,7 @@ let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
   | Error _ -> ());
   let s = first.Planner.stats in
   let med f = median (List.map f runs) in
-  (* Warm timings come from a {!Planner.Session}: one cold plan compiles
+  (* Warm timings come from a {!Session}: one cold plan compiles
      the problem and fills the oracle, then [repeat] warm re-plans are
      timed and the median recorded — the cross-request reuse the Session
      API exists for.  The cold figures above stay one-shot runs so they
@@ -114,14 +115,14 @@ let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
     else begin
       Gc.compact ();
       let session =
-        Planner.Session.create ?metrics
+        Session.create ?metrics
           (Planner.request ?config ~telemetry:(telemetry ())
              sc.Scenarios.topo sc.Scenarios.app ~leveling)
       in
-      ignore (Planner.Session.plan session);
+      ignore (Session.plan session);
       median
         (List.init repeat (fun _ ->
-             (Planner.Session.plan session).Planner.stats.Planner.t_search_ms))
+             (Session.plan session).Session.stats.Session.t_search_ms))
     end
   in
   (* Per-repeat distribution of the search time, through the same

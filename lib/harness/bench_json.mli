@@ -31,7 +31,7 @@ type record = {
   search_ms_p90 : float;
   search_ms_p99 : float;
   warm_search_ms : float;
-      (** [t_search_ms] of a warm {!Sekitei_core.Planner.Session} re-plan
+      (** [t_search_ms] of a warm {!Sekitei_core.Session} re-plan
           (median over the repeats, after one untimed cold plan); [0.]
           when the run did not measure warm timings ([--warm] off), so
           the schema is fixed either way *)

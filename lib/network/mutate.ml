@@ -1,14 +1,22 @@
 open Topology
 
+(* Grounding reads an unleveled resource as a point interval; a NaN or
+   infinite capacity would reach it as an empty one. *)
+let require_finite fn res v =
+  if not (Float.is_finite v) then
+    invalid_arg (Printf.sprintf "%s: %s must be finite, got %g" fn res v)
+
 let set_link_resource t link res v =
   if link < 0 || link >= link_id_bound t then
     invalid_arg (Printf.sprintf "Mutate.set_link_resource: unknown link %d" link);
+  require_finite "Mutate.set_link_resource" res v;
   let l = get_link t link in
   with_link_resources t link ((res, v) :: List.remove_assoc res l.link_resources)
 
 let set_node_resource t node res v =
   if node < 0 || node >= node_count t then
     invalid_arg (Printf.sprintf "Mutate.set_node_resource: unknown node %d" node);
+  require_finite "Mutate.set_node_resource" res v;
   let n = get_node t node in
   with_node_resources t node ((res, v) :: List.remove_assoc res n.node_resources)
 

@@ -242,6 +242,9 @@ let test_roundtrip () =
     [
       "x + y * z"; "(x + y) * z"; "min(x, 70) / 5"; "-x + 3"; "x - y - z";
       "x / y / z"; "max(min(x, y), 1 + 2)"; "1 + M.ibw / 10";
+      (* exponent literals, as float_lit prints small constants *)
+      "x * 1e-5"; "2e5 + x"; "1.5e+3 * y"; "min(x, 4.18e-05)";
+      "y / 0.5 - min(x, 4.183358934262138e-05)"; "3E2";
     ]
   in
   List.iter

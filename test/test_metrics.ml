@@ -11,7 +11,7 @@ module Telemetry = Sekitei_telemetry.Telemetry
 module Registry = Sekitei_telemetry.Registry
 module Export = Sekitei_telemetry.Export
 module Planner = Sekitei_core.Planner
-module Session = Sekitei_core.Planner.Session
+module Session = Sekitei_core.Session
 module Scenarios = Sekitei_harness.Scenarios
 module Media = Sekitei_domains.Media
 

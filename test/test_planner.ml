@@ -286,6 +286,10 @@ let test_stats_populated () =
   Alcotest.(check bool) "actions" true (s.Planner.total_actions > 0);
   Alcotest.(check bool) "plrg" true (s.Planner.plrg_props > 0);
   Alcotest.(check bool) "rg" true (s.Planner.rg_created > 0);
+  Alcotest.(check bool) "deferred >= saved >= 0" true
+    (s.Planner.slrg_deferred >= s.Planner.slrg_saved
+    && s.Planner.slrg_saved >= 0);
+  Alcotest.(check bool) "deferred" true (s.Planner.slrg_deferred > 0);
   Alcotest.(check bool) "time" true (s.Planner.t_total_ms >= 0.)
 
 (* ---------------- batch executor ---------------- *)

@@ -13,6 +13,7 @@ module T = Sekitei_network.Topology
 module Media = Sekitei_domains.Media
 module Leveling = Sekitei_spec.Leveling
 module Planner = Sekitei_core.Planner
+module Session = Sekitei_core.Session
 module Plan = Sekitei_core.Plan
 module Replay = Sekitei_core.Replay
 module Compile = Sekitei_core.Compile
@@ -442,72 +443,23 @@ let prop_slrg_harvest_agrees =
         !ok
       end)
 
-(* ---------------- deferred heuristic is outcome-identical ---------------- *)
-
-(* Deferred (two-stage) SLRG evaluation preserves the search outcome:
-   a node is only processed once its refined f-value is proven minimal in
-   the frontier, so the admissibility argument — and with it solvability
-   and the optimal cost bound — carries over unchanged.
-
-   The property deliberately does NOT demand a bit-identical replay.
-   Exact oracle values are path-independent only mathematically: a set
-   with several equally-optimal support paths gets its cached cost from
-   whichever query harvested it first, float addition is not associative,
-   and deferred evaluation issues a different query sequence than eager —
-   so h-values can disagree in the last ulp.  An ulp is enough to swap
-   f-tied nodes in the frontier, which perturbs [rg_expanded] /
-   [rg_created] and can make the search return a different equally-cheap
-   optimum (observed on ~2% of random media-line instances).  What must
-   survive any tie-break: the result constructor, the optimal cost bound,
-   and a budget-cutoff's admissible best-f evidence, all up to fp noise.
-
-   The generous per-query budget removes the other divergence source
-   (the same proviso {!Session} documents for warm-vs-cold replans): a
-   budget-exhausted query records a bound that depends on the shared
-   escalation pool, which the two modes drain differently. *)
-let prop_defer_identical =
-  Q.Test.make ~count:15
-    ~name:"deferred h preserves outcome and optimal cost" arb_instance
-    (fun inst ->
-      let topo, app, leveling = media_line_instance inst in
-      let run defer_h =
-        let config =
-          {
-            Planner.default_config with
-            Planner.rg_max_expansions = 5_000;
-            slrg_query_budget = 1_000_000;
-            defer_h;
-          }
-        in
-        Planner.plan (Planner.request ~config topo app ~leveling)
-      in
-      let eager = run false and deferred = run true in
-      let close a b = Float.abs (a -. b) <= 1e-6 in
-      let same_result =
-        match (eager.Planner.result, deferred.Planner.result) with
-        | Ok p1, Ok p2 -> close p1.Plan.cost_lb p2.Plan.cost_lb
-        | ( Error (Planner.Search_limit { best_f = f1; _ }),
-            Error (Planner.Search_limit { best_f = f2; _ }) ) ->
-            close f1 f2
-        | Error r1, Error r2 -> r1 = r2
-        | _ -> false
-      in
-      let s1 = eager.Planner.stats and s2 = deferred.Planner.stats in
-      same_result
-      && s1.Planner.slrg_deferred = 0
-      && s2.Planner.slrg_deferred >= s2.Planner.slrg_saved
-      && s2.Planner.slrg_saved >= 0)
-
 (* ---------------- warm session re-plans equal cold plans ---------------- *)
 
 (* The Session contract: after any sequence of deltas, a warm re-plan
    agrees with a cold plan of the session's current topology on the
-   result constructor and the optimal cost bound (tie-breaks may differ
-   — the same ulp provisos as [prop_defer_identical] above, and the
-   generous query budget removes the budget-exhaustion divergence
-   source).  Each random case threads 1-3 resource deltas through one
-   session; deltas that make the spec infeasible are fine — warm and
-   cold must then fail with the same constructor. *)
+   result constructor and the optimal cost bound.  It deliberately does
+   NOT demand a bit-identical replay.  Exact oracle values are
+   path-independent only mathematically: a set with several
+   equally-optimal support paths gets its cached cost from whichever
+   query harvested it first, float addition is not associative, and a
+   warm oracle answers a different query sequence than a cold one — so
+   h-values can disagree in the last ulp, enough to swap f-tied frontier
+   nodes and return a different equally-cheap optimum.  The generous
+   per-query budget removes the other divergence source (see {!Session}):
+   a budget-exhausted query records a bound that depends on the shared
+   escalation pool.  Each random case threads 1-3 resource deltas
+   through one session; deltas that make the spec infeasible are fine —
+   warm and cold must then fail with the same constructor. *)
 let prop_warm_equals_cold =
   let arb =
     Q.pair arb_instance
@@ -525,26 +477,26 @@ let prop_warm_equals_cold =
         }
       in
       let session =
-        Planner.Session.create (Planner.request ~config topo app ~leveling)
+        Session.create (Planner.request ~config topo app ~leveling)
       in
-      ignore (Planner.Session.plan session);
+      ignore (Session.plan session);
       List.iter
         (fun (site, value, is_node) ->
           let delta =
             if is_node then
-              Planner.Session.Set_node_resource
+              Session.Set_node_resource
                 { node = site mod 3; resource = "cpu"; value }
             else
-              Planner.Session.Set_link_resource
+              Session.Set_link_resource
                 { link = site mod 2; resource = "lbw"; value }
           in
-          ignore (Planner.Session.update session delta))
+          ignore (Session.update session delta))
         deltas;
-      let warm = Planner.Session.plan session in
+      let warm = Session.plan session in
       let cold =
         Planner.plan
           (Planner.request ~config
-             (Planner.Session.topology session)
+             (Session.topology session)
              app ~leveling)
       in
       let close a b = Float.abs (a -. b) <= 1e-6 in
@@ -664,7 +616,6 @@ let prop_plan_ids_stable =
   Q.Test.make ~count:20 ~name:"plan/audit link ids stay valid across deltas"
     arb
     (fun deltas ->
-      let module Session = Planner.Session in
       let module Action = Sekitei_core.Action in
       let module Audit = Sekitei_core.Audit in
       let topo, app, leveling = diamond () in
@@ -926,7 +877,6 @@ let suite =
       prop_h_admissible;
       prop_repair_equals_bruteforce;
       prop_slrg_harvest_agrees;
-      prop_defer_identical;
       prop_warm_equals_cold;
       prop_link_identity_stable;
       prop_plan_ids_stable;

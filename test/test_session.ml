@@ -2,7 +2,7 @@
    invalidation, incremental recompilation, and deadline tokens. *)
 
 module Planner = Sekitei_core.Planner
-module Session = Sekitei_core.Planner.Session
+module Session = Sekitei_core.Session
 module Plan = Sekitei_core.Plan
 module Compile = Sekitei_core.Compile
 module Plrg = Sekitei_core.Plrg
@@ -180,6 +180,24 @@ let test_update_rejects_bad_ids () =
   Alcotest.check_raises "never-issued node id"
     (Invalid_argument "Mutate.fail_node: unknown node 99") (fun () ->
       ignore (Session.update session (Session.Fail_node { node = 99 })));
+  let before = Session.topology session in
+  Alcotest.check_raises "infinite link value"
+    (Invalid_argument "Mutate.set_link_resource: lbw must be finite, got inf")
+    (fun () ->
+      ignore
+        (Session.update session
+           (Session.Set_link_resource
+              { link = 0; resource = "lbw"; value = Float.infinity })));
+  Alcotest.check_raises "NaN node value"
+    (Invalid_argument "Mutate.set_node_resource: cpu must be finite, got nan")
+    (fun () ->
+      ignore
+        (Session.update session
+           (Session.Set_node_resource
+              { node = 1; resource = "cpu"; value = Float.nan })));
+  Alcotest.(check bool) "topology untouched" true
+    (Session.topology session == before);
+  Alcotest.(check bool) "still warm" true (Session.is_warm session);
   ignore (Session.update session (Session.Remove_link { link = 3 }));
   Alcotest.check_raises "tombstoned link id" (T.Stale_link 3) (fun () ->
       ignore

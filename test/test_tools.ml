@@ -82,6 +82,20 @@ let test_mutate_rejects_bad_ids () =
   Alcotest.check_raises "fail_node unknown id"
     (Invalid_argument "Mutate.fail_node: unknown node 7") (fun () ->
       ignore (Mutate.fail_node t 7));
+  (* non-finite values are rejected like bad ids *)
+  Alcotest.check_raises "set_link_resource inf"
+    (Invalid_argument "Mutate.set_link_resource: lbw must be finite, got inf")
+    (fun () -> ignore (Mutate.set_link_resource t 0 "lbw" Float.infinity));
+  Alcotest.check_raises "set_link_resource 1e400"
+    (Invalid_argument "Mutate.set_link_resource: lbw must be finite, got inf")
+    (fun () ->
+      ignore (Mutate.set_link_resource t 0 "lbw" (float_of_string "1e400")));
+  Alcotest.check_raises "set_node_resource nan"
+    (Invalid_argument "Mutate.set_node_resource: cpu must be finite, got nan")
+    (fun () -> ignore (Mutate.set_node_resource t 0 "cpu" Float.nan));
+  Alcotest.check_raises "set_node_resource -inf"
+    (Invalid_argument "Mutate.set_node_resource: cpu must be finite, got -inf")
+    (fun () -> ignore (Mutate.set_node_resource t 0 "cpu" Float.neg_infinity));
   (* a tombstoned link is Stale, not unknown *)
   let t' = Mutate.remove_link t 0 in
   Alcotest.check_raises "set on removed link" (T.Stale_link 0) (fun () ->
