@@ -89,7 +89,10 @@ bench-gate:
 # Observability smoke: plan Small-C through the metrics subcommand and
 # schema-validate both exposition formats (--check exits 3 on a schema
 # violation), then force a deadline failure with the flight recorder
-# armed and assert the dump is written and readable.  Guards the
+# armed and assert the dump is written and readable.  Last, force a
+# Search_limit dump (--rg-budget 1) and assert that the counter table
+# trace_report reads from it shows the same rg.created as the run's
+# Stats line: the trace's counts are the report's.  Guards the
 # always-on metrics path end to end: an encoder change that would break
 # a scraper or the postmortem tooling fails here, not on a dashboard.
 metrics-smoke:
@@ -106,6 +109,18 @@ metrics-smoke:
 	@dune exec -- tools/trace_report.exe /tmp/sekitei_flight_smoke.jsonl \
 	  | grep -q "flight-recorder dump" || \
 	  { echo "metrics-smoke: trace_report cannot read the dump"; exit 1; }
+	@rm -f /tmp/sekitei_flight_limit.jsonl
+	-dune exec -- sekitei plan --network small --levels C --rg-budget 1 \
+	  --flight /tmp/sekitei_flight_limit.jsonl \
+	  > /tmp/sekitei_flight_limit.out 2>&1
+	@stats=$$(sed -n 's/^Stats: .* rg=\([0-9]*\)\/.*/\1/p' \
+	    /tmp/sekitei_flight_limit.out); \
+	  dumped=$$(dune exec -- tools/trace_report.exe \
+	    /tmp/sekitei_flight_limit.jsonl \
+	    | sed -n 's/^| rg\.created *| *\([0-9]*\) |$$/\1/p'); \
+	  test -n "$$stats" && test "$$stats" = "$$dumped" || \
+	  { echo "metrics-smoke: rg.created is '$$dumped' in the Search_limit" \
+	      "dump but '$$stats' on the Stats line"; exit 1; }
 	@echo "metrics-smoke: ok"
 
 # Spec-to-verdict smoke: a 2 s run of each perfbench workload (release

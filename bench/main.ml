@@ -155,24 +155,6 @@ let microbenches () =
     let pb = Compile.compile sc.Scenarios.topo sc.Scenarios.app leveling in
     fun () -> ignore (Plrg.build pb)
   in
-  (* Hot-loop counting under the null handle: this is the cost every
-     instrumented search loop pays when nothing listens, and the number
-     that must stay branch-cheap (a handful of ns) for the always-on
-     claim to hold.  [count] adds a hashtable lookup per call; the
-     pre-resolved [counter] handle is the branch + integer add. *)
-  let module Telemetry = Sekitei_telemetry.Telemetry in
-  let null_count () =
-    for _ = 1 to 1000 do
-      Telemetry.count Telemetry.null "bench.counter" 1
-    done
-  in
-  let null_incr =
-    let c = Telemetry.counter Telemetry.null "bench.counter" in
-    fun () ->
-      for _ = 1 to 1000 do
-        Telemetry.incr c 1
-      done
-  in
   let registry_observe =
     let module Registry = Sekitei_telemetry.Registry in
     let reg = Registry.create () in
@@ -191,8 +173,6 @@ let microbenches () =
         Test.make ~name:"solve/tiny-A-greedy" (Staged.stage (solve tiny Media.A));
         Test.make ~name:"solve/tiny-C" (Staged.stage (solve tiny Media.C));
         Test.make ~name:"solve/small-C" (Staged.stage (solve small Media.C));
-        Test.make ~name:"telemetry/null-count-1k" (Staged.stage null_count);
-        Test.make ~name:"telemetry/null-incr-1k" (Staged.stage null_incr);
         Test.make ~name:"telemetry/registry-observe-1k"
           (Staged.stage registry_observe);
       ]

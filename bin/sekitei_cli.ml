@@ -16,6 +16,7 @@ module Model = Sekitei_spec.Model
 module Validate = Sekitei_spec.Validate
 module Dsl = Sekitei_spec.Dsl
 module Planner = Sekitei_core.Planner
+module Session = Sekitei_core.Session
 module Telemetry = Sekitei_telemetry.Telemetry
 module Registry = Sekitei_telemetry.Registry
 module Export = Sekitei_telemetry.Export
@@ -75,14 +76,28 @@ let deployment_dot_arg =
   let doc = "Write the solved deployment as Graphviz DOT to this file." in
   Arg.(value & opt (some string) None & info [ "deployment-dot" ] ~docv:"FILE" ~doc)
 
+(* An integer option's domain, declared once at the parse boundary: a
+   value below [lo] is a usage error (exit 124), like a negative
+   --deadline. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok v when v < lo ->
+        Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" lo s))
+    | parsed -> parsed
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let rg_budget_arg =
   let doc = "Maximum RG search expansions." in
-  Arg.(value & opt int Planner.default_config.Planner.rg_max_expansions
+  Arg.(value
+       & opt (int_at_least 0) Planner.default_config.Planner.rg_max_expansions
        & info [ "rg-budget" ] ~docv:"N" ~doc)
 
 let slrg_budget_arg =
   let doc = "SLRG set-node budget per heuristic query." in
-  Arg.(value & opt int Planner.default_config.Planner.slrg_query_budget
+  Arg.(value
+       & opt (int_at_least 0) Planner.default_config.Planner.slrg_query_budget
        & info [ "slrg-budget" ] ~docv:"N" ~doc)
 
 let trace_arg =
@@ -142,14 +157,13 @@ let deadline_arg =
   Arg.(value & opt (some ms) None & info [ "deadline" ] ~docv:"MS" ~doc)
 
 (* Assemble the run's telemetry handle from --trace/--progress/--flight;
-   returns the handle and a finalizer that flushes and closes the sinks.
+   returns the handle and a finalizer that flushes and closes the sinks,
+   or the line to report when an output file cannot be written.
    --flight arms a ring recorder with a dump path: the planner's failure
    hook writes the JSONL postmortem, so no sink (and no finalizer work)
-   is needed for it. *)
+   is needed for it.  The dump is written only after a failed plan, so
+   its directory is checked here, before any planning starts. *)
 let telemetry_of ?flight trace progress =
-  let flight =
-    Option.map (fun path -> Telemetry.Flight.create ~dump_path:path ()) flight
-  in
   let progress_sink =
     if not progress then []
     else
@@ -169,20 +183,34 @@ let telemetry_of ?flight trace progress =
           | _ -> ());
       ]
   in
-  match trace with
-  | None when progress_sink = [] && Option.is_none flight ->
-      (Telemetry.null, fun () -> ())
-  | None ->
-      let t = Telemetry.create ?flight progress_sink in
-      (t, fun () -> Telemetry.close t)
-  | Some file ->
-      let oc = open_out file in
-      let t = Telemetry.create ?flight (Telemetry.jsonl oc :: progress_sink) in
-      ( t,
-        fun () ->
-          Telemetry.close t;
-          close_out oc;
-          Format.printf "trace written to %s@." file )
+  match Option.map Filename.dirname flight with
+  | Some dir when not (Sys.file_exists dir && Sys.is_directory dir) ->
+      Error (Printf.sprintf "--flight: %s: no such directory" dir)
+  | _ -> (
+      let flight =
+        Option.map
+          (fun path -> Telemetry.Flight.create ~dump_path:path ())
+          flight
+      in
+      match trace with
+      | None when progress_sink = [] && Option.is_none flight ->
+          Ok (Telemetry.null, fun () -> ())
+      | None ->
+          let t = Telemetry.create ?flight progress_sink in
+          Ok (t, fun () -> Telemetry.close t)
+      | Some file -> (
+          match open_out file with
+          | exception Sys_error msg -> Error ("--trace: " ^ msg)
+          | oc ->
+              let t =
+                Telemetry.create ?flight (Telemetry.jsonl oc :: progress_sink)
+              in
+              Ok
+                ( t,
+                  fun () ->
+                    Telemetry.close t;
+                    close_out oc;
+                    Format.printf "trace written to %s@." file )))
 
 let scenario_of ?seed = function
   | `Tiny -> Scenarios.tiny ()
@@ -203,8 +231,9 @@ let config_of ?(explain = false) ?(profile_h = false) ?(certify = false)
 (* Spec and scenario loading                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A spec error: one line on stderr, exit 2. *)
-let spec_failure line =
+(* A spec error or an unwritable output file: one line on stderr,
+   exit 2. *)
+let error_line line =
   Format.eprintf "%s@." line;
   2
 
@@ -244,31 +273,30 @@ let resolve_case ?(suggest = false) spec network levels seed =
              sc.Scenarios.app,
              Media.leveling levels sc.Scenarios.app ))
 
-(* A spec can validate and still fail to ground (a pre-placed component
-   exceeding its node's capacity): a spec error too. *)
-let compile_case c =
-  match Compile.compile c.topo c.app c.leveling with
-  | pb -> Ok pb
-  | exception Compile.Compile_error msg -> Error ("spec error: " ^ msg)
-
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let report_outcome ?dot_file ?(audit = false) pb (report : Planner.report) =
+(* The plan is printed, audited and drawn against the session's own
+   compiled problem: a spec is compiled once, after validation. *)
+let report_outcome ?dot_file ?(audit = false) session
+    (report : Planner.report) =
+  (* A plan implies compiled state. *)
+  let pb () = Option.get (Session.problem session) in
   (match (audit, report.Planner.result) with
   | true, Ok p -> (
-      match Sekitei_core.Audit.of_plan pb p with
-      | Ok a -> print_string (Sekitei_core.Audit.to_string pb a)
+      match Sekitei_core.Audit.of_plan (pb ()) p with
+      | Ok a -> print_string (Sekitei_core.Audit.to_string (pb ()) a)
       | Error e -> Format.printf "audit failed: %s@." e)
   | _ -> ());
   (match (dot_file, report.Planner.result) with
   | Some file, Ok p ->
-      Sekitei_core.Deployment_dot.write_file pb p file;
+      Sekitei_core.Deployment_dot.write_file (pb ()) p file;
       Format.printf "deployment graph written to %s@." file
   | _ -> ());
   (match report.Planner.result with
   | Ok p ->
+      let pb = pb () in
       Format.printf "Plan (%d actions, cost bound %g, realized cost %g):@."
         (Plan.length p) p.Plan.cost_lb p.Plan.metrics.Replay.realized_cost;
       Format.printf "%s@." (Plan.to_string pb p);
@@ -296,7 +324,7 @@ let report_outcome ?dot_file ?(audit = false) pb (report : Planner.report) =
       Format.printf "Heuristic quality:@.%s" (Sekitei_harness.Hquality.render hq)
   | None -> ());
   Format.printf "Stats: %a@." Planner.pp_stats report.Planner.stats;
-  Format.printf "Phases: %a@." Planner.pp_phases report.Planner.phases;
+  Format.printf "Phases: %a@." Planner.pp_phases report;
   match report.Planner.result with Ok _ -> 0 | Error _ -> 1
 
 let plan_cmd =
@@ -307,32 +335,44 @@ let plan_cmd =
       config_of ~explain ~profile_h:hquality ~certify:verify
         ?deadline_ms:deadline rg slrg
     in
-    let telemetry, finish_telemetry = telemetry_of ?flight trace progress in
-    let code =
-      match resolve_case ~suggest spec network levels seed with
-      | Error line -> spec_failure line
-      | Ok c -> (
-          match compile_case c with
-          | Error line -> spec_failure line
-          | Ok pb ->
-              Option.iter
-                (fun name ->
-                  Format.printf "Planning %s with %s...@." name
-                    (if suggest then "suggested levels"
-                     else "level scenario " ^ Media.scenario_name levels))
-                c.name;
-              report_outcome ?dot_file ~audit pb
-                (Planner.plan
-                   (Planner.request ~config ~telemetry c.topo c.app
-                      ~leveling:c.leveling)))
-    in
-    finish_telemetry ();
-    if verify && code = 0 then Format.printf "plan independently certified@.";
-    (match flight with
-    | Some file when code <> 0 && Sys.file_exists file ->
-        Format.printf "flight dump written to %s@." file
-    | _ -> ());
-    code
+    match resolve_case ~suggest spec network levels seed with
+    | Error line -> error_line line
+    | Ok c -> (
+        match telemetry_of ?flight trace progress with
+        | Error line -> error_line line
+        | Ok (telemetry, finish_telemetry) ->
+            Option.iter
+              (fun name ->
+                Format.printf "Planning %s with %s...@." name
+                  (if suggest then "suggested levels"
+                   else "level scenario " ^ Media.scenario_name levels))
+              c.name;
+            let session =
+              Session.create
+                (Planner.request ~config ~telemetry c.topo c.app
+                   ~leveling:c.leveling)
+            in
+            let report = Session.plan session in
+            let code =
+              match report.Planner.result with
+              | Error (Planner.Invalid_spec msg) ->
+                  (* The spec failed to validate or to ground. *)
+                  error_line ("spec error: " ^ msg)
+              | _ -> (
+                  (* The deployment graph is the one file written here. *)
+                  match report_outcome ?dot_file ~audit session report with
+                  | code -> code
+                  | exception Sys_error msg ->
+                      error_line ("--deployment-dot: " ^ msg))
+            in
+            finish_telemetry ();
+            if verify && code = 0 then
+              Format.printf "plan independently certified@.";
+            (match flight with
+            | Some file when code <> 0 && Sys.file_exists file ->
+                Format.printf "flight dump written to %s@." file
+            | _ -> ());
+            code)
   in
   let term =
     Term.(
@@ -359,7 +399,7 @@ let batch_cmd =
        core, capped at the batch size).  --jobs 1 plans sequentially on \
        the calling domain."
     in
-    Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let run files jobs rg slrg verify verbose =
     setup_logs verbose;
@@ -378,7 +418,7 @@ let batch_cmd =
     match
       List.find_map (function Error e -> Some e | Ok _ -> None) parsed
     with
-    | Some (file, line) -> spec_failure (file ^ ": " ^ line)
+    | Some (file, line) -> error_line (file ^ ": " ^ line)
     | None ->
         let named =
           List.filter_map
@@ -417,8 +457,6 @@ let batch_cmd =
 (* ------------------------------------------------------------------ *)
 (* session                                                             *)
 (* ------------------------------------------------------------------ *)
-
-module Session = Sekitei_core.Session
 
 exception Script_error of int * string
 
@@ -540,9 +578,9 @@ let session_cmd =
   in
   let run spec script rg slrg deadline flight verify verbose =
     setup_logs verbose;
-    match load_spec spec with
-    | Error line -> spec_failure line
-    | Ok (topo, app, leveling) -> (
+    match (load_spec spec, telemetry_of ?flight None false) with
+    | Error line, _ | _, Error line -> error_line line
+    | Ok (topo, app, leveling), Ok (telemetry, finish_telemetry) -> (
         match parse_script script with
         | exception Script_error (line, msg) ->
             Format.eprintf "%s:%d: %s@." script line msg;
@@ -550,9 +588,6 @@ let session_cmd =
         | cmds ->
             let config =
               config_of ~certify:verify ?deadline_ms:deadline rg slrg
-            in
-            let telemetry, finish_telemetry =
-              telemetry_of ?flight None false
             in
             let session =
               Session.create
@@ -655,20 +690,20 @@ let metrics_cmd =
   let repeat_arg =
     let doc = "Serve the request N times through one warm session, so the \
                latency histograms carry warm as well as cold samples." in
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 1) 1 & info [ "repeat" ] ~docv:"N" ~doc)
   in
   let run spec network levels seed rg slrg deadline repeat format check
       verbose =
     setup_logs verbose;
     let config = config_of ?deadline_ms:deadline rg slrg in
     match resolve_case spec network levels seed with
-    | Error line -> spec_failure line
+    | Error line -> error_line line
     | Ok c -> (
         let session =
           Session.create
             (Planner.request ~config c.topo c.app ~leveling:c.leveling)
         in
-        for _ = 1 to max 1 repeat do
+        for _ = 1 to repeat do
           ignore (Session.plan session : Planner.report)
         done;
         let snap = Session.metrics_snapshot session in
@@ -759,7 +794,7 @@ let check_cmd =
   let run spec network levels seed suggest format verbose =
     setup_logs verbose;
     match resolve_case ~suggest spec network levels seed with
-    | Error line -> spec_failure line
+    | Error line -> error_line line
     | Ok c -> (
         match Validate.check_diagnostics c.topo c.app with
         | _ :: _ as spec_diags ->
@@ -767,9 +802,12 @@ let check_cmd =
                passes cannot run; report what the validator found. *)
             render format None spec_diags
         | [] -> (
-            match compile_case c with
-            | Error line -> spec_failure line
-            | Ok pb -> render format (Some pb) (Preflight.check pb)))
+            (* A spec can validate and still fail to ground (a
+               pre-placed component exceeding its node's capacity). *)
+            match Compile.compile c.topo c.app c.leveling with
+            | exception Compile.Compile_error msg ->
+                error_line ("spec error: " ^ msg)
+            | pb -> render format (Some pb) (Preflight.check pb)))
   in
   Cmd.v
     (Cmd.info "check"

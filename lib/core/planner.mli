@@ -25,9 +25,9 @@ with type t := Session.t
     used by {!Redeploy}).  When the request carries a telemetry handle
     with sinks, the run emits a span tree rooted at ["plan"]
     (compile/leveling, plrg, slrg, rg, replay, replay.repair, per-query
-    slrg.query), aggregated counters, and periodic ["rg"] progress
-    events; failed runs attach the {!pp_failure}-rendered reason to the
-    ["plan"] span end as a ["failure"] attribute.
+    slrg.query), the report's counts as counters, and periodic ["rg"]
+    progress events; failed runs attach the {!pp_failure}-rendered
+    reason to the ["plan"] span end as a ["failure"] attribute.
 
     [metrics] records the run's lifetime metrics into a shared always-on
     registry (see {!Session.metrics}); a telemetry handle arming a
@@ -51,7 +51,7 @@ val plan :
 
     Requests are planned shared-nothing, with one caveat the caller
     owns: a {!Sekitei_telemetry.Telemetry.t} handle carries mutable
-    counter state, so each request must have its own handle (or
+    span state, so each request must have its own handle (or
     {!Sekitei_telemetry.Telemetry.null}); a sink shared between those
     handles must be wrapped with {!Sekitei_telemetry.Telemetry.locked}.
 

@@ -1,6 +1,5 @@
 module Heap = Sekitei_util.Heap
 module Deadline = Sekitei_util.Deadline
-module Telemetry = Sekitei_telemetry.Telemetry
 
 type t = {
   problem : Problem.t;
@@ -10,8 +9,7 @@ type t = {
   relevant_prop : bool array;
 }
 
-let build ?(telemetry = Telemetry.null) ?(deadline = Deadline.none)
-    (pb : Problem.t) =
+let build ?(deadline = Deadline.none) (pb : Problem.t) =
   let n_props = Prop.count pb.props in
   let n_acts = Array.length pb.actions in
   let costs = Array.make n_props Float.infinity in
@@ -97,15 +95,7 @@ let build ?(telemetry = Telemetry.null) ?(deadline = Deadline.none)
           end)
         pb.supports.(pid)
   done;
-  let t = { problem = pb; costs; action_costs; relevant_act; relevant_prop } in
-  if Telemetry.enabled telemetry then begin
-    let count_true a =
-      Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
-    in
-    Telemetry.count telemetry "plrg.relevant_props" (count_true relevant_prop);
-    Telemetry.count telemetry "plrg.relevant_actions" (count_true relevant_act)
-  end;
-  t
+  { problem = pb; costs; action_costs; relevant_act; relevant_prop }
 
 let cost t pid = t.costs.(pid)
 

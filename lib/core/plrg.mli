@@ -15,17 +15,12 @@
 
 type t
 
-(** [telemetry] records the relevant-cone sizes as counters
-    ([plrg.relevant_props] / [plrg.relevant_actions]); the planner wraps
-    the call in a ["plrg"] span.  [deadline] is polled once per label
-    relaxation; on expiry the sweep raises
+(** The planner wraps the call in a ["plrg"] span and reads the
+    relevant-cone sizes from {!stats}.  [deadline] is polled once per
+    label relaxation; on expiry the sweep raises
     [Sekitei_util.Deadline.Expired "plrg"] — a half-finished cost table
     admits no useful partial answer. *)
-val build :
-  ?telemetry:Sekitei_telemetry.Telemetry.t ->
-  ?deadline:Sekitei_util.Deadline.t ->
-  Problem.t ->
-  t
+val build : ?deadline:Sekitei_util.Deadline.t -> Problem.t -> t
 
 (** Admissible lower bound on the cost of achieving a proposition;
     [infinity] when logically unreachable. *)

@@ -2,7 +2,6 @@ module Heap = Sekitei_util.Heap
 module Iset = Set.Make (Int)
 module Deadline = Sekitei_util.Deadline
 module Telemetry = Sekitei_telemetry.Telemetry
-module Registry = Sekitei_telemetry.Registry
 
 type stats = {
   created : int;
@@ -142,8 +141,7 @@ let repair_order ?(max_steps = 20_000) pb tail =
   | Infeasible | Gave_up -> None
 
 let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
-    ?metrics ?(deadline = Deadline.none) (pb : Problem.t) (_plrg : Plrg.t)
-    slrg =
+    ?(deadline = Deadline.none) (pb : Problem.t) (_plrg : Plrg.t) slrg =
   let progress_interval = Telemetry.progress_interval telemetry in
   let created = ref 0
   and expanded = ref 0
@@ -246,27 +244,6 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
        ~rs:(Replay.initial pb)
        ~chain:[]);
   let finish result =
-    if Telemetry.enabled telemetry then begin
-      Telemetry.count telemetry "rg.created" !created;
-      Telemetry.count telemetry "rg.expanded" !expanded;
-      Telemetry.count telemetry "rg.replay_pruned" !replay_pruned;
-      Telemetry.count telemetry "rg.final_replay_rejected" !final_rejected;
-      Telemetry.count telemetry "rg.duplicates" !duplicates;
-      Telemetry.count telemetry "rg.order_repaired" !order_repaired;
-      Telemetry.count telemetry "rg.slrg_deferred" !deferred;
-      Telemetry.count telemetry "rg.slrg_saved" (!deferred - !refined_count);
-      Telemetry.gauge telemetry "rg.open_left" (float_of_int (Heap.length heap))
-    end;
-    (match metrics with
-    | Some m ->
-        (* Lifetime search-volume counters in the always-on registry; one
-           batch of records per search, so name resolution is fine. *)
-        Registry.count m "rg.searches" 1;
-        Registry.count m "rg.created" !created;
-        Registry.count m "rg.expanded" !expanded;
-        Registry.count m "rg.duplicates" !duplicates;
-        Registry.set_gauge m "rg.open_left" (float_of_int (Heap.length heap))
-    | None -> ());
     ( result,
       {
         created = !created;

@@ -129,24 +129,18 @@ val repair_order :
 
     [telemetry] emits a periodic ["rg"] progress heartbeat (every
     {!Sekitei_telemetry.Telemetry.progress_interval} expansions: open-list
-    size, best f, expansions, duplicates), counts search totals
-    ([rg.created], [rg.expanded], [rg.replay_pruned], [rg.duplicates],
-    [rg.final_replay_rejected], [rg.order_repaired], [rg.slrg_deferred],
-    [rg.slrg_saved]), and wraps final candidate validation in
-    ["replay"] / ["replay.repair"] sub-spans.
+    size, best f, expansions, duplicates) and wraps final candidate
+    validation in ["replay"] / ["replay.repair"] sub-spans.  The search
+    totals leave only through {!stats}; {!Session} turns them into trace
+    counters and registry metrics.
 
     [deadline] is polled once per expansion (at pop, after heuristic
     refinement); on expiry the search stops with [Deadline_reached]
-    carrying the frontier-minimum f as a valid lower bound.
-
-    [metrics] records lifetime search volume into the always-on registry
-    once per search: ["rg.searches"] / ["rg.created"] / ["rg.expanded"] /
-    ["rg.duplicates"] counters and the ["rg.open_left"] gauge. *)
+    carrying the frontier-minimum f as a valid lower bound. *)
 val search :
   ?max_expansions:int ->
   ?profile:hsample list ref ->
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
-  ?metrics:Sekitei_telemetry.Registry.t ->
   ?deadline:Sekitei_util.Deadline.t ->
   Problem.t ->
   Plrg.t ->

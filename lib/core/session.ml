@@ -73,6 +73,7 @@ type stats = {
   plrg_props : int;
   plrg_actions : int;
   slrg_nodes : int;
+  slrg_queries : int;
   rg_created : int;
   rg_open_left : int;
   rg_expanded : int;
@@ -103,25 +104,8 @@ let request ?(config = default_config) ?(telemetry = Telemetry.null)
     ?(leveling = Leveling.empty) topo app =
   { topo; app; leveling; config; telemetry }
 
-type phase = {
-  ms : float;
-  items : int;
-  minor_words : float;
-  major_collections : int;
-}
-
-type slrg_cache = { hits : int; harvested : int; promoted : int }
-
-type reuse_counters = { invalidated : int; evicted : int }
-
-type phases = {
-  compile : phase;
-  plrg : phase;
-  slrg : phase;
-  slrg_cache : slrg_cache;
-  rg : phase;
-  reuse : reuse_counters;
-}
+type phase = { ms : float; minor_words : float; major_collections : int }
+type phases = { compile : phase; plrg : phase; slrg : phase; rg : phase }
 
 type report = {
   result : (Plan.t, failure_reason) Stdlib.result;
@@ -138,6 +122,7 @@ let empty_stats =
     plrg_props = 0;
     plrg_actions = 0;
     slrg_nodes = 0;
+    slrg_queries = 0;
     rg_created = 0;
     rg_open_left = 0;
     rg_expanded = 0;
@@ -156,19 +141,10 @@ let empty_stats =
     t_search_ms = 0.;
   }
 
-let no_phase = { ms = 0.; items = 0; minor_words = 0.; major_collections = 0 }
-let no_cache = { hits = 0; harvested = 0; promoted = 0 }
-let no_reuse = { invalidated = 0; evicted = 0 }
+let no_phase = { ms = 0.; minor_words = 0.; major_collections = 0 }
 
 let empty_phases =
-  {
-    compile = no_phase;
-    plrg = no_phase;
-    slrg = no_phase;
-    slrg_cache = no_cache;
-    rg = no_phase;
-    reuse = no_reuse;
-  }
+  { compile = no_phase; plrg = no_phase; slrg = no_phase; rg = no_phase }
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printers                                                     *)
@@ -207,16 +183,18 @@ let pp_stats fmt s =
     s.final_replay_rejected s.order_repaired s.slrg_deferred s.slrg_saved
     s.invalidated_actions s.evicted_entries s.t_total_ms s.t_search_ms
 
-let pp_phases fmt p =
-  (* gc_minor_kw / gc_major list the four phases in pipeline order:
+let pp_phases fmt (r : report) =
+  (* Each phase's time beside its characteristic count from [stats];
+     gc_minor_kw / gc_major list the four phases in pipeline order:
      compile, plrg, slrg, rg. *)
+  let p = r.phases and s = r.stats in
   Format.fprintf fmt
     "compile=%.1fms/%d plrg=%.1fms/%d slrg=%.1fms/%d slrg_cache=%d/%d/%d \
      rg=%.1fms/%d reuse=%d/%d gc_minor_kw=%.0f/%.0f/%.0f/%.0f \
      gc_major=%d/%d/%d/%d"
-    p.compile.ms p.compile.items p.plrg.ms p.plrg.items p.slrg.ms p.slrg.items
-    p.slrg_cache.hits p.slrg_cache.harvested p.slrg_cache.promoted p.rg.ms
-    p.rg.items p.reuse.invalidated p.reuse.evicted
+    p.compile.ms s.total_actions p.plrg.ms s.plrg_props p.slrg.ms s.slrg_nodes
+    s.slrg_cache_hits s.slrg_suffix_harvested s.slrg_bound_promoted p.rg.ms
+    s.rg_created s.invalidated_actions s.evicted_entries
     (p.compile.minor_words /. 1000.)
     (p.plrg.minor_words /. 1000.)
     (p.slrg.minor_words /. 1000.)
@@ -284,14 +262,15 @@ let create ?adjust ?metrics (req : request) =
 
 let topology t = t.topo
 let is_warm t = t.state <> None
+let problem t = Option.map (fun st -> st.pb) t.state
 let metrics t = t.metrics
 let metrics_snapshot t = Registry.snapshot t.metrics
 
 let gc_snap () = (Gc.minor_words (), (Gc.quick_stat ()).Gc.major_collections)
 let gc_delta (aw, ac) (bw, bc) = (bw -. aw, bc - ac)
 
-let mk_phase ms items (minor_words, major_collections) =
-  { ms; items; minor_words; major_collections }
+let mk_phase ms (minor_words, major_collections) =
+  { ms; minor_words; major_collections }
 
 (* Compile + PLRG for the current topology, with the standard telemetry
    spans and GC brackets.  Raises [Compile.Compile_error] and
@@ -329,7 +308,7 @@ let build_state t ~deadline =
   let sp_plrg = Telemetry.begin_span telemetry "plrg" in
   let gc_plrg0 = gc_snap () in
   let plrg =
-    try Plrg.build ~telemetry ~deadline pb
+    try Plrg.build ~deadline pb
     with e ->
       ignore (Telemetry.end_span telemetry sp_plrg);
       raise e
@@ -354,8 +333,8 @@ let build_state t ~deadline =
       pb;
       plrg;
       oracle = None;
-      compile_phase = mk_phase compile_ms total_actions compile_gc;
-      plrg_phase = mk_phase plrg_ms plrg_props plrg_gc;
+      compile_phase = mk_phase compile_ms compile_gc;
+      plrg_phase = mk_phase plrg_ms plrg_gc;
     }
   in
   (st, t_search)
@@ -366,8 +345,9 @@ let build_state t ~deadline =
 
 (* Postmortem hook: when the telemetry handle carries a flight recorder
    with a dump path, persist the ring (the last N events, ending with the
-   "plan" span's failure attribute and the final counter totals) so the
-   moments before the failure survive for tools/trace_report. *)
+   request's counts and the "plan" span's failure attribute) so the
+   moments before the failure survive for tools/trace_report.  A path
+   that cannot be written costs the dump, never the report. *)
 let flight_dump t =
   match Telemetry.flight t.telemetry with
   | None -> ()
@@ -381,14 +361,51 @@ let flight_dump t =
                 (Stdlib.min
                    (Telemetry.Flight.recorded fl)
                    (Telemetry.Flight.capacity fl))
-                path))
+                path)
+      | exception Sys_error msg ->
+          Log.warn (fun m -> m "flight recorder: dump not written: %s" msg))
+
+(* One request's counts as trace events, read from its finished report;
+   where the registry records the same fact it uses the same name.
+   [reached] says how far the request got — [`Validated] only,
+   [`Compiled] once compiled state (PLRG included) existed, [`Searched]
+   once the RG search ran.  Counts of stages it never reached are zeros
+   that measured nothing, left out here and in [record_metrics]. *)
+let trace_counts telemetry ~reached (r : report) =
+  let s = r.stats and count = Telemetry.count telemetry in
+  if reached <> `Validated then begin
+    count "plrg.relevant_props" s.plrg_props;
+    count "plrg.relevant_actions" s.plrg_actions
+  end;
+  if reached = `Searched then begin
+    count "rg.created" s.rg_created;
+    count "rg.expanded" s.rg_expanded;
+    count "rg.replay_pruned" s.replay_pruned;
+    count "rg.final_replay_rejected" s.final_replay_rejected;
+    count "rg.duplicates" s.rg_duplicates;
+    count "rg.order_repaired" s.order_repaired;
+    count "rg.slrg_deferred" s.slrg_deferred;
+    count "rg.slrg_saved" s.slrg_saved;
+    Telemetry.gauge telemetry "rg.open_left" (float_of_int s.rg_open_left);
+    count "slrg.queries" s.slrg_queries;
+    count "slrg.cache_hits" s.slrg_cache_hits;
+    count "slrg.suffix_harvested" s.slrg_suffix_harvested;
+    count "slrg.bound_promoted" s.slrg_bound_promoted
+  end;
+  Option.iter
+    (fun samples ->
+      let n = List.length samples in
+      count "hq.path_nodes" n;
+      count "hq.wasted_expansions" (Stdlib.max 0 (s.rg_expanded - n)))
+    r.hquality
 
 (* Lifetime metrics recorded for every plan call, successful or not.
    Phase histograms only take samples from requests that actually ran
    the phase (warm requests report compile/plrg as 0 ms — not a latency
-   observation, just absence of work). *)
-let record_metrics t ~was_warm (report : report) =
-  let m = t.metrics in
+   observation, just absence of work), and the search counts only come
+   from requests whose RG ran. *)
+let record_metrics t ~was_warm ~reached (report : report) =
+  let m = t.metrics and s = report.stats in
   Registry.count m "session.plans" 1;
   Registry.count m
     (if Result.is_ok report.result then "session.plans_ok"
@@ -397,8 +414,8 @@ let record_metrics t ~was_warm (report : report) =
   Registry.count m
     (if was_warm then "session.warm_plans" else "session.cold_plans")
     1;
-  Registry.observe_ms m "plan.total_ms" report.stats.t_total_ms;
-  Registry.observe_ms m "plan.search_ms" report.stats.t_search_ms;
+  Registry.observe_ms m "plan.total_ms" s.t_total_ms;
+  Registry.observe_ms m "plan.search_ms" s.t_search_ms;
   let phase_sample name (p : phase) =
     if p.ms > 0. then Registry.observe_ms m name p.ms
   in
@@ -406,30 +423,48 @@ let record_metrics t ~was_warm (report : report) =
   phase_sample "phase.plrg_ms" report.phases.plrg;
   phase_sample "phase.slrg_ms" report.phases.slrg;
   phase_sample "phase.rg_ms" report.phases.rg;
-  Registry.count m "session.invalidated_actions"
-    report.phases.reuse.invalidated;
-  Registry.count m "session.evicted_entries" report.phases.reuse.evicted;
+  Registry.count m "session.invalidated_actions" s.invalidated_actions;
+  Registry.count m "session.evicted_entries" s.evicted_entries;
+  if reached = `Searched then begin
+    Registry.count m "rg.searches" 1;
+    Registry.count m "rg.created" s.rg_created;
+    Registry.count m "rg.expanded" s.rg_expanded;
+    Registry.count m "rg.duplicates" s.rg_duplicates;
+    Registry.set_gauge m "rg.open_left" (float_of_int s.rg_open_left);
+    Registry.count m "slrg.queries" s.slrg_queries;
+    Registry.count m "slrg.cache_hits" s.slrg_cache_hits
+  end;
   match report.result with
   | Ok p -> Registry.set_gauge m "plan.last_cost" p.Plan.cost_lb
   | Error _ -> ()
 
 let plan_exn t =
   let config = t.config and telemetry = t.telemetry in
+  let was_warm = is_warm t in
   let t_total = Timer.start () in
   let deadline =
     match config.deadline_ms with
     | None -> Deadline.none
     | Some ms -> Deadline.after_ms ms
   in
-  let reuse =
-    { invalidated = t.pending_invalidated; evicted = t.pending_evicted }
-  in
+  let invalidated_actions = t.pending_invalidated
+  and evicted_entries = t.pending_evicted in
   t.pending_invalidated <- 0;
   t.pending_evicted <- 0;
   let sp_plan = Telemetry.begin_span telemetry "plan" in
-  let finish ?(phases = empty_phases) ?explanation ?certificate ?hquality
-      result stats =
-    Telemetry.flush_counters telemetry;
+  let finish ?(reached = `Validated) ?(phases = empty_phases) ?explanation
+      ?certificate ?hquality result stats =
+    let report =
+      {
+        result;
+        phases;
+        stats = { stats with invalidated_actions; evicted_entries };
+        explanation;
+        certificate;
+        hquality;
+      }
+    in
+    trace_counts telemetry ~reached report;
     let attrs =
       ("ok", Telemetry.Bool (Result.is_ok result))
       ::
@@ -442,13 +477,12 @@ let plan_exn t =
           [ ("failure", Telemetry.Str (Format.asprintf "%a" pp_failure r)) ])
     in
     ignore (Telemetry.end_span telemetry sp_plan ~attrs);
-    let stats = { stats with invalidated_actions = reuse.invalidated;
-                  evicted_entries = reuse.evicted } in
-    { result; phases = { phases with reuse }; stats; explanation; certificate;
-      hquality }
+    record_metrics t ~was_warm ~reached report;
+    report
   in
-  let invalid msg =
-    finish (Error (Invalid_spec msg)) { empty_stats with t_total_ms = Timer.elapsed_ms t_total }
+  let failed reason =
+    finish (Error reason)
+      { empty_stats with t_total_ms = Timer.elapsed_ms t_total }
   in
   match
     if config.validate_spec then
@@ -462,7 +496,7 @@ let plan_exn t =
                   issues))
     else Ok ()
   with
-  | Error msg -> invalid msg
+  | Error msg -> failed (Invalid_spec msg)
   | Ok () -> (
       match
         match t.state with
@@ -477,72 +511,29 @@ let plan_exn t =
                 Error
                   (Deadline_exceeded { phase; expansions = 0; best_f = None }))
       with
-      | Error reason ->
-          finish (Error reason)
-            { empty_stats with t_total_ms = Timer.elapsed_ms t_total }
+      | Error reason -> failed reason
       | Ok (st, t_search) ->
           let pb = st.pb and plrg = st.plrg in
-          let total_actions = Array.length pb.Problem.actions in
           let plrg_props, plrg_actions = Plrg.stats plrg in
-          (* Consume the pending compile/plrg phase timings: they belong
-             to this report; later warm requests report them as 0 ms. *)
-          let compile_phase = st.compile_phase
-          and plrg_phase = st.plrg_phase in
-          st.compile_phase <- { st.compile_phase with ms = 0.; minor_words = 0.; major_collections = 0 };
-          st.plrg_phase <- { st.plrg_phase with ms = 0.; minor_words = 0.; major_collections = 0 };
-          let base_stats search_ms slrg rg_stats =
+          let stats =
             {
-              total_actions;
+              empty_stats with
+              total_actions = Array.length pb.Problem.actions;
               plrg_props;
               plrg_actions;
-              slrg_nodes =
-                (match slrg with Some (n, _, _, _, _, _, _) -> n | None -> 0);
-              rg_created =
-                (match rg_stats with
-                | Some (s : Rg.stats) -> s.Rg.created
-                | None -> 0);
-              rg_open_left =
-                (match rg_stats with Some s -> s.Rg.open_left | None -> 0);
-              rg_expanded =
-                (match rg_stats with Some s -> s.Rg.expanded | None -> 0);
-              replay_pruned =
-                (match rg_stats with Some s -> s.Rg.replay_pruned | None -> 0);
-              final_replay_rejected =
-                (match rg_stats with
-                | Some s -> s.Rg.final_replay_rejected
-                | None -> 0);
-              rg_duplicates =
-                (match rg_stats with Some s -> s.Rg.duplicates | None -> 0);
-              order_repaired =
-                (match rg_stats with Some s -> s.Rg.order_repaired | None -> 0);
-              slrg_cache_hits =
-                (match slrg with Some (_, h, _, _, _, _, _) -> h | None -> 0);
-              slrg_suffix_harvested =
-                (match slrg with Some (_, _, h, _, _, _, _) -> h | None -> 0);
-              slrg_bound_promoted =
-                (match slrg with Some (_, _, _, p, _, _, _) -> p | None -> 0);
-              slrg_deferred =
-                (match rg_stats with Some s -> s.Rg.slrg_deferred | None -> 0);
-              slrg_saved =
-                (match rg_stats with Some s -> s.Rg.slrg_saved | None -> 0);
-              invalidated_actions = reuse.invalidated;
-              evicted_entries = reuse.evicted;
-              t_total_ms = Timer.elapsed_ms t_total;
-              t_search_ms = search_ms;
             }
           in
-          let base_phases ?(slrg_ms = 0.) ?(slrg_items = 0) ?(slrg_gc = (0., 0))
-              ?(slrg_cache = no_cache) ?(rg_ms = 0.) ?(rg_items = 0)
-              ?(rg_gc = (0., 0)) () =
+          (* Consume the pending compile/plrg phase timings: they belong
+             to this report; later warm requests report them as 0 ms. *)
+          let phases =
             {
-              compile = compile_phase;
-              plrg = plrg_phase;
-              slrg = mk_phase slrg_ms slrg_items slrg_gc;
-              slrg_cache;
-              rg = mk_phase rg_ms rg_items rg_gc;
-              reuse;
+              empty_phases with
+              compile = st.compile_phase;
+              plrg = st.plrg_phase;
             }
           in
+          st.compile_phase <- no_phase;
+          st.plrg_phase <- no_phase;
           if not (Plrg.goals_reachable plrg) then begin
             let unreachable =
               Plrg.unreachable_goals plrg |> List.map (Problem.prop_label pb)
@@ -551,11 +542,13 @@ let plan_exn t =
               if config.explain then Explain.unreachable_certificate pb plrg
               else None
             in
-            finish
-              ~phases:(base_phases ())
-              ?certificate
+            finish ~reached:`Compiled ~phases ?certificate
               (Error (Unreachable_goal unreachable))
-              (base_stats (Timer.elapsed_ms t_search) None None)
+              {
+                stats with
+                t_total_ms = Timer.elapsed_ms t_total;
+                t_search_ms = Timer.elapsed_ms t_search;
+              }
           end
           else begin
             let sp_slrg = Telemetry.begin_span telemetry "slrg" in
@@ -573,26 +566,19 @@ let plan_exn t =
             in
             (* Per-request reset: drop every budget-exhausted bound and
                refill the escalation pool (warm == cold hinges on it),
-               and arm the deadline the queries poll. *)
+               zero the oracle's counts, and arm the deadline the queries
+               poll. *)
             Slrg.begin_request slrg ~deadline;
-            let slrg_create_gc = gc_delta gc_slrg0 (gc_snap ()) in
+            let slrg_create_minor, slrg_create_major =
+              gc_delta gc_slrg0 (gc_snap ())
+            in
             let slrg_create_ms = Telemetry.end_span telemetry sp_slrg in
-            (* Snapshot the oracle's cumulative counters: a warm session
-               reports per-request deltas, which for a fresh oracle equal
-               the totals the one-shot planner always reported. *)
-            let nodes0 = Slrg.nodes_generated slrg
-            and hits0 = Slrg.cache_hits slrg
-            and harv0 = Slrg.suffix_harvested slrg
-            and prom0 = Slrg.bound_promoted slrg
-            and qms0 = Slrg.query_ms slrg
-            and qgcw0 = Slrg.gc_minor_words slrg
-            and qgcm0 = Slrg.gc_major_collections slrg in
             let sp_rg = Telemetry.begin_span telemetry "rg" in
             let gc_rg0 = gc_snap () in
             let profile = if config.profile_h then Some (ref []) else None in
             let result, rg_stats =
               Rg.search ~max_expansions:config.rg_max_expansions ?profile
-                ~telemetry ~metrics:t.metrics ~deadline pb plrg slrg
+                ~telemetry ~deadline pb plrg slrg
             in
             let rg_gc = gc_delta gc_rg0 (gc_snap ()) in
             let rg_ms =
@@ -610,52 +596,43 @@ let plan_exn t =
                   rg_stats.Rg.created rg_stats.Rg.expanded
                   rg_stats.Rg.replay_pruned rg_stats.Rg.duplicates
                   rg_stats.Rg.final_replay_rejected);
-            let slrg_counters =
-              ( Slrg.nodes_generated slrg - nodes0,
-                Slrg.cache_hits slrg - hits0,
-                Slrg.suffix_harvested slrg - harv0,
-                Slrg.bound_promoted slrg - prom0,
-                Slrg.query_ms slrg -. qms0,
-                Slrg.gc_minor_words slrg -. qgcw0,
-                Slrg.gc_major_collections slrg - qgcm0 )
-            in
-            let ( slrg_nodes_d,
-                  hits_d,
-                  harv_d,
-                  prom_d,
-                  qms_d,
-                  qgcw_d,
-                  qgcm_d ) =
-              slrg_counters
-            in
             let stats =
-              base_stats (Timer.elapsed_ms t_search) (Some slrg_counters)
-                (Some rg_stats)
+              {
+                stats with
+                slrg_nodes = Slrg.nodes_generated slrg;
+                slrg_queries = Slrg.queries slrg;
+                slrg_cache_hits = Slrg.cache_hits slrg;
+                slrg_suffix_harvested = Slrg.suffix_harvested slrg;
+                slrg_bound_promoted = Slrg.bound_promoted slrg;
+                rg_created = rg_stats.Rg.created;
+                rg_open_left = rg_stats.Rg.open_left;
+                rg_expanded = rg_stats.Rg.expanded;
+                replay_pruned = rg_stats.Rg.replay_pruned;
+                final_replay_rejected = rg_stats.Rg.final_replay_rejected;
+                rg_duplicates = rg_stats.Rg.duplicates;
+                order_repaired = rg_stats.Rg.order_repaired;
+                slrg_deferred = rg_stats.Rg.slrg_deferred;
+                slrg_saved = rg_stats.Rg.slrg_saved;
+                t_total_ms = Timer.elapsed_ms t_total;
+                t_search_ms = Timer.elapsed_ms t_search;
+              }
             in
-            (* SLRG queries run lazily inside the RG search; their
-               cumulative wall time and GC footprint are attributed to
-               the slrg phase and are therefore a subset of the rg
-               phase's own bracket. *)
+            (* SLRG queries run lazily inside the RG search; their wall
+               time and GC footprint are attributed to the slrg phase and
+               are therefore a subset of the rg phase's own bracket. *)
             let phases =
-              base_phases
-                ~slrg_ms:(slrg_create_ms +. qms_d)
-                ~slrg_items:slrg_nodes_d
-                ~slrg_gc:(fst slrg_create_gc +. qgcw_d, snd slrg_create_gc + qgcm_d)
-                ~slrg_cache:{ hits = hits_d; harvested = harv_d; promoted = prom_d }
-                ~rg_ms ~rg_items:rg_stats.Rg.created ~rg_gc ()
+              {
+                phases with
+                slrg =
+                  mk_phase
+                    (slrg_create_ms +. Slrg.query_ms slrg)
+                    ( slrg_create_minor +. Slrg.gc_minor_words slrg,
+                      slrg_create_major + Slrg.gc_major_collections slrg );
+                rg = mk_phase rg_ms rg_gc;
+              }
             in
-            let hquality =
-              match profile with
-              | None -> None
-              | Some samples ->
-                  let n = List.length !samples in
-                  if Telemetry.enabled telemetry then begin
-                    Telemetry.count telemetry "hq.path_nodes" n;
-                    Telemetry.count telemetry "hq.wasted_expansions"
-                      (Stdlib.max 0 (rg_stats.Rg.expanded - n))
-                  end;
-                  Some !samples
-            in
+            let hquality = Option.map (fun samples -> !samples) profile in
+            let finish = finish ~reached:`Searched ~phases ?hquality in
             match result with
             | Rg.Solution (tail, metrics, cost_lb) ->
                 Log.info (fun m ->
@@ -668,9 +645,7 @@ let plan_exn t =
                 (match certified with
                 | Error reason ->
                     Registry.count t.metrics "analysis.certify_failed" 1;
-                    finish ~phases ?hquality
-                      (Error (Certification_failed reason))
-                      stats
+                    finish (Error (Certification_failed reason)) stats
                 | Ok () ->
                     if config.certify then
                       Registry.count t.metrics "analysis.certified_plans" 1;
@@ -681,9 +656,8 @@ let plan_exn t =
                         | Error _ -> None
                       else None
                     in
-                    finish ~phases ?explanation ?hquality (Ok plan) stats)
-            | Rg.Exhausted ->
-                finish ~phases ?hquality (Error Resource_exhausted) stats
+                    finish ?explanation (Ok plan) stats)
+            | Rg.Exhausted -> finish (Error Resource_exhausted) stats
             | Rg.Budget_exceeded { expansions; best_f; frontier } ->
                 let certificate =
                   match frontier with
@@ -691,7 +665,7 @@ let plan_exn t =
                       Some (Explain.frontier_certificate pb ~best_f fr)
                   | _ -> None
                 in
-                finish ~phases ?certificate ?hquality
+                finish ?certificate
                   (Error (Search_limit { expansions; best_f }))
                   stats
             | Rg.Deadline_reached { expansions; best_f; frontier } ->
@@ -701,7 +675,7 @@ let plan_exn t =
                       Some (Explain.frontier_certificate pb ~best_f fr)
                   | _ -> None
                 in
-                finish ~phases ?certificate ?hquality
+                finish ?certificate
                   (Error
                      (Deadline_exceeded
                         { phase = "rg"; expansions; best_f = Some best_f }))
@@ -709,10 +683,8 @@ let plan_exn t =
           end)
 
 let plan t =
-  let was_warm = is_warm t in
   match plan_exn t with
   | report ->
-      record_metrics t ~was_warm report;
       (* The flight recorder holds its peace through ordinary failures
          (invalid specs, provably unreachable goals): the report already
          explains those.  Budget and deadline cutoffs are the cases where
@@ -724,9 +696,8 @@ let plan t =
       report
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      (* An escaping exception means some phase died unexpectedly: flush
-         counter totals into the ring, dump, and re-raise. *)
-      Telemetry.flush_counters t.telemetry;
+      (* An escaping exception means some phase died unexpectedly: dump
+         the ring and re-raise. *)
       Registry.count t.metrics "session.plans" 1;
       Registry.count t.metrics "session.plans_failed" 1;
       flight_dump t;
@@ -810,9 +781,8 @@ let update t delta =
           else begin
             let sp_plrg = Telemetry.begin_span telemetry "plrg" in
             let gc_plrg0 = gc_snap () in
-            let plrg = Plrg.build ~telemetry pb in
+            let plrg = Plrg.build pb in
             let plrg_gc = gc_delta gc_plrg0 (gc_snap ()) in
-            let plrg_props, _ = Plrg.stats plrg in
             let plrg_ms = Telemetry.end_span telemetry sp_plrg in
             (* Taint on both sides of the delta: the old problem catches
                chains through removed actions, the new one chains through
@@ -832,9 +802,8 @@ let update t delta =
             in
             st.pb <- pb;
             st.plrg <- plrg;
-            st.compile_phase <-
-              mk_phase compile_ms (Array.length pb.Problem.actions) compile_gc;
-            st.plrg_phase <- mk_phase plrg_ms plrg_props plrg_gc;
+            st.compile_phase <- mk_phase compile_ms compile_gc;
+            st.plrg_phase <- mk_phase plrg_ms plrg_gc;
             t.pending_invalidated <- t.pending_invalidated + invalidated;
             t.pending_evicted <- t.pending_evicted + evicted;
             Log.info (fun m ->

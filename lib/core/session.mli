@@ -13,7 +13,7 @@
     ({!Compile.recompile}) and only oracle entries whose proposition sets
     cross the delta's taint cone are evicted ({!Supports.taint},
     {!Slrg.refresh}); the work done is surfaced as the
-    [invalidated_actions] / [evicted_entries] counters of the next
+    [invalidated_actions] / [evicted_entries] counts of the next
     report.
 
     {b Warm == cold.}  A warm re-plan agrees with a cold [Planner.plan]
@@ -30,7 +30,8 @@
     cached from whichever query harvested them first, so warm and cold
     h-values can differ in the last ulp and swap f-tied frontier nodes
     (possibly returning a different equally-cheap optimum).  Timing
-    fields and cumulative oracle statistics naturally differ.
+    fields and the oracle's counts (a warm oracle answers more queries
+    from its cache) naturally differ.
 
     {b Deadlines.}  [config.deadline_ms] arms a monotonic
     ({!Sekitei_util.Timer}) cancellation token for each request, polled
@@ -94,11 +95,17 @@ type failure_reason =
           rejected the emitted plan — always a planner bug; carries the
           rendered diagnostic *)
 
+(** One request's counts.  Every other view of a count — {!pp_phases},
+    the trace's [Counter] events, the registry's search counters — is
+    read from this record.  A count of a stage the request never reached
+    is 0. *)
 type stats = {
   total_actions : int;  (** Table 2 col 5: leveled actions after pruning *)
   plrg_props : int;  (** Table 2 col 6 (left) *)
   plrg_actions : int;  (** Table 2 col 6 (right) *)
   slrg_nodes : int;  (** Table 2 col 7 — this request's share *)
+  slrg_queries : int;
+      (** SLRG queries that ran an A* (the rest were {!slrg_cache_hits}) *)
   rg_created : int;  (** Table 2 col 8 (left) *)
   rg_open_left : int;  (** Table 2 col 8 (right) *)
   rg_expanded : int;
@@ -112,8 +119,7 @@ type stats = {
           after failing from-init validation *)
   slrg_cache_hits : int;
       (** SLRG queries answered from the solved or capped-bound caches
-          {e during this request} (warm sessions report per-request
-          deltas; for a one-shot run these equal the oracle totals) *)
+          without running an A* *)
   slrg_suffix_harvested : int;
       (** exact SLRG cache entries recorded by suffix-cost harvesting
           beyond the queried roots themselves *)
@@ -156,51 +162,30 @@ val request :
   Sekitei_spec.Model.app ->
   request
 
-(** One phase of the pipeline: wall time, a characteristic size, and the
-    phase's GC footprint ([Gc.quick_stat] deltas bracketing the phase —
-    minor-heap words allocated and major collections triggered).  Rising
-    allocation pressure is the usual early warning when a phase's wall
-    time regresses.  On a warm request the compile and plrg phases
-    report [ms = 0.] (the work was done by an earlier request or update)
-    while keeping their item counts. *)
-type phase = {
-  ms : float;
-  items : int;
-  minor_words : float;
-  major_collections : int;
-}
-
-(** Cross-query reuse counters of the SLRG cost oracle (printed by
-    {!pp_phases} as [slrg_cache=hits/harvested/promoted]). *)
-type slrg_cache = {
-  hits : int;  (** queries answered without running an A* *)
-  harvested : int;  (** suffix entries recorded beyond queried roots *)
-  promoted : int;  (** exhausted bounds replaced by exact entries *)
-}
-
-(** Session-reuse counters (printed by {!pp_phases} as
-    [reuse=invalidated/evicted]); both 0 for one-shot runs and for warm
-    requests with no intervening {!update}. *)
-type reuse_counters = { invalidated : int; evicted : int }
+(** One phase of the pipeline: wall time and the phase's GC footprint
+    ([Gc.quick_stat] deltas bracketing the phase — minor-heap words
+    allocated and major collections triggered).  Rising allocation
+    pressure is the usual early warning when a phase's wall time
+    regresses.  On a warm request the compile and plrg phases report
+    zeros (the work was done by an earlier request or update).  A
+    phase's counts live in {!stats}. *)
+type phase = { ms : float; minor_words : float; major_collections : int }
 
 type phases = {
-  compile : phase;  (** items = leveled actions after pruning *)
-  plrg : phase;  (** items = relevant propositions *)
+  compile : phase;
+  plrg : phase;
   slrg : phase;
-      (** items = set nodes generated this request; [ms] (and the GC
-          fields) = oracle construction (first request only) plus the
-          footprint of its lazy queries, which run {e inside} the RG
-          search (so the slrg phase overlaps the rg one) *)
-  slrg_cache : slrg_cache;
-  rg : phase;  (** items = RG nodes created *)
-  reuse : reuse_counters;
+      (** oracle construction (first request only) plus the footprint of
+          its lazy queries, which run {e inside} the RG search (so the
+          slrg phase overlaps the rg one) *)
+  rg : phase;
 }
 
 type report = {
   result : (Plan.t, failure_reason) Stdlib.result;
   phases : phases;
       (** per-phase timings are measured monotonically even with the null
-          telemetry; phases not reached report [{ ms = 0.; items = 0 }] *)
+          telemetry; phases not reached report zeros *)
   stats : stats;
   explanation : Explain.t option;
       (** per-action cost/level/slack account; [Some] iff
@@ -255,14 +240,22 @@ val topology : t -> Sekitei_network.Topology.t
     {!update} had to flush. *)
 val is_warm : t -> bool
 
+(** The compiled problem the session plans against; [None] exactly when
+    {!is_warm} is false.  A plan printed or audited against it matches
+    the one the session emitted, with no second compile. *)
+val problem : t -> Problem.t option
+
 (** The session's always-on metric registry.  Every {!plan} records
     lifetime counters (["session.plans"], [_ok]/[_failed], warm/cold
     splits, invalidation work), per-phase latency histograms
     (["phase.compile_ms"] ... ["phase.rg_ms"], ["plan.total_ms"],
-    ["plan.search_ms"]), and the ["plan.last_cost"] gauge; the SLRG
-    oracle and RG search add ["slrg.*"] / ["rg.*"] query and volume
-    metrics; {!update} counts ["session.updates"].  Render a snapshot
-    with {!Sekitei_telemetry.Export}. *)
+    ["plan.search_ms"]), and the ["plan.last_cost"] gauge.  A plan whose
+    RG search ran also adds its search counts from the report
+    (["rg.searches"], ["rg.created"], ["rg.expanded"],
+    ["rg.duplicates"], ["slrg.queries"], ["slrg.cache_hits"]) and the
+    ["rg.open_left"] gauge; the SLRG oracle records each query's latency
+    in ["slrg.query_ms"].  {!update} counts ["session.updates"].  Render
+    a snapshot with {!Sekitei_telemetry.Export}. *)
 val metrics : t -> Sekitei_telemetry.Registry.t
 
 (** [Registry.snapshot (metrics t)]. *)
@@ -272,14 +265,20 @@ val metrics_snapshot : t -> Sekitei_telemetry.Registry.snapshot
     this is the first call (or the state was flushed).  Emits the same
     telemetry span tree as the one-shot planner; on failure the ["plan"]
     span's end event additionally carries a ["failure"] string attribute
-    with the {!pp_failure}-rendered reason.
+    with the {!pp_failure}-rendered reason.  Just before that end event
+    the report's counts go out as [Counter] events, one per count and
+    plan, under the registry's names where the two share a fact: the
+    ["plrg.*"] counts once compiled state exists, and the ["rg.*"],
+    ["slrg.*"] and (under [config.profile_h]) ["hq.*"] counts when the
+    RG search ran.
 
     When the request's telemetry handle arms a
     {!Sekitei_telemetry.Telemetry.Flight} recorder with a dump path, a
     [Search_limit] or [Deadline_exceeded] failure — or an exception
-    escaping a phase — dumps the ring to that path before returning
-    (counter totals are flushed into the ring first, so the dump ends
-    with the failure evidence). *)
+    escaping a phase — dumps the ring to that path before returning, so
+    the dump ends with the request's counts and the failure evidence.  A
+    dump that cannot be written is logged as a warning; the report is
+    returned all the same. *)
 val plan : t -> report
 
 (** [update t delta] mutates the session's topology and incrementally
@@ -305,4 +304,6 @@ val update : t -> delta -> t
     trace_report surfaces. *)
 val pp_failure : Format.formatter -> failure_reason -> unit
 val pp_stats : Format.formatter -> stats -> unit
-val pp_phases : Format.formatter -> phases -> unit
+
+(** The report's phase timings, each beside its count from {!stats}. *)
+val pp_phases : Format.formatter -> report -> unit

@@ -54,29 +54,23 @@ type t = {
   mutable bound_spent : int array;
       (** expansion budget spent finding [bound_val] (drives the
           doubled-budget escalation on re-query) *)
-  mutable generated : int;
   mutable escalation_pool : int;
       (** remaining expansions escalated re-runs may spend, shared across
           all sets of this oracle *)
+  telemetry : Telemetry.t;
+  m_query_ms : Registry.histogram option;
+      (** per-query latency distribution in the always-on registry *)
+  (* The counts below cover the current request: {!begin_request} zeroes
+     them.  They are plain fields, always tracked — the planner's report
+     is their only reader. *)
+  mutable generated : int;
+  mutable queries : int;  (** non-memoized queries (A* runs) *)
   mutable cache_hits : int;
   mutable suffix_harvested : int;
   mutable bound_promoted : int;
-  telemetry : Telemetry.t;
-  hit_ctr : Telemetry.counter;
-      (** pre-resolved cell for the per-hit bump — the one counter on the
-          memoized fast path, where a per-call name lookup would show *)
-  harv_ctr : Telemetry.counter;
-  prom_ctr : Telemetry.counter;
-  m_queries : Registry.counter option;
-  m_hits : Registry.counter option;
-  m_query_ms : Registry.histogram option;
-      (** per-query latency distribution in the always-on registry *)
-  mutable query_ms : float;
-      (** cumulative wall time of non-memoized queries (always tracked —
-          the planner's phase report needs it even without telemetry) *)
+  mutable query_ms : float;  (** wall time of non-memoized queries *)
   mutable gc_minor_words : float;
-      (** cumulative [Gc.minor_words] allocated inside non-memoized
-          queries (phase-level allocation accounting) *)
+      (** [Gc.minor_words] allocated inside non-memoized queries *)
   mutable gc_major_collections : int;
   mutable hmax_by_id : float array;
       (** PLRG h_max per interned set id, [nan] = not yet computed — the
@@ -112,19 +106,15 @@ let create ?(telemetry = Telemetry.null) ?metrics ?(query_budget = 500)
     solved_ids = [];
     bound_val = Array.make 1024 Float.nan;
     bound_spent = Array.make 1024 0;
-    generated = 0;
     escalation_pool = escalation_pool_factor * query_budget;
+    telemetry;
+    m_query_ms =
+      Option.map (fun m -> Registry.histogram m "slrg.query_ms") metrics;
+    generated = 0;
+    queries = 0;
     cache_hits = 0;
     suffix_harvested = 0;
     bound_promoted = 0;
-    telemetry;
-    hit_ctr = Telemetry.counter telemetry "slrg.cache_hit";
-    harv_ctr = Telemetry.counter telemetry "slrg.suffix_harvested";
-    prom_ctr = Telemetry.counter telemetry "slrg.bound_promoted";
-    m_queries = Option.map (fun m -> Registry.counter m "slrg.queries") metrics;
-    m_hits = Option.map (fun m -> Registry.counter m "slrg.cache_hits") metrics;
-    m_query_ms =
-      Option.map (fun m -> Registry.histogram m "slrg.query_ms") metrics;
     query_ms = 0.;
     gc_minor_words = 0.;
     gc_major_collections = 0;
@@ -252,11 +242,9 @@ let harvest t ~(root : Propset.handle) ~cost from =
           if Float.is_nan (solved t id) then begin
             set_solved t id c;
             t.suffix_harvested <- t.suffix_harvested + 1;
-            Telemetry.incr t.harv_ctr 1;
             if not (Float.is_nan (bound t id)) then begin
               clear_bound t id;
-              t.bound_promoted <- t.bound_promoted + 1;
-              Telemetry.incr t.prom_ctr 1
+              t.bound_promoted <- t.bound_promoted + 1
             end
           end
         end;
@@ -408,8 +396,7 @@ let run_query t (root : Propset.handle) ~prior ~budget =
           done;
         if not (Float.is_nan (bound t root.Propset.id)) then begin
           clear_bound t root.Propset.id;
-          t.bound_promoted <- t.bound_promoted + 1;
-          Telemetry.incr t.prom_ctr 1
+          t.bound_promoted <- t.bound_promoted + 1
         end;
         set_solved t root.Propset.id cost;
         cost
@@ -427,7 +414,7 @@ let run_query t (root : Propset.handle) ~prior ~budget =
   in
   if prior <> None then t.escalation_pool <- t.escalation_pool - !expansions;
   let this_query_ms = Timer.elapsed_ms t0 in
-  (match t.m_queries with Some c -> Registry.incr c 1 | None -> ());
+  t.queries <- t.queries + 1;
   (match t.m_query_ms with
   | Some h -> Registry.observe h this_query_ms
   | None -> ());
@@ -449,10 +436,7 @@ let run_query t (root : Propset.handle) ~prior ~budget =
   | None -> ());
   cost
 
-let cache_hit t =
-  t.cache_hits <- t.cache_hits + 1;
-  Telemetry.incr t.hit_ctr 1;
-  match t.m_hits with Some c -> Registry.incr c 1 | None -> ()
+let cache_hit t = t.cache_hits <- t.cache_hits + 1
 
 (* [root] must be a handle of this oracle's {!ctx} (the RG shares the ctx
    and passes its nodes' handles through unchanged; results are memoized
@@ -486,6 +470,7 @@ let query_h t (root : Propset.handle) =
 let query_set t (root : int array) = query_h t (Propset.intern t.ctx root)
 let query t props = query_set t (Propset.canonical t.problem props)
 let nodes_generated t = t.generated
+let queries t = t.queries
 let query_ms t = t.query_ms
 let gc_minor_words t = t.gc_minor_words
 let gc_major_collections t = t.gc_major_collections
@@ -508,12 +493,21 @@ let iter_solved t f =
    the order earlier queries arrived in.  Dropping every bound and
    refilling the escalation pool at each request start is what makes a
    warm re-plan bit-identical to a cold one (provided no root query
-   exhausts its budget in the cold run; see {!Session}). *)
+   exhausts its budget in the cold run; see {!Session}).  The counts
+   restart too, so after the request's search they hold its share. *)
 let begin_request t ~deadline =
   Array.fill t.bound_val 0 (Array.length t.bound_val) Float.nan;
   Array.fill t.bound_spent 0 (Array.length t.bound_spent) 0;
   t.escalation_pool <- escalation_pool_factor * t.query_budget;
-  t.deadline <- deadline
+  t.deadline <- deadline;
+  t.generated <- 0;
+  t.queries <- 0;
+  t.cache_hits <- 0;
+  t.suffix_harvested <- 0;
+  t.bound_promoted <- 0;
+  t.query_ms <- 0.;
+  t.gc_minor_words <- 0.;
+  t.gc_major_collections <- 0
 
 let refresh t (pb : Problem.t) plrg ~dirty =
   t.problem <- pb;

@@ -32,13 +32,12 @@
 type t
 
 (** [telemetry] attaches a ["slrg.query"] sub-span to every non-memoized
-    query (set size, A* expansions, resulting cost) and counts cache hits
-    ([slrg.cache_hit]), harvested suffix entries ([slrg.suffix_harvested])
-    and bound promotions ([slrg.bound_promoted]).  [metrics] additionally
-    records into the always-on registry: a ["slrg.query_ms"] per-query
-    latency histogram plus ["slrg.queries"] / ["slrg.cache_hits"]
-    counters (handles are resolved once here, on the creating domain, so
-    recording stays off the registry's locks). *)
+    query (set size, A* expansions, resulting cost).  [metrics] records
+    each such query's latency into the always-on registry's
+    ["slrg.query_ms"] histogram (the handle is resolved once here, on
+    the creating domain, so recording stays off the registry's locks).
+    Per-query samples exist only in these two places; the oracle's
+    counts below are plain fields the planner's report reads. *)
 val create :
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
   ?metrics:Sekitei_telemetry.Registry.t ->
@@ -75,17 +74,26 @@ val query_h : t -> Propset.handle -> float
     own A* expansions and the RG's deferred pushes. *)
 val h_max_h : t -> Propset.handle -> float
 
-(** Total number of set nodes generated across all queries so far
-    (Table 2, column SLRG). *)
+(** {1 Counts}
+
+    Each count covers the queries since the last {!begin_request} (or
+    since {!create}), so after a request's search it holds that
+    request's share. *)
+
+(** Set nodes generated (Table 2, column SLRG). *)
 val nodes_generated : t -> int
 
-(** Cumulative wall time (ms) spent inside non-memoized queries — the
-    SLRG share of the RG search phase in the planner's report.  Tracked
-    whether or not telemetry is enabled. *)
+(** Non-memoized queries: each one runs an A* (escalated re-runs
+    included). *)
+val queries : t -> int
+
+(** Wall time (ms) spent inside non-memoized queries — the SLRG share of
+    the RG search phase in the planner's report.  Tracked whether or not
+    telemetry is enabled. *)
 val query_ms : t -> float
 
-(** Cumulative [Gc.minor_words] allocated inside non-memoized queries
-    (the SLRG share of the search phase's allocation, reported next to
+(** [Gc.minor_words] allocated inside non-memoized queries (the SLRG
+    share of the search phase's allocation, reported next to
     {!query_ms}). *)
 val gc_minor_words : t -> float
 
@@ -104,6 +112,8 @@ val suffix_harvested : t -> int
     (escalated re-query or harvest). *)
 val bound_promoted : t -> int
 
+(** {1 Cache access and request lifecycle} *)
+
 (** Iterate over every exact solved cache entry (canonical set, cost).
     Exposed for cache-consistency tests and diagnostics; the iteration
     order is unspecified. *)
@@ -112,13 +122,13 @@ val iter_solved : t -> (int array -> float -> unit) -> unit
 (** [begin_request t ~deadline] resets the per-request state before a
     (possibly warm) plan request: every exhausted-query bound is dropped,
     the escalation pool is refilled, and [deadline] becomes the token
-    polled (every 64 expansions) by subsequent queries.  Exact solved
-    entries and memoized h_max values are kept — they are
-    path-independent facts about the problem — while bounds depend on
-    budgets and query order and would make warm results diverge from a
-    cold run.  A query interrupted by the deadline behaves exactly like a
-    budget-exhausted one: it returns (and caches) an admissible lower
-    bound. *)
+    polled (every 64 expansions) by subsequent queries; every count
+    above restarts at zero.  Exact solved entries and memoized h_max
+    values are kept — they are path-independent facts about the
+    problem — while bounds depend on budgets and query order and would
+    make warm results diverge from a cold run.  A query interrupted by
+    the deadline behaves exactly like a budget-exhausted one: it returns
+    (and caches) an admissible lower bound. *)
 val begin_request : t -> deadline:Sekitei_util.Deadline.t -> unit
 
 (** [refresh t pb plrg ~dirty] rebinds a live oracle to a recompiled

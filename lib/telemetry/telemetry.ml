@@ -165,7 +165,6 @@ type t = {
   progress_interval : int;
   mutable next_id : int;
   mutable open_stack : int list;  (** ids of currently open spans *)
-  counters : (string, int ref) Hashtbl.t;
 }
 
 type span = { span_id : int; span_name : string; started : Timer.t }
@@ -179,9 +178,6 @@ let make ?flight sinks progress_interval =
     progress_interval;
     next_id = 1;
     open_stack = [];
-    (* Pre-sized past the planner's worst-case live counter-name count so
-       recording never rehashes mid-search. *)
-    counters = Hashtbl.create 64;
   }
 
 let null = make [] 0
@@ -244,38 +240,8 @@ let with_span_timed ?attrs t name f =
 
 (* ---------------- counters / gauges / progress ---------------- *)
 
-let find_cell t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.counters name r;
-      r
-
-let count t name n =
-  if t.active then begin
-    let r = find_cell t name in
-    r := !r + n
-  end
-
-type counter = { c_active : bool; cell : int ref }
-
-let counter t name =
-  if t.active then { c_active = true; cell = find_cell t name }
-  else { c_active = false; cell = ref 0 }
-
-let incr c n = if c.c_active then c.cell := !(c.cell) + n
-
-let counter_total t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let flush_counters t =
-  if t.active then begin
-    let t_ms = elapsed_ms t in
-    Hashtbl.fold (fun name total acc -> (name, !total) :: acc) t.counters []
-    |> List.sort compare
-    |> List.iter (fun (name, total) -> emit t (Counter { name; total; t_ms }))
-  end
+let count t name total =
+  if t.active then emit t (Counter { name; total; t_ms = elapsed_ms t })
 
 let gauge t name value =
   if t.active then emit t (Gauge { name; value; t_ms = elapsed_ms t })
@@ -283,9 +249,7 @@ let gauge t name value =
 let progress t name attrs =
   if t.active then emit t (Progress { name; t_ms = elapsed_ms t; attrs })
 
-let close t =
-  flush_counters t;
-  List.iter (fun s -> s.close ()) t.sinks
+let close t = List.iter (fun s -> s.close ()) t.sinks
 
 (* ---------------- sinks ---------------- *)
 

@@ -3,9 +3,8 @@
     A {!t} is a handle threaded through {!Sekitei_core}'s phases
     ([compile], [plrg], [slrg], [rg], [replay]).  The phases wrap their
     work in {e spans} (well-nested, monotonically timestamped via
-    {!Sekitei_util.Timer}), bump named {e counters}, record {e gauges},
-    and emit periodic search {e progress} events; everything is delivered
-    to pluggable {e sinks}.
+    {!Sekitei_util.Timer}) and emit periodic search {e progress} events;
+    everything is delivered to pluggable {e sinks}.
 
     The default handle is {!null}: no sinks.  Every emitting operation
     begins with a single empty-sinks branch, so instrumented hot loops
@@ -14,8 +13,9 @@
     the true duration — because {!Sekitei_core.Planner}'s per-phase
     report is populated from spans whether or not a sink listens.
 
-    Counters are aggregated in the handle (no per-increment events) and
-    emitted as [Counter] totals by {!flush_counters} / {!close}. *)
+    The handle keeps no counts.  A request's counts live in its
+    {!Sekitei_core.Session.report}; the session emits them as [Counter]
+    and [Gauge] events once the request is finished. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 
@@ -30,7 +30,7 @@ type event =
       attrs : (string * value) list;
     }
   | Counter of { name : string; total : int; t_ms : float }
-      (** cumulative total at flush time *)
+      (** one request's value of a count, emitted once per plan *)
   | Gauge of { name : string; value : float; t_ms : float }
   | Progress of { name : string; t_ms : float; attrs : (string * value) list }
       (** periodic search heartbeat (open-list size, best f, ...) *)
@@ -132,33 +132,14 @@ val with_span_timed :
 
 (** {1 Counters, gauges, progress} *)
 
-(** [count t name n] adds [n] to the named counter (aggregated; emitted
-    by {!flush_counters}). *)
+(** [count t name total] emits one [Counter] event at once; a no-op
+    unless the handle is {!enabled}. *)
 val count : t -> string -> int -> unit
-
-(** A pre-resolved counter cell: {!incr} is a branch plus an integer
-    add — no per-call name hashing — so hot loops (SLRG cache hits, RG
-    expansions) can count unconditionally.  Under {!null} the handle is
-    inert. *)
-type counter
-
-(** [counter t name] resolves (creating if needed) the named counter's
-    cell.  Later {!count}/{!counter_total} calls for the same name see
-    increments made through the handle. *)
-val counter : t -> string -> counter
-
-val incr : counter -> int -> unit
-
-(** Current aggregate (0 for unknown names or under {!null}). *)
-val counter_total : t -> string -> int
-
-(** Emit every counter's total as a [Counter] event (sorted by name). *)
-val flush_counters : t -> unit
 
 val gauge : t -> string -> float -> unit
 val progress : t -> string -> (string * value) list -> unit
 
-(** {!flush_counters}, then close every sink. *)
+(** Close every sink. *)
 val close : t -> unit
 
 (** {1 Sinks} *)

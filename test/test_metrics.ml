@@ -253,31 +253,32 @@ let test_dump_on_failure () =
     (Sekitei_spec.Str_split.split_once body "deadline" <> None);
   Sys.remove path
 
-(* ---------------- telemetry counters & jsonl ---------------- *)
-
-let test_counter_handle () =
-  let sink, events = Telemetry.memory () in
-  let t = Telemetry.create [ sink ] in
-  let c = Telemetry.counter t "x" in
-  Telemetry.incr c 5;
-  Telemetry.incr c 5;
-  Telemetry.count t "x" 1;
-  Alcotest.(check int) "handle and name share the cell" 11
-    (Telemetry.counter_total t "x");
-  Telemetry.flush_counters t;
-  let flushed =
-    List.filter_map
-      (function
-        | Telemetry.Counter { name = "x"; total; _ } -> Some total | _ -> None)
-      (events ())
+(* A dump path that cannot be written costs the dump, never the report:
+   the deadline failure still comes back, and no dump is counted. *)
+let test_dump_unwritable () =
+  let file = Filename.temp_file "sekitei_flight" ".jsonl" in
+  (* A regular file cannot be a directory, so this path never opens. *)
+  let path = Filename.concat file "dump.jsonl" in
+  let telemetry =
+    Telemetry.create ~flight:(Telemetry.Flight.create ~dump_path:path ()) []
   in
-  Alcotest.(check (list int)) "flushed total" [ 11 ] flushed;
-  (* Under null everything is inert and no state accumulates. *)
-  let nc = Telemetry.counter Telemetry.null "x" in
-  Telemetry.incr nc 3;
-  Telemetry.count Telemetry.null "x" 7;
-  Alcotest.(check int) "null records nothing" 0
-    (Telemetry.counter_total Telemetry.null "x")
+  let metrics = Registry.create () in
+  let sc = Scenarios.tiny () in
+  let config = { Planner.default_config with deadline_ms = Some 0. } in
+  let o =
+    Planner.plan ~metrics
+      (Planner.request ~config ~telemetry sc.Scenarios.topo sc.Scenarios.app
+         ~leveling:(Media.leveling Media.C sc.Scenarios.app))
+  in
+  (match o.Planner.result with
+  | Error (Planner.Deadline_exceeded _) -> ()
+  | Ok _ -> Alcotest.fail "deadline 0 should not produce a plan"
+  | Error _ -> Alcotest.fail "expected Deadline_exceeded");
+  Alcotest.(check int) "no dump counted" 0
+    (Registry.counter_value (Registry.snapshot metrics) "session.flight_dumps");
+  Sys.remove file
+
+(* ---------------- jsonl ---------------- *)
 
 let test_jsonl_root_flush () =
   let path = Filename.temp_file "sekitei_trace" ".jsonl" in
@@ -356,7 +357,7 @@ let suite =
     ("flight ring wraparound", `Quick, test_ring_wraparound);
     ("flight dump format", `Quick, test_ring_dump_format);
     ("flight dump on failure", `Quick, test_dump_on_failure);
-    ("counter handles", `Quick, test_counter_handle);
+    ("flight dump unwritable", `Quick, test_dump_unwritable);
     ("jsonl root flush", `Quick, test_jsonl_root_flush);
     ("export validators", `Quick, test_export_validators);
     ("session metrics", `Quick, test_session_metrics);

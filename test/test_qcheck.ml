@@ -295,6 +295,7 @@ let prop_telemetry_transparent =
       && s1.Planner.rg_expanded = s2.Planner.rg_expanded
       && s1.Planner.rg_duplicates = s2.Planner.rg_duplicates
       && s1.Planner.slrg_nodes = s2.Planner.slrg_nodes
+      && s1.Planner.slrg_queries = s2.Planner.slrg_queries
       && s1.Planner.slrg_cache_hits = s2.Planner.slrg_cache_hits
       && s1.Planner.slrg_suffix_harvested = s2.Planner.slrg_suffix_harvested
       && s1.Planner.slrg_bound_promoted = s2.Planner.slrg_bound_promoted

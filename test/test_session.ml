@@ -10,6 +10,8 @@ module Slrg = Sekitei_core.Slrg
 module Rg = Sekitei_core.Rg
 module Problem = Sekitei_core.Problem
 module Deadline = Sekitei_util.Deadline
+module Telemetry = Sekitei_telemetry.Telemetry
+module Registry = Sekitei_telemetry.Registry
 module Scenarios = Sekitei_harness.Scenarios
 module Media = Sekitei_domains.Media
 module T = Sekitei_network.Topology
@@ -41,12 +43,12 @@ let test_warm_skips_compile () =
   (* The compile/plrg work belongs to the first report; the warm request
      reports zero phase time while keeping the item counts. *)
   Alcotest.(check bool) "cold run compiled" true
-    (cold.Planner.phases.Planner.compile.Planner.items > 0);
+    (cold.Planner.phases.Planner.compile.Planner.minor_words > 0.);
   close "warm compile ms" 0. warm.Planner.phases.Planner.compile.Planner.ms;
   close "warm plrg ms" 0. warm.Planner.phases.Planner.plrg.Planner.ms;
   Alcotest.(check int) "warm keeps action count"
-    cold.Planner.phases.Planner.compile.Planner.items
-    warm.Planner.phases.Planner.compile.Planner.items;
+    cold.Planner.stats.Planner.total_actions
+    warm.Planner.stats.Planner.total_actions;
   close "same cost" (cost_of "cold" cold) (cost_of "warm" warm);
   Alcotest.(check int) "no invalidation without updates" 0
     warm.Planner.stats.Planner.invalidated_actions;
@@ -319,6 +321,70 @@ let test_deadline_does_not_poison_session () =
   Alcotest.(check bool) "still warm" true (Session.is_warm session);
   close "still plans" cost0 (cost_of "replan" (Session.plan session))
 
+(* ---------------- one route per count ---------------- *)
+
+(* The report is the one place a count is computed.  In a traced session
+   each plan's Counter events carry exactly that plan's stats, once per
+   name, and the registry's search counters are their sums.  The warm
+   plan answers from a hot oracle, so its counts differ from the cold
+   one's: a cumulative route would show here. *)
+let test_counters_agree () =
+  let sink, events = Telemetry.memory () in
+  let telemetry = Telemetry.create [ sink ] in
+  let _, req = small_request () in
+  let session = Session.create { req with Planner.telemetry } in
+  let plan_with_counters () =
+    let seen = List.length (events ()) in
+    let r = Session.plan session in
+    let counters =
+      List.filteri (fun i _ -> i >= seen) (events ())
+      |> List.filter_map (function
+           | Telemetry.Counter { name; total; _ } -> Some (name, total)
+           | _ -> None)
+    in
+    (r.Planner.stats, List.sort compare counters)
+  in
+  let expected (s : Planner.stats) =
+    List.sort compare
+      [
+        ("plrg.relevant_props", s.Planner.plrg_props);
+        ("plrg.relevant_actions", s.Planner.plrg_actions);
+        ("rg.created", s.Planner.rg_created);
+        ("rg.expanded", s.Planner.rg_expanded);
+        ("rg.replay_pruned", s.Planner.replay_pruned);
+        ("rg.final_replay_rejected", s.Planner.final_replay_rejected);
+        ("rg.duplicates", s.Planner.rg_duplicates);
+        ("rg.order_repaired", s.Planner.order_repaired);
+        ("rg.slrg_deferred", s.Planner.slrg_deferred);
+        ("rg.slrg_saved", s.Planner.slrg_saved);
+        ("slrg.queries", s.Planner.slrg_queries);
+        ("slrg.cache_hits", s.Planner.slrg_cache_hits);
+        ("slrg.suffix_harvested", s.Planner.slrg_suffix_harvested);
+        ("slrg.bound_promoted", s.Planner.slrg_bound_promoted);
+      ]
+  in
+  let counts = Alcotest.(list (pair string int)) in
+  let cold, cold_counters = plan_with_counters () in
+  let warm, warm_counters = plan_with_counters () in
+  Alcotest.check counts "cold plan's counters" (expected cold) cold_counters;
+  Alcotest.check counts "warm plan's counters" (expected warm) warm_counters;
+  Alcotest.(check bool) "warm oracle runs fewer queries" true
+    (warm.Planner.slrg_queries < cold.Planner.slrg_queries);
+  let snap = Session.metrics_snapshot session in
+  Alcotest.(check int) "rg.searches" 2
+    (Registry.counter_value snap "rg.searches");
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check int) name (f cold + f warm)
+        (Registry.counter_value snap name))
+    [
+      ("rg.created", fun (s : Planner.stats) -> s.Planner.rg_created);
+      ("rg.expanded", fun s -> s.Planner.rg_expanded);
+      ("rg.duplicates", fun s -> s.Planner.rg_duplicates);
+      ("slrg.queries", fun s -> s.Planner.slrg_queries);
+      ("slrg.cache_hits", fun s -> s.Planner.slrg_cache_hits);
+    ]
+
 let suite =
   [
     ("warm skips compile", `Quick, test_warm_skips_compile);
@@ -333,4 +399,5 @@ let suite =
     ("deadline mid-RG", `Quick, test_deadline_mid_rg);
     ("deadline leaves session intact", `Quick,
      test_deadline_does_not_poison_session);
+    ("counters agree", `Quick, test_counters_agree);
   ]

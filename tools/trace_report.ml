@@ -1,7 +1,9 @@
 (* Summarize a JSONL telemetry trace (sekitei plan --trace out.jsonl)
    into an ASCII report: the span tree with call counts and self/total
-   wall time, aggregated counters, final gauges, and the progress
-   heartbeat count.
+   wall time, the counters, final gauges, and the progress heartbeat
+   count.  The planner emits each count once per plan request, with
+   that request's value, so the counter table shows the last request
+   of the trace (the last value per name wins).
 
    Sibling spans with the same name are aggregated into one tree row
    (e.g. the hundreds of slrg.query spans under rg), so the report stays
@@ -26,7 +28,8 @@ type span = {
 
 type trace = {
   spans : (int, span) Hashtbl.t;  (* id -> span; roots have parent 0 *)
-  mutable counters : (string * int) list;  (* last total per name wins *)
+  mutable counters : (string * int) list;
+      (* last value per name wins: the trace's last request *)
   mutable gauges : (string * float) list;
   mutable progress : int;
   mutable bad_lines : int;
@@ -341,7 +344,12 @@ let () =
   in
   match path with
   | Some path ->
-      let tr = load path in
+      let tr =
+        try load path
+        with Sys_error msg ->
+          Printf.eprintf "trace_report: %s\n" msg;
+          exit 2
+      in
       if Hashtbl.length tr.spans = 0 then begin
         Printf.eprintf "%s: no spans found\n" path;
         exit 1
