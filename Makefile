@@ -1,4 +1,4 @@
-.PHONY: build test lint cram check check-smoke bench bench-json bench-gate metrics-smoke perfbench-smoke profile clean
+.PHONY: build test lint cram check check-smoke examples-smoke bench bench-json bench-gate metrics-smoke perfbench-smoke profile clean
 
 build:
 	dune build
@@ -36,7 +36,7 @@ cram:
 
 # One-stop verification: lint, build, the full test suite (unit +
 # property + cram), an explicit uncached run of the CLI crams, the
-# static-analysis, metrics and spec-to-verdict smokes, and a
+# static-analysis, metrics, spec-to-verdict and example smokes, and a
 # fresh machine-readable bench run re-parsed through the JSON schema
 # checker and diffed against the checked-in baseline.
 check:
@@ -47,6 +47,7 @@ check:
 	$(MAKE) check-smoke
 	$(MAKE) metrics-smoke
 	$(MAKE) perfbench-smoke
+	$(MAKE) examples-smoke
 	$(MAKE) bench-gate
 
 # Static-analysis smoke: `sekitei check` must accept every shipped
@@ -69,6 +70,18 @@ check-smoke:
 	      { echo "check-smoke: $$spec: expected a clean report"; exit 1; }; \
 	    echo "check-smoke: $$spec clean";; \
 	  esac; \
+	done
+
+# Example smoke: the programs under examples/ are the documented entry
+# points to the library API, and nothing else runs them.  Run each one
+# and fail on the first non-zero exit.
+examples-smoke:
+	dune build examples
+	@for src in examples/*.ml; do \
+	  e=$$(basename $$src .ml); \
+	  dune exec ./examples/$$e.exe > /dev/null || \
+	    { echo "examples-smoke: $$e exited non-zero"; exit 1; }; \
+	  echo "examples-smoke: $$e ok"; \
 	done
 
 # Regression gate: rerun the tracked scenarios and fail if any gated

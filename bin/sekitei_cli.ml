@@ -123,7 +123,8 @@ let explain_arg =
              contributions, chosen levels, and the binding resource \
              constraint (with slack) of every step.  For a failure: an \
              unsolvability certificate (pruned proposition chain, or the \
-             best-f frontier of an out-of-budget search)." in
+             best-f frontier of a search cut off by its budget or \
+             deadline)." in
   Arg.(value & flag & info [ "explain" ] ~doc)
 
 let hquality_arg =
@@ -217,12 +218,10 @@ let scenario_of ?seed = function
   | `Small -> Scenarios.small ()
   | `Large -> Scenarios.large ?seed ()
 
-let config_of ?(explain = false) ?(profile_h = false) ?(certify = false)
-    ?deadline_ms rg slrg =
+let config_of ?(profile_h = false) ?(certify = false) ?deadline_ms rg slrg =
   { Planner.default_config with
     Planner.rg_max_expansions = rg;
     slrg_query_budget = slrg;
-    explain;
     profile_h;
     certify;
     deadline_ms }
@@ -277,9 +276,11 @@ let resolve_case ?(suggest = false) spec network levels seed =
 (* plan                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The plan is printed, audited and drawn against the session's own
-   compiled problem: a spec is compiled once, after validation. *)
-let report_outcome ?dot_file ?(audit = false) session
+(* The plan is printed, audited, explained and drawn against the
+   session's own compiled problem: a spec is compiled once, after
+   validation.  A failure's certificate needs no problem: the failure
+   carries its evidence. *)
+let report_outcome ?dot_file ?(audit = false) ?(explain = false) session
     (report : Planner.report) =
   (* A plan implies compiled state. *)
   let pb () = Option.get (Session.problem session) in
@@ -311,14 +312,17 @@ let report_outcome ?dot_file ?(audit = false) session
             v)
         m.Replay.delivered
   | Error r -> Format.printf "No plan: %a@." Planner.pp_failure r);
-  (match report.Planner.explanation with
-  | Some ex ->
-      Format.printf "Explanation:@.%s" (Sekitei_core.Explain.render ex)
-  | None -> ());
-  (match report.Planner.certificate with
-  | Some c ->
-      Format.printf "Certificate:@.%s" (Sekitei_core.Explain.render_certificate c)
-  | None -> ());
+  (match (explain, report.Planner.result) with
+  | true, Ok p -> (
+      match Sekitei_core.Explain.explain (pb ()) p with
+      | Ok ex ->
+          Format.printf "Explanation:@.%s" (Sekitei_core.Explain.render ex)
+      | Error e -> Format.printf "explain failed: %s@." e)
+  | true, Error r ->
+      Option.iter
+        (fun c -> Format.printf "Certificate:@.%s" c)
+        (Sekitei_core.Explain.certificate r)
+  | false, _ -> ());
   (match Sekitei_harness.Hquality.of_report report with
   | Some hq ->
       Format.printf "Heuristic quality:@.%s" (Sekitei_harness.Hquality.render hq)
@@ -332,8 +336,8 @@ let plan_cmd =
       trace progress flight explain hquality verify verbose =
     setup_logs verbose;
     let config =
-      config_of ~explain ~profile_h:hquality ~certify:verify
-        ?deadline_ms:deadline rg slrg
+      config_of ~profile_h:hquality ~certify:verify ?deadline_ms:deadline rg
+        slrg
     in
     match resolve_case ~suggest spec network levels seed with
     | Error line -> error_line line
@@ -360,7 +364,9 @@ let plan_cmd =
                   error_line ("spec error: " ^ msg)
               | _ -> (
                   (* The deployment graph is the one file written here. *)
-                  match report_outcome ?dot_file ~audit session report with
+                  match
+                    report_outcome ?dot_file ~audit ~explain session report
+                  with
                   | code -> code
                   | exception Sys_error msg ->
                       error_line ("--deployment-dot: " ^ msg))
@@ -840,12 +846,15 @@ let validate_cmd =
             Format.printf "parsed OK (no network block; skipping deep checks)@.";
             0
         | Some topo -> (
-            match Validate.check topo doc.Dsl.app with
+            match Validate.check_diagnostics topo doc.Dsl.app with
             | [] ->
                 Format.printf "specification is valid@.";
                 0
-            | issues ->
-                List.iter (fun i -> Format.printf "%a@." Validate.pp_issue i) issues;
+            | diags ->
+                List.iter
+                  (fun (d : Diagnostic.t) ->
+                    Format.printf "%s: %s@." d.Diagnostic.loc d.message)
+                  diags;
                 1))
   in
   Cmd.v

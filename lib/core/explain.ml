@@ -179,86 +179,33 @@ let render t =
 (* Unsolvability certificates                                          *)
 (* ------------------------------------------------------------------ *)
 
-type certificate =
-  | Unreachable_cut of { goal : string; cut : string; chain : string list }
-  | Search_frontier of {
-      best_f : float;
-      tail : string list;
-      unmet : string list;
-    }
-
-(* Walk the support chain of an infinite-cost proposition down to the
-   proposition that actually got pruned: one with no supporting action at
-   all, or whose only infinite-cost preconditions were already visited
-   (cyclic support — equally unachievable from the initial state).  Every
-   supporting action of an infinite-cost proposition must itself carry an
-   infinite-cost precondition, so the walk always makes progress until
-   one of those two terminal cases. *)
-let cut_chain (pb : Problem.t) plrg goal_prop =
-  let visited = Hashtbl.create 16 in
-  let rec go p acc depth =
-    Hashtbl.replace visited p ();
-    let acc = p :: acc in
-    if depth > 100 then acc
-    else
-      let next =
-        List.find_map
-          (fun aid ->
-            let a = pb.Problem.actions.(aid) in
-            Array.fold_left
-              (fun found q ->
-                match found with
-                | Some _ -> found
-                | None ->
-                    if
-                      (not (Hashtbl.mem visited q))
-                      && not (Float.is_finite (Plrg.cost plrg q))
-                    then Some q
-                    else None)
-              None a.Action.pre)
-          pb.Problem.supports.(p)
-      in
-      match next with None -> acc | Some q -> go q acc (depth + 1)
+let frontier_block stopped (fr : Rg.frontier) =
+  let bullet prefix = function
+    | [] -> prefix ^ " (none)\n"
+    | items ->
+        prefix ^ "\n"
+        ^ String.concat "" (List.map (fun s -> "    " ^ s ^ "\n") items)
   in
-  List.rev_map (Problem.prop_label pb) (go goal_prop [] 0)
+  Printf.sprintf "%s: best frontier bound f = %g\n%s%s" stopped fr.Rg.best_f
+    (bullet "  best-f node actions:" fr.Rg.tail)
+    (bullet "  unmet preconditions:" fr.Rg.unmet)
 
-let unreachable_certificate (pb : Problem.t) plrg =
-  match Plrg.unreachable_goals plrg with
-  | [] -> None
-  | goal :: _ ->
-      let chain = cut_chain pb plrg goal in
-      let cut =
-        match List.rev chain with c :: _ -> c | [] -> assert false
-      in
+let certificate = function
+  | Session.Unreachable_goal { goals = goal :: _; chain } ->
+      let cut = match List.rev chain with c :: _ -> c | [] -> goal in
       Some
-        (Unreachable_cut { goal = Problem.prop_label pb goal; cut; chain })
-
-let frontier_certificate (pb : Problem.t) ~best_f (fr : Rg.frontier) =
-  Search_frontier
-    {
-      best_f;
-      tail = List.map (fun (a : Action.t) -> a.Action.label) fr.Rg.f_tail;
-      unmet =
-        Array.to_list fr.Rg.f_pending |> List.map (Problem.prop_label pb);
-    }
-
-let render_certificate = function
-  | Unreachable_cut { goal; cut; chain } ->
-      Printf.sprintf
-        "unsolvable: goal %s is logically unreachable\n\
-        \  first goal-relevant proposition pruned by the PLRG: %s\n\
-        \  support chain: %s\n"
-        goal cut
-        (String.concat " <- " chain)
-  | Search_frontier { best_f; tail; unmet } ->
-      let bullet prefix = function
-        | [] -> prefix ^ " (none)\n"
-        | items ->
-            prefix ^ "\n"
-            ^ String.concat ""
-                (List.map (fun s -> "    " ^ s ^ "\n") items)
-      in
-      Printf.sprintf
-        "search budget exhausted: best frontier bound f = %g\n%s%s" best_f
-        (bullet "  best-f node actions:" tail)
-        (bullet "  unmet preconditions:" unmet)
+        (Printf.sprintf
+           "unsolvable: goal %s is logically unreachable\n\
+           \  first goal-relevant proposition pruned by the PLRG: %s\n\
+           \  support chain: %s\n"
+           goal cut
+           (String.concat " <- " chain))
+  | Session.Search_limit { frontier; _ } ->
+      Some (frontier_block "search budget exhausted" frontier)
+  | Session.Deadline_exceeded { frontier = Some frontier; _ } ->
+      Some (frontier_block "deadline reached" frontier)
+  | Session.Unreachable_goal { goals = []; _ }
+  | Session.Invalid_spec _ | Session.Resource_exhausted
+  | Session.Deadline_exceeded { frontier = None; _ }
+  | Session.Certification_failed _ ->
+      None

@@ -8,11 +8,15 @@
     [Plan.cost_lb]), realized cost at the operating points, the chosen
     level assignment, and the binding resource constraint of the step
     (node CPU for [place], link bandwidth for [cross]) with its
-    remaining slack.  For a failed run, {!unreachable_certificate} and
-    {!frontier_certificate} name the evidence: the first goal-relevant
+    remaining slack.  For a failed run, {!certificate} renders the
+    evidence the failure already carries: the first goal-relevant
     proposition the PLRG pruned (with its support chain back to a goal),
-    or the best-f frontier node of an out-of-budget search with its
-    unmet preconditions. *)
+    or the best-f frontier node of a cut-off search with its unmet
+    preconditions.
+
+    Nothing here runs inside the planner: a caller explains a plan
+    against {!Session.problem} after planning, and certifies a failure
+    from its {!Session.failure_reason} alone. *)
 
 module I = Sekitei_util.Interval
 
@@ -57,29 +61,12 @@ val explain : Problem.t -> Plan.t -> (t, string) result
     row. *)
 val render : t -> string
 
-(** Why a run failed, with evidence. *)
-type certificate =
-  | Unreachable_cut of {
-      goal : string;  (** the unreachable goal proposition *)
-      cut : string;
-          (** the first goal-relevant proposition pruned by the PLRG:
-              end of the support chain — no supporting action at all,
-              or only cyclic support *)
-      chain : string list;
-          (** support chain from [goal] down to [cut], inclusive *)
-    }
-  | Search_frontier of {
-      best_f : float;  (** admissible bound on any remaining plan *)
-      tail : string list;  (** best-f node's action labels *)
-      unmet : string list;  (** its pending (unmet) propositions *)
-    }
-
-(** Certificate for a {!Plrg}-proven unreachable goal; [None] when every
-    goal is reachable. *)
-val unreachable_certificate : Problem.t -> Plrg.t -> certificate option
-
-(** Certificate for an out-of-budget search, from the frontier evidence
-    {!Rg.search} returns with [Budget_exceeded]. *)
-val frontier_certificate : Problem.t -> best_f:float -> Rg.frontier -> certificate
-
-val render_certificate : certificate -> string
+(** Render the evidence a failure carries, or [None] when it carries
+    none: an {!Session.Unreachable_goal} names its goal, the pruned
+    proposition at the end of the support chain and the chain itself; a
+    {!Session.Search_limit} (["search budget exhausted"]) or an in-search
+    {!Session.Deadline_exceeded} (["deadline reached"]) lists the best-f
+    frontier node's bound, actions and unmet preconditions.  Invalid
+    specs, resource exhaustion, certification failures and deadlines
+    outside the RG give [None]. *)
+val certificate : Session.failure_reason -> string option

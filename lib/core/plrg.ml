@@ -103,10 +103,46 @@ let goals_reachable t =
   Array.for_all (fun g -> Float.is_finite t.costs.(g)) t.problem.Problem.goal_props
 
 (* Goal proposition ids with infinite cost — the PLRG's unreachability
-   proof, surfaced as evidence in {!Planner.Unreachable_goal}. *)
+   proof, surfaced as evidence in {!Session.Unreachable_goal}. *)
 let unreachable_goals t =
   Array.to_list t.problem.Problem.goal_props
   |> List.filter (fun g -> not (Float.is_finite t.costs.(g)))
+
+(* Walk the support chain of an infinite-cost proposition down to the
+   proposition that actually got pruned: one with no supporting action at
+   all, or whose only infinite-cost preconditions were already visited
+   (cyclic support — equally unachievable from the initial state).  Every
+   supporting action of an infinite-cost proposition must itself carry an
+   infinite-cost precondition, so the walk always makes progress until
+   one of those two terminal cases. *)
+let support_chain t goal_prop =
+  let pb = t.problem in
+  let visited = Hashtbl.create 16 in
+  let rec go p acc depth =
+    Hashtbl.replace visited p ();
+    let acc = p :: acc in
+    if depth > 100 then acc
+    else
+      let next =
+        List.find_map
+          (fun aid ->
+            let a = pb.Problem.actions.(aid) in
+            Array.fold_left
+              (fun found q ->
+                match found with
+                | Some _ -> found
+                | None ->
+                    if
+                      (not (Hashtbl.mem visited q))
+                      && not (Float.is_finite t.costs.(q))
+                    then Some q
+                    else None)
+              None a.Action.pre)
+          pb.Problem.supports.(p)
+      in
+      match next with None -> acc | Some q -> go q acc (depth + 1)
+  in
+  List.rev (go goal_prop [] 0)
 
 let relevant_actions t =
   let acc = ref [] in

@@ -31,8 +31,16 @@ val goals_reachable : t -> bool
 
 (** Goal proposition ids the cost sweep proved logically unreachable
     (infinite cost) — the evidence behind
-    {!Planner.failure_reason.Unreachable_goal}. *)
+    {!Session.failure_reason.Unreachable_goal}. *)
 val unreachable_goals : t -> int list
+
+(** [support_chain t p] walks from an infinite-cost proposition [p] (an
+    unreachable goal) down its supporting actions' infinite-cost
+    preconditions to the proposition the sweep actually pruned: one with
+    no supporting action at all, or only cyclic support.  The chain
+    starts at [p] and ends at that proposition, inclusive; [[p]] when [p]
+    itself has no support. *)
+val support_chain : t -> int -> int list
 
 (** Action ids usable on some finite-cost support chain (every
     precondition reachable).  The RG restricts branching to these. *)

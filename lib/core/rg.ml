@@ -16,20 +16,15 @@ type stats = {
 }
 
 type hsample = { set_size : int; g : float; h_slrg : float; h_plrg : float }
-type frontier = { f_tail : Action.t list; f_pending : int array }
+type frontier = { best_f : float; tail : string list; unmet : string list }
 
 type result =
   | Solution of Action.t list * Replay.metrics * float
   | Exhausted
-  | Budget_exceeded of {
+  | Cutoff of {
+      by : [ `Budget | `Deadline ];
       expansions : int;
-      best_f : float;
-      frontier : frontier option;
-    }
-  | Deadline_reached of {
-      expansions : int;
-      best_f : float;
-      frontier : frontier option;
+      frontier : frontier;
     }
 
 type node = {
@@ -141,7 +136,7 @@ let repair_order ?(max_steps = 20_000) pb tail =
   | Infeasible | Gave_up -> None
 
 let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
-    ?(deadline = Deadline.none) (pb : Problem.t) (_plrg : Plrg.t) slrg =
+    ?(deadline = Deadline.none) (pb : Problem.t) slrg =
   let progress_interval = Telemetry.progress_interval telemetry in
   let created = ref 0
   and expanded = ref 0
@@ -263,6 +258,25 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
     | Some out -> out := List.rev node.chain);
     finish (Solution (tail, metrics, node.g))
   in
+  (* The popped node's f is the frontier minimum, an admissible lower
+     bound on any plan a longer search could still find; its tail and
+     pending set are rendered here, once, as the failure's evidence. *)
+  let cutoff by node f =
+    finish
+      (Cutoff
+         {
+           by;
+           expansions = !expanded;
+           frontier =
+             {
+               best_f = f;
+               tail = List.map (fun (a : Action.t) -> a.Action.label) node.tail;
+               unmet =
+                 Array.to_list node.set.Propset.set
+                 |> List.map (Problem.prop_label pb);
+             };
+         })
+  in
   let rec loop () =
     match Heap.pop heap with
     | None -> finish Exhausted
@@ -302,27 +316,8 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
         end
         else process node f
   and process node f =
-    if !expanded >= max_expansions then
-      finish
-        (Budget_exceeded
-           {
-             expansions = !expanded;
-             best_f = f;
-             frontier =
-               Some { f_tail = node.tail; f_pending = node.set.Propset.set };
-           })
-    else if Deadline.expired deadline then
-      (* Same evidence as budget exhaustion: the popped node's f is the
-         frontier minimum, an admissible lower bound on any plan a longer
-         search could still find. *)
-      finish
-        (Deadline_reached
-           {
-             expansions = !expanded;
-             best_f = f;
-             frontier =
-               Some { f_tail = node.tail; f_pending = node.set.Propset.set };
-           })
+    if !expanded >= max_expansions then cutoff `Budget node f
+    else if Deadline.expired deadline then cutoff `Deadline node f
     else begin
       incr expanded;
       if progress_interval > 0 && !expanded mod progress_interval = 0 then

@@ -59,28 +59,23 @@ type stats = {
     is [C* - g]; admissibility demands [h <= C* - g] for both columns. *)
 type hsample = { set_size : int; g : float; h_slrg : float; h_plrg : float }
 
-(** The best-f open node at budget exhaustion: its tail (execution
-    order) and the propositions it still had to achieve — the evidence
-    behind a {!Sekitei_core.Planner.failure_reason.Search_limit}
-    explanation. *)
-type frontier = { f_tail : Action.t list; f_pending : int array }
+(** Why a search stopped short, as evidence: the best-f open node when
+    the search was cut off, rendered once at the cutoff.  [best_f] is an
+    admissible lower bound on the cost of any plan a longer search could
+    still find; [tail] is that node's action labels (execution order) and
+    [unmet] the labels of the propositions it still had to achieve.
+    {!Session.failure_reason} carries this record as it is. *)
+type frontier = { best_f : float; tail : string list; unmet : string list }
 
 type result =
   | Solution of Action.t list * Replay.metrics * float  (** tail, metrics, cost bound *)
   | Exhausted  (** no resource-feasible plan (the scenario-A verdict) *)
-  | Budget_exceeded of {
+  | Cutoff of {
+      by : [ `Budget | `Deadline ];
+          (** the expansion budget ran out, or the request deadline
+              fired first *)
       expansions : int;
-      best_f : float;  (** admissible lower bound on any plan a longer
-                           search could still find *)
-      frontier : frontier option;
-          (** the node whose pop hit the budget (carries [best_f]) *)
-    }
-  | Deadline_reached of {
-      expansions : int;
-      best_f : float;
-          (** same admissible lower-bound evidence as [Budget_exceeded],
-              produced when the request deadline fired first *)
-      frontier : frontier option;
+      frontier : frontier;  (** the node whose pop hit the cutoff *)
     }
 
 (** Re-sequence a candidate tail (an action set in some infeasible order)
@@ -134,15 +129,15 @@ val repair_order :
     totals leave only through {!stats}; {!Session} turns them into trace
     counters and registry metrics.
 
-    [deadline] is polled once per expansion (at pop, after heuristic
-    refinement); on expiry the search stops with [Deadline_reached]
-    carrying the frontier-minimum f as a valid lower bound. *)
+    [max_expansions] (default 500000) and [deadline] are checked once
+    per expansion (at pop, after heuristic refinement); whichever trips
+    first stops the search with a [Cutoff] whose frontier carries the
+    frontier-minimum f as a valid lower bound. *)
 val search :
   ?max_expansions:int ->
   ?profile:hsample list ref ->
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
   ?deadline:Sekitei_util.Deadline.t ->
   Problem.t ->
-  Plrg.t ->
   Slrg.t ->
   result * stats

@@ -34,12 +34,12 @@ module Mutate = Sekitei_network.Mutate
 module Model = Sekitei_spec.Model
 module Leveling = Sekitei_spec.Leveling
 module Validate = Sekitei_spec.Validate
+module Diagnostic = Sekitei_util.Diagnostic
 
 type config = {
   slrg_query_budget : int;
   rg_max_expansions : int;
   validate_spec : bool;
-  explain : bool;
   profile_h : bool;
   deadline_ms : float option;
   certify : bool;
@@ -50,7 +50,6 @@ let default_config =
     slrg_query_budget = 500;
     rg_max_expansions = 500_000;
     validate_spec = true;
-    explain = false;
     profile_h = false;
     deadline_ms = None;
     certify = false;
@@ -58,13 +57,13 @@ let default_config =
 
 type failure_reason =
   | Invalid_spec of string
-  | Unreachable_goal of string list
+  | Unreachable_goal of { goals : string list; chain : string list }
   | Resource_exhausted
-  | Search_limit of { expansions : int; best_f : float }
+  | Search_limit of { expansions : int; frontier : Rg.frontier }
   | Deadline_exceeded of {
       phase : string;
       expansions : int;
-      best_f : float option;
+      frontier : Rg.frontier option;
     }
   | Certification_failed of string
 
@@ -111,8 +110,6 @@ type report = {
   result : (Plan.t, failure_reason) Stdlib.result;
   phases : phases;
   stats : stats;
-  explanation : Explain.t option;
-  certificate : Explain.certificate option;
   hquality : Rg.hsample list option;
 }
 
@@ -152,22 +149,22 @@ let empty_phases =
 
 let pp_failure fmt = function
   | Invalid_spec msg -> Format.fprintf fmt "invalid specification: %s" msg
-  | Unreachable_goal [] ->
+  | Unreachable_goal { goals = []; _ } ->
       Format.pp_print_string fmt "goal logically unreachable"
-  | Unreachable_goal props ->
+  | Unreachable_goal { goals; _ } ->
       Format.fprintf fmt "goal logically unreachable (%s)"
-        (String.concat ", " props)
+        (String.concat ", " goals)
   | Resource_exhausted ->
       Format.pp_print_string fmt "no resource-feasible plan found"
-  | Search_limit { expansions; best_f } ->
+  | Search_limit { expansions; frontier } ->
       Format.fprintf fmt
         "search budget exceeded after %d expansions (best open bound %g)"
-        expansions best_f
-  | Deadline_exceeded { phase; expansions; best_f } -> (
+        expansions frontier.Rg.best_f
+  | Deadline_exceeded { phase; expansions; frontier } -> (
       Format.fprintf fmt "deadline exceeded in %s phase" phase;
       if expansions > 0 then Format.fprintf fmt " after %d expansions" expansions;
-      match best_f with
-      | Some f -> Format.fprintf fmt " (best open bound %g)" f
+      match frontier with
+      | Some fr -> Format.fprintf fmt " (best open bound %g)" fr.Rg.best_f
       | None -> ())
   | Certification_failed reason ->
       Format.fprintf fmt "emitted plan failed independent certification: %s"
@@ -269,75 +266,63 @@ let metrics_snapshot t = Registry.snapshot t.metrics
 let gc_snap () = (Gc.minor_words (), (Gc.quick_stat ()).Gc.major_collections)
 let gc_delta (aw, ac) (bw, bc) = (bw -. aw, bc - ac)
 
-let mk_phase ms (minor_words, major_collections) =
-  { ms; minor_words; major_collections }
+(* One pipeline phase: [f] runs inside a telemetry span [name], between
+   two GC snapshots taken right after the span opens and right after [f]
+   returns.  [attrs] reads the span's end attributes off the result.  The
+   span is closed when [f] raises too, and the exception propagates. *)
+let run_phase ?(attrs = fun _ -> []) telemetry name f =
+  let sp = Telemetry.begin_span telemetry name in
+  let gc0 = gc_snap () in
+  match f () with
+  | exception e ->
+      ignore (Telemetry.end_span telemetry sp);
+      raise e
+  | x ->
+      let minor_words, major_collections = gc_delta gc0 (gc_snap ()) in
+      let ms = Telemetry.end_span telemetry sp ~attrs:(attrs x) in
+      (x, { ms; minor_words; major_collections })
 
-(* Compile + PLRG for the current topology, with the standard telemetry
-   spans and GC brackets.  Raises [Compile.Compile_error] and
-   [Deadline.Expired] to the caller. *)
+(* Compile + PLRG for the current topology.  Raises
+   [Compile.Compile_error] and [Deadline.Expired] to the caller. *)
 let build_state t ~deadline =
   let telemetry = t.telemetry in
-  let sp_compile = Telemetry.begin_span telemetry "compile" in
-  let gc_compile0 = gc_snap () in
-  let pb =
-    try Compile.compile ?adjust:t.adjust ~telemetry ~deadline t.topo t.app
-        t.leveling
-    with e ->
-      ignore (Telemetry.end_span telemetry sp_compile);
-      raise e
-  in
-  let compile_gc = gc_delta gc_compile0 (gc_snap ()) in
-  let total_actions = Array.length pb.Problem.actions in
-  let compile_ms =
-    Telemetry.end_span telemetry sp_compile
-      ~attrs:
+  let pb, compile_phase =
+    run_phase telemetry "compile"
+      ~attrs:(fun (pb : Problem.t) ->
         [
-          ("actions", Telemetry.Int total_actions);
+          ("actions", Telemetry.Int (Array.length pb.Problem.actions));
           ("props", Telemetry.Int (Prop.count pb.Problem.props));
-        ]
+        ])
+      (fun () ->
+        Compile.compile ?adjust:t.adjust ~telemetry ~deadline t.topo t.app
+          t.leveling)
   in
   Log.info (fun m ->
       m "compiled: %d leveled actions, %d propositions (%d pruned dead)"
-        total_actions
+        (Array.length pb.Problem.actions)
         (Prop.count pb.Problem.props)
         pb.Problem.pruned_actions);
   Registry.count t.metrics "analysis.pruned_actions" pb.Problem.pruned_actions;
   (* The search clock starts before the PLRG build — search_ms has always
      covered plrg + slrg + rg (Table 2 col 9, right). *)
   let t_search = Timer.start () in
-  let sp_plrg = Telemetry.begin_span telemetry "plrg" in
-  let gc_plrg0 = gc_snap () in
-  let plrg =
-    try Plrg.build ~deadline pb
-    with e ->
-      ignore (Telemetry.end_span telemetry sp_plrg);
-      raise e
-  in
-  let plrg_gc = gc_delta gc_plrg0 (gc_snap ()) in
-  let plrg_props, plrg_actions = Plrg.stats plrg in
-  let plrg_ms =
-    Telemetry.end_span telemetry sp_plrg
-      ~attrs:
+  let plrg, plrg_phase =
+    run_phase telemetry "plrg"
+      ~attrs:(fun plrg ->
+        let props, actions = Plrg.stats plrg in
         [
-          ("relevant_props", Telemetry.Int plrg_props);
-          ("relevant_actions", Telemetry.Int plrg_actions);
+          ("relevant_props", Telemetry.Int props);
+          ("relevant_actions", Telemetry.Int actions);
           ("reachable", Telemetry.Bool (Plrg.goals_reachable plrg));
-        ]
+        ])
+      (fun () -> Plrg.build ~deadline pb)
   in
   Log.info (fun m ->
-      m "PLRG: %d relevant propositions, %d relevant actions, goals %s"
-        plrg_props plrg_actions
+      let props, actions = Plrg.stats plrg in
+      m "PLRG: %d relevant propositions, %d relevant actions, goals %s" props
+        actions
         (if Plrg.goals_reachable plrg then "reachable" else "UNREACHABLE"));
-  let st =
-    {
-      pb;
-      plrg;
-      oracle = None;
-      compile_phase = mk_phase compile_ms compile_gc;
-      plrg_phase = mk_phase plrg_ms plrg_gc;
-    }
-  in
-  (st, t_search)
+  ({ pb; plrg; oracle = None; compile_phase; plrg_phase }, t_search)
 
 (* ------------------------------------------------------------------ *)
 (* Plan                                                                *)
@@ -452,15 +437,13 @@ let plan_exn t =
   t.pending_invalidated <- 0;
   t.pending_evicted <- 0;
   let sp_plan = Telemetry.begin_span telemetry "plan" in
-  let finish ?(reached = `Validated) ?(phases = empty_phases) ?explanation
-      ?certificate ?hquality result stats =
+  let finish ?(reached = `Validated) ?(phases = empty_phases) ?hquality result
+      stats =
     let report =
       {
         result;
         phases;
         stats = { stats with invalidated_actions; evicted_entries };
-        explanation;
-        certificate;
         hquality;
       }
     in
@@ -486,14 +469,14 @@ let plan_exn t =
   in
   match
     if config.validate_spec then
-      match Validate.check t.topo t.app with
+      match Validate.check_diagnostics t.topo t.app with
       | [] -> Ok ()
-      | issues ->
+      | diags ->
           Error
             (String.concat "; "
                (List.map
-                  (fun i -> Format.asprintf "%a" Validate.pp_issue i)
-                  issues))
+                  (fun (d : Diagnostic.t) -> d.Diagnostic.loc ^ ": " ^ d.message)
+                  diags))
     else Ok ()
   with
   | Error msg -> failed (Invalid_spec msg)
@@ -509,7 +492,7 @@ let plan_exn t =
             | exception Compile.Compile_error msg -> Error (Invalid_spec msg)
             | exception Deadline.Expired phase ->
                 Error
-                  (Deadline_exceeded { phase; expansions = 0; best_f = None }))
+                  (Deadline_exceeded { phase; expansions = 0; frontier = None }))
       with
       | Error reason -> failed reason
       | Ok (st, t_search) ->
@@ -535,15 +518,15 @@ let plan_exn t =
           st.compile_phase <- no_phase;
           st.plrg_phase <- no_phase;
           if not (Plrg.goals_reachable plrg) then begin
-            let unreachable =
-              Plrg.unreachable_goals plrg |> List.map (Problem.prop_label pb)
+            (* Unreachable, so at least one goal has infinite cost. *)
+            let goals = Plrg.unreachable_goals plrg in
+            let label = Problem.prop_label pb in
+            let chain =
+              List.map label (Plrg.support_chain plrg (List.hd goals))
             in
-            let certificate =
-              if config.explain then Explain.unreachable_certificate pb plrg
-              else None
-            in
-            finish ~reached:`Compiled ~phases ?certificate
-              (Error (Unreachable_goal unreachable))
+            finish ~reached:`Compiled ~phases
+              (Error
+                 (Unreachable_goal { goals = List.map label goals; chain }))
               {
                 stats with
                 t_total_ms = Timer.elapsed_ms t_total;
@@ -551,43 +534,37 @@ let plan_exn t =
               }
           end
           else begin
-            let sp_slrg = Telemetry.begin_span telemetry "slrg" in
-            let gc_slrg0 = gc_snap () in
-            let slrg =
-              match st.oracle with
-              | Some o -> o
-              | None ->
-                  let o =
-                    Slrg.create ~telemetry ~metrics:t.metrics
-                      ~query_budget:config.slrg_query_budget pb plrg
-                  in
-                  st.oracle <- Some o;
-                  o
-            in
             (* Per-request reset: drop every budget-exhausted bound and
                refill the escalation pool (warm == cold hinges on it),
                zero the oracle's counts, and arm the deadline the queries
                poll. *)
-            Slrg.begin_request slrg ~deadline;
-            let slrg_create_minor, slrg_create_major =
-              gc_delta gc_slrg0 (gc_snap ())
+            let slrg, slrg_create =
+              run_phase telemetry "slrg" (fun () ->
+                  let slrg =
+                    match st.oracle with
+                    | Some o -> o
+                    | None ->
+                        let o =
+                          Slrg.create ~telemetry ~metrics:t.metrics
+                            ~query_budget:config.slrg_query_budget pb plrg
+                        in
+                        st.oracle <- Some o;
+                        o
+                  in
+                  Slrg.begin_request slrg ~deadline;
+                  slrg)
             in
-            let slrg_create_ms = Telemetry.end_span telemetry sp_slrg in
-            let sp_rg = Telemetry.begin_span telemetry "rg" in
-            let gc_rg0 = gc_snap () in
             let profile = if config.profile_h then Some (ref []) else None in
-            let result, rg_stats =
-              Rg.search ~max_expansions:config.rg_max_expansions ?profile
-                ~telemetry ~deadline pb plrg slrg
-            in
-            let rg_gc = gc_delta gc_rg0 (gc_snap ()) in
-            let rg_ms =
-              Telemetry.end_span telemetry sp_rg
-                ~attrs:
+            let (result, rg_stats), rg_phase =
+              run_phase telemetry "rg"
+                ~attrs:(fun (_, (s : Rg.stats)) ->
                   [
-                    ("created", Telemetry.Int rg_stats.Rg.created);
-                    ("expanded", Telemetry.Int rg_stats.Rg.expanded);
-                  ]
+                    ("created", Telemetry.Int s.Rg.created);
+                    ("expanded", Telemetry.Int s.Rg.expanded);
+                  ])
+                (fun () ->
+                  Rg.search ~max_expansions:config.rg_max_expansions ?profile
+                    ~telemetry ~deadline pb slrg)
             in
             Log.info (fun m ->
                 m
@@ -624,11 +601,15 @@ let plan_exn t =
               {
                 phases with
                 slrg =
-                  mk_phase
-                    (slrg_create_ms +. Slrg.query_ms slrg)
-                    ( slrg_create_minor +. Slrg.gc_minor_words slrg,
-                      slrg_create_major + Slrg.gc_major_collections slrg );
-                rg = mk_phase rg_ms rg_gc;
+                  {
+                    ms = slrg_create.ms +. Slrg.query_ms slrg;
+                    minor_words =
+                      slrg_create.minor_words +. Slrg.gc_minor_words slrg;
+                    major_collections =
+                      slrg_create.major_collections
+                      + Slrg.gc_major_collections slrg;
+                  };
+                rg = rg_phase;
               }
             in
             let hquality = Option.map (fun samples -> !samples) profile in
@@ -649,36 +630,15 @@ let plan_exn t =
                 | Ok () ->
                     if config.certify then
                       Registry.count t.metrics "analysis.certified_plans" 1;
-                    let explanation =
-                      if config.explain then
-                        match Explain.explain pb plan with
-                        | Ok e -> Some e
-                        | Error _ -> None
-                      else None
-                    in
-                    finish ?explanation (Ok plan) stats)
+                    finish (Ok plan) stats)
             | Rg.Exhausted -> finish (Error Resource_exhausted) stats
-            | Rg.Budget_exceeded { expansions; best_f; frontier } ->
-                let certificate =
-                  match frontier with
-                  | Some fr when config.explain ->
-                      Some (Explain.frontier_certificate pb ~best_f fr)
-                  | _ -> None
-                in
-                finish ?certificate
-                  (Error (Search_limit { expansions; best_f }))
-                  stats
-            | Rg.Deadline_reached { expansions; best_f; frontier } ->
-                let certificate =
-                  match frontier with
-                  | Some fr when config.explain ->
-                      Some (Explain.frontier_certificate pb ~best_f fr)
-                  | _ -> None
-                in
-                finish ?certificate
+            | Rg.Cutoff { by = `Budget; expansions; frontier } ->
+                finish (Error (Search_limit { expansions; frontier })) stats
+            | Rg.Cutoff { by = `Deadline; expansions; frontier } ->
+                finish
                   (Error
                      (Deadline_exceeded
-                        { phase = "rg"; expansions; best_f = Some best_f }))
+                        { phase = "rg"; expansions; frontier = Some frontier }))
                   stats
           end)
 
@@ -746,26 +706,15 @@ let update t delta =
       let link_touched l = List.mem l touched_links in
       let telemetry = t.telemetry in
       match
-        let sp_compile = Telemetry.begin_span telemetry "compile" in
-        let gc_compile0 = gc_snap () in
-        match
-          Compile.recompile ?adjust:t.adjust ~telemetry ~old:st.pb
-            ~node_touched ~link_touched new_topo t.app t.leveling
-        with
-        | exception e ->
-            ignore (Telemetry.end_span telemetry sp_compile);
-            raise e
-        | pb, invalidated ->
-            let compile_gc = gc_delta gc_compile0 (gc_snap ()) in
-            let compile_ms =
-              Telemetry.end_span telemetry sp_compile
-                ~attrs:
-                  [
-                    ("actions", Telemetry.Int (Array.length pb.Problem.actions));
-                    ("invalidated", Telemetry.Int invalidated);
-                  ]
-            in
-            (pb, invalidated, compile_ms, compile_gc)
+        run_phase telemetry "compile"
+          ~attrs:(fun ((pb : Problem.t), invalidated) ->
+            [
+              ("actions", Telemetry.Int (Array.length pb.Problem.actions));
+              ("invalidated", Telemetry.Int invalidated);
+            ])
+          (fun () ->
+            Compile.recompile ?adjust:t.adjust ~telemetry ~old:st.pb
+              ~node_touched ~link_touched new_topo t.app t.leveling)
       with
       | exception Compile.Compile_error _ ->
           (* The mutated spec no longer compiles (e.g. a pre-placed
@@ -773,17 +722,15 @@ let update t delta =
              next plan recompiles cold and reports the error exactly as a
              one-shot run would. *)
           t.state <- None
-      | pb, invalidated, compile_ms, compile_gc ->
+      | (pb, invalidated), compile_phase ->
           if st.pb.Problem.init <> pb.Problem.init then
             (* A changed initial section changes set canonicalization
                itself: every interned handle is suspect.  Full flush. *)
             t.state <- None
           else begin
-            let sp_plrg = Telemetry.begin_span telemetry "plrg" in
-            let gc_plrg0 = gc_snap () in
-            let plrg = Plrg.build pb in
-            let plrg_gc = gc_delta gc_plrg0 (gc_snap ()) in
-            let plrg_ms = Telemetry.end_span telemetry sp_plrg in
+            let plrg, plrg_phase =
+              run_phase telemetry "plrg" (fun () -> Plrg.build pb)
+            in
             (* Taint on both sides of the delta: the old problem catches
                chains through removed actions, the new one chains through
                novel actions at the touched sites.  Stable ids mean the
@@ -802,8 +749,8 @@ let update t delta =
             in
             st.pb <- pb;
             st.plrg <- plrg;
-            st.compile_phase <- mk_phase compile_ms compile_gc;
-            st.plrg_phase <- mk_phase plrg_ms plrg_gc;
+            st.compile_phase <- compile_phase;
+            st.plrg_phase <- plrg_phase;
             t.pending_invalidated <- t.pending_invalidated + invalidated;
             t.pending_evicted <- t.pending_evicted + evicted;
             Log.info (fun m ->

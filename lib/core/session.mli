@@ -19,7 +19,7 @@
     {b Warm == cold.}  A warm re-plan agrees with a cold [Planner.plan]
     of the session's current topology on everything that matters: the
     result constructor, the optimal cost bound, and (on budget cutoffs)
-    the admissible best-f evidence.  Exact oracle entries are
+    the admissible best-f frontier evidence.  Exact oracle entries are
     path-independent, and the per-request reset ({!Slrg.begin_request})
     drops everything that is not — budget-exhausted bounds and the
     escalation pool — so carried cache state cannot steer the search.
@@ -38,8 +38,14 @@
     per grounding group in compilation, per relaxation in the PLRG, and
     per expansion in the SLRG/RG searches.  An expired request returns
     [Error (Deadline_exceeded _)] carrying the phase that gave up and —
-    when the RG frontier was reached — the same admissible best-[f]
-    lower bound a [Search_limit] failure reports.
+    when the RG frontier was reached — the same {!Rg.frontier} evidence
+    a [Search_limit] failure carries.
+
+    {b Failures carry their evidence.}  Each [failure_reason] holds what
+    proves it, already rendered as labels: the unreachable goal's
+    support chain, or the best-f frontier of a cut-off search.  Nothing
+    needs the compiled problem to read it back, and no switch turns it
+    on.
 
     This module is the engine; {!Planner} includes it and adds the
     one-shot [Planner.plan] / [Planner.plan_batch] over throwaway
@@ -49,10 +55,6 @@ type config = {
   slrg_query_budget : int;  (** set-node budget per SLRG query *)
   rg_max_expansions : int;
   validate_spec : bool;  (** run {!Sekitei_spec.Validate} first *)
-  explain : bool;
-      (** derive a {!Explain.t} for solved runs and a
-          {!Explain.certificate} for failed ones (default [false];
-          costs one extra from-init replay of the final plan) *)
   profile_h : bool;
       (** record heuristic-quality samples ({!Rg.hsample}) along the
           solution path (default [false]; adds a PLRG sweep per queued
@@ -74,21 +76,26 @@ val default_config : config
 
 type failure_reason =
   | Invalid_spec of string
-  | Unreachable_goal of string list
-      (** the PLRG proves the goals logically unreachable; carries the
-          labels of the goal propositions with infinite PLRG cost *)
+  | Unreachable_goal of {
+      goals : string list;
+          (** labels of the goal propositions with infinite PLRG cost *)
+      chain : string list;
+          (** {!Plrg.support_chain} of the first of them, as labels: from
+              that goal down to the proposition the PLRG pruned *)
+    }  (** the PLRG proves the goals logically unreachable *)
   | Resource_exhausted
       (** goals logically reachable, but every candidate tail violates
           resources — the scenario-A failure mode *)
-  | Search_limit of { expansions : int; best_f : float }
-      (** RG expansion budget exceeded; [best_f] is an admissible lower
-          bound on the cost of any plan a longer search could find *)
+  | Search_limit of { expansions : int; frontier : Rg.frontier }
+      (** RG expansion budget exceeded; [frontier.best_f] is an
+          admissible lower bound on the cost of any plan a longer search
+          could find *)
   | Deadline_exceeded of {
       phase : string;  (** ["compile"], ["plrg"], or ["rg"] *)
       expansions : int;  (** RG expansions completed (0 outside the RG) *)
-      best_f : float option;
-          (** admissible lower bound when the RG frontier was reached —
-              the same evidence a {!Search_limit} carries *)
+      frontier : Rg.frontier option;
+          (** [Some] when the RG frontier was reached — the same
+              evidence a {!Search_limit} carries *)
     }  (** the request's [config.deadline_ms] expired first *)
   | Certification_failed of string
       (** [config.certify] was set and the independent certifier
@@ -187,13 +194,6 @@ type report = {
       (** per-phase timings are measured monotonically even with the null
           telemetry; phases not reached report zeros *)
   stats : stats;
-  explanation : Explain.t option;
-      (** per-action cost/level/slack account; [Some] iff
-          [config.explain] and the run solved *)
-  certificate : Explain.certificate option;
-      (** unsolvability evidence; [Some] iff [config.explain] and the
-          run failed with {!Unreachable_goal}, {!Search_limit}, or an
-          in-search {!Deadline_exceeded} *)
   hquality : Rg.hsample list option;
       (** solution-path heuristic samples, root first; [Some] iff
           [config.profile_h] (empty list when no solution was found) —
@@ -241,8 +241,8 @@ val topology : t -> Sekitei_network.Topology.t
 val is_warm : t -> bool
 
 (** The compiled problem the session plans against; [None] exactly when
-    {!is_warm} is false.  A plan printed or audited against it matches
-    the one the session emitted, with no second compile. *)
+    {!is_warm} is false.  A plan printed, audited or explained against it
+    matches the one the session emitted, with no second compile. *)
 val problem : t -> Problem.t option
 
 (** The session's always-on metric registry.  Every {!plan} records

@@ -1,10 +1,13 @@
 open Topology
 
 (* Grounding reads an unleveled resource as a point interval; a NaN or
-   infinite capacity would reach it as an empty one. *)
+   infinite capacity would reach it as an empty one, and a negative one
+   as a pool already overdrawn.  Zero stays valid: [fail_node] zeroes. *)
 let require_finite fn res v =
   if not (Float.is_finite v) then
-    invalid_arg (Printf.sprintf "%s: %s must be finite, got %g" fn res v)
+    invalid_arg (Printf.sprintf "%s: %s must be finite, got %g" fn res v);
+  if v < 0. then
+    invalid_arg (Printf.sprintf "%s: %s must be non-negative, got %g" fn res v)
 
 let set_link_resource t link res v =
   if link < 0 || link >= link_id_bound t then

@@ -13,19 +13,21 @@
     there is no translation map to apply.  Unknown ids raise instead of
     silently no-opping: [Invalid_argument] for ids that never existed,
     [Topology.Stale_link] for ids removed by an earlier mutation.
-    Resource values must be finite (NaN and infinities raise
-    [Invalid_argument]), as in a spec's network block. *)
+    Resource values must be finite and non-negative (NaN, infinities
+    and negative values raise [Invalid_argument]), as in a spec's
+    network block. *)
 
 open Topology
 
 (** [set_link_resource t link res v] returns a copy with the link's
     resource set (added if absent).
     @raise Stale_link on a removed link, [Invalid_argument] on a
-    never-issued id or a non-finite [v]. *)
+    never-issued id or a non-finite or negative [v]. *)
 val set_link_resource : t -> link_id -> string -> float -> t
 
 (** [set_node_resource t node res v] likewise for a node.
-    @raise Invalid_argument on unknown node ids or a non-finite [v]. *)
+    @raise Invalid_argument on unknown node ids or a non-finite or
+    negative [v]. *)
 val set_node_resource : t -> node_id -> string -> float -> t
 
 (** [scale_links ?kind t res factor] multiplies [res] on every live link

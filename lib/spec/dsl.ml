@@ -304,13 +304,15 @@ let parse_component name stmts =
 (* Network block                                                          *)
 (* --------------------------------------------------------------------- *)
 
-(* Capacities must be finite: grounding reads an unleveled resource as
-   the point interval at its capacity, and [inf] has none. *)
+(* Capacities must be finite and non-negative: grounding reads an
+   unleveled resource as the point interval at its capacity, [inf] has
+   none, and a negative capacity is a pool already overdrawn. *)
 let rec parse_resource_pairs acc = function
   | [] -> List.rev acc
   | name :: value :: rest ->
       let v = number "resource value" value in
-      if not (Float.is_finite v) then fail "bad resource value %S" value;
+      if not (Float.is_finite v) || v < 0. then
+        fail "bad resource value %S" value;
       parse_resource_pairs ((name, v) :: acc) rest
   | [ odd ] -> fail "dangling resource token %S" odd
 

@@ -2,10 +2,6 @@ module Expr = Sekitei_expr.Expr
 module Topology = Sekitei_network.Topology
 module D = Sekitei_util.Diagnostic
 
-type issue = { where : string; what : string }
-
-let pp_issue fmt i = Format.fprintf fmt "%s: %s" i.where i.what
-
 let split_var v =
   match String.index_opt v '.' with
   | Some dot ->
@@ -13,8 +9,8 @@ let split_var v =
   | None -> None
 
 (* All validation findings are errors: an invalid spec never reaches the
-   compiler ([check_exn] raises on any of them).  Codes follow the SKT0xx
-   block documented in {!Sekitei_util.Diagnostic}. *)
+   compiler.  Codes follow the SKT0xx block documented in
+   {!Sekitei_util.Diagnostic}. *)
 let check_diagnostics topo (app : Model.app) =
   let diags = ref [] in
   let report ~code where what = diags := D.make D.Error ~code ~loc:where what :: !diags in
@@ -223,18 +219,3 @@ let check_diagnostics topo (app : Model.app) =
     app.goals;
   if app.goals = [] then report ~code:"SKT006" "goal" "no goals";
   List.rev !diags
-
-(* Historical API: the diagnostic's loc/message pair, codes dropped. *)
-let check topo app =
-  List.map
-    (fun (d : D.t) -> { where = d.D.loc; what = d.D.message })
-    (check_diagnostics topo app)
-
-let check_exn topo app =
-  match check topo app with
-  | [] -> ()
-  | issues ->
-      let msgs =
-        List.map (fun i -> Printf.sprintf "%s: %s" i.where i.what) issues
-      in
-      invalid_arg ("invalid CPP specification:\n  " ^ String.concat "\n  " msgs)

@@ -5,22 +5,12 @@
     planner's endpoint evaluation assumes monotonicity, paper section 2.2),
     and goals naming unknown components or out-of-range nodes. *)
 
-type issue = { where : string; what : string }
-
-val pp_issue : Format.formatter -> issue -> unit
-
 (** Full check of an application against a topology; empty list = valid.
     Diagnostics accumulate — one pass reports every problem, not just the
     first — carrying the [SKT0xx] codes from {!Sekitei_util.Diagnostic}
     (all at [Error] severity: an invalid spec never reaches the
-    compiler). *)
+    compiler).  This is the one validation entry point: [sekitei
+    validate] and the planner's [Invalid_spec] reason print each
+    diagnostic as [loc: message], [sekitei check] with its code. *)
 val check_diagnostics :
   Sekitei_network.Topology.t -> Model.app -> Sekitei_util.Diagnostic.t list
-
-(** {!check_diagnostics} flattened to the historical [where]/[what]
-    pairs (codes dropped). *)
-val check : Sekitei_network.Topology.t -> Model.app -> issue list
-
-(** [check_exn topo app] raises [Invalid_argument] with a readable summary
-    when the spec is invalid. *)
-val check_exn : Sekitei_network.Topology.t -> Model.app -> unit

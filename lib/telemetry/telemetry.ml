@@ -16,10 +16,6 @@
 module Timer = Sekitei_util.Timer
 module Json = Sekitei_util.Json
 
-let src = Logs.Src.create "sekitei.telemetry" ~doc:"Sekitei telemetry events"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type value = Bool of bool | Int of int | Float of float | Str of string
 
 type event =
@@ -162,32 +158,28 @@ type t = {
   flight : Flight.t option;
   active : bool;  (* sinks <> [] || flight armed; the one hot-path branch *)
   origin : Timer.t;
-  progress_interval : int;
   mutable next_id : int;
   mutable open_stack : int list;  (** ids of currently open spans *)
 }
 
 type span = { span_id : int; span_name : string; started : Timer.t }
 
-let make ?flight sinks progress_interval =
+let create ?flight sinks =
   {
     sinks;
     flight;
     active = sinks <> [] || flight <> None;
     origin = Timer.start ();
-    progress_interval;
     next_id = 1;
     open_stack = [];
   }
 
-let null = make [] 0
-
-let create ?(progress_every = 1000) ?flight sinks =
-  make ?flight sinks (max 1 progress_every)
-
+let null = create []
 let enabled t = t.active
 let flight t = t.flight
-let progress_interval t = if t.active then t.progress_interval else 0
+
+(* Expansions between two RG progress heartbeats. *)
+let progress_interval t = if t.active then 1000 else 0
 let elapsed_ms t = Timer.elapsed_ms t.origin
 
 let emit t ev =
@@ -230,14 +222,6 @@ let with_span ?attrs t name f =
     ~finally:(fun () -> ignore (end_span ?attrs t sp))
     f
 
-let with_span_timed ?attrs t name f =
-  let sp = begin_span t name in
-  match f () with
-  | v -> (v, end_span ?attrs t sp)
-  | exception e ->
-      ignore (end_span ?attrs t sp);
-      raise e
-
 (* ---------------- counters / gauges / progress ---------------- *)
 
 let count t name total =
@@ -267,34 +251,6 @@ let locked s =
     Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> f x)
   in
   { emit = guarded s.emit; close = (fun () -> guarded s.close ()) }
-
-let pp_value fmt = function
-  | Bool b -> Format.pp_print_bool fmt b
-  | Int i -> Format.pp_print_int fmt i
-  | Float f -> Format.fprintf fmt "%g" f
-  | Str s -> Format.pp_print_string fmt s
-
-let pp_attrs fmt attrs =
-  List.iter (fun (k, v) -> Format.fprintf fmt " %s=%a" k pp_value v) attrs
-
-let event_line ev =
-  match ev with
-  | Span_begin { name; t_ms; _ } -> Format.asprintf "[%8.2fms] > %s" t_ms name
-  | Span_end { name; t_ms; dur_ms; attrs; _ } ->
-      Format.asprintf "[%8.2fms] < %s (%.2fms)%a" t_ms name dur_ms pp_attrs
-        attrs
-  | Counter { name; total; t_ms } ->
-      Format.asprintf "[%8.2fms] # %s = %d" t_ms name total
-  | Gauge { name; value; t_ms } ->
-      Format.asprintf "[%8.2fms] # %s = %g" t_ms name value
-  | Progress { name; t_ms; attrs } ->
-      Format.asprintf "[%8.2fms] . %s%a" t_ms name pp_attrs attrs
-
-let logs_sink () =
-  {
-    emit = (fun ev -> Log.info (fun m -> m "%s" (event_line ev)));
-    close = (fun () -> ());
-  }
 
 let jsonl oc =
   (* Track span nesting so the channel is flushed whenever a root span

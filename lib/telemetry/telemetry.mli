@@ -83,12 +83,11 @@ type t
 (** The default: no sinks, no flight recorder, near-zero overhead. *)
 val null : t
 
-(** [create sinks] starts the monotonic origin clock now.
-    [progress_every] (default 1000) is the expansion interval the RG
-    search uses between {!progress} heartbeats.  [flight] arms a flight
-    recorder: every event emitted to the sinks is also recorded in the
-    ring, and events are generated even when [sinks] is empty. *)
-val create : ?progress_every:int -> ?flight:Flight.t -> sink list -> t
+(** [create sinks] starts the monotonic origin clock now.  The RG search
+    emits a {!progress} heartbeat every 1000 expansions.  [flight] arms a
+    flight recorder: every event emitted to the sinks is also recorded
+    in the ring, and events are generated even when [sinks] is empty. *)
+val create : ?flight:Flight.t -> sink list -> t
 
 (** True when any sink or a flight recorder is attached. *)
 val enabled : t -> bool
@@ -96,8 +95,8 @@ val enabled : t -> bool
 (** The armed flight recorder, if any (for failure-path dumps). *)
 val flight : t -> Flight.t option
 
-(** The configured heartbeat interval; 0 when disabled (callers skip the
-    modulo entirely). *)
+(** The RG heartbeat interval: 1000 expansions, or 0 when the handle is
+    not {!enabled} (callers skip the modulo entirely). *)
 val progress_interval : t -> int
 
 (** Milliseconds since {!create} (event timestamps use this origin). *)
@@ -125,10 +124,6 @@ val end_span : ?attrs:(string * value) list -> t -> span -> float
 (** [with_span t name f] runs [f] inside a span; the span is closed even
     when [f] raises. *)
 val with_span : ?attrs:(string * value) list -> t -> string -> (unit -> 'a) -> 'a
-
-(** Like {!with_span} but also returns the duration in ms. *)
-val with_span_timed :
-  ?attrs:(string * value) list -> t -> string -> (unit -> 'a) -> 'a * float
 
 (** {1 Counters, gauges, progress} *)
 
@@ -158,10 +153,6 @@ val memory : unit -> sink * (unit -> event list)
     lock-acquisition order, which is {e not} deterministic; per-worker
     {!memory} sinks are the alternative when order matters. *)
 val locked : sink -> sink
-
-(** Renders events through the [logs] library (source
-    ["sekitei.telemetry"], level [Info]). *)
-val logs_sink : unit -> sink
 
 (** One compact JSON object per event, one per line (JSONL).  The
     channel is flushed after every [Progress] event (so tailing a live

@@ -178,10 +178,7 @@ deploy { place Camera on a; goal Viewer on b; }
   Alcotest.(check bool) "dangling requires has SKT004" true
     (has_code "SKT004" diags);
   Alcotest.(check bool) "all validation findings are errors" true
-    (List.for_all (fun (d : D.t) -> d.D.severity = D.Error) diags);
-  (* The thin legacy wrapper sees the same findings. *)
-  Alcotest.(check int) "legacy issue list agrees" (List.length diags)
-    (List.length (Validate.check topo doc.Dsl.app))
+    (List.for_all (fun (d : D.t) -> d.D.severity = D.Error) diags)
 
 (* ---------------- diagnostic type ---------------- *)
 

@@ -35,7 +35,7 @@ let test_media_validates_everywhere () =
         (sc.Sekitei_harness.Scenarios.name ^ " valid")
         0
         (List.length
-           (Validate.check sc.Sekitei_harness.Scenarios.topo
+           (Validate.check_diagnostics sc.Sekitei_harness.Scenarios.topo
               sc.Sekitei_harness.Scenarios.app)))
     [ Sekitei_harness.Scenarios.tiny (); Sekitei_harness.Scenarios.small () ]
 
@@ -87,7 +87,7 @@ let test_chain_crossover_monotone () =
 
 let test_chain_valid_spec () =
   Alcotest.(check int) "valid" 0
-    (List.length (Validate.check (Chain.topology ()) (Chain.app ())))
+    (List.length (Validate.check_diagnostics (Chain.topology ()) (Chain.app ())))
 
 (* ---------------- gridflow ---------------- *)
 
@@ -129,7 +129,7 @@ let test_gridflow_latency_metric () =
 let test_gridflow_valid_spec () =
   let topo = Gridflow.topology ~link_lats:[ 1. ] ~bws:[ 100. ] in
   Alcotest.(check int) "valid" 0
-    (List.length (Validate.check topo (Gridflow.app ~storage:0 ~consumer:1 ())))
+    (List.length (Validate.check_diagnostics topo (Gridflow.app ~storage:0 ~consumer:1 ())))
 
 let test_gridflow_narrow_everywhere () =
   (* All links 15 units: R needs at least 20 at the consumer, but any

@@ -156,7 +156,7 @@ let test_bad_numbers_reported () =
     (fun v ->
       expect_mentioning "resource value"
         (edit "node a cpu 30;" ("node a cpu " ^ v ^ ";")))
-    [ "nan"; "inf" ]
+    [ "nan"; "inf"; "-5" ]
 
 let test_bad_expression_reported () =
   expect_error

@@ -2,10 +2,15 @@
    heuristic-quality profiler. *)
 
 module Planner = Sekitei_core.Planner
+module Session = Sekitei_core.Session
 module Plan = Sekitei_core.Plan
 module Explain = Sekitei_core.Explain
 module Replay = Sekitei_core.Replay
+module Compile = Sekitei_core.Compile
+module Plrg = Sekitei_core.Plrg
+module Slrg = Sekitei_core.Slrg
 module Rg = Sekitei_core.Rg
+module Deadline = Sekitei_util.Deadline
 module Hquality = Sekitei_harness.Hquality
 module Media = Sekitei_domains.Media
 module Model = Sekitei_spec.Model
@@ -17,12 +22,23 @@ let solve ?(config = Planner.default_config) (sc : Scenarios.t) level =
   Planner.plan
     (Planner.request ~config sc.Scenarios.topo sc.Scenarios.app ~leveling)
 
-let explaining = { Planner.default_config with Planner.explain = true }
-
 let expect_plan what (report : Planner.report) =
   match report.Planner.result with
   | Ok p -> p
   | Error r -> Alcotest.failf "%s: no plan (%a)" what Planner.pp_failure r
+
+(* Plan through a session and explain the plan against the session's
+   compiled problem, as `sekitei plan --explain` does. *)
+let explained (sc : Scenarios.t) level =
+  let leveling = Media.leveling level sc.Scenarios.app in
+  let session =
+    Session.create
+      (Planner.request sc.Scenarios.topo sc.Scenarios.app ~leveling)
+  in
+  let p = expect_plan "explain" (Session.plan session) in
+  match Explain.explain (Option.get (Session.problem session)) p with
+  | Ok ex -> (p, ex)
+  | Error e -> Alcotest.failf "explain failed: %s" e
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -36,17 +52,13 @@ let contains hay needle =
 let test_explain_total_exact () =
   List.iter
     (fun (sc, level) ->
-      let o = solve ~config:explaining sc level in
-      let p = expect_plan "explain" o in
-      match o.Planner.explanation with
-      | None -> Alcotest.fail "no explanation on a solved explain run"
-      | Some ex ->
-          Alcotest.(check bool)
-            "total equals cost_lb exactly" true
-            (ex.Explain.plan_cost = p.Plan.cost_lb);
-          Alcotest.(check int)
-            "one step per action" (Plan.length p)
-            (List.length ex.Explain.steps))
+      let p, ex = explained sc level in
+      Alcotest.(check bool)
+        "total equals cost_lb exactly" true
+        (ex.Explain.plan_cost = p.Plan.cost_lb);
+      Alcotest.(check int)
+        "one step per action" (Plan.length p)
+        (List.length ex.Explain.steps))
     [
       (Scenarios.tiny (), Media.C);
       (Scenarios.small (), Media.C);
@@ -54,94 +66,115 @@ let test_explain_total_exact () =
     ]
 
 let test_explain_bindings () =
-  let o = solve ~config:explaining (Scenarios.small ()) Media.C in
-  let _ = expect_plan "bindings" o in
-  match o.Planner.explanation with
-  | None -> Alcotest.fail "no explanation"
-  | Some ex ->
-      List.iter
-        (fun (s : Explain.step) ->
-          match s.Explain.binding with
-          | None -> Alcotest.failf "step %d has no binding" s.Explain.index
-          | Some b ->
-              Alcotest.(check bool)
-                "feasible step has non-negative slack" true
-                (b.Explain.slack >= 0.);
-              Alcotest.(check bool)
-                "consumption within capacity" true
-                (b.Explain.total_used <= b.Explain.capacity);
-              Alcotest.(check bool)
-                "step consumption part of the total" true
-                (b.Explain.step_used <= b.Explain.total_used +. 1e-9))
-        ex.Explain.steps;
-      let rendered = Explain.render ex in
-      Alcotest.(check bool)
-        "render has a totals row" true
-        (contains rendered "total")
+  let _, ex = explained (Scenarios.small ()) Media.C in
+  List.iter
+    (fun (s : Explain.step) ->
+      match s.Explain.binding with
+      | None -> Alcotest.failf "step %d has no binding" s.Explain.index
+      | Some b ->
+          Alcotest.(check bool)
+            "feasible step has non-negative slack" true
+            (b.Explain.slack >= 0.);
+          Alcotest.(check bool)
+            "consumption within capacity" true
+            (b.Explain.total_used <= b.Explain.capacity);
+          Alcotest.(check bool)
+            "step consumption part of the total" true
+            (b.Explain.step_used <= b.Explain.total_used +. 1e-9))
+    ex.Explain.steps;
+  let rendered = Explain.render ex in
+  Alcotest.(check bool) "render has a totals row" true
+    (contains rendered "total")
 
 let test_explain_realized_matches_metrics () =
-  let o = solve ~config:explaining (Scenarios.small ()) Media.C in
-  let p = expect_plan "realized" o in
-  match o.Planner.explanation with
-  | None -> Alcotest.fail "no explanation"
-  | Some ex ->
-      Alcotest.(check (float 1e-6))
-        "realized total matches replay metrics"
-        p.Plan.metrics.Replay.realized_cost ex.Explain.realized_cost
+  let p, ex = explained (Scenarios.small ()) Media.C in
+  Alcotest.(check (float 1e-6))
+    "realized total matches replay metrics"
+    p.Plan.metrics.Replay.realized_cost ex.Explain.realized_cost
 
-let test_explain_off_by_default () =
+let test_hquality_off_by_default () =
   let o = solve (Scenarios.small ()) Media.C in
-  Alcotest.(check bool) "no explanation" true (o.Planner.explanation = None);
-  Alcotest.(check bool) "no certificate" true (o.Planner.certificate = None);
   Alcotest.(check bool) "no hquality" true (o.Planner.hquality = None)
 
 (* ---------------- certificates ---------------- *)
 
-let test_unreachable_certificate () =
+let test_certificate_unreachable () =
   (* Partitioned network: the client's island cannot receive M. *)
   let app = Media.app ~server:0 ~client:1 () in
   let topo = T.make ~nodes:[ T.node 0 "n0"; T.node 1 "n1" ] ~links:[] in
   let o =
     Planner.plan
-      (Planner.request ~config:explaining topo app
-         ~leveling:(Media.leveling Media.C app))
+      (Planner.request topo app ~leveling:(Media.leveling Media.C app))
   in
-  (match o.Planner.result with
-  | Ok _ -> Alcotest.fail "partitioned instance solved"
-  | Error (Planner.Unreachable_goal _) -> ()
-  | Error r -> Alcotest.failf "wrong reason: %a" Planner.pp_failure r);
-  match o.Planner.certificate with
-  | Some (Explain.Unreachable_cut { goal; cut; chain }) ->
+  match o.Planner.result with
+  | Error (Planner.Unreachable_goal { goals; chain } as failure) -> (
+      let goal = List.hd goals in
       Alcotest.(check bool) "goal named" true (goal <> "");
-      Alcotest.(check bool) "cut named" true (cut <> "");
       Alcotest.(check bool) "chain starts at the goal" true
         (match chain with g :: _ -> g = goal | [] -> false);
-      Alcotest.(check bool) "chain ends at the cut" true
-        (match List.rev chain with c :: _ -> c = cut | [] -> false);
-      Alcotest.(check bool) "render names the cut" true
-        (contains
-           (Explain.render_certificate
-              (Explain.Unreachable_cut { goal; cut; chain }))
-           cut)
-  | Some (Explain.Search_frontier _) ->
-      Alcotest.fail "frontier certificate for an unreachable goal"
-  | None -> Alcotest.fail "no certificate on an explained unreachable run"
+      let cut = List.hd (List.rev chain) in
+      match Explain.certificate failure with
+      | None -> Alcotest.fail "no certificate for an unreachable goal"
+      | Some text ->
+          Alcotest.(check bool) "render names the goal" true
+            (String.starts_with ~prefix:("unsolvable: goal " ^ goal) text);
+          Alcotest.(check bool) "render names the cut" true
+            (contains text ("pruned by the PLRG: " ^ cut));
+          Alcotest.(check bool) "render lists the chain" true
+            (contains text (String.concat " <- " chain)))
+  | Ok _ -> Alcotest.fail "partitioned instance solved"
+  | Error r -> Alcotest.failf "wrong reason: %a" Planner.pp_failure r
 
-let test_frontier_certificate () =
-  let config = { explaining with Planner.rg_max_expansions = 1 } in
+let test_certificate_frontier () =
+  let config = { Planner.default_config with Planner.rg_max_expansions = 1 } in
   let o = solve ~config (Scenarios.small ()) Media.C in
-  (match o.Planner.result with
-  | Error (Planner.Search_limit _) -> ()
-  | Ok _ -> Alcotest.fail "budget-1 search solved Small-C"
-  | Error r -> Alcotest.failf "wrong reason: %a" Planner.pp_failure r);
-  match o.Planner.certificate with
-  | Some (Explain.Search_frontier { best_f; tail; unmet }) ->
+  match o.Planner.result with
+  | Error
+      (Planner.Search_limit { frontier = { Rg.best_f; tail; unmet }; _ } as
+       failure) ->
       Alcotest.(check bool) "positive admissible bound" true (best_f > 0.);
       Alcotest.(check bool) "frontier tail non-empty" true (tail <> []);
-      Alcotest.(check bool) "unmet preconditions listed" true (unmet <> [])
-  | Some (Explain.Unreachable_cut _) ->
-      Alcotest.fail "unreachable certificate for a budget failure"
-  | None -> Alcotest.fail "no certificate on an explained budget failure"
+      Alcotest.(check bool) "unmet preconditions listed" true (unmet <> []);
+      Alcotest.(check bool) "budget wording" true
+        (match Explain.certificate failure with
+        | Some text ->
+            String.starts_with ~prefix:"search budget exhausted: " text
+        | None -> false)
+  | Ok _ -> Alcotest.fail "budget-1 search solved Small-C"
+  | Error r -> Alcotest.failf "wrong reason: %a" Planner.pp_failure r
+
+(* A deadline cutoff words its frontier as a deadline, not a budget; the
+   frontier comes from a deterministic counting deadline fed straight to
+   the RG search.  Failures without frontier evidence certify nothing. *)
+let test_certificate_deadline () =
+  let sc = Scenarios.small () in
+  let leveling = Media.leveling Media.C sc.Scenarios.app in
+  let pb = Compile.compile sc.Scenarios.topo sc.Scenarios.app leveling in
+  let slrg = Slrg.create pb (Plrg.build pb) in
+  match Rg.search ~deadline:(Deadline.counting 10) pb slrg with
+  | Rg.Cutoff { by = `Deadline; expansions; frontier }, _ ->
+      let failure =
+        Planner.Deadline_exceeded
+          { phase = "rg"; expansions; frontier = Some frontier }
+      in
+      let bound =
+        Printf.sprintf "best frontier bound f = %g" frontier.Rg.best_f
+      in
+      (match Explain.certificate failure with
+      | Some text ->
+          Alcotest.(check bool) "deadline wording" true
+            (String.starts_with ~prefix:("deadline reached: " ^ bound) text);
+          Alcotest.(check bool) "no budget wording" false
+            (contains text "budget")
+      | None -> Alcotest.fail "no certificate for an in-search deadline");
+      Alcotest.(check bool) "no evidence when resources ran out" true
+        (Explain.certificate Planner.Resource_exhausted = None);
+      Alcotest.(check bool) "no evidence for a compile-phase deadline" true
+        (Explain.certificate
+           (Planner.Deadline_exceeded
+              { phase = "compile"; expansions = 0; frontier = None })
+        = None)
+  | _ -> Alcotest.fail "expected a deadline cutoff"
 
 (* ---------------- heuristic quality ---------------- *)
 
@@ -203,11 +236,14 @@ let suite =
     Alcotest.test_case "explain: bindings and slack" `Quick test_explain_bindings;
     Alcotest.test_case "explain: realized cost" `Quick
       test_explain_realized_matches_metrics;
-    Alcotest.test_case "explain: off by default" `Quick test_explain_off_by_default;
+    Alcotest.test_case "hquality: off by default" `Quick
+      test_hquality_off_by_default;
     Alcotest.test_case "certificate: unreachable cut" `Quick
-      test_unreachable_certificate;
+      test_certificate_unreachable;
     Alcotest.test_case "certificate: search frontier" `Quick
-      test_frontier_certificate;
+      test_certificate_frontier;
+    Alcotest.test_case "certificate: deadline wording" `Quick
+      test_certificate_deadline;
     Alcotest.test_case "hquality: zero violations" `Quick
       test_hquality_zero_violations;
     Alcotest.test_case "hquality: path samples" `Quick

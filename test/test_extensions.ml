@@ -178,7 +178,7 @@ let test_ws_valid_spec () =
   let topo = Webservice.topology ~secure:[ 1; 0 ] in
   Alcotest.(check int) "valid" 0
     (List.length
-       (Sekitei_spec.Validate.check topo (Webservice.app ~backend:0 ~consumer:2 ())))
+       (Sekitei_spec.Validate.check_diagnostics topo (Webservice.app ~backend:0 ~consumer:2 ())))
 
 (* ---------------- deployment DOT ---------------- *)
 

@@ -80,8 +80,8 @@ let test_spec_file_on_disk () =
   if Sys.file_exists path then begin
     let doc = Dsl.load_file path in
     let topo = Option.get doc.Dsl.topo in
-    Alcotest.(check int) "issues" 0
-      (List.length (Sekitei_spec.Validate.check topo doc.Dsl.app));
+    Alcotest.(check int) "diagnostics" 0
+      (List.length (Sekitei_spec.Validate.check_diagnostics topo doc.Dsl.app));
     match (Planner.plan (Planner.request topo doc.Dsl.app ~leveling:doc.Dsl.leveling)).Planner.result with
     | Ok p -> Alcotest.(check int) "4 actions" 4 (Plan.length p)
     | Error r -> Alcotest.failf "no plan: %a" Planner.pp_failure r

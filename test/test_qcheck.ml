@@ -430,7 +430,7 @@ let prop_slrg_harvest_agrees =
       if not (Plrg.goals_reachable plrg) then true
       else begin
         let slrg = Slrg.create pb plrg in
-        ignore (Rg.search ~max_expansions:2_000 pb plrg slrg);
+        ignore (Rg.search ~max_expansions:2_000 pb slrg);
         let fresh = Slrg.create ~query_budget:1_000_000 pb plrg in
         let ok = ref true in
         Slrg.iter_solved slrg (fun set cost ->
@@ -503,8 +503,9 @@ let prop_warm_equals_cold =
       let close a b = Float.abs (a -. b) <= 1e-6 in
       match (warm.Planner.result, cold.Planner.result) with
       | Ok p1, Ok p2 -> close p1.Plan.cost_lb p2.Plan.cost_lb
-      | ( Error (Planner.Search_limit { best_f = f1; _ }),
-          Error (Planner.Search_limit { best_f = f2; _ }) ) ->
+      | ( Error (Planner.Search_limit { frontier = { Rg.best_f = f1; _ }; _ }),
+          Error (Planner.Search_limit { frontier = { Rg.best_f = f2; _ }; _ })
+        ) ->
           close f1 f2
       | Error r1, Error r2 -> r1 = r2
       | _ -> false)
@@ -664,8 +665,11 @@ let prop_plan_ids_stable =
       let same_outcome =
         match (warm.Planner.result, cold.Planner.result) with
         | Ok p1, Ok p2 -> closef p1.Plan.cost_lb p2.Plan.cost_lb
-        | ( Error (Planner.Search_limit { best_f = f1; _ }),
-            Error (Planner.Search_limit { best_f = f2; _ }) ) ->
+        | ( Error
+              (Planner.Search_limit { frontier = { Rg.best_f = f1; _ }; _ }),
+            Error
+              (Planner.Search_limit { frontier = { Rg.best_f = f2; _ }; _ })
+          ) ->
             closef f1 f2
         | Error r1, Error r2 -> r1 = r2
         | _ -> false
@@ -836,7 +840,7 @@ let prop_prune_bit_identical =
       let search pb =
         let plrg = Plrg.build pb in
         let slrg = Slrg.create pb plrg in
-        Rg.search ~max_expansions:5_000 pb plrg slrg
+        Rg.search ~max_expansions:5_000 pb slrg
       in
       pruned.Problem.pruned_actions > 0
       &&
@@ -847,8 +851,8 @@ let prop_prune_bit_identical =
           && Float.equal c1 c2
           && Float.equal m1.Replay.realized_cost m2.Replay.realized_cost
       | (Rg.Exhausted, _), (Rg.Exhausted, _) -> true
-      | ( (Rg.Budget_exceeded { best_f = f1; _ }, _),
-          (Rg.Budget_exceeded { best_f = f2; _ }, _) ) ->
+      | ( (Rg.Cutoff { frontier = { best_f = f1; _ }; _ }, _),
+          (Rg.Cutoff { frontier = { best_f = f2; _ }; _ }, _) ) ->
           (* Neither search finished inside the budget: pruning must not
              have changed the admissible bound either. *)
           Float.equal f1 f2

@@ -184,7 +184,7 @@ let test_dedup_counts_duplicates () =
   let pb = tiny_pb Media.C in
   let plrg = Plrg.build pb in
   let slrg = Slrg.create pb plrg in
-  let _, s = Rg.search pb plrg slrg in
+  let _, s = Rg.search pb slrg in
   Alcotest.(check bool) "duplicates detected" true (s.Rg.duplicates > 0)
 
 (* ---------------- bench JSON schema ---------------- *)

@@ -197,6 +197,14 @@ let test_update_rejects_bad_ids () =
         (Session.update session
            (Session.Set_node_resource
               { node = 1; resource = "cpu"; value = Float.nan })));
+  Alcotest.check_raises "negative node value"
+    (Invalid_argument
+       "Mutate.set_node_resource: cpu must be non-negative, got -5")
+    (fun () ->
+      ignore
+        (Session.update session
+           (Session.Set_node_resource
+              { node = 0; resource = "cpu"; value = -5. })));
   Alcotest.(check bool) "topology untouched" true
     (Session.topology session == before);
   Alcotest.(check bool) "still warm" true (Session.is_warm session);
@@ -266,10 +274,10 @@ let test_deadline_compile_phase () =
     { Planner.default_config with Planner.deadline_ms = Some 0. }
   in
   match (Planner.plan { req with Planner.config }).Planner.result with
-  | Error (Planner.Deadline_exceeded { phase; expansions; best_f }) ->
+  | Error (Planner.Deadline_exceeded { phase; expansions; frontier }) ->
       Alcotest.(check string) "gave up compiling" "compile" phase;
       Alcotest.(check int) "no expansions" 0 expansions;
-      Alcotest.(check bool) "no frontier evidence" true (best_f = None)
+      Alcotest.(check bool) "no frontier evidence" true (frontier = None)
   | Error reason ->
       Alcotest.failf "unexpected failure: %a" Planner.pp_failure reason
   | Ok _ -> Alcotest.fail "a 0ms deadline cannot produce a plan"
@@ -284,23 +292,24 @@ let test_deadline_mid_rg () =
   let plrg = Plrg.build pb in
   let slrg = Slrg.create pb plrg in
   let optimal =
-    match Rg.search ~max_expansions:500_000 pb plrg slrg with
+    match Rg.search ~max_expansions:500_000 pb slrg with
     | Rg.Solution (_, _, cost), _ -> cost
     | _ -> Alcotest.fail "Small-C must be solvable"
   in
   let slrg' = Slrg.create pb plrg in
   match
-    Rg.search ~max_expansions:500_000 ~deadline:(Deadline.counting 10) pb plrg
-      slrg'
+    Rg.search ~max_expansions:500_000 ~deadline:(Deadline.counting 10) pb slrg'
   with
-  | Rg.Deadline_reached { expansions; best_f; _ }, stats ->
+  | ( Rg.Cutoff { by = `Deadline; expansions; frontier = { best_f; unmet; _ } },
+      stats ) ->
       Alcotest.(check bool) "stopped early" true (expansions <= 10);
       Alcotest.(check int) "stats agree" expansions stats.Rg.expanded;
       Alcotest.(check bool) "best_f admissible" true
         (best_f <= optimal +. 1e-6);
-      Alcotest.(check bool) "best_f positive" true (best_f > 0.)
-  | (Rg.Solution _ | Rg.Exhausted | Rg.Budget_exceeded _), _ ->
-      Alcotest.fail "expected Deadline_reached"
+      Alcotest.(check bool) "best_f positive" true (best_f > 0.);
+      Alcotest.(check bool) "unmet preconditions rendered" true (unmet <> [])
+  | (Rg.Solution _ | Rg.Exhausted | Rg.Cutoff { by = `Budget; _ }), _ ->
+      Alcotest.fail "expected a deadline cutoff"
 
 (* An expired session request leaves the state intact: the next request
    without a deadline plans normally (and warm). *)

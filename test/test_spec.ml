@@ -4,6 +4,7 @@
 module Model = Sekitei_spec.Model
 module Leveling = Sekitei_spec.Leveling
 module Validate = Sekitei_spec.Validate
+module D = Sekitei_util.Diagnostic
 module Media = Sekitei_domains.Media
 module E = Sekitei_expr.Expr
 module I = Sekitei_util.Interval
@@ -137,7 +138,8 @@ let tiny_topo () = G.line_kinds [ T.Wan ]
 
 let test_validate_clean () =
   let app = Media.app ~server:0 ~client:1 () in
-  Alcotest.(check int) "no issues" 0 (List.length (Validate.check (tiny_topo ()) app))
+  Alcotest.(check int) "no diagnostics" 0
+    (List.length (Validate.check_diagnostics (tiny_topo ()) app))
 
 let test_validate_unknown_interface () =
   let app = Media.app ~server:0 ~client:1 () in
@@ -146,11 +148,11 @@ let test_validate_unknown_interface () =
       Model.components =
         Model.component ~requires:[ "Nope" ] "Bad" :: app.Model.components }
   in
-  let issues = Validate.check (tiny_topo ()) bad in
+  let diags = Validate.check_diagnostics (tiny_topo ()) bad in
   Alcotest.(check bool) "caught" true
     (List.exists
-       (fun i -> Sekitei_spec.Str_split.split_once i.Validate.what "Nope" <> None)
-       issues)
+       (fun (d : D.t) -> Sekitei_spec.Str_split.split_once d.D.message "Nope" <> None)
+       diags)
 
 let test_validate_unknown_variable () =
   let app = Media.app ~server:0 ~client:1 () in
@@ -162,7 +164,8 @@ let test_validate_unknown_variable () =
           "Bad"
         :: app.Model.components }
   in
-  Alcotest.(check bool) "caught" true (Validate.check (tiny_topo ()) bad <> [])
+  Alcotest.(check bool) "caught" true
+    (Validate.check_diagnostics (tiny_topo ()) bad <> [])
 
 let test_validate_unknown_node_resource () =
   let app = Media.app ~server:0 ~client:1 () in
@@ -174,7 +177,8 @@ let test_validate_unknown_node_resource () =
           "Bad"
         :: app.Model.components }
   in
-  Alcotest.(check bool) "caught" true (Validate.check (tiny_topo ()) bad <> [])
+  Alcotest.(check bool) "caught" true
+    (Validate.check_diagnostics (tiny_topo ()) bad <> [])
 
 let test_validate_nonmonotone_effect () =
   let app = Media.app ~server:0 ~client:1 () in
@@ -186,12 +190,12 @@ let test_validate_nonmonotone_effect () =
           "Quadratic"
         :: app.Model.components }
   in
-  let issues = Validate.check (tiny_topo ()) bad in
+  let diags = Validate.check_diagnostics (tiny_topo ()) bad in
   Alcotest.(check bool) "monotonicity flagged" true
     (List.exists
-       (fun i ->
-         Sekitei_spec.Str_split.split_once i.Validate.what "monotone" <> None)
-       issues)
+       (fun (d : D.t) ->
+         Sekitei_spec.Str_split.split_once d.D.message "monotone" <> None)
+       diags)
 
 let test_validate_unset_provide () =
   let app = Media.app ~server:0 ~client:1 () in
@@ -201,38 +205,30 @@ let test_validate_unset_provide () =
         Model.component ~requires:[ "T" ] ~provides:[ "Z" ] "Forgetful"
         :: app.Model.components }
   in
-  let issues = Validate.check (tiny_topo ()) bad in
+  let diags = Validate.check_diagnostics (tiny_topo ()) bad in
   Alcotest.(check bool) "unset provide flagged" true
     (List.exists
-       (fun i -> Sekitei_spec.Str_split.split_once i.Validate.what "never sets" <> None)
-       issues)
+       (fun (d : D.t) ->
+         Sekitei_spec.Str_split.split_once d.D.message "never sets" <> None)
+       diags)
 
 let test_validate_goal_errors () =
   let app = Media.app ~server:0 ~client:1 () in
   let bad = { app with Model.goals = [ Model.Placed ("Ghost", 0) ] } in
   Alcotest.(check bool) "unknown goal component" true
-    (Validate.check (tiny_topo ()) bad <> []);
+    (Validate.check_diagnostics (tiny_topo ()) bad <> []);
   let bad2 = { app with Model.goals = [ Model.Placed ("Client", 99) ] } in
   Alcotest.(check bool) "node out of range" true
-    (Validate.check (tiny_topo ()) bad2 <> []);
+    (Validate.check_diagnostics (tiny_topo ()) bad2 <> []);
   let bad3 = { app with Model.goals = [] } in
-  Alcotest.(check bool) "no goals" true (Validate.check (tiny_topo ()) bad3 <> [])
+  Alcotest.(check bool) "no goals" true
+    (Validate.check_diagnostics (tiny_topo ()) bad3 <> [])
 
 let test_validate_duplicates () =
   let app = Media.app ~server:0 ~client:1 () in
   let dup = { app with Model.interfaces = app.Model.interfaces @ [ List.hd app.Model.interfaces ] } in
   Alcotest.(check bool) "duplicate interface flagged" true
-    (Validate.check (tiny_topo ()) dup <> [])
-
-let test_validate_exn () =
-  let app = Media.app ~server:0 ~client:1 () in
-  Validate.check_exn (tiny_topo ()) app;
-  let bad = { app with Model.goals = [] } in
-  Alcotest.(check bool) "raises" true
-    (try
-       Validate.check_exn (tiny_topo ()) bad;
-       false
-     with Invalid_argument _ -> true)
+    (Validate.check_diagnostics (tiny_topo ()) dup <> [])
 
 let suite =
   [
@@ -257,5 +253,4 @@ let suite =
     ("validate unset provide", `Quick, test_validate_unset_provide);
     ("validate goal errors", `Quick, test_validate_goal_errors);
     ("validate duplicates", `Quick, test_validate_duplicates);
-    ("validate exn", `Quick, test_validate_exn);
   ]

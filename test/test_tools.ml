@@ -96,6 +96,14 @@ let test_mutate_rejects_bad_ids () =
   Alcotest.check_raises "set_node_resource -inf"
     (Invalid_argument "Mutate.set_node_resource: cpu must be finite, got -inf")
     (fun () -> ignore (Mutate.set_node_resource t 0 "cpu" Float.neg_infinity));
+  (* so are negative ones; zero stays valid (fail_node zeroes) *)
+  Alcotest.check_raises "set_node_resource -5"
+    (Invalid_argument "Mutate.set_node_resource: cpu must be non-negative, got -5")
+    (fun () -> ignore (Mutate.set_node_resource t 0 "cpu" (-5.)));
+  Alcotest.check_raises "set_link_resource -5"
+    (Invalid_argument "Mutate.set_link_resource: lbw must be non-negative, got -5")
+    (fun () -> ignore (Mutate.set_link_resource t 0 "lbw" (-5.)));
+  ignore (Mutate.set_node_resource t 0 "cpu" 0.);
   (* a tombstoned link is Stale, not unknown *)
   let t' = Mutate.remove_link t 0 in
   Alcotest.check_raises "set on removed link" (T.Stale_link 0) (fun () ->
