@@ -169,7 +169,7 @@ bench:
 # records warm_search_ms, the search time of a session re-plan that
 # reuses the compiled problem and the hot SLRG oracle.
 bench-json:
-	dune exec bench/main.exe -- --json --tag pr14 --repeat 3 --jobs 1 --warm
+	dune exec bench/main.exe -- --json --tag pr18 --repeat 3 --jobs 1 --warm
 
 # Profile the Small-C run: trace every planner phase to JSONL and render
 # the span tree / counter summary.

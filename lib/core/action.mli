@@ -26,8 +26,8 @@ type t = {
   add_closure : int array;
       (** achieved propositions closed under degradability/upgradability,
           strictly increasing: {!Compile}, the only constructor of
-          actions, emits them so, and {!Propset.regress} merges them
-          without sorting *)
+          actions, emits them so, and {!Propset.regress_intern} merges
+          them without sorting *)
   cost_lb : float;
   cost_extra : float;
       (** additive adjustment already folded into [cost_lb] (redeployment

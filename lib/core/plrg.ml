@@ -19,7 +19,7 @@ let build ?(deadline = Deadline.none) (pb : Problem.t) =
   let missing = Array.map (fun a -> Array.length a.Action.pre) pb.actions in
   let pre_max = Array.make n_acts 0. in
   let finalized = Array.make n_props false in
-  let heap = Heap.create_sized 1024 in
+  let heap = Heap.create () in
   let relax_action aid =
     let a = pb.actions.(aid) in
     let total = a.Action.cost_lb +. pre_max.(aid) in
@@ -47,24 +47,19 @@ let build ?(deadline = Deadline.none) (pb : Problem.t) =
       end)
     pb.init;
   Array.iteri (fun aid m -> if m = 0 then relax_action aid) missing;
-  let rec loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (pid, c) ->
-        Deadline.guard deadline ~phase:"plrg";
-        if not finalized.(pid) then begin
-          finalized.(pid) <- true;
-          ignore c;
-          List.iter
-            (fun aid ->
-              pre_max.(aid) <- Float.max pre_max.(aid) costs.(pid);
-              missing.(aid) <- missing.(aid) - 1;
-              if missing.(aid) = 0 then relax_action aid)
-            consumers.(pid)
-        end;
-        loop ()
-  in
-  loop ();
+  while not (Heap.is_empty heap) do
+    let pid = Heap.pop_value heap in
+    Deadline.guard deadline ~phase:"plrg";
+    if not finalized.(pid) then begin
+      finalized.(pid) <- true;
+      List.iter
+        (fun aid ->
+          pre_max.(aid) <- Float.max pre_max.(aid) costs.(pid);
+          missing.(aid) <- missing.(aid) - 1;
+          if missing.(aid) = 0 then relax_action aid)
+        consumers.(pid)
+    end
+  done;
   (* Backward-relevant cone from the goals: a proposition is relevant when
      needed by a relevant action or a goal; an action is relevant when it
      has finite cost and supports a relevant proposition. *)

@@ -4,8 +4,8 @@
     propositions represented as canonical int arrays: sorted ascending,
     duplicate-free, with initially-true propositions dropped.  This module
     centralizes the representation so the two phases share one
-    [Int.compare]-specialized implementation (no polymorphic [compare]),
-    one hash function, and one precomputed per-action regression table.
+    [Int.compare]-specialized implementation (no polymorphic [compare])
+    and one precomputed per-action regression table.
 
     On top of the raw arrays the module hash-conses: a per-{!ctx}
     {!Interner} maps each distinct canonical array to a unique physical
@@ -13,8 +13,10 @@
     flat arrays by that id (the SLRG solved/bound/h_max caches and its
     epoch-stamped per-query g/parent arrays, the {!Supports} candidate
     and successor rows) or hash a single int (the RG duplicate table)
-    instead of re-walking the set on every probe — the FNV sweep runs
-    once per distinct set, at interning time. *)
+    instead of re-walking the set on every probe.  The FNV walk over a
+    set's elements runs when a set is interned — for the search, on the
+    first read of each regression edge (see {!regress_intern}), whose
+    result the {!Supports} successor rows then keep. *)
 
 (** [canonical pb props] sorts, deduplicates and drops initially-true
     propositions. *)
@@ -24,26 +26,10 @@ val canonical : Problem.t -> int list -> int array
     not mutated). *)
 val canonical_array : Problem.t -> int array -> int array
 
-(** Structural equality of canonical sets (length + element loop, no
-    polymorphic compare). *)
-val equal : int array -> int array -> bool
-
-(** FNV-1a style hash of a canonical set. *)
-val hash : int array -> int
-
-(** [mem set p] — membership in a canonical (sorted) set, by binary
-    search. *)
-val mem : int array -> int -> bool
-
-(** Hash table keyed structurally by canonical sets (hash walks the
-    array).  Prefer id-keyed tables over interned {!handle}s on hot
-    paths; this stays for callers without an interner at hand. *)
-module Tbl : Hashtbl.S with type key = int array
-
 (** An interned canonical set: [id] is dense (0, 1, 2, ... in first-seen
     order per interner) and [set] is the unique physical representative
-    array — two handles of one interner satisfy
-    [h1.id = h2.id  <=>  Propset.equal h1.set h2.set].  The array must
+    array — two handles [h1], [h2] of one interner have
+    [h1.id = h2.id] exactly when their sets are equal.  The array must
     not be mutated. *)
 type handle = { id : int; set : int array }
 
@@ -51,6 +37,9 @@ type handle = { id : int; set : int array }
     entry in arrays of handles, compared physically. *)
 val no_handle : handle
 
+(** Open-addressing hash-consing table over the dense ids: each id's
+    hash is stored, so a lookup compares elements only on a hash match
+    and growing the table never re-walks a set. *)
 module Interner : sig
   type t
 
@@ -73,10 +62,11 @@ end
     pre-canonicalized, so that with the add-closure (strictly increasing
     as emitted, see {!Action.t}) a regression step is a linear merge
     instead of quadratic scans.
-    Also owns the {!Interner} — share one [ctx] across the SLRG oracle
-    and the RG search of a query so their handle ids agree.  Each
-    distinct regression edge is computed once per ctx binding by the
-    successor rows of {!Supports}, not here. *)
+    Also owns the {!Interner} and the merge buffer of
+    {!regress_intern} — share one [ctx] across the SLRG oracle and the
+    RG search of a query so their handle ids agree.  Each distinct
+    regression edge is computed once per ctx binding by the successor
+    rows of {!Supports}, not here. *)
 type ctx
 
 val make_ctx : Problem.t -> ctx
@@ -100,8 +90,11 @@ val handle_of_id : ctx -> int -> handle
 (** Distinct sets interned in this ctx so far. *)
 val interned_count : ctx -> int
 
-(** [regress ctx set a] is the canonical set
+(** [regress_intern ctx set a] is the handle of the canonical set
     [(set \ add_closure a) ∪ pre a]: the propositions still pending after
-    deciding that [a] closes the plan suffix.  [set] must be canonical;
-    the result is canonical (raw arrays, no interning). *)
-val regress : ctx -> int array -> Action.t -> int array
+    deciding that [a] closes the plan suffix.  [set] must be canonical.
+    The merge is written into the ctx's scratch buffer and looked up from
+    there; only a set seen for the first time is copied out (and gets
+    the next dense id), so a lookup of a known set allocates nothing.
+    Not reentrant (one shared buffer), like the searches that call it. *)
+val regress_intern : ctx -> int array -> Action.t -> handle

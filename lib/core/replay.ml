@@ -6,7 +6,11 @@ module Telemetry = Sekitei_telemetry.Telemetry
 
 type mode = From_init | Regression
 
-type failure = { failed_index : int; failed_action : string; reason : string }
+type failure = {
+  failed_index : int;
+  failed_action : string;
+  reason : string Lazy.t;
+}
 
 type metrics = {
   realized_cost : float;
@@ -21,7 +25,9 @@ type metrics = {
 
 type outcome = (metrics, failure) result
 
-exception Fail of string
+(* The reason is rendered only when read: the RG search discards most
+   regression-mode failures without looking at them. *)
+exception Fail of string Lazy.t
 
 (* The execution state is four persistent maps in mutable fields: an
    action rebinds the fields of its own state record, so snapshotting a
@@ -153,7 +159,8 @@ let eval_cost env_ivl cost =
 
 let find_iface_index (pb : Problem.t) name =
   let rec go i =
-    if i >= Array.length pb.ifaces then raise (Fail ("unknown interface " ^ name))
+    if i >= Array.length pb.ifaces then
+      raise (Fail (lazy ("unknown interface " ^ name)))
     else if String.equal pb.ifaces.(i).Model.iface_name name then i
     else go (i + 1)
   in
@@ -172,8 +179,9 @@ let effective_input pb st ~mode iface node assumed =
         | From_init ->
             raise
               (Fail
-                 (Printf.sprintf "interface %s not available on node %d"
-                    pb.ifaces.(iface).Model.iface_name node))
+                 (lazy
+                   (Printf.sprintf "interface %s not available on node %d"
+                      pb.ifaces.(iface).Model.iface_name node)))
         | Regression -> I.of_points [ 0.; pb.iface_max.(iface) ])
   in
   match meet tag cur assumed with
@@ -183,9 +191,11 @@ let effective_input pb st ~mode iface node assumed =
   | None ->
       raise
         (Fail
-           (Printf.sprintf "interface %s at node %d: %s incompatible with level %s"
-              pb.ifaces.(iface).Model.iface_name node (I.to_string cur)
-              (I.to_string assumed)))
+           (lazy
+             (Printf.sprintf
+                "interface %s at node %d: %s incompatible with level %s"
+                pb.ifaces.(iface).Model.iface_name node (I.to_string cur)
+                (I.to_string assumed))))
 
 let secondary_value pb st iface node p =
   match Prop_map.find_opt (iface, node, p) st.sec with
@@ -193,24 +203,36 @@ let secondary_value pb st iface node p =
   | None -> (
       match Model.find_property pb.Problem.ifaces.(iface) p with
       | Some prop -> I.point prop.Model.prop_default
-      | None -> raise (Fail ("unknown property " ^ p)))
+      | None -> raise (Fail (lazy ("unknown property " ^ p))))
 
 let consume_node pb st node r amount =
   if not (Float.is_finite amount) then
-    raise (Fail (Printf.sprintf "unbounded %s consumption on node %d" r node));
+    raise
+      (Fail
+         (lazy
+           (Printf.sprintf "unbounded %s consumption on node %d" r node)));
   let rem = node_remaining pb st node r -. amount in
   if rem < -1e-9 then
     raise
-      (Fail (Printf.sprintf "node %d out of %s (needs %g more)" node r (-.rem)));
+      (Fail
+         (lazy
+           (Printf.sprintf "node %d out of %s (needs %g more)" node r
+              (-.rem))));
   st.node_rem <- Res_map.add (node, r) rem st.node_rem
 
 let consume_link pb st link r amount =
   if not (Float.is_finite amount) then
-    raise (Fail (Printf.sprintf "unbounded %s consumption on link %d" r link));
+    raise
+      (Fail
+         (lazy
+           (Printf.sprintf "unbounded %s consumption on link %d" r link)));
   let rem = link_remaining pb st link r -. amount in
   if rem < -1e-9 then
     raise
-      (Fail (Printf.sprintf "link %d out of %s (needs %g more)" link r (-.rem)));
+      (Fail
+         (lazy
+           (Printf.sprintf "link %d out of %s (needs %g more)" link r
+              (-.rem))));
   st.link_rem <- Res_map.add (link, r) rem st.link_rem
 
 (* A checked (unimportant) level assumption on the remaining amount of a
@@ -244,8 +266,9 @@ let store_output out_ivl assumed what =
   | None ->
       raise
         (Fail
-           (Printf.sprintf "%s: computed %s misses level %s" what
-              (I.to_string out_ivl) (I.to_string assumed)))
+           (lazy
+             (Printf.sprintf "%s: computed %s misses level %s" what
+                (I.to_string out_ivl) (I.to_string assumed))))
 
 let exec_place pb st ~mode (act : Action.t) comp node =
   let c : Model.component = pb.Problem.comps.(comp) in
@@ -274,7 +297,9 @@ let exec_place pb st ~mode (act : Action.t) comp node =
   List.iter
     (fun cond ->
       if not (Expr.sat ~env cond) then
-        raise (Fail ("condition unsatisfiable: " ^ Expr.cond_to_string cond)))
+        raise
+          (Fail
+             (lazy ("condition unsatisfiable: " ^ Expr.cond_to_string cond))))
     c.Model.conditions;
   Array.iter
     (fun (r, ivl) ->
@@ -286,8 +311,9 @@ let exec_place pb st ~mode (act : Action.t) comp node =
       if not (checked_level_ok ~mode rem ivl) then
         raise
           (Fail
-             (Printf.sprintf "node %s level %s violated (remaining %g)" r
-                (I.to_string ivl) rem)))
+             (lazy
+               (Printf.sprintf "node %s level %s violated (remaining %g)" r
+                  (I.to_string ivl) rem))))
     act.Action.checked_node;
   (* 4. consume at the supremum *)
   List.iter
@@ -307,7 +333,7 @@ let exec_place pb st ~mode (act : Action.t) comp node =
             c.Model.effects
         with
         | Some (_, _, e) -> e
-        | None -> raise (Fail ("no effect for " ^ prov))
+        | None -> raise (Fail (lazy ("no effect for " ^ prov)))
       in
       let out_ivl = Expr.eval_interval ~env effect in
       let narrowed = store_output out_ivl assumed act.Action.label in
@@ -359,12 +385,16 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
     | "", p ->
         if String.equal p primary then eff
         else secondary_value pb st iface src p
-    | _, _ -> raise (Fail ("unexpected variable in cross formula: " ^ v))
+    | _, _ ->
+        raise (Fail (lazy ("unexpected variable in cross formula: " ^ v)))
   in
   List.iter
     (fun cond ->
       if not (Expr.sat ~env cond) then
-        raise (Fail ("cross condition unsatisfiable: " ^ Expr.cond_to_string cond)))
+        raise
+          (Fail
+             (lazy
+               ("cross condition unsatisfiable: " ^ Expr.cond_to_string cond))))
     ifc.Model.cross_conditions;
   Array.iter
     (fun (r, ivl) ->
@@ -376,8 +406,9 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
       if not (checked_level_ok ~mode rem ivl) then
         raise
           (Fail
-             (Printf.sprintf "link %s level %s violated (remaining %g)" r
-                (I.to_string ivl) rem)))
+             (lazy
+               (Printf.sprintf "link %s level %s violated (remaining %g)" r
+                  (I.to_string ivl) rem))))
     act.Action.checked_link;
   (* Evaluate all transforms against the pre-consumption environment. *)
   let transformed =
@@ -504,7 +535,7 @@ let run ?(telemetry = Telemetry.null) ?source_scale pb ~mode tail =
                 {
                   failed_index = idx;
                   failed_action = act.Action.label;
-                  reason = "division by zero in a specification formula";
+                  reason = lazy "division by zero in a specification formula";
                 })
   in
   go 0 tail;
@@ -547,7 +578,7 @@ let extend pb ~mode rs (act : Action.t) =
         {
           failed_index = rs.rlen;
           failed_action = act.Action.label;
-          reason = "division by zero in a specification formula";
+          reason = lazy "division by zero in a specification formula";
         }
 
 let rstate_cost rs = rs.rcost
@@ -555,4 +586,5 @@ let rstate_length rs = rs.rlen
 let rstate_metrics pb rs = collect_metrics pb rs.rst rs.rcost
 
 let pp_failure fmt f =
-  Format.fprintf fmt "action %d (%s): %s" f.failed_index f.failed_action f.reason
+  Format.fprintf fmt "action %d (%s): %s" f.failed_index f.failed_action
+    (Lazy.force f.reason)

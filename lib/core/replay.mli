@@ -35,7 +35,11 @@ type mode = From_init | Regression
 type failure = {
   failed_index : int;  (** position in the tail, -1 for goal checks *)
   failed_action : string;  (** action label or goal description *)
-  reason : string;
+  reason : string Lazy.t;
+      (** rendered on first [Lazy.force]: the RG search prunes on most
+          regression-mode failures without reading why, so the text
+          (interval renderings, [%g] amounts) is built only for a
+          reader such as {!pp_failure} *)
 }
 
 type metrics = {

@@ -278,43 +278,40 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
          })
   in
   let rec loop () =
-    match Heap.pop heap with
-    | None -> finish Exhausted
-    | Some (node, f) ->
-        if not node.refined then begin
-          (* Second heuristic stage, on pop: refine the cheap bound with
-             the SLRG oracle and re-insert unless the node is still the
-             frontier minimum under the full (f, -g, serial) order — the
-             serial is preserved, so ties resolve exactly as if the node
-             had been queued with the refined value from the start. *)
-          incr refined_count;
-          let h = Slrg.query_h slrg node.set in
-          if not (Float.is_finite h) then loop ()
+    if Heap.is_empty heap then finish Exhausted
+    else
+      let f = Heap.top_prio heap in
+      let node = Heap.pop_value heap in
+      if not node.refined then begin
+        (* Second heuristic stage, on pop: refine the cheap bound with
+           the SLRG oracle and re-insert unless the node is still the
+           frontier minimum under the full (f, -g, serial) order — the
+           serial is preserved, so ties resolve exactly as if the node
+           had been queued with the refined value from the start. *)
+        incr refined_count;
+        let h = Slrg.query_h slrg node.set in
+        if not (Float.is_finite h) then loop ()
+        else begin
+          node.refined <- true;
+          (match profile with
+          | None -> ()
+          | Some _ -> (
+              match node.chain with
+              | top :: rest when Float.is_nan top.h_slrg ->
+                  node.chain <- { top with h_slrg = h } :: rest
+              | _ -> ()));
+          let f' = node.g +. h in
+          let still_min =
+            f' = f || Heap.is_empty heap || f' < Heap.top_prio heap
+          in
+          if still_min then process node f'
           else begin
-            node.refined <- true;
-            (match profile with
-            | None -> ()
-            | Some _ -> (
-                match node.chain with
-                | top :: rest when Float.is_nan top.h_slrg ->
-                    node.chain <- { top with h_slrg = h } :: rest
-                | _ -> ()));
-            let f' = node.g +. h in
-            let still_min =
-              f' = f
-              ||
-              match Heap.peek heap with
-              | None -> true
-              | Some (_, top_f) -> f' < top_f
-            in
-            if still_min then process node f'
-            else begin
-              Heap.add heap ~prio:f' ~prio2:(-.node.g) ~seq:node.serial node;
-              loop ()
-            end
+            Heap.add heap ~prio:f' ~prio2:(-.node.g) ~seq:node.serial node;
+            loop ()
           end
         end
-        else process node f
+      end
+      else process node f
   and process node f =
     if !expanded >= max_expansions then cutoff `Budget node f
     else if Deadline.expired deadline then cutoff `Deadline node f

@@ -32,8 +32,9 @@ let harvest_cap = 4096
    exhausted bounds, PLRG h_max) are flat arrays indexed by id with NaN
    as the absent sentinel: the per-successor probes of the A* inner loop
    — the hottest reads of the whole planner — are plain array loads, no
-   hashing and no option allocation.  The FNV walk over the set elements
-   runs once per distinct set, inside the interner. *)
+   hashing and no option allocation.  The FNV walk over a set's elements
+   runs inside the interner, on the first read of each regression
+   edge. *)
 type t = {
   mutable problem : Problem.t;
   mutable plrg : Plrg.t;
@@ -86,10 +87,14 @@ type t = {
   mutable parent : Propset.handle array;
       (** the set it was reached from this solve, [Propset.no_handle] for
           the root *)
+  mutable pushed : int array;
+      (** the heap sequence number of the set's latest push this solve:
+          the one queue entry of the set that is not stale *)
   mutable touched : int array;
       (** the first [n_touched] slots: ids stamped by the running solve,
           in first-touch order *)
   mutable n_touched : int;
+  heap : Propset.handle Heap.t;  (** the A* queue, reset per solve *)
 }
 
 let create ?(telemetry = Telemetry.null) ?metrics ?(query_budget = 500)
@@ -123,8 +128,10 @@ let create ?(telemetry = Telemetry.null) ?metrics ?(query_budget = 500)
     stamp = Array.make 64 0;
     g_val = Array.make 64 0.;
     parent = Array.make 64 Propset.no_handle;
+    pushed = Array.make 64 0;
     touched = Array.make 64 0;
     n_touched = 0;
+    heap = Heap.create ();
   }
 
 let ctx t = t.ctx
@@ -171,19 +178,22 @@ let h_max t (set : int array) =
   done;
   !h
 
-let h_max_h t (handle : Propset.handle) =
+let fill_hmax t (handle : Propset.handle) =
   let id = handle.Propset.id in
   let n = Array.length t.hmax_by_id in
   if id >= n then
     t.hmax_by_id <-
       grow t.hmax_by_id (Stdlib.max (2 * n) (id + 1024)) Float.nan;
-  let v = t.hmax_by_id.(id) in
-  if Float.is_nan v then begin
-    let v = h_max t handle.Propset.set in
-    t.hmax_by_id.(id) <- v;
-    v
-  end
-  else v
+  t.hmax_by_id.(id) <- h_max t handle.Propset.set
+
+(* The memo is filled by a call returning unit and then read with an
+   array load, so the inlined read yields an unboxed float. *)
+let[@inline] hmax t (handle : Propset.handle) =
+  let id = handle.Propset.id in
+  if Float.is_nan (dget t.hmax_by_id id) then fill_hmax t handle;
+  t.hmax_by_id.(id)
+
+let h_max_h t handle = hmax t handle
 
 (* The running solve's g/parent maps (see [stamp]).  [g_of] is NaN for a
    set the solve has not reached; g values themselves are finite sums of
@@ -196,23 +206,32 @@ let[@inline] parent_of t id =
   if id < Array.length t.stamp && t.stamp.(id) = t.epoch then t.parent.(id)
   else Propset.no_handle
 
-let set_g t id g (from : Propset.handle) =
+let grow_solve t id =
   let n = Array.length t.stamp in
-  if id >= n then begin
-    let cap = Stdlib.max (2 * n) (id + 1) in
-    t.stamp <- grow t.stamp cap 0;
-    t.g_val <- grow t.g_val cap 0.;
-    t.parent <- grow t.parent cap Propset.no_handle
-  end;
-  if t.stamp.(id) <> t.epoch then begin
-    t.stamp.(id) <- t.epoch;
-    if t.n_touched = Array.length t.touched then
-      t.touched <- grow t.touched (2 * t.n_touched) 0;
-    t.touched.(t.n_touched) <- id;
-    t.n_touched <- t.n_touched + 1
-  end;
+  let cap = Stdlib.max (2 * n) (id + 1) in
+  t.stamp <- grow t.stamp cap 0;
+  t.g_val <- grow t.g_val cap 0.;
+  t.parent <- grow t.parent cap Propset.no_handle;
+  t.pushed <- grow t.pushed cap 0
+
+let touch t id =
+  t.stamp.(id) <- t.epoch;
+  if t.n_touched = Array.length t.touched then
+    t.touched <- grow t.touched (2 * t.n_touched) 0;
+  t.touched.(t.n_touched) <- id;
+  t.n_touched <- t.n_touched + 1
+
+(* Record [g] and [from] for [s] in the running solve and queue [s] with
+   priority [f].  Every g write comes with a push, and the push's
+   sequence number is recorded in [pushed]. *)
+let[@inline] push t (s : Propset.handle) g f (from : Propset.handle) =
+  let id = s.Propset.id in
+  if id >= Array.length t.stamp then grow_solve t id;
+  if t.stamp.(id) <> t.epoch then touch t id;
   t.g_val.(id) <- g;
-  t.parent.(id) <- from
+  t.parent.(id) <- from;
+  t.pushed.(id) <- Heap.insertions t.heap;
+  Heap.add t.heap ~prio:f s
 
 (* Suffix-cost harvesting: at exact termination with optimum [cost], every
    set on the recorded best complete path satisfies
@@ -223,39 +242,44 @@ let set_g t id g (from : Propset.handle) =
    cost on degenerate reopening orders, in which case the harvested value
    is an underestimate — still a sound lower bound, never an
    overestimate. *)
-let harvest t ~(root : Propset.handle) ~cost from =
-  match from with
-  | None -> ()
-  | Some (s0 : Propset.handle) ->
-      let rec walk (s : Propset.handle) =
-        let id = s.Propset.id in
-        let g = g_of t id in
-        if
-          Array.length s.Propset.set > 0
-          && id <> root.Propset.id
-          && not (Float.is_nan g)
-        then begin
-          let c = cost -. g in
-          (* h_max is consistent under regression, hence admissible
-             against the exact suffix cost at every chain node. *)
-          assert (h_max t s.Propset.set <= c +. 1e-6);
-          if Float.is_nan (solved t id) then begin
-            set_solved t id c;
-            t.suffix_harvested <- t.suffix_harvested + 1;
-            if not (Float.is_nan (bound t id)) then begin
-              clear_bound t id;
-              t.bound_promoted <- t.bound_promoted + 1
-            end
+let harvest t ~(root : Propset.handle) ~cost (from : Propset.handle) =
+  if from != Propset.no_handle then
+    let rec walk (s : Propset.handle) =
+      let id = s.Propset.id in
+      let g = g_of t id in
+      if
+        Array.length s.Propset.set > 0
+        && id <> root.Propset.id
+        && not (Float.is_nan g)
+      then begin
+        let c = cost -. g in
+        (* h_max is consistent under regression, hence admissible
+           against the exact suffix cost at every chain node. *)
+        assert (h_max t s.Propset.set <= c +. 1e-6);
+        if Float.is_nan (solved t id) then begin
+          set_solved t id c;
+          t.suffix_harvested <- t.suffix_harvested + 1;
+          if not (Float.is_nan (bound t id)) then begin
+            clear_bound t id;
+            t.bound_promoted <- t.bound_promoted + 1
           end
-        end;
-        let p = parent_of t id in
-        if p != Propset.no_handle then walk p
-      in
-      walk s0
+        end
+      end;
+      let p = parent_of t id in
+      if p != Propset.no_handle then walk p
+    in
+    walk from
 
 (* One A* regression solve of [root] under [budget] expansions.  [prior]
-   is the cached (bound, spent) pair from an earlier exhausted run, folded
-   into the root heuristic and the returned bound. *)
+   is the bound cached by an earlier exhausted run (NaN when none),
+   folded into the root heuristic and the returned bound.
+
+   The queue holds handles only.  A set is pushed again only with a g
+   lower by more than 1e-12, so of its entries exactly the latest push
+   is current: an entry is stale when its sequence number is not the one
+   [pushed] records, and the current entry's g is the set's [g_val].  The
+   loop allocates nothing per expansion beyond the boxed priority of a
+   push and the sets interned on first sight. *)
 let run_query t (root : Propset.handle) ~prior ~budget =
   let pb = t.problem in
   let t0 = Timer.start () in
@@ -271,8 +295,8 @@ let run_query t (root : Propset.handle) ~prior ~budget =
   let expansions = ref 0 in
   let cost =
     let h_root =
-      let h = h_max_h t root in
-      match prior with Some (b, _) -> Float.max h b | None -> h
+      let h = hmax t root in
+      if Float.is_nan prior || h >= prior then h else prior
     in
     if not (Float.is_finite h_root) then begin
       set_solved t root.Propset.id Float.infinity;
@@ -281,95 +305,99 @@ let run_query t (root : Propset.handle) ~prior ~budget =
     else begin
       t.epoch <- t.epoch + 1;
       t.n_touched <- 0;
-      let heap = Heap.create () in
-      set_g t root.Propset.id 0. Propset.no_handle;
-      Heap.add heap ~prio:h_root (root, 0.);
+      let heap = t.heap in
+      Heap.reset heap;
+      push t root 0. h_root Propset.no_handle;
       t.generated <- t.generated + 1;
       let best_complete = ref Float.infinity in
       (* The set the best complete path descends from; its parent chain
          is harvested on exact termination. *)
-      let complete_from = ref None in
-      let result = ref None in
+      let complete_from = ref Propset.no_handle in
+      (* NaN until the search stops; every answer is a number. *)
+      let cost = ref Float.nan in
       let exact = ref true in
       (* Bound seeding can make the heuristic inconsistent, and after a
          node reopening the recorded g values need not telescope along
          the parent chain any more — the root answer stays exact, but
          suffix harvesting is skipped for that (rare) run. *)
       let reopened = ref false in
-      while !result = None do
-        match Heap.peek heap with
-        | None ->
-            result := Some !best_complete
-            (* infinity when nothing completed *)
-        | Some ((set, g), f) ->
-            if !best_complete <= f then result := Some !best_complete
-            else if
-              !expansions >= budget
-              || (!expansions land 63 = 0 && Deadline.expired t.deadline)
-            then begin
-              (* Budget exhausted (or the request deadline fired — same
-                 graceful path): the open minimum is still an admissible
-                 bound, but not exact. *)
-              exact := false;
-              result := Some (Float.min !best_complete f)
-            end
-            else begin
-              ignore (Heap.pop heap);
-              (* An absent entry (NaN) is never stale. *)
-              let stale = g_of t set.Propset.id < g -. 1e-12 in
-              if not stale then begin
-                incr expansions;
-                if Array.length set.Propset.set = 0 then begin
-                  if g < !best_complete then begin
-                    best_complete := g;
-                    complete_from := Some set
-                  end;
-                  result := Some !best_complete
-                end
-                else
-                  let cands = Supports.candidates t.supports set in
-                  for i = 0 to Array.length cands - 1 do
-                    let a = pb.actions.(cands.(i)) in
-                    let set' = Supports.successor t.supports set i in
-                    let g' = g +. a.Action.cost_lb in
-                    let rest = solved t set'.Propset.id in
-                    if not (Float.is_nan rest) then begin
-                      if g' +. rest < !best_complete then begin
-                        best_complete := g' +. rest;
-                        complete_from := Some set
+      while Float.is_nan !cost do
+        if Heap.is_empty heap then
+          (* infinity when nothing completed *)
+          cost := !best_complete
+        else begin
+          let f = Heap.top_prio heap in
+          if !best_complete <= f then cost := !best_complete
+          else if
+            !expansions >= budget
+            || (!expansions land 63 = 0 && Deadline.expired t.deadline)
+          then begin
+            (* Budget exhausted (or the request deadline fired — same
+               graceful path): the open minimum, below [best_complete]
+               here, is still an admissible bound, but not exact. *)
+            exact := false;
+            cost := f
+          end
+          else begin
+            let seq = Heap.top_seq heap in
+            let set = Heap.pop_value heap in
+            let id = set.Propset.id in
+            if t.pushed.(id) = seq then begin
+              let g = t.g_val.(id) in
+              incr expansions;
+              if Array.length set.Propset.set = 0 then begin
+                if g < !best_complete then begin
+                  best_complete := g;
+                  complete_from := set
+                end;
+                cost := !best_complete
+              end
+              else begin
+                let cands = Supports.candidates t.supports set in
+                for i = 0 to Array.length cands - 1 do
+                  let a = pb.actions.(cands.(i)) in
+                  let set' = Supports.successor t.supports set i in
+                  let id' = set'.Propset.id in
+                  let g' = g +. a.Action.cost_lb in
+                  let rest = solved t id' in
+                  if not (Float.is_nan rest) then begin
+                    if g' +. rest < !best_complete then begin
+                      best_complete := g' +. rest;
+                      complete_from := set
+                    end
+                  end
+                  else begin
+                    let h = hmax t set' in
+                    if Float.is_finite h then begin
+                      (* Solved-subset seeding: a cached partial bound
+                         for the successor strengthens its f-value
+                         (still admissible), so exhausted earlier
+                         queries sharpen later ones instead of being
+                         discarded. *)
+                      let b = bound t id' in
+                      let h = if b > h then b else h in
+                      (* Dominated successors (f no better than a
+                         completion already in hand) can never improve
+                         the answer; with the harvested bounds folded
+                         into h this prunes most of the frontier of a
+                         re-query. *)
+                      if g' +. h < !best_complete then begin
+                        let g_old = g_of t id' in
+                        if Float.is_nan g_old || g_old > g' +. 1e-12 then begin
+                          if not (Float.is_nan g_old) then reopened := true;
+                          push t set' g' (g' +. h) set;
+                          t.generated <- t.generated + 1
+                        end
                       end
                     end
-                    else
-                      let h = h_max_h t set' in
-                      if Float.is_finite h then begin
-                        (* Solved-subset seeding: a cached partial
-                           bound for the successor strengthens its
-                           f-value (still admissible), so exhausted
-                           earlier queries sharpen later ones instead
-                           of being discarded. *)
-                        let b = bound t set'.Propset.id in
-                        let h = if Float.is_nan b then h else Float.max h b in
-                        (* Dominated successors (f no better than a
-                           completion already in hand) can never
-                           improve the answer; with the harvested
-                           bounds folded into h this prunes most of
-                           the frontier of a re-query. *)
-                        if g' +. h < !best_complete then
-                          let g_old = g_of t set'.Propset.id in
-                          if Float.is_nan g_old || g_old > g' +. 1e-12
-                          then begin
-                            if not (Float.is_nan g_old) then
-                              reopened := true;
-                            set_g t set'.Propset.id g' set;
-                            t.generated <- t.generated + 1;
-                            Heap.add heap ~prio:(g' +. h) (set', g')
-                          end
-                      end
-                  done
+                  end
+                done
               end
             end
+          end
+        end
       done;
-      let cost = Option.get !result in
+      let cost = !cost in
       if !exact then begin
         if not !reopened then
           harvest t ~root ~cost !complete_from;
@@ -388,7 +416,7 @@ let run_query t (root : Propset.handle) ~prior ~budget =
             if
               b > 0.
               && Float.is_nan (solved t sid)
-              && b > h_max_h t (Propset.handle_of_id t.ctx sid)
+              && b > hmax t (Propset.handle_of_id t.ctx sid)
             then
               let b0 = bound t sid in
               if Float.is_nan b0 then set_bound t sid b 0
@@ -405,14 +433,15 @@ let run_query t (root : Propset.handle) ~prior ~budget =
         (* Keep the strongest admissible bound seen for this set and the
            budget this run spent, so the next re-query escalates. *)
         let cost =
-          match prior with Some (b, _) -> Float.max b cost | None -> cost
+          if Float.is_nan prior || cost >= prior then cost else prior
         in
         set_bound t root.Propset.id cost budget;
         cost
       end
     end
   in
-  if prior <> None then t.escalation_pool <- t.escalation_pool - !expansions;
+  if not (Float.is_nan prior) then
+    t.escalation_pool <- t.escalation_pool - !expansions;
   let this_query_ms = Timer.elapsed_ms t0 in
   t.queries <- t.queries + 1;
   (match t.m_query_ms with
@@ -451,7 +480,8 @@ let query_h t (root : Propset.handle) =
     end
     else
       let b = bound t root.Propset.id in
-      if Float.is_nan b then run_query t root ~prior:None ~budget:t.query_budget
+      if Float.is_nan b then
+        run_query t root ~prior:Float.nan ~budget:t.query_budget
       else
         let spent = t.bound_spent.(root.Propset.id) in
         if spent >= escalation_cap * t.query_budget || t.escalation_pool <= 0
@@ -463,8 +493,7 @@ let query_h t (root : Propset.handle) =
           b
         end
         else
-          run_query t root ~prior:(Some (b, spent))
-            ~budget:(max t.query_budget (2 * spent))
+          run_query t root ~prior:b ~budget:(max t.query_budget (2 * spent))
 
 (* [root] must be canonical (see {!Propset}); it is interned on entry. *)
 let query_set t (root : int array) = query_h t (Propset.intern t.ctx root)

@@ -27,7 +27,18 @@
       (escalation is opportunistic, never needed for soundness).
     - {b Bound seeding.}  Expansions reaching a set whose cost is known
       only as a cached bound fold that bound into the successor's f-value
-      (still admissible), so exhausted queries sharpen later ones. *)
+      (still admissible), so exhausted queries sharpen later ones.
+
+    The A* itself allocates only what it keeps.  Its queue is one
+    {!Sekitei_util.Heap} of interned handles per oracle, reset per solve;
+    an entry is current when its heap sequence number is the one the
+    set's latest push recorded (a set is pushed again only with a lower
+    g), so stale entries are recognised without storing g in the queue.
+    The per-solve g/parent maps are arrays indexed by set id, and a
+    revisited set's successors come from the {!Supports} rows.  A warm
+    expansion therefore allocates only the boxed priority of each push;
+    sets seen for the first time, their rows and the caches grow as
+    needed. *)
 
 type t
 
@@ -71,7 +82,8 @@ val query_h : t -> Propset.handle -> float
 (** The cheap PLRG h_max bound of an interned set (the first-stage
     heuristic of deferred evaluation), memoized per dense id — the
     per-proposition sweep runs once per distinct set across the oracle's
-    own A* expansions and the RG's deferred pushes. *)
+    own A* expansions (which read the memo inline) and the RG's deferred
+    pushes. *)
 val h_max_h : t -> Propset.handle -> float
 
 (** {1 Counts}

@@ -17,6 +17,9 @@ type t = {
   rel : int array array;
       (** per proposition: relevant supporting actions, ascending id *)
   seen : bool array;  (** scratch bitmap over action ids, false at rest *)
+  mutable buf : int array;
+      (** scratch row: a set's distinct candidates are gathered here
+          before the row is copied out; doubles when a set needs more *)
   mutable cands : int array array;
       (** per set id: its candidate actions, [unfilled] until first read *)
   mutable succs : Propset.handle array array;
@@ -45,28 +48,39 @@ let make ctx (pb : Problem.t) plrg =
     actions = pb.Problem.actions;
     rel;
     seen = Array.make (Array.length pb.Problem.actions) false;
+    buf = Array.make 64 0;
     cands = Array.make 64 unfilled;
     succs = Array.make 64 [||];
   }
 
+(* The distinct candidates of [set], ascending.  Rows hold tens of
+   actions, so they are insertion-sorted in place rather than through
+   [Array.sort]'s comparison closure. *)
 let collect t (set : int array) =
-  let acc = ref [] in
-  let count = ref 0 in
-  Array.iter
-    (fun p ->
-      Array.iter
-        (fun aid ->
-          if not t.seen.(aid) then begin
-            t.seen.(aid) <- true;
-            acc := aid :: !acc;
-            incr count
-          end)
-        t.rel.(p))
-    set;
-  let out = Array.make !count 0 in
-  List.iteri (fun i aid -> out.(i) <- aid) !acc;
-  List.iter (fun aid -> t.seen.(aid) <- false) !acc;
-  Array.sort Int.compare out;
+  let n = ref 0 in
+  for k = 0 to Array.length set - 1 do
+    let rel = t.rel.(set.(k)) in
+    for m = 0 to Array.length rel - 1 do
+      let aid = rel.(m) in
+      if not t.seen.(aid) then begin
+        t.seen.(aid) <- true;
+        if !n = Array.length t.buf then t.buf <- Array.append t.buf t.buf;
+        t.buf.(!n) <- aid;
+        incr n
+      end
+    done
+  done;
+  let out = Array.sub t.buf 0 !n in
+  for k = 0 to !n - 1 do
+    let aid = out.(k) in
+    t.seen.(aid) <- false;
+    let j = ref k in
+    while !j > 0 && out.(!j - 1) > aid do
+      out.(!j) <- out.(!j - 1);
+      decr j
+    done;
+    out.(!j) <- aid
+  done;
   out
 
 let grow t id =
@@ -96,10 +110,7 @@ let successor t (h : Propset.handle) i =
   let s = slots.(i) in
   if s != Propset.no_handle then s
   else begin
-    let s =
-      Propset.intern t.ctx
-        (Propset.regress t.ctx h.Propset.set t.actions.(row.(i)))
-    in
+    let s = Propset.regress_intern t.ctx h.Propset.set t.actions.(row.(i)) in
     slots.(i) <- s;
     s
   end

@@ -3,15 +3,16 @@
     Both phases expand a pending proposition set by the distinct
     PLRG-relevant actions supporting any of its propositions.  This module
     owns the single filtered, [Int.compare]-sorted per-proposition table
-    and the scratch bitmap used for deduplication, so the two phases run
-    the identical branching rule.
+    and the scratch bitmap and row used to gather a set's distinct
+    candidates, so the two phases run the identical branching rule.
 
     It also owns the expansion rows of interned sets, indexed by dense
     set id: per set, the candidate array and a parallel row of successor
     handles (the set regressed through each candidate), each computed
     the first time a search reads it and served by array loads after
-    that.  Rows live as long as the [t]; {!Slrg.refresh} builds a fresh
-    [t] for a recompiled problem, whose action ids differ. *)
+    that, with no allocation.  Rows live as long as the [t];
+    {!Slrg.refresh} builds a fresh [t] for a recompiled problem, whose
+    action ids differ. *)
 
 type t
 
@@ -28,11 +29,10 @@ val make : Propset.ctx -> Problem.t -> Plrg.t -> t
     like the searches that call it. *)
 val candidates : t -> Propset.handle -> int array
 
-(** [successor t h i] is the interned
-    [Propset.regress ctx h.set a] for [a] the [i]-th action of
-    [candidates t h].  The slot is filled on its first read (so a set is
-    interned exactly when a search first needs it) and every later read
-    returns the physically same handle. *)
+(** [successor t h i] is [Propset.regress_intern ctx h.set a] for [a]
+    the [i]-th action of [candidates t h].  The slot is filled on its
+    first read (so a set is interned exactly when a search first needs
+    it) and every later read returns the physically same handle. *)
 val successor : t -> Propset.handle -> int -> Propset.handle
 
 (** [taint pb ~node_touched ~link_touched] computes the invalidation

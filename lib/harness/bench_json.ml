@@ -41,6 +41,7 @@ type record = {
   slrg_ms : float;
   rg_ms : float;
   minor_words : float;
+  slrg_minor_words : float;
   major_collections : int;
   jobs : int;
   wall_ms_batch : float;
@@ -161,6 +162,8 @@ let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
     rg_ms = med (fun r -> r.Planner.phases.Planner.rg.Planner.ms);
     minor_words =
       med (fun r -> r.Planner.phases.Planner.rg.Planner.minor_words);
+    slrg_minor_words =
+      med (fun r -> r.Planner.phases.Planner.slrg.Planner.minor_words);
     major_collections =
       first.Planner.phases.Planner.rg.Planner.major_collections;
     jobs = 1;
@@ -213,6 +216,7 @@ let record_to_json ?tag r =
         ("slrg_ms", ms r.slrg_ms);
         ("rg_ms", ms r.rg_ms);
         ("minor_words", Json.Float (Float.round r.minor_words));
+        ("slrg_minor_words", Json.Float (Float.round r.slrg_minor_words));
         ("major_collections", Json.Int r.major_collections);
         ("jobs", Json.Int r.jobs);
         ("wall_ms_batch", ms r.wall_ms_batch);
@@ -247,6 +251,7 @@ let required_keys =
     "\"slrg_ms\"";
     "\"rg_ms\"";
     "\"minor_words\"";
+    "\"slrg_minor_words\"";
     "\"major_collections\"";
     "\"jobs\"";
     "\"wall_ms_batch\"";
@@ -308,7 +313,7 @@ let parse_check doc =
             | ( ( "search_ms" | "search_ms_p50" | "search_ms_p90"
                 | "search_ms_p99" | "warm_search_ms" | "compile_ms"
                 | "compile_minor_words" | "plrg_ms" | "slrg_ms" | "rg_ms"
-                | "minor_words" | "wall_ms_batch" ),
+                | "minor_words" | "slrg_minor_words" | "wall_ms_batch" ),
                 (Json.Float _ | Json.Int _) ) ->
                 None
             | _ -> Some k)
@@ -320,7 +325,7 @@ let parse_check doc =
           "slrg_deferred"; "slrg_saved"; "search_ms"; "search_ms_p50";
           "search_ms_p90"; "search_ms_p99"; "warm_search_ms"; "compile_ms";
           "compile_minor_words"; "plrg_ms"; "slrg_ms"; "rg_ms"; "minor_words";
-          "major_collections"; "jobs"; "wall_ms_batch";
+          "slrg_minor_words"; "major_collections"; "jobs"; "wall_ms_batch";
         ]
       in
       let rec go i = function

@@ -5,7 +5,7 @@
     slrg_cache_hits, slrg_suffix_harvested, slrg_bound_promoted,
     slrg_deferred, slrg_saved, search_ms, warm_search_ms, compile_ms,
     compile_minor_words, plrg_ms, slrg_ms, rg_ms, minor_words,
-    major_collections, jobs, wall_ms_batch}] —
+    slrg_minor_words, major_collections, jobs, wall_ms_batch}] —
     collected into a JSON array written to [BENCH_rg.json] so the
     planner's perf trajectory (per-phase split, SLRG cache reuse,
     deferred-evaluation savings, search-phase GC footprint) is tracked
@@ -47,6 +47,12 @@ type record = {
   minor_words : float;
       (** minor-heap words allocated by the RG search phase (its bracket
           includes the lazy SLRG queries) *)
+  slrg_minor_words : float;
+      (** the slrg phase's share of the allocation (oracle setup plus
+          the lazy queries, {!Sekitei_core.Planner.phases} [slrg]), a
+          subset of [minor_words]; recorded, not gated — the metric
+          registry's histogram growth moves it by a few hundred words
+          between runs *)
   major_collections : int;  (** major GCs triggered by the RG search *)
   jobs : int;  (** worker domains of the batch that produced the record *)
   wall_ms_batch : float;

@@ -48,27 +48,28 @@ let dijkstra t ~weight src dst =
     dist.(src) <- 0.;
     Heap.add heap ~prio:0. src;
     let rec loop () =
-      match Heap.pop heap with
-      | None -> ()
-      | Some (u, d) ->
-          if done_.(u) then loop ()
-          else begin
-            done_.(u) <- true;
-            if u <> dst then begin
-              List.iter
-                (fun (v, lid) ->
-                  let w = weight (get_link t lid) in
-                  if w < 0. then invalid_arg "Routing.dijkstra: negative weight";
-                  let nd = d +. w in
-                  if nd < dist.(v) then begin
-                    dist.(v) <- nd;
-                    prev.(v) <- Some (u, lid);
-                    Heap.add heap ~prio:nd v
-                  end)
-                (adjacent t u);
-              loop ()
-            end
+      if not (Heap.is_empty heap) then begin
+        let d = Heap.top_prio heap in
+        let u = Heap.pop_value heap in
+        if done_.(u) then loop ()
+        else begin
+          done_.(u) <- true;
+          if u <> dst then begin
+            List.iter
+              (fun (v, lid) ->
+                let w = weight (get_link t lid) in
+                if w < 0. then invalid_arg "Routing.dijkstra: negative weight";
+                let nd = d +. w in
+                if nd < dist.(v) then begin
+                  dist.(v) <- nd;
+                  prev.(v) <- Some (u, lid);
+                  Heap.add heap ~prio:nd v
+                end)
+              (adjacent t u);
+            loop ()
           end
+        end
+      end
     in
     loop ();
     if Float.is_finite dist.(dst) then Some (reconstruct prev src dst) else None
@@ -85,27 +86,22 @@ let widest_path t src dst =
     width.(src) <- Float.infinity;
     (* Max-heap via negated priority. *)
     Heap.add heap ~prio:Float.neg_infinity src;
-    let rec loop () =
-      match Heap.pop heap with
-      | None -> ()
-      | Some (u, _) ->
-          if done_.(u) then loop ()
-          else begin
-            done_.(u) <- true;
-            List.iter
-              (fun (v, lid) ->
-                let bw = try link_resource t lid "lbw" with Not_found -> 0. in
-                let w = Float.min width.(u) bw in
-                if w > width.(v) then begin
-                  width.(v) <- w;
-                  prev.(v) <- Some (u, lid);
-                  Heap.add heap ~prio:(-.w) v
-                end)
-              (adjacent t u);
-            loop ()
-          end
-    in
-    loop ();
+    while not (Heap.is_empty heap) do
+      let u = Heap.pop_value heap in
+      if not done_.(u) then begin
+        done_.(u) <- true;
+        List.iter
+          (fun (v, lid) ->
+            let bw = try link_resource t lid "lbw" with Not_found -> 0. in
+            let w = Float.min width.(u) bw in
+            if w > width.(v) then begin
+              width.(v) <- w;
+              prev.(v) <- Some (u, lid);
+              Heap.add heap ~prio:(-.w) v
+            end)
+          (adjacent t u)
+      end
+    done;
     if width.(dst) > Float.neg_infinity then
       Some (reconstruct prev src dst, width.(dst))
     else None

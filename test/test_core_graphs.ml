@@ -226,6 +226,8 @@ let test_slrg_harvest_agrees_with_fresh () =
 
 (* ---------------- Propset interner ---------------- *)
 
+module Action = Sekitei_core.Action
+module Heap = Sekitei_util.Heap
 module Propset = Sekitei_core.Propset
 module Supports = Sekitei_core.Supports
 
@@ -257,11 +259,22 @@ let test_interner_dense_ids () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* Successor rows: every slot of every interned set's row is the
-   interned regression through its candidate, a re-read is the
-   physically same handle, and both still hold for the rows rebuilt when
-   a warm oracle is rebound to a recompiled problem. *)
-let check_successor_rows what (pb : Problem.t) slrg =
+(* Regression written from its definition, (set \ add-closure) ∪ pre,
+   for comparison against the merge kernel. *)
+let reference_regress (pb : Problem.t) (set : int array) (a : Action.t) =
+  let kept =
+    List.filter
+      (fun p -> not (Array.mem p a.Action.add_closure))
+      (Array.to_list set)
+  in
+  Propset.canonical pb (kept @ Array.to_list a.Action.pre)
+
+(* Successor rows: every candidate row is the ascending list of the
+   set's distinct PLRG-relevant supporters, every slot is the interned
+   regression through its candidate, a re-read is the physically same
+   handle, and all of it still holds for the rows rebuilt when a warm
+   oracle is rebound to a recompiled problem. *)
+let check_successor_rows what (pb : Problem.t) plrg slrg =
   let ctx = Slrg.ctx slrg and sup = Slrg.supports slrg in
   let n0 = Propset.interned_count ctx in
   let slots = ref 0 in
@@ -271,12 +284,19 @@ let check_successor_rows what (pb : Problem.t) slrg =
     Alcotest.(check bool)
       (what ^ ": candidate row is memoized") true
       (cands == Supports.candidates sup h);
+    Alcotest.(check (list int))
+      (Printf.sprintf "%s: candidates of set %d" what id)
+      (List.sort_uniq Int.compare
+         (List.concat_map
+            (fun p -> List.filter (Plrg.action_relevant plrg) pb.Problem.supports.(p))
+            (Array.to_list h.Propset.set)))
+      (Array.to_list cands);
     Array.iteri
       (fun i aid ->
         let s = Supports.successor sup h i in
         let expect =
           Propset.intern ctx
-            (Propset.regress ctx h.Propset.set pb.Problem.actions.(aid))
+            (reference_regress pb h.Propset.set pb.Problem.actions.(aid))
         in
         Alcotest.(check bool)
           (Printf.sprintf "%s: slot %d of set %d is its regression" what i id)
@@ -294,13 +314,72 @@ let test_successor_rows () =
   let plrg = Plrg.build pb in
   let slrg = Slrg.create pb plrg in
   ignore (Slrg.query slrg (Array.to_list pb.Problem.goal_props));
-  check_successor_rows "cold" pb slrg;
+  check_successor_rows "cold" pb plrg slrg;
   let pb' = tiny Media.C in
   let plrg' = Plrg.build pb' in
   let evicted = Slrg.refresh slrg pb' plrg' ~dirty:(fun _ -> false) in
   Alcotest.(check int) "clean refresh evicts nothing" 0 evicted;
   ignore (Slrg.query slrg (Array.to_list pb'.Problem.goal_props));
-  check_successor_rows "after refresh" pb' slrg
+  check_successor_rows "after refresh" pb' plrg' slrg
+
+(* The search kernels allocate nothing on their hot paths once warm:
+   a filled successor slot, a regression whose result is already
+   interned, and the heap's minimum reads and pops.  Each loop's
+   allocation is compared with an empty loop measured the same way, so
+   the two reads of the allocation counter cancel out.  [top_prio] is
+   left out: a float returned across modules is boxed unless the call
+   is inlined, which the development profile does not do. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_kernels_allocation_free () =
+  let pb = tiny Media.C in
+  let plrg = Plrg.build pb in
+  let slrg = Slrg.create pb plrg in
+  ignore (Slrg.query slrg (Array.to_list pb.Problem.goal_props));
+  let ctx = Slrg.ctx slrg and sup = Slrg.supports slrg in
+  let h = Propset.handle_of_id ctx 0 in
+  let cands = Supports.candidates sup h in
+  Alcotest.(check bool) "root has candidates" true (Array.length cands > 0);
+  let a = pb.Problem.actions.(cands.(0)) in
+  ignore (Supports.successor sup h 0);
+  ignore (Propset.regress_intern ctx h.Propset.set a);
+  let heap = Heap.create () in
+  for i = 1 to 1000 do
+    Heap.add heap ~prio:(float_of_int (i mod 7)) i
+  done;
+  let n = 1000 in
+  let calibration =
+    minor_words_of (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity h)
+        done)
+  in
+  let check what f =
+    Alcotest.(check (float 0.))
+      (what ^ " allocates nothing")
+      0.
+      (minor_words_of f -. calibration)
+  in
+  check "successor hit" (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Supports.successor sup h 0))
+      done);
+  check "regress_intern hit" (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Propset.regress_intern ctx h.Propset.set a))
+      done);
+  check "top_seq" (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Heap.top_seq heap))
+      done);
+  check "pop_value" (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Heap.pop_value heap))
+      done);
+  Alcotest.(check bool) "heap drained" true (Heap.is_empty heap)
 
 let suite =
   [
@@ -308,6 +387,7 @@ let suite =
     ("interner canonicalizes", `Quick, test_interner_canonicalizes);
     ("interner dense ids", `Quick, test_interner_dense_ids);
     ("successor rows", `Quick, test_successor_rows);
+    ("kernels allocation-free", `Quick, test_kernels_allocation_free);
     ("plrg goal reachable", `Quick, test_goal_reachable);
     ("plrg goal unreachable partitioned", `Quick, test_goal_unreachable_partitioned);
     ("plrg admissible", `Quick, test_costs_admissible);

@@ -78,7 +78,7 @@ let test_full_replay_succeeds () =
           m.Replay.delivered
       in
       Alcotest.(check (option (float 1e-6))) "delivers 100" (Some 100.) delivered
-  | Error f -> Alcotest.failf "replay failed: %s" f.Replay.reason
+  | Error f -> Alcotest.failf "replay failed: %s" (Lazy.force f.Replay.reason)
 
 let test_replay_order_dependent () =
   (* Consuming Z at node 1 before it has been produced fails from-init but
@@ -90,10 +90,10 @@ let test_replay_order_dependent () =
   | Ok _ -> Alcotest.fail "should fail: Z not yet available"
   | Error f ->
       Alcotest.(check bool) "mentions Z" true
-        (Sekitei_spec.Str_split.split_once f.Replay.reason "Z" <> None));
+        (Sekitei_spec.Str_split.split_once (Lazy.force f.Replay.reason) "Z" <> None));
   match Replay.run pb ~mode:Replay.Regression tail with
   | Ok _ -> ()
-  | Error f -> Alcotest.failf "regression should pass: %s" f.Replay.reason
+  | Error f -> Alcotest.failf "regression should pass: %s" (Lazy.force f.Replay.reason)
 
 let test_greedy_cpu_failure () =
   (* Scenario A: placing the splitter at the full 200 units blows the
@@ -104,7 +104,7 @@ let test_greedy_cpu_failure () =
   | Ok _ -> Alcotest.fail "should exceed CPU at max utilization"
   | Error f ->
       Alcotest.(check bool) "cpu mentioned" true
-        (Sekitei_spec.Str_split.split_once f.Replay.reason "cpu" <> None)
+        (Sekitei_spec.Str_split.split_once (Lazy.force f.Replay.reason) "cpu" <> None)
 
 let test_leveled_cpu_ok () =
   (* The same placement throttled into [90,100) fits. *)
@@ -112,7 +112,7 @@ let test_leveled_cpu_ok () =
   let splitter = place_action pb "Splitter" ~node:0 ~in_level:90. in
   match Replay.run pb ~mode:Replay.Regression [ splitter ] with
   | Ok _ -> ()
-  | Error f -> Alcotest.failf "unexpected failure: %s" f.Replay.reason
+  | Error f -> Alcotest.failf "unexpected failure: %s" (Lazy.force f.Replay.reason)
 
 let test_link_capacity_accumulates () =
   (* Z consumes 35 then I consumes 30 of the 70-unit link; a second Z
@@ -129,7 +129,7 @@ let test_link_capacity_accumulates () =
   (match Replay.run pb ~mode:Replay.From_init (pre @ [ z; i ]) with
   | Ok m ->
       Alcotest.(check (float 1e-6)) "link fully used minus 5" 65. m.Replay.wan_peak
-  | Error f -> Alcotest.failf "unexpected: %s" f.Replay.reason);
+  | Error f -> Alcotest.failf "unexpected: %s" (Lazy.force f.Replay.reason));
   (* crossing the T stream (63 units at operating point 70) after Z and I
      no longer fits: min(.,5) degrades below its level *)
   let t = cross_action pb "T" ~src:0 ~in_lo:63. in
@@ -144,7 +144,7 @@ let test_source_scale () =
      scaling to 40% (80) breaks it. *)
   (match Replay.run ~source_scale:0.6 pb ~mode:Replay.From_init plan with
   | Ok _ -> ()
-  | Error f -> Alcotest.failf "60%% should work: %s" f.Replay.reason);
+  | Error f -> Alcotest.failf "60%% should work: %s" (Lazy.force f.Replay.reason));
   match Replay.run ~source_scale:0.4 pb ~mode:Replay.From_init plan with
   | Ok _ -> Alcotest.fail "40% supply cannot reach the [90,100) level"
   | Error _ -> ()
@@ -153,7 +153,7 @@ let test_metrics_cost_positive () =
   let pb = tiny Media.C in
   match Replay.run pb ~mode:Replay.From_init (tiny_plan pb) with
   | Ok m -> Alcotest.(check bool) "realized cost positive" true (m.Replay.realized_cost > 0.)
-  | Error f -> Alcotest.failf "unexpected: %s" f.Replay.reason
+  | Error f -> Alcotest.failf "unexpected: %s" (Lazy.force f.Replay.reason)
 
 let test_empty_tail () =
   let pb = tiny Media.C in

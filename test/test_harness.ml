@@ -183,6 +183,7 @@ let bench_record ?(scenario = "Tiny-C") ?(search_ms = 10.) ?(rg_created = 100)
     slrg_ms;
     rg_ms = 9.;
     minor_words = 120_000.;
+    slrg_minor_words = 40_000.;
     major_collections = 1;
     jobs = 1;
     wall_ms_batch = 11.;
@@ -231,6 +232,32 @@ let test_baseline_diff_errors () =
         (contains e "Tiny-C")
   | Ok _ -> Alcotest.fail "missing scenario accepted"
 
+(* The slrg phase's allocation is a schema column: emitted, required by
+   both checkers, and not gated. *)
+let test_slrg_minor_words_column () =
+  let doc = Bench_json.to_json [ bench_record () ] in
+  Alcotest.(check bool) "emitted" true (contains doc "\"slrg_minor_words\": 40000");
+  Alcotest.(check (result int string)) "parse_check" (Ok 1)
+    (Bench_json.parse_check doc);
+  let stripped =
+    String.concat ""
+      (String.split_on_char '\n' doc
+      |> List.map (fun line ->
+             match String.split_on_char ',' line with
+             | [] -> line
+             | fields ->
+                 String.concat ","
+                   (List.filter
+                      (fun f -> not (contains f "slrg_minor_words"))
+                      fields)))
+  in
+  Alcotest.(check bool) "validate rejects a record without it" true
+    (Result.is_error (Bench_json.validate stripped));
+  Alcotest.(check bool) "parse_check rejects a record without it" true
+    (Result.is_error (Bench_json.parse_check stripped));
+  Alcotest.(check bool) "not gated" false
+    (List.mem "slrg_minor_words" Bench_json.gated_metrics)
+
 let suite =
   [
     ("tiny shape", `Quick, test_tiny_shape);
@@ -250,4 +277,5 @@ let suite =
     ("csv export", `Quick, test_csv_export);
     ("baseline diff", `Quick, test_baseline_diff);
     ("baseline diff errors", `Quick, test_baseline_diff_errors);
+    ("slrg_minor_words column", `Quick, test_slrg_minor_words_column);
   ]

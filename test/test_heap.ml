@@ -3,34 +3,48 @@
 
 module Heap = Sekitei_util.Heap
 
+(* Pop every entry, minimum first, as (value, priority) pairs. *)
+let drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let p = Heap.top_prio h in
+      go ((Heap.pop_value h, p) :: acc)
+  in
+  go []
+
+let raises_invalid f =
+  match f () with exception Invalid_argument _ -> true | _ -> false
+
 let test_empty () =
-  let h = Heap.create () in
+  let h : string Heap.t = Heap.create () in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
   Alcotest.(check int) "length" 0 (Heap.length h);
-  Alcotest.(check (option (pair string (float 0.)))) "peek" None (Heap.peek h);
-  Alcotest.(check (option (pair string (float 0.)))) "pop" None (Heap.pop h)
+  Alcotest.(check bool) "top_prio rejected" true
+    (raises_invalid (fun () -> Heap.top_prio h));
+  Alcotest.(check bool) "top_seq rejected" true
+    (raises_invalid (fun () -> Heap.top_seq h))
 
 let test_single () =
   let h = Heap.create () in
   Heap.add h ~prio:3. "x";
-  Alcotest.(check (option (pair string (float 0.)))) "peek" (Some ("x", 3.))
-    (Heap.peek h);
-  Alcotest.(check int) "length after peek" 1 (Heap.length h);
-  Alcotest.(check (option (pair string (float 0.)))) "pop" (Some ("x", 3.))
-    (Heap.pop h);
+  Alcotest.(check (float 0.)) "top_prio" 3. (Heap.top_prio h);
+  Alcotest.(check int) "top_seq" 0 (Heap.top_seq h);
+  Alcotest.(check int) "length after top reads" 1 (Heap.length h);
+  Alcotest.(check string) "pop_value" "x" (Heap.pop_value h);
   Alcotest.(check bool) "empty after pop" true (Heap.is_empty h)
 
 let test_ordering () =
   let h = Heap.create () in
   List.iter (fun (p, v) -> Heap.add h ~prio:p v)
     [ (5., "e"); (1., "a"); (3., "c"); (2., "b"); (4., "d") ];
-  let drained = List.map fst (Heap.to_sorted_list h) in
+  let drained = List.map fst (drain h) in
   Alcotest.(check (list string)) "ascending" [ "a"; "b"; "c"; "d"; "e" ] drained
 
 let test_fifo_ties () =
   let h = Heap.create () in
   List.iter (fun v -> Heap.add h ~prio:1. v) [ "first"; "second"; "third" ];
-  let drained = List.map fst (Heap.to_sorted_list h) in
+  let drained = List.map fst (drain h) in
   Alcotest.(check (list string)) "insertion order among ties"
     [ "first"; "second"; "third" ] drained
 
@@ -38,30 +52,37 @@ let test_prio2 () =
   let h = Heap.create () in
   Heap.add h ~prio:1. ~prio2:0. "shallow";
   Heap.add h ~prio:1. ~prio2:(-5.) "deep";
-  Alcotest.(check (option (pair string (float 0.))))
-    "deeper (lower prio2) first" (Some ("deep", 1.)) (Heap.pop h)
+  Alcotest.(check string) "deeper (lower prio2) first" "deep" (Heap.pop_value h)
 
 let test_growth () =
-  let h = Heap.create_sized 2 in
+  let h = Heap.create () in
   for i = 999 downto 0 do
     Heap.add h ~prio:(float_of_int i) i
   done;
   Alcotest.(check int) "length" 1000 (Heap.length h);
-  let drained = List.map fst (Heap.to_sorted_list h) in
+  let drained = List.map fst (drain h) in
   Alcotest.(check (list int)) "sorted" (List.init 1000 Fun.id) drained
 
 let test_insertions_counter () =
   let h = Heap.create () in
   Heap.add h ~prio:1. 1;
   Heap.add h ~prio:2. 2;
-  ignore (Heap.pop h);
-  Alcotest.(check int) "insertions counts lifetime" 2 (Heap.insertions h)
+  ignore (Heap.pop_value h);
+  Alcotest.(check int) "insertions counts every add" 2 (Heap.insertions h)
 
-let test_clear () =
+let test_reset () =
   let h = Heap.create () in
-  Heap.add h ~prio:1. 1;
-  Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Heap.is_empty h)
+  for i = 0 to 99 do
+    Heap.add h ~prio:1. i
+  done;
+  Heap.reset h;
+  Alcotest.(check bool) "empty after reset" true (Heap.is_empty h);
+  Alcotest.(check int) "insertions restart" 0 (Heap.insertions h);
+  Heap.add h ~prio:2. 7;
+  Heap.add h ~prio:1. 8;
+  Alcotest.(check int) "sequence numbers restart" 1 (Heap.top_seq h);
+  Alcotest.(check (list int)) "reused heap still orders" [ 8; 7 ]
+    (List.map fst (drain h))
 
 let test_nan_rejected () =
   let h = Heap.create () in
@@ -76,22 +97,25 @@ let test_nan_prio2_rejected () =
     (Invalid_argument "Heap.add: NaN secondary priority") (fun () ->
       Heap.add h ~prio:1. ~prio2:Float.nan 1)
 
-let test_pop_exn () =
+let test_pop_value_empty () =
   let h = Heap.create () in
-  Alcotest.check_raises "pop_exn empty" Not_found (fun () ->
-      ignore (Heap.pop_exn h))
+  Heap.add h ~prio:1. 1;
+  ignore (Heap.pop_value h);
+  Alcotest.check_raises "pop_value empty"
+    (Invalid_argument "Heap.pop_value: empty heap") (fun () ->
+      ignore (Heap.pop_value h))
 
 let test_interleaved () =
   (* Mixed adds and pops keep the min invariant. *)
   let h = Heap.create () in
   Heap.add h ~prio:5. 5;
   Heap.add h ~prio:1. 1;
-  Alcotest.(check (option (pair int (float 0.)))) "pop 1" (Some (1, 1.)) (Heap.pop h);
+  Alcotest.(check int) "pop 1" 1 (Heap.pop_value h);
   Heap.add h ~prio:0. 0;
   Heap.add h ~prio:9. 9;
-  Alcotest.(check (option (pair int (float 0.)))) "pop 0" (Some (0, 0.)) (Heap.pop h);
-  Alcotest.(check (option (pair int (float 0.)))) "pop 5" (Some (5, 5.)) (Heap.pop h);
-  Alcotest.(check (option (pair int (float 0.)))) "pop 9" (Some (9, 9.)) (Heap.pop h)
+  Alcotest.(check (list (pair int (float 0.)))) "then 0, 5, 9"
+    [ (0, 0.); (5, 5.); (9, 9.) ]
+    (drain h)
 
 let suite =
   [
@@ -102,9 +126,9 @@ let suite =
     ("secondary priority", `Quick, test_prio2);
     ("growth", `Quick, test_growth);
     ("insertions counter", `Quick, test_insertions_counter);
-    ("clear", `Quick, test_clear);
+    ("reset", `Quick, test_reset);
     ("nan rejected", `Quick, test_nan_rejected);
     ("nan prio2 rejected", `Quick, test_nan_prio2_rejected);
-    ("pop_exn", `Quick, test_pop_exn);
+    ("pop_value on empty", `Quick, test_pop_value_empty);
     ("interleaved", `Quick, test_interleaved);
   ]

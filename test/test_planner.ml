@@ -146,7 +146,7 @@ let test_plans_replay_from_init () =
                 p.Plan.metrics.Replay.lan_peak m.Replay.lan_peak
           | Error f ->
               Alcotest.failf "%s/%s invalid plan: %s" sc.Scenarios.name
-                (Media.scenario_name level) f.Replay.reason))
+                (Media.scenario_name level) (Lazy.force f.Replay.reason)))
     (List.concat_map
        (fun sc -> List.map (fun l -> (sc, l)) Media.all_scenarios)
        [ Scenarios.tiny (); Scenarios.small () ])

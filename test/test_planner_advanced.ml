@@ -82,7 +82,7 @@ let test_two_clients_shared_bottleneck () =
             true
             (match v with Some x -> x >= 90. | None -> false))
         [ 2; 3 ]
-  | Error f -> Alcotest.failf "invalid plan: %s" f.Replay.reason
+  | Error f -> Alcotest.failf "invalid plan: %s" (Lazy.force f.Replay.reason)
 
 (* ---------------- multiple sources ---------------- *)
 

@@ -21,6 +21,7 @@ module Problem = Sekitei_core.Problem
 module Plrg = Sekitei_core.Plrg
 module Slrg = Sekitei_core.Slrg
 module Rg = Sekitei_core.Rg
+module Propset = Sekitei_core.Propset
 
 let count = 200
 
@@ -171,14 +172,233 @@ let prop_monotonicity_sampled =
 
 (* ---------------- heap property ---------------- *)
 
+let drain_heap h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc else go (Heap.pop_value h :: acc)
+  in
+  go []
+
 let prop_heap_sorts =
   Q.Test.make ~count ~name:"heap drains in sorted order"
     (Q.list (Q.float_range (-100.) 100.))
     (fun xs ->
       let h = Heap.create () in
       List.iter (fun x -> Heap.add h ~prio:x x) xs;
-      let drained = List.map snd (Heap.to_sorted_list h) in
-      drained = List.sort compare xs)
+      drain_heap h = List.sort compare xs)
+
+(* Model test: random interleavings of adds (some with a secondary
+   priority, some with an explicit sequence number), pops and resets.
+   The model is the list of live (prio, prio2, seq, value) entries;
+   every pop must return the entry with the smallest triple.  Explicit
+   sequence numbers are negative and never repeat, so the triples of
+   live entries are distinct and the expected order is total. *)
+let heap_op_gen =
+  Q.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun p p2 explicit -> `Add (float_of_int p, p2, explicit))
+            (int_range 0 4)
+            (opt (map float_of_int (int_range (-2) 2)))
+            bool );
+        (3, return `Pop);
+        (1, return `Reset);
+      ])
+
+let print_heap_op = function
+  | `Add (p, p2, explicit) ->
+      Printf.sprintf "add %g%s%s" p
+        (match p2 with Some p2 -> Printf.sprintf " ~prio2:%g" p2 | None -> "")
+        (if explicit then " ~seq" else "")
+  | `Pop -> "pop"
+  | `Reset -> "reset"
+
+let prop_heap_model =
+  Q.Test.make ~count ~name:"heap pops follow the (prio, prio2, seq) order"
+    (Q.make
+       ~print:(fun ops -> String.concat "; " (List.map print_heap_op ops))
+       (Q.Gen.list_size (Q.Gen.int_range 0 300) heap_op_gen))
+    (fun ops ->
+      let h = Heap.create () in
+      let live = ref [] and next_seq = ref 0 and next_value = ref 0 in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | `Add (prio, prio2, explicit) ->
+              let v = !next_value in
+              incr next_value;
+              let seq = if explicit then -(v + 1) else !next_seq in
+              (match (prio2, explicit) with
+              | None, false -> Heap.add h ~prio v
+              | Some prio2, false -> Heap.add h ~prio ~prio2 v
+              | None, true -> Heap.add h ~prio ~seq v
+              | Some prio2, true -> Heap.add h ~prio ~prio2 ~seq v);
+              incr next_seq;
+              live := (prio, Option.value prio2 ~default:0., seq, v) :: !live
+          | `Pop -> (
+              match List.sort compare !live with
+              | [] -> if not (Heap.is_empty h) then ok := false
+              | ((prio, _, seq, v) as top) :: rest ->
+                  if Heap.top_prio h <> prio || Heap.top_seq h <> seq then
+                    ok := false;
+                  if Heap.pop_value h <> v then ok := false;
+                  live := rest;
+                  ignore top)
+          | `Reset ->
+              Heap.reset h;
+              live := [];
+              next_seq := 0);
+          if Heap.length h <> List.length !live then ok := false)
+        ops;
+      !ok
+      && drain_heap h
+         = List.map (fun (_, _, _, v) -> v) (List.sort compare !live))
+
+(* ---------------- regression kernel ---------------- *)
+
+(* On Small-D: regressing a random canonical set through a random action
+   with the merge kernel returns physically the handle that interning
+   the reference regression returns, and a fresh interner hands out
+   dense ids in first-seen order. *)
+let small_d =
+  lazy
+    (let sc = Sekitei_harness.Scenarios.small () in
+     let app = sc.Sekitei_harness.Scenarios.app in
+     Compile.compile sc.Sekitei_harness.Scenarios.topo app
+       (Media.leveling Media.D app))
+
+let prop_regress_intern_agrees =
+  Q.Test.make ~count:100
+    ~name:"regress_intern is the interned reference regression"
+    Q.(list_of_size (Gen.int_range 1 40) (pair (small_list small_nat) small_nat))
+    (fun cases ->
+      let pb = Lazy.force small_d in
+      let n_props = Array.length pb.Problem.init in
+      let n_actions = Array.length pb.Problem.actions in
+      let ctx = Propset.make_ctx pb in
+      let first_seen = ref [] in
+      List.for_all
+        (fun (props, k) ->
+          let set =
+            Propset.canonical pb (List.map (fun p -> p * 7919 mod n_props) props)
+          in
+          let a = pb.Problem.actions.(k * 104729 mod n_actions) in
+          let fresh_id = Propset.interned_count ctx in
+          let h = Propset.regress_intern ctx set a in
+          if h.Propset.id = fresh_id then first_seen := h :: !first_seen;
+          let expect = Test_core_graphs.reference_regress pb set a in
+          h.Propset.set = expect
+          && h == Propset.intern ctx (Array.copy expect)
+          && Propset.interned_count ctx = List.length !first_seen
+          && List.for_all
+               (fun (f : Propset.handle) ->
+                 Propset.handle_of_id ctx f.Propset.id == f)
+               !first_seen)
+        cases
+      && List.rev_map (fun (f : Propset.handle) -> f.Propset.id) !first_seen
+         = List.init (List.length !first_seen) Fun.id)
+
+(* ---------------- SLRG against uniform-cost regression ---------------- *)
+
+(* The cheapest regression from [root] to the empty set by plain
+   uniform-cost search over canonical sets: the SLRG's branching rule
+   (PLRG-relevant supporters of any pending proposition) and dead-set
+   pruning (a proposition the PLRG cannot reach), without heuristic,
+   caches or stale-entry bookkeeping. *)
+let ucs_cost (pb : Problem.t) plrg root =
+  let module Open = Set.Make (struct
+    type t = float * int list
+
+    let compare = compare
+  end) in
+  let best = Hashtbl.create 64 in
+  let regress set (a : Sekitei_core.Action.t) =
+    Array.to_list
+      (Test_core_graphs.reference_regress pb (Array.of_list set) a)
+  in
+  let rec loop open_ =
+    match Open.min_elt_opt open_ with
+    | None -> Float.infinity
+    | Some ((g, set) as top) ->
+        let open_ = Open.remove top open_ in
+        if Hashtbl.find best set < g then loop open_
+        else if set = [] then g
+        else
+          let cands =
+            List.sort_uniq Int.compare
+              (List.concat_map
+                 (fun p ->
+                   List.filter (Plrg.action_relevant plrg)
+                     pb.Problem.supports.(p))
+                 set)
+          in
+          loop
+            (List.fold_left
+               (fun open_ aid ->
+                 let a = pb.Problem.actions.(aid) in
+                 let set' = regress set a in
+                 let g' = g +. a.Sekitei_core.Action.cost_lb in
+                 if
+                   List.exists
+                     (fun p -> not (Float.is_finite (Plrg.cost plrg p)))
+                     set'
+                 then open_
+                 else
+                   match Hashtbl.find_opt best set' with
+                   | Some g0 when g0 <= g' -> open_
+                   | _ ->
+                       Hashtbl.replace best set' g';
+                       Open.add (g', set') open_)
+               open_ cands)
+  in
+  let root = Array.to_list root in
+  Hashtbl.replace best root 0.;
+  loop (Open.singleton (0., root))
+
+(* On Tiny at levels B-E, every query of one long-lived oracle (a
+   generous budget keeps its answers exact) equals the uniform-cost
+   optimum — later queries run against the solved entries and bounds
+   earlier ones left behind, and reopened sets exercise the stale-entry
+   test. *)
+let prop_slrg_equals_ucs =
+  Q.Test.make ~count:20 ~name:"SLRG query equals uniform-cost regression"
+    Q.(
+      pair
+        (oneofl [ Media.B; Media.C; Media.D; Media.E ])
+        (list_of_size (Gen.int_range 1 6)
+           (list_of_size (Gen.int_range 1 4) small_nat)))
+    (fun (level, queries) ->
+      let sc = Sekitei_harness.Scenarios.tiny () in
+      let app = sc.Sekitei_harness.Scenarios.app in
+      let pb =
+        Compile.compile sc.Sekitei_harness.Scenarios.topo app
+          (Media.leveling level app)
+      in
+      let plrg = Plrg.build pb in
+      let relevant =
+        Array.of_list
+          (List.filter
+             (fun p -> not pb.Problem.init.(p))
+             (List.init (Array.length pb.Problem.init) Fun.id
+             |> List.filter (fun p ->
+                    List.exists (Plrg.action_relevant plrg)
+                      pb.Problem.supports.(p))))
+      in
+      let slrg = Slrg.create ~query_budget:1_000_000 pb plrg in
+      Array.length relevant = 0
+      || List.for_all
+           (fun picks ->
+             let props =
+               List.map (fun k -> relevant.(k mod Array.length relevant)) picks
+             in
+             let c = Slrg.query slrg props in
+             let expect = ucs_cost pb plrg (Propset.canonical pb props) in
+             if Float.is_finite c || Float.is_finite expect then
+               Float.abs (c -. expect) <= 1e-6
+             else true)
+           queries)
 
 (* ---------------- prng property ---------------- *)
 
@@ -875,6 +1095,9 @@ let suite =
       prop_interval_encloses;
       prop_monotonicity_sampled;
       prop_heap_sorts;
+      prop_heap_model;
+      prop_regress_intern_agrees;
+      prop_slrg_equals_ucs;
       prop_prng_bounds;
       prop_transit_stub_connected;
       prop_planner_sound;

@@ -57,7 +57,7 @@ let same_outcome from_scratch incremental =
   | Error (f1 : Replay.failure), Error f2 ->
       f1.Replay.failed_index = f2.Replay.failed_index
       && f1.Replay.failed_action = f2.Replay.failed_action
-      && f1.Replay.reason = f2.Replay.reason
+      && (Lazy.force f1.Replay.reason) = (Lazy.force f2.Replay.reason)
   | _ -> false
 
 let tail_gen pb =
@@ -112,7 +112,7 @@ let test_extend_persistent () =
       Alcotest.(check bool)
         "child advanced" true
         (Replay.rstate_length child = 1 && Replay.rstate_cost child >= 0.)
-  | Error f -> Alcotest.failf "extend failed: %s" f.Replay.reason);
+  | Error f -> Alcotest.failf "extend failed: %s" (Lazy.force f.Replay.reason));
   (* The parent must be untouched and re-extensible with identical results. *)
   Alcotest.(check bool) "parent unchanged" true (same_metrics before (snapshot parent));
   match
@@ -150,7 +150,7 @@ let test_failed_extend_persistent () =
   | Ok _ -> Alcotest.fail "splitter at full rate should overrun the CPU"
   | Error f ->
       Alcotest.(check bool) "cpu overrun" true
-        (Sekitei_spec.Str_split.split_once f.Replay.reason "cpu" <> None);
+        (Sekitei_spec.Str_split.split_once (Lazy.force f.Replay.reason) "cpu" <> None);
       Alcotest.(check int) "failure indexed after the parent" 1
         f.Replay.failed_index);
   Alcotest.(check bool) "parent metrics unchanged" true
