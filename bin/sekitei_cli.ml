@@ -30,6 +30,7 @@ module Certify = Sekitei_analysis.Certify
 module Scenarios = Sekitei_harness.Scenarios
 module Table2 = Sekitei_harness.Table2
 module Figures = Sekitei_harness.Figures
+module Hquality = Sekitei_harness.Hquality
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -128,9 +129,11 @@ let explain_arg =
   Arg.(value & flag & info [ "explain" ] ~doc)
 
 let hquality_arg =
-  let doc = "Profile heuristic quality: record h(n) along the solution \
-             path and report per-phase error percentiles, admissibility \
-             violations, and the wasted-work ratio." in
+  let doc = "Profile heuristic quality along the returned plan: rebuild \
+             its search path from the plan, ask a fresh SLRG oracle (at \
+             --slrg-budget) for h(n) of every node on it, and report \
+             per-phase error percentiles, admissibility violations, and \
+             the wasted-work ratio." in
   Arg.(value & flag & info [ "hquality" ] ~doc)
 
 let verify_arg =
@@ -163,7 +166,8 @@ let deadline_arg =
    --flight arms a ring recorder with a dump path: the planner's failure
    hook writes the JSONL postmortem, so no sink (and no finalizer work)
    is needed for it.  The dump is written only after a failed plan, so
-   its directory is checked here, before any planning starts. *)
+   its directory, and that the path is not one, is checked here, before
+   any planning starts. *)
 let telemetry_of ?flight trace progress =
   let progress_sink =
     if not progress then []
@@ -184,9 +188,14 @@ let telemetry_of ?flight trace progress =
           | _ -> ());
       ]
   in
-  match Option.map Filename.dirname flight with
-  | Some dir when not (Sys.file_exists dir && Sys.is_directory dir) ->
-      Error (Printf.sprintf "--flight: %s: no such directory" dir)
+  let is_dir path = Sys.file_exists path && Sys.is_directory path in
+  match flight with
+  | Some path when not (is_dir (Filename.dirname path)) ->
+      Error
+        (Printf.sprintf "--flight: %s: no such directory"
+           (Filename.dirname path))
+  | Some path when is_dir path ->
+      Error (Printf.sprintf "--flight: %s: Is a directory" path)
   | _ -> (
       let flight =
         Option.map
@@ -218,11 +227,10 @@ let scenario_of ?seed = function
   | `Small -> Scenarios.small ()
   | `Large -> Scenarios.large ?seed ()
 
-let config_of ?(profile_h = false) ?(certify = false) ?deadline_ms rg slrg =
+let config_of ?(certify = false) ?deadline_ms rg slrg =
   { Planner.default_config with
     Planner.rg_max_expansions = rg;
     slrg_query_budget = slrg;
-    profile_h;
     certify;
     deadline_ms }
 
@@ -230,19 +238,32 @@ let config_of ?(profile_h = false) ?(certify = false) ?deadline_ms rg slrg =
 (* Spec and scenario loading                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A spec error or an unwritable output file: one line on stderr,
-   exit 2. *)
+(* A spec error, an unreadable input or an unwritable output file: one
+   line on stderr, exit 2. *)
 let error_line line =
   Format.eprintf "%s@." line;
   2
 
-(* A spec file's topology, app and leveling; the file must carry a
-   network block.  [Error] holds the line to report. *)
-let load_spec file =
-  match Dsl.load_file file with
+(* An input file's text.  Cmdliner's [file] converter accepts any
+   existing path, directories included, and the error reading one does
+   not name it; [Error] holds the line to report, which does. *)
+let read_input file =
+  match In_channel.with_open_text file In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error _ when Sys.file_exists file && Sys.is_directory file
+    ->
+      Error (file ^ ": Is a directory")
+  | exception Sys_error msg -> Error msg
+
+(* A spec's topology, app and leveling; the spec must carry a network
+   block.  [Error] holds the line to report. *)
+let parse_spec text =
+  match Dsl.parse_document text with
   | exception Dsl.Dsl_error msg -> Error ("spec error: " ^ msg)
   | { Dsl.topo = None; _ } -> Error "spec file has no network block"
   | { Dsl.topo = Some topo; app; leveling } -> Ok (topo, app, leveling)
+
+let load_spec file = Result.bind (read_input file) parse_spec
 
 (* What a command plans or checks: the --spec file when given, else the
    built-in --network scenario (named, for the plan header) at the
@@ -276,12 +297,13 @@ let resolve_case ?(suggest = false) spec network levels seed =
 (* plan                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The plan is printed, audited, explained and drawn against the
-   session's own compiled problem: a spec is compiled once, after
+(* The plan is printed, audited, explained, profiled and drawn against
+   the session's own compiled problem: a spec is compiled once, after
    validation.  A failure's certificate needs no problem: the failure
-   carries its evidence. *)
-let report_outcome ?dot_file ?(audit = false) ?(explain = false) session
-    (report : Planner.report) =
+   carries its evidence.  [hquality] is the SLRG query budget the
+   heuristic-quality profile runs its fresh oracle with. *)
+let report_outcome ?dot_file ?(audit = false) ?(explain = false) ?hquality
+    session (report : Planner.report) =
   (* A plan implies compiled state. *)
   let pb () = Option.get (Session.problem session) in
   (match (audit, report.Planner.result) with
@@ -323,10 +345,15 @@ let report_outcome ?dot_file ?(audit = false) ?(explain = false) session
         (fun c -> Format.printf "Certificate:@.%s" c)
         (Sekitei_core.Explain.certificate r)
   | false, _ -> ());
-  (match Sekitei_harness.Hquality.of_report report with
-  | Some hq ->
-      Format.printf "Heuristic quality:@.%s" (Sekitei_harness.Hquality.render hq)
-  | None -> ());
+  (match (hquality, report.Planner.result) with
+  | Some query_budget, Ok p ->
+      let hq =
+        Hquality.analyze ~plan_cost:p.Plan.cost_lb
+          ~expanded:report.Planner.stats.Planner.rg_expanded
+          (Hquality.samples ~query_budget (pb ()) p)
+      in
+      Format.printf "Heuristic quality:@.%s" (Hquality.render hq)
+  | _ -> ());
   Format.printf "Stats: %a@." Planner.pp_stats report.Planner.stats;
   Format.printf "Phases: %a@." Planner.pp_phases report;
   match report.Planner.result with Ok _ -> 0 | Error _ -> 1
@@ -335,10 +362,7 @@ let plan_cmd =
   let run spec network levels seed rg slrg deadline dot_file audit suggest
       trace progress flight explain hquality verify verbose =
     setup_logs verbose;
-    let config =
-      config_of ~profile_h:hquality ~certify:verify ?deadline_ms:deadline rg
-        slrg
-    in
+    let config = config_of ~certify:verify ?deadline_ms:deadline rg slrg in
     match resolve_case ~suggest spec network levels seed with
     | Error line -> error_line line
     | Ok c -> (
@@ -365,7 +389,9 @@ let plan_cmd =
               | _ -> (
                   (* The deployment graph is the one file written here. *)
                   match
-                    report_outcome ?dot_file ~audit ~explain session report
+                    report_outcome ?dot_file ~audit ~explain
+                      ?hquality:(if hquality then Some slrg else None)
+                      session report
                   with
                   | code -> code
                   | exception Sys_error msg ->
@@ -374,8 +400,13 @@ let plan_cmd =
             finish_telemetry ();
             if verify && code = 0 then
               Format.printf "plan independently certified@.";
+            (* The registry counts only the dumps actually written. *)
             (match flight with
-            | Some file when code <> 0 && Sys.file_exists file ->
+            | Some file
+              when Registry.counter_value
+                     (Session.metrics_snapshot session)
+                     "session.flight_dumps"
+                   > 0 ->
                 Format.printf "flight dump written to %s@." file
             | _ -> ());
             code)
@@ -411,20 +442,24 @@ let batch_cmd =
     setup_logs verbose;
     let config = config_of ~certify:verify rg slrg in
     (* Parse every spec up front: a syntax error anywhere aborts the
-       batch before any planning starts (exit 2, like plan --spec). *)
+       batch before any planning starts (exit 2, like plan --spec).  A
+       read error names its file already; a spec error is prefixed. *)
     let parsed =
       List.map
         (fun file ->
-          match load_spec file with
-          | Error line -> Error (file, line)
-          | Ok (topo, app, leveling) ->
-              Ok (file, Planner.request ~config topo app ~leveling))
+          match read_input file with
+          | Error line -> Error line
+          | Ok text -> (
+              match parse_spec text with
+              | Error line -> Error (file ^ ": " ^ line)
+              | Ok (topo, app, leveling) ->
+                  Ok (file, Planner.request ~config topo app ~leveling)))
         files
     in
     match
       List.find_map (function Error e -> Some e | Ok _ -> None) parsed
     with
-    | Some (file, line) -> error_line (file ^ ": " ^ line)
+    | Some line -> error_line line
     | None ->
         let named =
           List.filter_map
@@ -482,79 +517,65 @@ exception Script_error of int * string
    is reported as a script error with the offending line. *)
 type script_cmd = Do_plan | Do_metrics | Do_update of Session.delta
 
-let parse_script file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let cmds = ref [] and lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           let fail msg = raise (Script_error (!lineno, msg)) in
-           let int_of what s =
-             match int_of_string_opt s with
-             | Some v -> v
-             | None -> fail (Printf.sprintf "bad %s %S" what s)
-           in
-           let float_of what s =
-             match float_of_string_opt s with
-             | Some v -> v
-             | None -> fail (Printf.sprintf "bad %s %S" what s)
-           in
-           match
-             String.split_on_char ' ' line
-             |> List.concat_map (String.split_on_char '\t')
-             |> List.filter (fun t -> t <> "")
-           with
-           | [] -> ()
-           | comment :: _ when String.length comment > 0 && comment.[0] = '#'
-             ->
-               ()
-           | [ "plan" ] -> cmds := (!lineno, Do_plan) :: !cmds
-           | [ "metrics" ] -> cmds := (!lineno, Do_metrics) :: !cmds
-           | [ "update"; "set-node"; n; res; v ] ->
-               cmds :=
-                 ( !lineno,
-                   Do_update
-                     (Session.Set_node_resource
-                        {
-                          node = int_of "node id" n;
-                          resource = res;
-                          value = float_of "value" v;
-                        }) )
-                 :: !cmds
-           | [ "update"; "set-link"; l; res; v ] ->
-               cmds :=
-                 ( !lineno,
-                   Do_update
-                     (Session.Set_link_resource
-                        {
-                          link = int_of "link id" l;
-                          resource = res;
-                          value = float_of "value" v;
-                        }) )
-                 :: !cmds
-           | [ "update"; "remove-link"; l ] ->
-               cmds :=
-                 ( !lineno,
-                   Do_update (Session.Remove_link { link = int_of "link id" l })
-                 )
-                 :: !cmds
-           | [ "update"; "fail-node"; n ] ->
-               cmds :=
-                 ( !lineno,
-                   Do_update (Session.Fail_node { node = int_of "node id" n })
-                 )
-                 :: !cmds
-           | first :: _ ->
-               fail
-                 (Printf.sprintf
-                    "unknown command %S (expected plan/metrics/update)" first)
-         done
-       with End_of_file -> ());
-      List.rev !cmds)
+let parse_script text =
+  String.split_on_char '\n' text
+  |> List.mapi (fun i line ->
+         let lineno = i + 1 in
+         let fail msg = raise (Script_error (lineno, msg)) in
+         let int_of what s =
+           match int_of_string_opt s with
+           | Some v -> v
+           | None -> fail (Printf.sprintf "bad %s %S" what s)
+         in
+         let float_of what s =
+           match float_of_string_opt s with
+           | Some v -> v
+           | None -> fail (Printf.sprintf "bad %s %S" what s)
+         in
+         match
+           String.split_on_char ' ' line
+           |> List.concat_map (String.split_on_char '\t')
+           |> List.filter (fun t -> t <> "")
+         with
+         | [] -> None
+         | comment :: _ when String.length comment > 0 && comment.[0] = '#' ->
+             None
+         | [ "plan" ] -> Some (lineno, Do_plan)
+         | [ "metrics" ] -> Some (lineno, Do_metrics)
+         | [ "update"; "set-node"; n; res; v ] ->
+             Some
+               ( lineno,
+                 Do_update
+                   (Session.Set_node_resource
+                      {
+                        node = int_of "node id" n;
+                        resource = res;
+                        value = float_of "value" v;
+                      }) )
+         | [ "update"; "set-link"; l; res; v ] ->
+             Some
+               ( lineno,
+                 Do_update
+                   (Session.Set_link_resource
+                      {
+                        link = int_of "link id" l;
+                        resource = res;
+                        value = float_of "value" v;
+                      }) )
+         | [ "update"; "remove-link"; l ] ->
+             Some
+               ( lineno,
+                 Do_update (Session.Remove_link { link = int_of "link id" l })
+               )
+         | [ "update"; "fail-node"; n ] ->
+             Some
+               ( lineno,
+                 Do_update (Session.Fail_node { node = int_of "node id" n }) )
+         | first :: _ ->
+             fail
+               (Printf.sprintf
+                  "unknown command %S (expected plan/metrics/update)" first))
+  |> List.filter_map Fun.id
 
 let render_delta = function
   | Session.Set_node_resource { node; resource; value } ->
@@ -584,10 +605,12 @@ let session_cmd =
   in
   let run spec script rg slrg deadline flight verify verbose =
     setup_logs verbose;
-    match (load_spec spec, telemetry_of ?flight None false) with
-    | Error line, _ | _, Error line -> error_line line
-    | Ok (topo, app, leveling), Ok (telemetry, finish_telemetry) -> (
-        match parse_script script with
+    match
+      (load_spec spec, read_input script, telemetry_of ?flight None false)
+    with
+    | Error line, _, _ | _, Error line, _ | _, _, Error line -> error_line line
+    | Ok (topo, app, leveling), Ok text, Ok (telemetry, finish_telemetry) -> (
+        match parse_script text with
         | exception Script_error (line, msg) ->
             Format.eprintf "%s:%d: %s@." script line msg;
             2
@@ -836,11 +859,10 @@ let validate_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"SPEC" ~doc:"DSL file")
   in
   let run file =
-    match Dsl.load_file file with
-    | exception Dsl.Dsl_error msg ->
-        Format.eprintf "parse error: %s@." msg;
-        2
-    | doc -> (
+    match Result.map Dsl.parse_document (read_input file) with
+    | Error line -> error_line line
+    | exception Dsl.Dsl_error msg -> error_line ("parse error: " ^ msg)
+    | Ok doc -> (
         match doc.Dsl.topo with
         | None ->
             Format.printf "parsed OK (no network block; skipping deep checks)@.";

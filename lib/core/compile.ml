@@ -10,12 +10,6 @@ exception Compile_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Compile_error s)) fmt
 
-let split_var v =
-  match String.index_opt v '.' with
-  | Some dot ->
-      (String.sub v 0 dot, String.sub v (dot + 1) (String.length v - dot - 1))
-  | None -> ("", v)
-
 (* Every combination picking one element of each row, the first row
    varying slowest; no combination when a row is empty, one empty
    combination when there are no rows. *)
@@ -146,7 +140,7 @@ let resolve_formulas ~site ~levels_of ~first ~input ~other_vars ~conditions
             (List.map fst consumes
             @ List.filter_map
                 (fun v ->
-                  match split_var v with
+                  match Model.split_var v with
                   | p, r when String.equal p site -> Some r
                   | _ -> None)
                 vars)))
@@ -164,7 +158,7 @@ let resolve_formulas ~site ~levels_of ~first ~input ~other_vars ~conditions
             Cap k)
   in
   let resolve v =
-    match split_var v with
+    match Model.split_var v with
     | p, r when String.equal p site -> site_slot r
     | _ -> input v
   in
@@ -335,7 +329,7 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
       if comp.Model.requires <> [] then
         fail "pre-placed component %s has requirements" comp_name;
       let env v =
-        match split_var v with
+        match Model.split_var v with
         | "node", r -> node_cap node r
         | _ -> raise (Expr.Unbound_variable v)
       in
@@ -502,7 +496,7 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
     let req = Array.of_list (List.map iface_idx comp.Model.requires) in
     let n_in = Array.length req in
     let input v =
-      let iface_name, prop_name = split_var v in
+      let iface_name, prop_name = Model.split_var v in
       let rec find k =
         if k = n_in then Unbound v
         else
@@ -666,7 +660,7 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
   let cross_schema i (iface : Model.iface) =
     let prim = primary i in
     let input v =
-      match split_var v with
+      match Model.split_var v with
       | "", p -> if String.equal p prim then Level 0 else Full
       | _ -> Unbound v
     in
@@ -820,7 +814,7 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
               | None -> ()
               | Some (_, _, e) -> (
                   let env v =
-                    match split_var v with
+                    match Model.split_var v with
                     | "node", _ -> Float.infinity (* optimistic *)
                     | iface_name, prop_name -> (
                         let i = iface_idx iface_name in

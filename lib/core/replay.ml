@@ -63,12 +63,6 @@ type state = {
   mutable link_rem : float Res_map.t;
 }
 
-let split_var v =
-  match String.index_opt v '.' with
-  | Some dot ->
-      (String.sub v 0 dot, String.sub v (dot + 1) (String.length v - dot - 1))
-  | None -> ("", v)
-
 (* Throttle the current interval into the consumer's assumed level,
    honouring the property's tag (see the .mli).  The suprema of proper
    (half-open) intervals are exclusive: a stream constrained to [0,10)
@@ -278,7 +272,7 @@ let exec_place pb st ~mode (act : Action.t) comp node =
     act.Action.in_levels;
   (* 2. interval environment *)
   let env v =
-    match split_var v with
+    match Model.split_var v with
     | "node", r ->
         I.point
           (match mode with
@@ -376,7 +370,7 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
   in
   let eff = effective_input pb st ~mode iface src assumed_in in
   let env v =
-    match split_var v with
+    match Model.split_var v with
     | "link", r ->
         I.point
           (match mode with

@@ -15,7 +15,6 @@ type stats = {
   slrg_saved : int;
 }
 
-type hsample = { set_size : int; g : float; h_slrg : float; h_plrg : float }
 type frontier = { best_f : float; tail : string list; unmet : string list }
 
 type result =
@@ -42,11 +41,6 @@ type node = {
   mutable refined : bool;
       (** whether [h] is the SLRG value (true) or the cheap PLRG bound
           [push] queued the node with (false) *)
-  mutable chain : hsample list;
-      (** under [?profile]: this node's h-quality sample consed onto its
-          ancestors' (leaf first); [[]] when profiling is off.  Set by
-          [push]; the [h_slrg] column of the head sample is patched in
-          at refinement time. *)
 }
 
 (* Duplicate-detection key: interned pending set plus the set of action
@@ -135,7 +129,7 @@ let repair_order ?(max_steps = 20_000) pb tail =
   | Repaired (tail', metrics) -> Some (tail', metrics)
   | Infeasible | Gave_up -> None
 
-let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
+let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
     ?(deadline = Deadline.none) (pb : Problem.t) slrg =
   let progress_interval = Telemetry.progress_interval telemetry in
   let created = ref 0
@@ -210,34 +204,22 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
       if keep then begin
         incr created;
         if not node.refined then incr deferred;
-        (match profile with
-        | None -> ()
-        | Some _ ->
-            node.chain <-
-              {
-                set_size = Array.length node.set.Propset.set;
-                g = node.g;
-                h_slrg = (if node.refined then h else Float.nan);
-                h_plrg = h_plrg node.set;
-              }
-              :: node.chain);
         Heap.add heap ~prio:(node.g +. h) ~prio2:(-.node.g) ~seq:node.serial
           node
       end
     end
   in
   let next_serial = ref 0 in
-  let mk ~tail ~set ~g ~acts ~rs ~chain =
+  let mk ~tail ~set ~g ~acts ~rs =
     let serial = !next_serial in
     incr next_serial;
-    { tail; set; g; serial; acts; rs; refined = false; chain }
+    { tail; set; g; serial; acts; rs; refined = false }
   in
   push
     (mk ~tail:[]
        ~set:(Propset.intern ctx (Propset.canonical_array pb pb.goal_props))
        ~g:0. ~acts:Iset.empty
-       ~rs:(Replay.initial pb)
-       ~chain:[]);
+       ~rs:(Replay.initial pb));
   let finish result =
     ( result,
       {
@@ -251,12 +233,6 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
         slrg_deferred = !deferred;
         slrg_saved = !deferred - !refined_count;
       } )
-  in
-  let solution node tail metrics =
-    (match profile with
-    | None -> ()
-    | Some out -> out := List.rev node.chain);
-    finish (Solution (tail, metrics, node.g))
   in
   (* The popped node's f is the frontier minimum, an admissible lower
      bound on any plan a longer search could still find; its tail and
@@ -293,13 +269,6 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
         if not (Float.is_finite h) then loop ()
         else begin
           node.refined <- true;
-          (match profile with
-          | None -> ()
-          | Some _ -> (
-              match node.chain with
-              | top :: rest when Float.is_nan top.h_slrg ->
-                  node.chain <- { top with h_slrg = h } :: rest
-              | _ -> ()));
           let f' = node.g +. h in
           let still_min =
             f' = f || Heap.is_empty heap || f' < Heap.top_prio heap
@@ -337,7 +306,7 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
           match
             Replay.run ~telemetry pb ~mode:Replay.From_init node.tail
           with
-          | Ok metrics -> solution node node.tail metrics
+          | Ok metrics -> finish (Solution (node.tail, metrics, node.g))
           | Error _ when !repair_pool <= 0 ->
               incr final_rejected;
               loop ()
@@ -354,7 +323,7 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
               match outcome with
               | Repaired (tail', metrics) ->
                   incr order_repaired;
-                  solution node tail' metrics
+                  finish (Solution (tail', metrics, node.g))
               | Infeasible ->
                   Hashtbl.replace repair_failed akey ();
                   incr final_rejected;
@@ -378,7 +347,7 @@ let search ?(max_expansions = 500_000) ?profile ?(telemetry = Telemetry.null)
                      ~set:(Supports.successor supports node.set i)
                      ~g:(node.g +. a.Action.cost_lb)
                      ~acts:(Iset.add aid node.acts)
-                     ~rs:rs' ~chain:node.chain)
+                     ~rs:rs')
           end
         done;
         loop ()

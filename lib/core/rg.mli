@@ -50,15 +50,6 @@ type stats = {
           this search never ran *)
 }
 
-(** One heuristic-quality sample, recorded (under [?profile]) for every
-    node on the ancestor chain of the accepted solution: the node's
-    pending-set size, its path cost [g], the SLRG heuristic the search
-    expanded it under (the value refined at pop), and the PLRG h_max
-    value of the same pending set.
-    Against the solution cost [C*], the realized cost-to-go of the node
-    is [C* - g]; admissibility demands [h <= C* - g] for both columns. *)
-type hsample = { set_size : int; g : float; h_slrg : float; h_plrg : float }
-
 (** Why a search stopped short, as evidence: the best-f open node when
     the search was cut off, rendered once at the cutoff.  [best_f] is an
     admissible lower bound on the cost of any plan a longer search could
@@ -115,19 +106,15 @@ val repair_order :
     enough to swap f-tied frontier nodes, perturb [expanded], and return
     a different equally-cheap optimum.
 
-    [profile], when given, turns on heuristic-quality recording: every
-    queued node carries its (set size, g, h) sample chained to its
-    ancestors', and on [Solution] the ref receives the accepted node's
-    chain, root first.  Per queued node the overhead is one PLRG h_max
-    sweep over the pending set and one cons; when absent the search pays
-    a single [None] branch per push.
-
     [telemetry] emits a periodic ["rg"] progress heartbeat (every
     {!Sekitei_telemetry.Telemetry.progress_interval} expansions: open-list
     size, best f, expansions, duplicates) and wraps final candidate
     validation in ["replay"] / ["replay.repair"] sub-spans.  The search
     totals leave only through {!stats}; {!Session} turns them into trace
-    counters and registry metrics.
+    counters and registry metrics.  Nothing is recorded per node: the
+    accepted node's ancestor chain is the goal set regressed through the
+    returned tail, last action first, so heuristic quality along it is
+    read off the plan afterwards ([Sekitei_harness.Hquality.samples]).
 
     [max_expansions] (default 500000) and [deadline] are checked once
     per expansion (at pop, after heuristic refinement); whichever trips
@@ -135,7 +122,6 @@ val repair_order :
     frontier-minimum f as a valid lower bound. *)
 val search :
   ?max_expansions:int ->
-  ?profile:hsample list ref ->
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
   ?deadline:Sekitei_util.Deadline.t ->
   Problem.t ->

@@ -40,7 +40,6 @@ type config = {
   slrg_query_budget : int;
   rg_max_expansions : int;
   validate_spec : bool;
-  profile_h : bool;
   deadline_ms : float option;
   certify : bool;
 }
@@ -50,7 +49,6 @@ let default_config =
     slrg_query_budget = 500;
     rg_max_expansions = 500_000;
     validate_spec = true;
-    profile_h = false;
     deadline_ms = None;
     certify = false;
   }
@@ -110,7 +108,6 @@ type report = {
   result : (Plan.t, failure_reason) Stdlib.result;
   phases : phases;
   stats : stats;
-  hquality : Rg.hsample list option;
 }
 
 let empty_stats =
@@ -376,13 +373,7 @@ let trace_counts telemetry ~reached (r : report) =
     count "slrg.cache_hits" s.slrg_cache_hits;
     count "slrg.suffix_harvested" s.slrg_suffix_harvested;
     count "slrg.bound_promoted" s.slrg_bound_promoted
-  end;
-  Option.iter
-    (fun samples ->
-      let n = List.length samples in
-      count "hq.path_nodes" n;
-      count "hq.wasted_expansions" (Stdlib.max 0 (s.rg_expanded - n)))
-    r.hquality
+  end
 
 (* Lifetime metrics recorded for every plan call, successful or not.
    Phase histograms only take samples from requests that actually ran
@@ -437,14 +428,12 @@ let plan_exn t =
   t.pending_invalidated <- 0;
   t.pending_evicted <- 0;
   let sp_plan = Telemetry.begin_span telemetry "plan" in
-  let finish ?(reached = `Validated) ?(phases = empty_phases) ?hquality result
-      stats =
+  let finish ?(reached = `Validated) ?(phases = empty_phases) result stats =
     let report =
       {
         result;
         phases;
         stats = { stats with invalidated_actions; evicted_entries };
-        hquality;
       }
     in
     trace_counts telemetry ~reached report;
@@ -554,7 +543,6 @@ let plan_exn t =
                   Slrg.begin_request slrg ~deadline;
                   slrg)
             in
-            let profile = if config.profile_h then Some (ref []) else None in
             let (result, rg_stats), rg_phase =
               run_phase telemetry "rg"
                 ~attrs:(fun (_, (s : Rg.stats)) ->
@@ -563,7 +551,7 @@ let plan_exn t =
                     ("expanded", Telemetry.Int s.Rg.expanded);
                   ])
                 (fun () ->
-                  Rg.search ~max_expansions:config.rg_max_expansions ?profile
+                  Rg.search ~max_expansions:config.rg_max_expansions
                     ~telemetry ~deadline pb slrg)
             in
             Log.info (fun m ->
@@ -612,8 +600,7 @@ let plan_exn t =
                 rg = rg_phase;
               }
             in
-            let hquality = Option.map (fun samples -> !samples) profile in
-            let finish = finish ~reached:`Searched ~phases ?hquality in
+            let finish = finish ~reached:`Searched ~phases in
             match result with
             | Rg.Solution (tail, metrics, cost_lb) ->
                 Log.info (fun m ->

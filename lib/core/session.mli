@@ -55,10 +55,6 @@ type config = {
   slrg_query_budget : int;  (** set-node budget per SLRG query *)
   rg_max_expansions : int;
   validate_spec : bool;  (** run {!Sekitei_spec.Validate} first *)
-  profile_h : bool;
-      (** record heuristic-quality samples ({!Rg.hsample}) along the
-          solution path (default [false]; adds a PLRG sweep per queued
-          RG node, so leave off when benchmarking) *)
   deadline_ms : float option;
       (** per-request wall-clock budget (monotonic {!Sekitei_util.Timer}
           time, polled cooperatively by every phase); [None] (default)
@@ -194,10 +190,6 @@ type report = {
       (** per-phase timings are measured monotonically even with the null
           telemetry; phases not reached report zeros *)
   stats : stats;
-  hquality : Rg.hsample list option;
-      (** solution-path heuristic samples, root first; [Some] iff
-          [config.profile_h] (empty list when no solution was found) —
-          analyze with [Sekitei_harness.Hquality] *)
 }
 
 (** A topology perturbation, mirroring {!Sekitei_network.Mutate}.  Node
@@ -241,8 +233,9 @@ val topology : t -> Sekitei_network.Topology.t
 val is_warm : t -> bool
 
 (** The compiled problem the session plans against; [None] exactly when
-    {!is_warm} is false.  A plan printed, audited or explained against it
-    matches the one the session emitted, with no second compile. *)
+    {!is_warm} is false.  A plan printed, audited, explained or measured
+    for heuristic quality against it matches the one the session
+    emitted, with no second compile. *)
 val problem : t -> Problem.t option
 
 (** The session's always-on metric registry.  Every {!plan} records
@@ -268,9 +261,8 @@ val metrics_snapshot : t -> Sekitei_telemetry.Registry.snapshot
     with the {!pp_failure}-rendered reason.  Just before that end event
     the report's counts go out as [Counter] events, one per count and
     plan, under the registry's names where the two share a fact: the
-    ["plrg.*"] counts once compiled state exists, and the ["rg.*"],
-    ["slrg.*"] and (under [config.profile_h]) ["hq.*"] counts when the
-    RG search ran.
+    ["plrg.*"] counts once compiled state exists, and the ["rg.*"] and
+    ["slrg.*"] counts when the RG search ran.
 
     When the request's telemetry handle arms a
     {!Sekitei_telemetry.Telemetry.Flight} recorder with a dump path, a

@@ -228,110 +228,54 @@ let to_json ?tag records =
       (List.map (fun r -> Json.to_string (record_to_json ?tag r)) records)
   ^ "\n]\n"
 
-let required_keys =
+(* Every schema key with the JSON kind of its value.  A float column
+   accepts an integer: a whole-valued float is emitted without a
+   fraction. *)
+let schema =
   [
-    "\"scenario\"";
-    "\"actions\"";
-    "\"rg_created\"";
-    "\"rg_expanded\"";
-    "\"rg_duplicates\"";
-    "\"slrg_cache_hits\"";
-    "\"slrg_suffix_harvested\"";
-    "\"slrg_bound_promoted\"";
-    "\"slrg_deferred\"";
-    "\"slrg_saved\"";
-    "\"search_ms\"";
-    "\"search_ms_p50\"";
-    "\"search_ms_p90\"";
-    "\"search_ms_p99\"";
-    "\"warm_search_ms\"";
-    "\"compile_ms\"";
-    "\"compile_minor_words\"";
-    "\"plrg_ms\"";
-    "\"slrg_ms\"";
-    "\"rg_ms\"";
-    "\"minor_words\"";
-    "\"slrg_minor_words\"";
-    "\"major_collections\"";
-    "\"jobs\"";
-    "\"wall_ms_batch\"";
+    ("scenario", `Str);
+    ("actions", `Int);
+    ("rg_created", `Int);
+    ("rg_expanded", `Int);
+    ("rg_duplicates", `Int);
+    ("slrg_cache_hits", `Int);
+    ("slrg_suffix_harvested", `Int);
+    ("slrg_bound_promoted", `Int);
+    ("slrg_deferred", `Int);
+    ("slrg_saved", `Int);
+    ("search_ms", `Float);
+    ("search_ms_p50", `Float);
+    ("search_ms_p90", `Float);
+    ("search_ms_p99", `Float);
+    ("warm_search_ms", `Float);
+    ("compile_ms", `Float);
+    ("compile_minor_words", `Float);
+    ("plrg_ms", `Float);
+    ("slrg_ms", `Float);
+    ("rg_ms", `Float);
+    ("minor_words", `Float);
+    ("slrg_minor_words", `Float);
+    ("major_collections", `Int);
+    ("jobs", `Int);
+    ("wall_ms_batch", `Float);
   ]
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn > 0 && go 0
-
-(* Minimal structural check of an emitted document: a JSON array of
-   objects, each carrying every schema key.  Returns the record count.
-   Cross-checked against the real parser by [parse_check]. *)
-let validate doc =
-  let doc = String.trim doc in
-  let n = String.length doc in
-  if n < 2 || doc.[0] <> '[' || doc.[n - 1] <> ']' then
-    Error "not a JSON array"
-  else
-    let body = String.trim (String.sub doc 1 (n - 2)) in
-    if body = "" then Ok 0
-    else
-      (* Records are emitted one per line; split on '}' boundaries. *)
-      let chunks =
-        String.split_on_char '}' body
-        |> List.filter (fun c -> String.trim c <> "" && String.trim c <> ",")
-      in
-      let check i chunk =
-        match
-          List.find_opt (fun k -> not (contains chunk k)) required_keys
-        with
-        | Some missing ->
-            Error (Printf.sprintf "record %d: missing key %s" i missing)
-        | None -> Ok ()
-      in
-      let rec go i = function
-        | [] -> Ok (List.length chunks)
-        | c :: rest -> (
-            match check i c with Ok () -> go (i + 1) rest | Error e -> Error e)
-      in
-      go 0 chunks
 
 let parse_check doc =
   match Json.of_string doc with
   | Error e -> Error e
   | Ok (Json.List records) ->
-      let bad_key obj k =
-        match Json.member k obj with
-        | None -> Some k
-        | Some v -> (
-            match (k, v) with
-            | ("scenario" | "tag"), Json.Str _ -> None
-            | ( ( "actions" | "rg_created" | "rg_expanded" | "rg_duplicates"
-                | "slrg_cache_hits" | "slrg_suffix_harvested"
-                | "slrg_bound_promoted" | "slrg_deferred" | "slrg_saved"
-                | "major_collections" | "jobs" ),
-                Json.Int _ ) ->
-                None
-            | ( ( "search_ms" | "search_ms_p50" | "search_ms_p90"
-                | "search_ms_p99" | "warm_search_ms" | "compile_ms"
-                | "compile_minor_words" | "plrg_ms" | "slrg_ms" | "rg_ms"
-                | "minor_words" | "slrg_minor_words" | "wall_ms_batch" ),
-                (Json.Float _ | Json.Int _) ) ->
-                None
-            | _ -> Some k)
-      in
-      let keys =
-        [
-          "scenario"; "actions"; "rg_created"; "rg_expanded"; "rg_duplicates";
-          "slrg_cache_hits"; "slrg_suffix_harvested"; "slrg_bound_promoted";
-          "slrg_deferred"; "slrg_saved"; "search_ms"; "search_ms_p50";
-          "search_ms_p90"; "search_ms_p99"; "warm_search_ms"; "compile_ms";
-          "compile_minor_words"; "plrg_ms"; "slrg_ms"; "rg_ms"; "minor_words";
-          "slrg_minor_words"; "major_collections"; "jobs"; "wall_ms_batch";
-        ]
+      let bad_key obj (k, kind) =
+        match (kind, Json.member k obj) with
+        | `Str, Some (Json.Str _)
+        | `Int, Some (Json.Int _)
+        | `Float, Some (Json.Float _ | Json.Int _) ->
+            None
+        | _ -> Some k
       in
       let rec go i = function
         | [] -> Ok (List.length records)
         | r :: rest -> (
-            match List.find_map (bad_key r) keys with
+            match List.find_map (bad_key r) schema with
             | Some k ->
                 Error (Printf.sprintf "record %d: bad or missing key %s" i k)
             | None -> go (i + 1) rest)

@@ -101,12 +101,10 @@ val run_default :
     ["tag"] field to every record (e.g. a commit phase label). *)
 val to_json : ?tag:string -> record list -> string
 
-(** Structural schema check of an emitted document; [Ok n] is the record
-    count.  Used by the test-suite smoke test. *)
-val validate : string -> (int, string) result
-
-(** Full parse of an emitted document through {!Sekitei_util.Json},
-    checking every schema key's type; [Ok n] is the record count. *)
+(** The schema check of an emitted document ([bench --json --check] and
+    the test suite): a full parse through {!Sekitei_util.Json} that
+    checks every record carries every schema key with a value of its
+    kind; [Ok n] is the record count. *)
 val parse_check : string -> (int, string) result
 
 val write_file : string -> string -> unit

@@ -1,8 +1,14 @@
-module Rg = Sekitei_core.Rg
-module Planner = Sekitei_core.Planner
+module Action = Sekitei_core.Action
 module Plan = Sekitei_core.Plan
+module Plrg = Sekitei_core.Plrg
+module Problem = Sekitei_core.Problem
+module Propset = Sekitei_core.Propset
+module Session = Sekitei_core.Session
+module Slrg = Sekitei_core.Slrg
 module Stats = Sekitei_util.Running_stats
 module Table = Sekitei_util.Ascii_table
+
+type sample = { set_size : int; g : float; h_slrg : float; h_plrg : float }
 
 type phase_quality = {
   samples : int;
@@ -25,6 +31,38 @@ type report = {
 
 let admissibility_eps = 1e-6
 
+(* The accepted node's ancestors are the goal set regressed through the
+   plan's actions, last action first, with g summed in that same order —
+   the search's own accumulation order, so every g equals the search's
+   bit for bit.  A fresh oracle answers h for each set, root first. *)
+let samples
+    ?(query_budget = Session.default_config.Session.slrg_query_budget)
+    (pb : Problem.t) (plan : Plan.t) =
+  let slrg = Slrg.create ~query_budget pb (Plrg.build pb) in
+  let ctx = Slrg.ctx slrg in
+  let sample (set : Propset.handle) g =
+    let h_slrg = Slrg.query_h slrg set in
+    {
+      set_size = Array.length set.Propset.set;
+      g;
+      h_slrg;
+      h_plrg = Slrg.h_max_h slrg set;
+    }
+  in
+  let rec chain (set : Propset.handle) g acc = function
+    | [] -> List.rev acc
+    | (a : Action.t) :: earlier ->
+        let set = Propset.regress_intern ctx set.Propset.set a in
+        let g = g +. a.Action.cost_lb in
+        let s = sample set g in
+        chain set g (s :: acc) earlier
+  in
+  let root =
+    Propset.intern ctx (Propset.canonical_array pb pb.Problem.goal_props)
+  in
+  let first = sample root 0. in
+  chain root 0. [ first ] (List.rev plan.Plan.steps)
+
 let phase_of errs =
   match errs with
   | [] ->
@@ -38,24 +76,22 @@ let phase_of errs =
         violations = 0;
       }
   | _ ->
-      let res = Stats.Reservoir.create ~capacity:4096 () in
-      List.iter (Stats.Reservoir.add res) errs;
       let st = Stats.of_list errs in
       {
         samples = List.length errs;
         mean_err = Stats.mean st;
-        p50 = Stats.Reservoir.percentile res 0.5;
-        p90 = Stats.Reservoir.percentile res 0.9;
-        p99 = Stats.Reservoir.percentile res 0.99;
+        p50 = Stats.percentile 0.5 errs;
+        p90 = Stats.percentile 0.9 errs;
+        p99 = Stats.percentile 0.99 errs;
         max_err = Stats.max st;
         violations =
           List.length (List.filter (fun e -> e < -.admissibility_eps) errs);
       }
 
 let analyze ~plan_cost ~expanded samples =
-  let err h (s : Rg.hsample) = plan_cost -. s.Rg.g -. h s in
-  let slrg_errs = List.map (err (fun s -> s.Rg.h_slrg)) samples in
-  let plrg_errs = List.map (err (fun s -> s.Rg.h_plrg)) samples in
+  let err h s = plan_cost -. s.g -. h s in
+  let slrg_errs = List.map (err (fun s -> s.h_slrg)) samples in
+  let plrg_errs = List.map (err (fun s -> s.h_plrg)) samples in
   let path_nodes = List.length samples in
   {
     plan_cost;
@@ -69,14 +105,6 @@ let analyze ~plan_cost ~expanded samples =
     slrg = phase_of slrg_errs;
     plrg = phase_of plrg_errs;
   }
-
-let of_report (r : Planner.report) =
-  match (r.Planner.result, r.Planner.hquality) with
-  | Ok plan, Some (_ :: _ as samples) ->
-      Some
-        (analyze ~plan_cost:plan.Plan.cost_lb
-           ~expanded:r.Planner.stats.Planner.rg_expanded samples)
-  | _ -> None
 
 let render r =
   let t =

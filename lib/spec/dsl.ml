@@ -115,10 +115,9 @@ let split_assign stmt what =
   | None -> fail "%s statement needs ':=' in %S" what stmt
 
 let split_dotted v =
-  match String.index_opt v '.' with
-  | Some d ->
-      (String.sub v 0 d, String.sub v (d + 1) (String.length v - d - 1))
-  | None -> fail "expected qualified name X.y, got %S" v
+  match Model.split_var v with
+  | "", _ -> fail "expected qualified name X.y, got %S" v
+  | qualified -> qualified
 
 (* A numeric literal; NaN is never a meaningful value. *)
 let number what text =
@@ -489,14 +488,6 @@ let parse_document text =
       leveling !extra_levels
   in
   { topo = Option.map fst !network; app; leveling }
-
-let load_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      parse_document (really_input_string ic len))
 
 (* --------------------------------------------------------------------- *)
 (* Printer                                                                *)

@@ -52,9 +52,6 @@ exception Dsl_error of string
 
 val parse_document : string -> document
 
-(** Load and parse a file.  @raise Dsl_error and [Sys_error]. *)
-val load_file : string -> document
-
 (** Render a document back to DSL text; [parse_document] of the output
     round-trips modulo formatting. *)
 val print_document :

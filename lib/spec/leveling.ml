@@ -65,45 +65,27 @@ let propagate (app : Model.app) t =
                 input_vars <> []
                 && List.for_all
                      (fun v ->
-                       match String.index_opt v '.' with
-                       | Some dot ->
-                           let iface = String.sub v 0 dot
-                           and prop =
-                             String.sub v (dot + 1)
-                               (String.length v - dot - 1)
-                           in
-                           Hashtbl.mem table (iface, prop)
-                       | None -> false)
+                       match Model.split_var v with
+                       | "", _ -> false
+                       | key -> Hashtbl.mem table key)
                      input_vars
               in
               if resolvable then begin
                 let cut_count =
                   List.fold_left
                     (fun acc v ->
-                      match String.index_opt v '.' with
-                      | Some dot ->
-                          let iface = String.sub v 0 dot
-                          and prop =
-                            String.sub v (dot + 1) (String.length v - dot - 1)
-                          in
-                          min acc
-                            (List.length (Hashtbl.find table (iface, prop)))
-                      | None -> acc)
+                      match Model.split_var v with
+                      | "", _ -> acc
+                      | key -> min acc (List.length (Hashtbl.find table key)))
                     max_int input_vars
                 in
                 if cut_count > 0 && cut_count < max_int then begin
                   let cuts =
                     List.init cut_count (fun idx ->
                         let env v =
-                          match String.index_opt v '.' with
-                          | Some dot ->
-                              let iface = String.sub v 0 dot
-                              and prop =
-                                String.sub v (dot + 1)
-                                  (String.length v - dot - 1)
-                              in
-                              List.nth (Hashtbl.find table (iface, prop)) idx
-                          | None -> raise (Expr.Unbound_variable v)
+                          match Model.split_var v with
+                          | "", _ -> raise (Expr.Unbound_variable v)
+                          | key -> List.nth (Hashtbl.find table key) idx
                         in
                         Expr.eval ~env expr)
                   in
@@ -191,12 +173,10 @@ let suggest ?(expansion = 1.1) ?(intermediate = 1) (app : Model.app) =
         (fun cond ->
           List.iter
             (fun v ->
-              match String.index_opt v '.' with
-              | Some dot when String.sub v 0 dot <> "node" ->
-                  let iface = String.sub v 0 dot in
-                  let prop = String.sub v (dot + 1) (String.length v - dot - 1) in
-                  List.iter (record iface prop) (demanded_constants cond v)
-              | _ -> ())
+              match Model.split_var v with
+              | ("" | "node"), _ -> ()
+              | iface, prop ->
+                  List.iter (record iface prop) (demanded_constants cond v))
             (Expr.cond_vars cond))
         c.Model.conditions)
     app.components;

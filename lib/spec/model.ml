@@ -83,6 +83,12 @@ let find_property iface name =
 
 let qualified iface prop = iface ^ "." ^ prop
 
+let split_var v =
+  match String.index_opt v '.' with
+  | Some dot ->
+      (String.sub v 0 dot, String.sub v (dot + 1) (String.length v - dot - 1))
+  | None -> ("", v)
+
 let primary_property iface =
   match iface.properties with
   | p :: _ -> p

@@ -103,6 +103,13 @@ val find_property : iface -> string -> property option
 (** The variable name a component formula uses for [prop] of [iface]. *)
 val qualified : string -> string -> string
 
+(** [split_var v] reads a formula variable back: ["iface.prop"] gives
+    [("iface", "prop")], split at the first dot, the inverse of
+    {!qualified}; the scopes ["node"] and ["link"] split the same way.
+    A name without a dot is unqualified and gives [("", v)]; what an
+    unqualified name means is up to the caller. *)
+val split_var : string -> string * string
+
 (** The distinguished quantitative property of an interface — its first
     one (always [ibw] in the paper's domain). *)
 val primary_property : iface -> property

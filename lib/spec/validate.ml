@@ -2,12 +2,6 @@ module Expr = Sekitei_expr.Expr
 module Topology = Sekitei_network.Topology
 module D = Sekitei_util.Diagnostic
 
-let split_var v =
-  match String.index_opt v '.' with
-  | Some dot ->
-      Some (String.sub v 0 dot, String.sub v (dot + 1) (String.length v - dot - 1))
-  | None -> None
-
 (* All validation findings are errors: an invalid spec never reaches the
    compiler.  Codes follow the SKT0xx block documented in
    {!Sekitei_util.Diagnostic}. *)
@@ -40,22 +34,22 @@ let check_diagnostics topo (app : Model.app) =
 
   (* Variables legal in a component formula of [comp]. *)
   let component_var_ok (comp : Model.component) v =
-    match split_var v with
-    | Some ("node", r) -> List.mem r node_resources
-    | Some (iface, prop) -> (
+    match Model.split_var v with
+    | "", _ -> false
+    | "node", r -> List.mem r node_resources
+    | iface, prop -> (
         (List.mem iface comp.requires || List.mem iface comp.provides)
         &&
         match Model.find_iface app iface with
         | Some i -> Model.find_property i prop <> None
         | None -> false)
-    | None -> false
   in
   (* Variables legal in a cross formula of interface [i]. *)
   let cross_var_ok (i : Model.iface) v =
-    match split_var v with
-    | Some ("link", r) -> link_resource_ok r
-    | Some _ -> false
-    | None -> Model.find_property i v <> None
+    match Model.split_var v with
+    | "", _ -> Model.find_property i v <> None
+    | "link", r -> link_resource_ok r
+    | _ -> false
   in
 
   List.iter
@@ -80,15 +74,15 @@ let check_diagnostics topo (app : Model.app) =
           (* Endpoint interval evaluation requires monotone transforms. *)
           List.iter
             (fun v ->
-              match split_var v with
-              | Some _ -> ()
-              | None -> (
+              match Model.split_var v with
+              | "", _ -> (
                   match Expr.monotonicity e v with
                   | Expr.Increasing | Expr.Constant | Expr.Decreasing -> ()
                   | Expr.Unknown ->
                       report ~code:"SKT003" where
                         (Printf.sprintf
-                           "cross transform for %s is not provably monotone in %s" p v)))
+                           "cross transform for %s is not provably monotone in %s" p v))
+              | _ -> ())
             (Expr.vars e))
         i.cross_transforms;
       List.iter

@@ -32,64 +32,15 @@ let of_list xs =
   List.iter (add t) xs;
   t
 
-let percentile_of_array arr =
-  (* [arr] is sorted and non-empty; shared by the list and reservoir
-     entry points. *)
-  fun p ->
-    if p < 0. || p > 1. then
-      invalid_arg "Running_stats.percentile: p not in [0,1]";
-    let n = Array.length arr in
-    let idx = p *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor idx)
-    and hi = int_of_float (Float.ceil idx) in
-    let frac = idx -. Float.floor idx in
-    (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)
-
 let percentile p xs =
   if xs = [] then invalid_arg "Running_stats.percentile: empty";
+  if p < 0. || p > 1. then
+    invalid_arg "Running_stats.percentile: p not in [0,1]";
   let arr = Array.of_list xs in
   Array.sort compare arr;
-  percentile_of_array arr p
-
-module Reservoir = struct
-  type r = {
-    capacity : int;
-    buf : float array;
-    mutable seen : int;
-    rng : Prng.t;
-  }
-
-  (* Fixed seed: reservoir contents must be reproducible run to run so
-     profiler reports and their tests stay deterministic. *)
-  let create ?(capacity = 1024) () =
-    if capacity <= 0 then
-      invalid_arg "Running_stats.Reservoir.create: capacity <= 0";
-    {
-      capacity;
-      buf = Array.make capacity 0.;
-      seen = 0;
-      rng = Prng.create ~seed:0x5EED5EEDL;
-    }
-
-  let add r x =
-    if r.seen < r.capacity then r.buf.(r.seen) <- x
-    else begin
-      (* Algorithm R: keep the newcomer with probability capacity/seen+1,
-         evicting a uniform resident — every stream element ends up
-         retained with equal probability. *)
-      let j = Prng.int r.rng (r.seen + 1) in
-      if j < r.capacity then r.buf.(j) <- x
-    end;
-    r.seen <- r.seen + 1
-
-  let count r = r.seen
-  let filled r = Stdlib.min r.seen r.capacity
-
-  let percentile r p =
-    if r.seen = 0 then invalid_arg "Running_stats.Reservoir.percentile: empty";
-    let arr = Array.sub r.buf 0 (filled r) in
-    Array.sort compare arr;
-    percentile_of_array arr p
-
-  let to_list r = Array.to_list (Array.sub r.buf 0 (filled r))
-end
+  let n = Array.length arr in
+  let idx = p *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor idx)
+  and hi = int_of_float (Float.ceil idx) in
+  let frac = idx -. Float.floor idx in
+  (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)

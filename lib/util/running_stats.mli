@@ -1,7 +1,8 @@
 (** Streaming summary statistics (Welford's algorithm).
 
     Used by the benchmark harness to aggregate per-run planner timings and
-    graph sizes across repetitions. *)
+    graph sizes across repetitions; {!percentile} also gives the
+    heuristic-quality analysis its exact error percentiles. *)
 
 type t
 
@@ -21,33 +22,3 @@ val of_list : float list -> t
 (** [percentile p xs] for [p] in [0,1]; linear interpolation on the sorted
     sample.  @raise Invalid_argument on an empty list or p outside [0,1]. *)
 val percentile : float -> float list -> float
-
-(** Streaming percentile estimation over a bounded reservoir
-    (Vitter's algorithm R, deterministic seed).
-
-    While at most [capacity] values have been added the reservoir holds
-    the exact sample and {!Reservoir.percentile} equals
-    {!Running_stats.percentile} of it; past that point each value kept
-    is a uniform sample of the stream, so percentiles are unbiased
-    estimates with bounded memory.  Used by the heuristic-quality
-    profiler for its per-phase error histograms. *)
-module Reservoir : sig
-  type r
-
-  (** [create ?capacity ()] — default capacity 1024.
-      @raise Invalid_argument when [capacity <= 0]. *)
-  val create : ?capacity:int -> unit -> r
-
-  val add : r -> float -> unit
-
-  (** Number of values ever added (not the number retained). *)
-  val count : r -> int
-
-  (** [percentile r p] for [p] in [0,1]; linear interpolation on the
-      sorted retained sample.  @raise Invalid_argument on an empty
-      reservoir or [p] outside [0,1]. *)
-  val percentile : r -> float -> float
-
-  (** The retained sample, unsorted. *)
-  val to_list : r -> float list
-end

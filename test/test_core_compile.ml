@@ -343,7 +343,9 @@ let spec_problems ~prune =
     (fun name ->
       let file = Printf.sprintf "examples/specs/%s.spec" name in
       let path = if Sys.file_exists ("../" ^ file) then "../" ^ file else file in
-      let doc = Dsl.load_file path in
+      let doc =
+        Dsl.parse_document (In_channel.with_open_text path In_channel.input_all)
+      in
       ( name,
         Compile.compile ~prune (Option.get doc.Dsl.topo) doc.Dsl.app
           doc.Dsl.leveling ))

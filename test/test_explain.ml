@@ -1,5 +1,5 @@
 (* Plan explanations, unsolvability certificates, and the
-   heuristic-quality profiler. *)
+   heuristic-quality analysis. *)
 
 module Planner = Sekitei_core.Planner
 module Session = Sekitei_core.Session
@@ -8,6 +8,8 @@ module Explain = Sekitei_core.Explain
 module Replay = Sekitei_core.Replay
 module Compile = Sekitei_core.Compile
 module Plrg = Sekitei_core.Plrg
+module Problem = Sekitei_core.Problem
+module Propset = Sekitei_core.Propset
 module Slrg = Sekitei_core.Slrg
 module Rg = Sekitei_core.Rg
 module Deadline = Sekitei_util.Deadline
@@ -27,16 +29,22 @@ let expect_plan what (report : Planner.report) =
   | Ok p -> p
   | Error r -> Alcotest.failf "%s: no plan (%a)" what Planner.pp_failure r
 
-(* Plan through a session and explain the plan against the session's
-   compiled problem, as `sekitei plan --explain` does. *)
-let explained (sc : Scenarios.t) level =
+(* Plan through a session; the plan comes back with the session's
+   compiled problem, which `sekitei plan --explain` and `--hquality`
+   read it against. *)
+let planned (sc : Scenarios.t) level =
   let leveling = Media.leveling level sc.Scenarios.app in
   let session =
     Session.create
       (Planner.request sc.Scenarios.topo sc.Scenarios.app ~leveling)
   in
-  let p = expect_plan "explain" (Session.plan session) in
-  match Explain.explain (Option.get (Session.problem session)) p with
+  let report = Session.plan session in
+  let p = expect_plan "plan" report in
+  (report, Option.get (Session.problem session), p)
+
+let explained sc level =
+  let _, pb, p = planned sc level in
+  match Explain.explain pb p with
   | Ok ex -> (p, ex)
   | Error e -> Alcotest.failf "explain failed: %s" e
 
@@ -91,10 +99,6 @@ let test_explain_realized_matches_metrics () =
   Alcotest.(check (float 1e-6))
     "realized total matches replay metrics"
     p.Plan.metrics.Replay.realized_cost ex.Explain.realized_cost
-
-let test_hquality_off_by_default () =
-  let o = solve (Scenarios.small ()) Media.C in
-  Alcotest.(check bool) "no hquality" true (o.Planner.hquality = None)
 
 (* ---------------- certificates ---------------- *)
 
@@ -178,25 +182,32 @@ let test_certificate_deadline () =
 
 (* ---------------- heuristic quality ---------------- *)
 
-let profiling = { Planner.default_config with Planner.profile_h = true }
+(* Heuristic quality is read off the plan after planning, as
+   `sekitei plan --hquality` does. *)
+let profiled sc level =
+  let report, pb, p = planned sc level in
+  let samples = Hquality.samples pb p in
+  let hq =
+    Hquality.analyze ~plan_cost:p.Plan.cost_lb
+      ~expanded:report.Planner.stats.Planner.rg_expanded samples
+  in
+  (pb, p, samples, hq)
 
 let test_hquality_zero_violations () =
   List.iter
     (fun (sc, level) ->
-      let o = solve ~config:profiling sc level in
-      let _ = expect_plan "profile" o in
-      match Hquality.of_report o with
-      | None -> Alcotest.fail "no quality report on a profiled solved run"
-      | Some hq ->
-          Alcotest.(check int) "slrg admissible" 0 hq.Hquality.slrg.Hquality.violations;
-          Alcotest.(check int) "plrg admissible" 0 hq.Hquality.plrg.Hquality.violations;
-          Alcotest.(check bool) "path sampled" true (hq.Hquality.path_nodes > 0);
-          Alcotest.(check bool) "wasted ratio in [0,1]" true
-            (hq.Hquality.wasted_ratio >= 0. && hq.Hquality.wasted_ratio <= 1.);
-          (* SLRG refines PLRG, so its error cannot be larger on average. *)
-          Alcotest.(check bool) "slrg at least as informed as plrg" true
-            (hq.Hquality.slrg.Hquality.mean_err
-            <= hq.Hquality.plrg.Hquality.mean_err +. 1e-9))
+      let _, _, _, hq = profiled sc level in
+      Alcotest.(check int) "slrg admissible" 0
+        hq.Hquality.slrg.Hquality.violations;
+      Alcotest.(check int) "plrg admissible" 0
+        hq.Hquality.plrg.Hquality.violations;
+      Alcotest.(check bool) "path sampled" true (hq.Hquality.path_nodes > 0);
+      Alcotest.(check bool) "wasted ratio in [0,1]" true
+        (hq.Hquality.wasted_ratio >= 0. && hq.Hquality.wasted_ratio <= 1.);
+      (* SLRG refines PLRG, so its error cannot be larger on average. *)
+      Alcotest.(check bool) "slrg at least as informed as plrg" true
+        (hq.Hquality.slrg.Hquality.mean_err
+        <= hq.Hquality.plrg.Hquality.mean_err +. 1e-9))
     [
       (Scenarios.tiny (), Media.C);
       (Scenarios.tiny (), Media.D);
@@ -205,30 +216,46 @@ let test_hquality_zero_violations () =
     ]
 
 let test_hquality_samples_on_path () =
-  let o = solve ~config:profiling (Scenarios.small ()) Media.C in
-  let p = expect_plan "samples" o in
-  match o.Planner.hquality with
-  | None | Some [] -> Alcotest.fail "no samples"
-  | Some samples ->
-      (* One sample per push of a solution-path node, the root included:
-         exactly plan length + 1 samples, with g growing along the
-         recorded chain (root first). *)
-      Alcotest.(check int) "one sample per path node" (Plan.length p + 1)
-        (List.length samples);
-      (match samples with
-      | root :: _ ->
-          Alcotest.(check (float 1e-9)) "root starts at g=0" 0. root.Rg.g
-      | [] -> ());
-      let rec monotone = function
-        | (a : Rg.hsample) :: (b :: _ as rest) ->
-            a.Rg.g <= b.Rg.g +. 1e-9 && monotone rest
-        | _ -> true
-      in
-      Alcotest.(check bool) "g non-decreasing root-to-goal" true
-        (monotone samples);
-      let render = Hquality.render (Option.get (Hquality.of_report o)) in
-      Alcotest.(check bool) "render names both phases" true
-        (contains render "slrg" && contains render "plrg")
+  let _, p, samples, hq = profiled (Scenarios.small ()) Media.C in
+  (* One sample per solution-path node, the root included: exactly plan
+     length + 1 samples, with g growing along the chain (root first). *)
+  Alcotest.(check int) "one sample per path node" (Plan.length p + 1)
+    (List.length samples);
+  (match samples with
+  | root :: _ ->
+      Alcotest.(check (float 1e-9)) "root starts at g=0" 0. root.Hquality.g
+  | [] -> ());
+  let rec monotone = function
+    | (a : Hquality.sample) :: (b :: _ as rest) ->
+        a.Hquality.g <= b.Hquality.g +. 1e-9 && monotone rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "g non-decreasing root-to-goal" true
+    (monotone samples);
+  let render = Hquality.render hq in
+  Alcotest.(check bool) "render names both phases" true
+    (contains render "slrg" && contains render "plrg")
+
+(* The chain runs from the goal set at g = 0 to the empty set, where
+   both heuristics are 0 and g is the plan's cost bound: summed in the
+   search's order, it is the same float. *)
+let test_hquality_chain_ends () =
+  List.iter
+    (fun sc ->
+      let pb, p, samples, _ = profiled sc Media.C in
+      let first = List.hd samples and last = List.hd (List.rev samples) in
+      Alcotest.(check bool) "root g is 0" true
+        (Float.equal first.Hquality.g 0.);
+      Alcotest.(check int) "root is the goal set"
+        (Array.length (Propset.canonical_array pb pb.Problem.goal_props))
+        first.Hquality.set_size;
+      Alcotest.(check int) "last set empty" 0 last.Hquality.set_size;
+      Alcotest.(check bool) "h of the empty set is 0" true
+        (Float.equal last.Hquality.h_slrg 0.
+        && Float.equal last.Hquality.h_plrg 0.);
+      Alcotest.(check bool) "last g is the plan's cost bound" true
+        (Float.equal last.Hquality.g p.Plan.cost_lb))
+    [ Scenarios.small (); Scenarios.large () ]
 
 let suite =
   [
@@ -236,8 +263,6 @@ let suite =
     Alcotest.test_case "explain: bindings and slack" `Quick test_explain_bindings;
     Alcotest.test_case "explain: realized cost" `Quick
       test_explain_realized_matches_metrics;
-    Alcotest.test_case "hquality: off by default" `Quick
-      test_hquality_off_by_default;
     Alcotest.test_case "certificate: unreachable cut" `Quick
       test_certificate_unreachable;
     Alcotest.test_case "certificate: search frontier" `Quick
@@ -248,4 +273,6 @@ let suite =
       test_hquality_zero_violations;
     Alcotest.test_case "hquality: path samples" `Quick
       test_hquality_samples_on_path;
+    Alcotest.test_case "hquality: chain ends at the plan's cost" `Quick
+      test_hquality_chain_ends;
   ]

@@ -78,7 +78,9 @@ let test_spec_file_on_disk () =
     if Sys.file_exists path then path else "examples/specs/video.spec"
   in
   if Sys.file_exists path then begin
-    let doc = Dsl.load_file path in
+    let doc =
+      Dsl.parse_document (In_channel.with_open_text path In_channel.input_all)
+    in
     let topo = Option.get doc.Dsl.topo in
     Alcotest.(check int) "diagnostics" 0
       (List.length (Sekitei_spec.Validate.check_diagnostics topo doc.Dsl.app));

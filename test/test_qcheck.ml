@@ -22,6 +22,7 @@ module Plrg = Sekitei_core.Plrg
 module Slrg = Sekitei_core.Slrg
 module Rg = Sekitei_core.Rg
 module Propset = Sekitei_core.Propset
+module Hquality = Sekitei_harness.Hquality
 
 let count = 200
 
@@ -524,12 +525,21 @@ let prop_telemetry_transparent =
 
 (* ---------------- recorded heuristics are admissible ---------------- *)
 
-(* The h-quality profiler records (g, h_slrg, h_plrg) for every node on
-   the accepted solution path; both heuristics must satisfy
-   h <= C* - g (the realized cost-to-go) or the optimality claim is
-   void.  Randomizing the SLRG query budget exercises the bounded-answer
-   path of the oracle: answers cut off by the budget are still lower
-   bounds and must stay admissible. *)
+(* The h-quality analysis rebuilds the accepted solution path from the
+   plan and records (g, h_slrg, h_plrg) for every node on it, root
+   included; both heuristics must satisfy h <= C* - g (the realized
+   cost-to-go) or the optimality claim is void.  Randomizing the SLRG
+   query budget, for the search and the analysis alike, exercises the
+   bounded-answer path of the oracle: answers cut off by the budget are
+   still lower bounds and must stay admissible.
+
+   Budget-exhausted bounds depend on the order the oracle was queried
+   in, so the analysis's fresh oracle need not answer what the search
+   used.  The property therefore also checks the search's own bounds:
+   it runs the same search on an explicit oracle, regresses the
+   accepted chain through that oracle's ctx, and reads h from the warm
+   oracle, whose caches hold the bounds the search refined the path's
+   nodes with. *)
 let prop_h_admissible =
   let module Scenarios = Sekitei_harness.Scenarios in
   let gen =
@@ -553,24 +563,51 @@ let prop_h_admissible =
       in
       let config =
         { Planner.default_config with
-          Planner.profile_h = true;
-          slrg_query_budget = budget;
+          Planner.slrg_query_budget = budget;
           rg_max_expansions = 20_000 }
       in
       let leveling = Media.leveling level sc.Scenarios.app in
-      let r =
-        Planner.plan
+      let session =
+        Session.create
           (Planner.request ~config sc.Scenarios.topo sc.Scenarios.app ~leveling)
       in
-      match (r.Planner.result, r.Planner.hquality) with
-      | Error _, _ -> true (* some levels are infeasible; that's fine *)
-      | Ok _, (None | Some []) -> false (* solved + profiled must sample *)
-      | Ok p, Some samples ->
-          List.for_all
-            (fun (s : Rg.hsample) ->
-              let togo = p.Plan.cost_lb -. s.Rg.g in
-              s.Rg.h_slrg <= togo +. 1e-6 && s.Rg.h_plrg <= togo +. 1e-6)
-            samples)
+      match (Session.plan session).Planner.result with
+      | Error _ -> true (* some levels are infeasible; that's fine *)
+      | Ok p ->
+          let pb = Option.get (Session.problem session) in
+          let samples = Hquality.samples ~query_budget:budget pb p in
+          let in_search =
+            let slrg = Slrg.create ~query_budget:budget pb (Plrg.build pb) in
+            match Rg.search ~max_expansions:20_000 pb slrg with
+            | Rg.Solution (tail, _, cost), _ ->
+                let ctx = Slrg.ctx slrg in
+                let admissible (set : Propset.handle) g =
+                  Slrg.query_h slrg set <= cost -. g +. 1e-6
+                  && Slrg.h_max_h slrg set <= cost -. g +. 1e-6
+                in
+                let rec chain (set : Propset.handle) g = function
+                  | [] -> Array.length set.Propset.set = 0
+                  | (a : Sekitei_core.Action.t) :: earlier ->
+                      let set = Propset.regress_intern ctx set.Propset.set a in
+                      let g = g +. a.Sekitei_core.Action.cost_lb in
+                      admissible set g && chain set g earlier
+                in
+                let root =
+                  Propset.intern ctx
+                    (Propset.canonical_array pb pb.Problem.goal_props)
+                in
+                admissible root 0. && chain root 0. (List.rev tail)
+            | (Rg.Exhausted | Rg.Cutoff _), _ ->
+                false (* the session's search found a plan *)
+          in
+          List.length samples = Plan.length p + 1
+          && List.for_all
+               (fun (s : Hquality.sample) ->
+                 let togo = p.Plan.cost_lb -. s.Hquality.g in
+                 s.Hquality.h_slrg <= togo +. 1e-6
+                 && s.Hquality.h_plrg <= togo +. 1e-6)
+               samples
+          && in_search)
 
 (* ---------------- order repair equals brute force ---------------- *)
 

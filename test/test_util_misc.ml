@@ -71,64 +71,6 @@ let test_percentile_invalid () =
     (Invalid_argument "Running_stats.percentile: p not in [0,1]") (fun () ->
       ignore (RS.percentile 1.5 [ 1. ]))
 
-(* ---------------- Reservoir ---------------- *)
-
-let test_reservoir_exact_under_capacity () =
-  (* Below capacity the reservoir holds the whole sample, so its
-     percentiles equal the list-based ones exactly. *)
-  let xs = List.init 100 (fun i -> float_of_int ((i * 37) mod 100)) in
-  let r = RS.Reservoir.create ~capacity:128 () in
-  List.iter (RS.Reservoir.add r) xs;
-  Alcotest.(check int) "count" 100 (RS.Reservoir.count r);
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "p%.0f" (p *. 100.))
-        (RS.percentile p xs)
-        (RS.Reservoir.percentile r p))
-    [ 0.; 0.25; 0.5; 0.9; 0.99; 1. ]
-
-let test_reservoir_overflow () =
-  let r = RS.Reservoir.create ~capacity:64 () in
-  for i = 1 to 10_000 do
-    RS.Reservoir.add r (float_of_int i)
-  done;
-  Alcotest.(check int) "count is stream length" 10_000 (RS.Reservoir.count r);
-  Alcotest.(check int) "retains capacity" 64
-    (List.length (RS.Reservoir.to_list r));
-  List.iter
-    (fun v ->
-      Alcotest.(check bool) "retained values from the stream" true
-        (v >= 1. && v <= 10_000.))
-    (RS.Reservoir.to_list r);
-  let p50 = RS.Reservoir.percentile r 0.5 in
-  Alcotest.(check bool) "median estimate in range" true
-    (p50 >= 1. && p50 <= 10_000.)
-
-let test_reservoir_deterministic () =
-  (* Fixed PRNG seed: two identical streams keep identical samples. *)
-  let run () =
-    let r = RS.Reservoir.create ~capacity:32 () in
-    for i = 1 to 1000 do
-      RS.Reservoir.add r (float_of_int (i * i mod 997))
-    done;
-    RS.Reservoir.to_list r
-  in
-  Alcotest.(check (list (float 1e-12))) "same retained sample" (run ()) (run ())
-
-let test_reservoir_invalid () =
-  Alcotest.check_raises "capacity"
-    (Invalid_argument "Running_stats.Reservoir.create: capacity <= 0")
-    (fun () -> ignore (RS.Reservoir.create ~capacity:0 ()));
-  let r = RS.Reservoir.create () in
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Running_stats.Reservoir.percentile: empty") (fun () ->
-      ignore (RS.Reservoir.percentile r 0.5));
-  RS.Reservoir.add r 1.;
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Running_stats.percentile: p not in [0,1]") (fun () ->
-      ignore (RS.Reservoir.percentile r (-0.1)))
-
 (* ---------------- Ascii_table ---------------- *)
 
 let test_table_render () =
@@ -253,10 +195,6 @@ let suite =
     ("stats single", `Quick, test_rs_single);
     ("percentile", `Quick, test_percentile);
     ("percentile invalid", `Quick, test_percentile_invalid);
-    ("reservoir exact under capacity", `Quick, test_reservoir_exact_under_capacity);
-    ("reservoir overflow", `Quick, test_reservoir_overflow);
-    ("reservoir deterministic", `Quick, test_reservoir_deterministic);
-    ("reservoir invalid", `Quick, test_reservoir_invalid);
     ("table render", `Quick, test_table_render);
     ("table arity mismatch", `Quick, test_table_arity_mismatch);
     ("table alignment", `Quick, test_table_alignment);
