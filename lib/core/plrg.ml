@@ -93,6 +93,7 @@ let build ?(deadline = Deadline.none) (pb : Problem.t) =
   { problem = pb; costs; action_costs; relevant_act; relevant_prop }
 
 let cost t pid = t.costs.(pid)
+let rebind t pb = { t with problem = pb }
 
 let goals_reachable t =
   Array.for_all (fun g -> Float.is_finite t.costs.(g)) t.problem.Problem.goal_props

@@ -22,6 +22,12 @@ type t
     admits no useful partial answer. *)
 val build : ?deadline:Sekitei_util.Deadline.t -> Problem.t -> t
 
+(** [rebind t pb] is [t] over [pb], a recompiled problem that
+    {!Problem.same_leveled} finds equal to [t]'s: the costs and the
+    relevant cone are shared, since they are computed from exactly what
+    the two problems agree on. *)
+val rebind : t -> Problem.t -> t
+
 (** Admissible lower bound on the cost of achieving a proposition;
     [infinity] when logically unreachable. *)
 val cost : t -> int -> float

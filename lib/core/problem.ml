@@ -54,6 +54,27 @@ let link_cap t link r =
 
 let action t id = t.actions.(id)
 
+(* Element-wise, after a physical test: a recompile shares the arrays of
+   every action it reuses, so most comparisons stop at [==]. *)
+let same_ints (a : int array) (b : int array) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec from i = i = Array.length a || (a.(i) = b.(i) && from (i + 1)) in
+     from 0
+
+let same_leveled a b =
+  Array.length a.actions = Array.length b.actions
+  && a.init = b.init
+  && same_ints a.goal_props b.goal_props
+  && Array.for_all2
+       (fun (x : Action.t) (y : Action.t) ->
+         x.Action.kind = y.Action.kind
+         && Float.equal x.Action.cost_lb y.Action.cost_lb
+         && same_ints x.Action.pre y.Action.pre
+         && same_ints x.Action.add_closure y.Action.add_closure)
+       a.actions b.actions
+
 let prop_label t id =
   match Prop.of_id t.props id with
   | Prop.Placed (c, n) ->

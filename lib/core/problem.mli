@@ -62,5 +62,17 @@ val node_cap : t -> int -> string -> float
 val link_cap : t -> int -> string -> float
 
 val action : t -> int -> Action.t
+
+(** [same_leveled a b] holds when [a] and [b] agree on everything the
+    PLRG, the SLRG oracle and the {!Supports} rows read: [init],
+    [goal_props], and each action's [kind], [pre], [add_closure] and
+    [cost_lb], position by position (so action ids agree too).  A
+    capacity change that crosses no level cutpoint typically yields a
+    problem that agrees with the old one while its actions' checked
+    levels differ: those, like the capacities themselves, are read by
+    replay alone.  A session keeps its PLRG and its oracle across an
+    update exactly when the old and the recompiled problem agree
+    ({!Session.update}). *)
+val same_leveled : t -> t -> bool
 val pp_prop : t -> Format.formatter -> int -> unit
 val prop_label : t -> int -> string

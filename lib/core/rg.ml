@@ -35,6 +35,7 @@ type node = {
           deferred re-insertions so a re-inserted node keeps its place
           among f- and g-tied nodes *)
   acts : Iset.t;  (** action ids in [tail] (repetition guard) *)
+  zh : int;  (** Zobrist hash of [acts] (see {!Key}) *)
   rs : Replay.rstate;
       (** optimistic replay state of the suffix, built incrementally in
           regression order (one [Replay.extend] per search edge) *)
@@ -50,21 +51,31 @@ type node = {
    and only one needs expanding.  Nodes agreeing on the pending set but
    built from different actions are NOT interchangeable: their replay
    states differ in feasibility, and collapsing them by g-value loses
-   solutions (observed on the tiny-E and small-B levelings).  With
-   hash-consed sets the key hashes and compares one int per component
-   probe instead of re-walking the array. *)
+   solutions (observed on the tiny-E and small-B levelings).  The key
+   hashes in O(1): the set is hash-consed to its id, and the action set
+   carries a Zobrist hash kept incrementally on the node (the XOR of one
+   fixed pseudo-random word per action id), so only a hash match walks
+   the two action sets. *)
 module Key = struct
-  type t = int * Iset.t  (* interned set id, tail action set *)
+  type t = { sid : int; zh : int; acts : Iset.t }
 
-  let equal ((s1 : int), a1) (s2, a2) = s1 = s2 && Iset.equal a1 a2
+  let equal k1 k2 =
+    k1.sid = k2.sid && k1.zh = k2.zh && Iset.equal k1.acts k2.acts
 
-  let hash ((s : int), a) =
-    let h = ref ((s * 0x01000193) land max_int) in
-    Iset.iter (fun x -> h := ((!h * 31) + x) land max_int) a;
-    !h
+  let hash k = ((k.sid * 0x01000193) lxor k.zh) land max_int
 end
 
 module Ktbl = Hashtbl.Make (Key)
+
+(* The Zobrist word of action id [aid]: splitmix64's step and mix
+   applied to [aid + 1] from a zero seed, with the constants cut to fit
+   OCaml's 63-bit ints.  A fixed pseudo-random function of the id, so no
+   table is drawn per search. *)
+let zobrist aid =
+  let z = (aid + 1) * 0x1e3779b97f4a7c15 in
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
 
 (* Re-sequencing of a candidate tail under from-init semantics.
    Duplicate detection collapses permuted tails, so of several orderings
@@ -191,15 +202,17 @@ let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
       let keep =
         Array.length node.set.Propset.set = 0
         ||
-        let key = (node.set.Propset.id, node.acts) in
-        if Ktbl.mem seen_keys key then begin
-          incr duplicates;
-          false
-        end
-        else begin
-          Ktbl.replace seen_keys key ();
-          true
-        end
+        (* One probe: [replace] grows the table exactly when the key is
+           new. *)
+        let before = Ktbl.length seen_keys in
+        Ktbl.replace seen_keys
+          { Key.sid = node.set.Propset.id; zh = node.zh; acts = node.acts }
+          ();
+        Ktbl.length seen_keys > before
+        || begin
+             incr duplicates;
+             false
+           end
       in
       if keep then begin
         incr created;
@@ -210,15 +223,15 @@ let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
     end
   in
   let next_serial = ref 0 in
-  let mk ~tail ~set ~g ~acts ~rs =
+  let mk ~tail ~set ~g ~acts ~zh ~rs =
     let serial = !next_serial in
     incr next_serial;
-    { tail; set; g; serial; acts; rs; refined = false }
+    { tail; set; g; serial; acts; zh; rs; refined = false }
   in
   push
     (mk ~tail:[]
        ~set:(Propset.intern ctx (Propset.canonical_array pb pb.goal_props))
-       ~g:0. ~acts:Iset.empty
+       ~g:0. ~acts:Iset.empty ~zh:0
        ~rs:(Replay.initial pb));
   let finish result =
     ( result,
@@ -347,6 +360,7 @@ let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
                      ~set:(Supports.successor supports node.set i)
                      ~g:(node.g +. a.Action.cost_lb)
                      ~acts:(Iset.add aid node.acts)
+                     ~zh:(node.zh lxor zobrist aid)
                      ~rs:rs')
           end
         done;

@@ -7,8 +7,10 @@
    a one-shot run); later requests start from the hot state and skip
    straight to the search.  {!update} applies a topology delta with
    dependency-tracked invalidation: only grounding groups at touched
-   sites are recompiled ({!Compile.recompile}) and only oracle entries
-   whose sets contain a delta-dirtied proposition are evicted
+   sites are recompiled ({!Compile.recompile}).  A recompiled problem
+   that poses the same leveled problem ({!Problem.same_leveled}) keeps
+   the PLRG and the whole oracle; otherwise only oracle entries whose
+   sets contain a delta-dirtied proposition are evicted
    ({!Supports.taint} / {!Slrg.refresh}).
 
    Warm-equals-cold contract: a warm re-plan returns bit-identical
@@ -583,19 +585,19 @@ let plan_exn t =
               }
             in
             (* SLRG queries run lazily inside the RG search; their wall
-               time and GC footprint are attributed to the slrg phase and
-               are therefore a subset of the rg phase's own bracket. *)
+               time and minor words are attributed to the slrg phase and
+               are therefore a subset of the rg phase's own bracket.
+               Major collections are counted only around the oracle's
+               creation: those during the queries stay in the rg phase. *)
             let phases =
               {
                 phases with
                 slrg =
                   {
+                    slrg_create with
                     ms = slrg_create.ms +. Slrg.query_ms slrg;
                     minor_words =
                       slrg_create.minor_words +. Slrg.gc_minor_words slrg;
-                    major_collections =
-                      slrg_create.major_collections
-                      + Slrg.gc_major_collections slrg;
                   };
                 rg = rg_phase;
               }
@@ -715,29 +717,42 @@ let update t delta =
                itself: every interned handle is suspect.  Full flush. *)
             t.state <- None
           else begin
-            let plrg, plrg_phase =
-              run_phase telemetry "plrg" (fun () -> Plrg.build pb)
-            in
-            (* Taint on both sides of the delta: the old problem catches
-               chains through removed actions, the new one chains through
-               novel actions at the touched sites.  Stable ids mean the
-               same touched predicates serve both. *)
-            let _, dirty_old =
-              Supports.taint st.pb ~node_touched ~link_touched
-            in
-            let _, dirty_new =
-              Supports.taint pb ~node_touched ~link_touched
-            in
-            let dirty p = dirty_old.(p) || dirty_new.(p) in
-            let evicted =
-              match st.oracle with
-              | Some o -> Slrg.refresh o pb plrg ~dirty
-              | None -> 0
+            let plrg, evicted =
+              if Problem.same_leveled st.pb pb then begin
+                (* The delta stayed inside its levels: the graph phases
+                   read nothing that changed, so the PLRG, every oracle
+                   entry and the supports rows stay.  They only move to
+                   the new problem, which leaves the old one garbage. *)
+                let plrg = Plrg.rebind st.plrg pb in
+                Option.iter (fun o -> Slrg.rebind o pb plrg) st.oracle;
+                (plrg, 0)
+              end
+              else begin
+                let plrg, plrg_phase =
+                  run_phase telemetry "plrg" (fun () -> Plrg.build pb)
+                in
+                st.plrg_phase <- plrg_phase;
+                (* Taint on both sides of the delta: the old problem
+                   catches chains through removed actions, the new one
+                   chains through novel actions at the touched sites.
+                   Stable ids mean the same touched predicates serve
+                   both. *)
+                let _, dirty_old =
+                  Supports.taint st.pb ~node_touched ~link_touched
+                in
+                let _, dirty_new =
+                  Supports.taint pb ~node_touched ~link_touched
+                in
+                let dirty p = dirty_old.(p) || dirty_new.(p) in
+                ( plrg,
+                  match st.oracle with
+                  | Some o -> Slrg.refresh o pb plrg ~dirty
+                  | None -> 0 )
+              end
             in
             st.pb <- pb;
             st.plrg <- plrg;
             st.compile_phase <- compile_phase;
-            st.plrg_phase <- plrg_phase;
             t.pending_invalidated <- t.pending_invalidated + invalidated;
             t.pending_evicted <- t.pending_evicted + evicted;
             Log.info (fun m ->

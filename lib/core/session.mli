@@ -10,16 +10,26 @@
     compilation entirely and start with a hot oracle.  {!update} applies
     a {!delta} with dependency-tracked invalidation: only grounding
     groups at the touched nodes/links are recompiled
-    ({!Compile.recompile}) and only oracle entries whose proposition sets
-    cross the delta's taint cone are evicted ({!Supports.taint},
-    {!Slrg.refresh}); the work done is surfaced as the
+    ({!Compile.recompile}); the work done is surfaced as the
     [invalidated_actions] / [evicted_entries] counts of the next
     report.
+
+    {b Reuse rule.}  When the recompiled problem agrees with the old one
+    on everything the PLRG, the SLRG oracle and the {!Supports} rows read
+    ({!Problem.same_leveled}) — the usual outcome of a capacity change
+    that crosses no level cutpoint — the update keeps the PLRG, every
+    oracle entry and every supports row, and only points them at the
+    new problem, whose capacities and checked levels replay reads; the
+    next report counts 0 evicted entries.  Otherwise only oracle entries
+    whose proposition sets cross the delta's taint cone are evicted
+    ({!Supports.taint}, {!Slrg.refresh}), over a PLRG rebuilt for the
+    new problem.
 
     {b Warm == cold.}  A warm re-plan agrees with a cold [Planner.plan]
     of the session's current topology on everything that matters: the
     result constructor, the optimal cost bound, and (on budget cutoffs)
-    the admissible best-f frontier evidence.  Exact oracle entries are
+    the admissible best-f frontier evidence.  This holds after a kept
+    update as after an evicting one.  Exact oracle entries are
     path-independent, and the per-request reset ({!Slrg.begin_request})
     drops everything that is not — budget-exhausted bounds and the
     escalation pool — so carried cache state cannot steer the search.
@@ -178,9 +188,12 @@ type phases = {
   compile : phase;
   plrg : phase;
   slrg : phase;
-      (** oracle construction (first request only) plus the footprint of
-          its lazy queries, which run {e inside} the RG search (so the
-          slrg phase overlaps the rg one) *)
+      (** oracle construction (first request only) plus the time and
+          minor words of its lazy queries, which run {e inside} the RG
+          search (so the slrg phase overlaps the rg one).  Its
+          [major_collections] count only the oracle's construction:
+          collections during the lazy queries are counted in the rg
+          phase, which contains them. *)
   rg : phase;
 }
 
@@ -275,14 +288,16 @@ val plan : t -> report
 
 (** [update t delta] mutates the session's topology and incrementally
     revalidates the compiled state: untouched grounding groups are
-    copied, touched ones recompiled, the PLRG is rebuilt, and oracle
-    entries inside the delta's taint cone are evicted.  The invalidation
-    work is accumulated into the next {!plan} report's
-    [invalidated_actions] / [evicted_entries] counters.  Falls back to a
-    full flush (next plan compiles cold) when the delta changes the
-    initial proposition section — set canonicalization itself shifts —
-    or when the mutated spec no longer compiles.  Returns [t] (the
-    session is updated in place).
+    copied and touched ones recompiled.  If the recompiled problem is
+    {!Problem.same_leveled} as the old one, the PLRG, the oracle's
+    entries and the supports rows are all kept (the reuse rule above).
+    Otherwise the PLRG is rebuilt and oracle entries inside the delta's
+    taint cone are evicted.  The invalidation work is accumulated into
+    the next {!plan} report's [invalidated_actions] / [evicted_entries]
+    counters.  Falls back to a full flush (next plan compiles cold) when
+    the delta changes the initial proposition section — set
+    canonicalization itself shifts — or when the mutated spec no longer
+    compiles.  Returns [t] (the session is updated in place).
 
     A bad delta is rejected {e before} anything mutates:
     {!Sekitei_network.Topology.Stale_link} for a link id tombstoned by

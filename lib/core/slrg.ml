@@ -72,7 +72,6 @@ type t = {
   mutable query_ms : float;  (** wall time of non-memoized queries *)
   mutable gc_minor_words : float;
       (** [Gc.minor_words] allocated inside non-memoized queries *)
-  mutable gc_major_collections : int;
   mutable hmax_by_id : float array;
       (** PLRG h_max per interned set id, [nan] = not yet computed — the
           same sets recur across queries (and in the RG push path), so
@@ -122,7 +121,6 @@ let create ?(telemetry = Telemetry.null) ?metrics ?(query_budget = 500)
     bound_promoted = 0;
     query_ms = 0.;
     gc_minor_words = 0.;
-    gc_major_collections = 0;
     hmax_by_id = Array.make 1024 Float.nan;
     epoch = 0;
     stamp = Array.make 64 0;
@@ -283,10 +281,10 @@ let harvest t ~(root : Propset.handle) ~cost (from : Propset.handle) =
 let run_query t (root : Propset.handle) ~prior ~budget =
   let pb = t.problem in
   let t0 = Timer.start () in
-  (* [Gc.minor_words] reads the live allocation pointer; [quick_stat]'s
-     field is only refreshed at collection boundaries in native code. *)
+  (* [Gc.minor_words] reads the live allocation pointer; major
+     collections are not counted per query, as [Gc.quick_stat] costs far
+     more than a cached query (see {!Session.phases}). *)
   let gc0_minor = Gc.minor_words () in
-  let gc0_major = (Gc.quick_stat ()).Gc.major_collections in
   let sp =
     if Telemetry.enabled t.telemetry then
       Some (Telemetry.begin_span t.telemetry "slrg.query")
@@ -449,9 +447,6 @@ let run_query t (root : Propset.handle) ~prior ~budget =
   | None -> ());
   t.query_ms <- t.query_ms +. this_query_ms;
   t.gc_minor_words <- t.gc_minor_words +. (Gc.minor_words () -. gc0_minor);
-  t.gc_major_collections <-
-    t.gc_major_collections
-    + ((Gc.quick_stat ()).Gc.major_collections - gc0_major);
   (match sp with
   | Some sp ->
       ignore
@@ -502,7 +497,6 @@ let nodes_generated t = t.generated
 let queries t = t.queries
 let query_ms t = t.query_ms
 let gc_minor_words t = t.gc_minor_words
-let gc_major_collections t = t.gc_major_collections
 let cache_hits t = t.cache_hits
 let suffix_harvested t = t.suffix_harvested
 let bound_promoted t = t.bound_promoted
@@ -535,8 +529,14 @@ let begin_request t ~deadline =
   t.suffix_harvested <- 0;
   t.bound_promoted <- 0;
   t.query_ms <- 0.;
-  t.gc_minor_words <- 0.;
-  t.gc_major_collections <- 0
+  t.gc_minor_words <- 0.
+
+(* Nothing the caches were computed from has changed, so every entry and
+   every supports row stays; only the problem the oracle reads moves. *)
+let rebind t pb plrg =
+  t.problem <- pb;
+  t.plrg <- plrg;
+  Supports.rebind t.supports pb
 
 let refresh t (pb : Problem.t) plrg ~dirty =
   t.problem <- pb;

@@ -106,11 +106,8 @@ val query_ms : t -> float
 
 (** [Gc.minor_words] allocated inside non-memoized queries (the SLRG
     share of the search phase's allocation, reported next to
-    {!query_ms}). *)
+    {!query_ms}).  Major collections are not counted per query. *)
 val gc_minor_words : t -> float
-
-(** Major collections triggered inside non-memoized queries. *)
-val gc_major_collections : t -> int
 
 (** Queries answered from the solved or capped-bound caches without
     running an A*. *)
@@ -142,6 +139,14 @@ val iter_solved : t -> (int array -> float -> unit) -> unit
     the deadline behaves exactly like a budget-exhausted one: it returns
     (and caches) an admissible lower bound. *)
 val begin_request : t -> deadline:Sekitei_util.Deadline.t -> unit
+
+(** [rebind t pb plrg] points a live oracle at a recompiled problem
+    that {!Problem.same_leveled} finds equal to the one it was built or
+    last refreshed for, and at that problem's PLRG ({!Plrg.rebind}).
+    Every solved and h_max entry, the {!Supports} rows and the
+    {!Propset.ctx} tables are kept, since the problems agree on
+    everything they were computed from; nothing is evicted. *)
+val rebind : t -> Problem.t -> Plrg.t -> unit
 
 (** [refresh t pb plrg ~dirty] rebinds a live oracle to a recompiled
     problem after a topology delta: the supports table is rebuilt against

@@ -13,7 +13,7 @@
 
 type t = {
   ctx : Propset.ctx;
-  actions : Action.t array;
+  mutable actions : Action.t array;
   rel : int array array;
       (** per proposition: relevant supporting actions, ascending id *)
   seen : bool array;  (** scratch bitmap over action ids, false at rest *)
@@ -114,6 +114,8 @@ let successor t (h : Propset.handle) i =
     slots.(i) <- s;
     s
   end
+
+let rebind t (pb : Problem.t) = t.actions <- pb.Problem.actions
 
 (* Dependency-tracked invalidation support for long-lived sessions.
 

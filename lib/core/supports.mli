@@ -12,7 +12,8 @@
     the first time a search reads it and served by array loads after
     that, with no allocation.  Rows live as long as the [t];
     {!Slrg.refresh} builds a fresh [t] for a recompiled problem, whose
-    action ids differ. *)
+    action ids differ, and {!rebind} keeps them for one that
+    {!Problem.same_leveled} finds equal. *)
 
 type t
 
@@ -34,6 +35,12 @@ val candidates : t -> Propset.handle -> int array
     first read (so a set is interned exactly when a search first needs
     it) and every later read returns the physically same handle. *)
 val successor : t -> Propset.handle -> int -> Propset.handle
+
+(** [rebind t pb] makes successor rows regress through [pb]'s actions
+    from now on and keeps every row already filled.  [pb] must agree with
+    the problem [t] was made for ({!Problem.same_leveled}), so the rows
+    hold what [pb] would compute. *)
+val rebind : t -> Problem.t -> unit
 
 (** [taint pb ~node_touched ~link_touched] computes the invalidation
     cone of a topology delta as a worklist fixpoint over the reverse

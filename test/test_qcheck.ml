@@ -717,12 +717,17 @@ let prop_slrg_harvest_agrees =
    a budget-exhausted query records a bound that depends on the shared
    escalation pool.  Each random case threads 1-3 resource deltas
    through one session; deltas that make the spec infeasible are fine —
-   warm and cold must then fail with the same constructor. *)
+   warm and cold must then fail with the same constructor.  A delta sets
+   either an absolute value or a factor of 1.0-1.2 of the current
+   capacity: most of the latter stay inside their level, where the
+   session keeps its oracle (see {!Session.update}). *)
 let prop_warm_equals_cold =
   let arb =
     Q.pair arb_instance
       (Q.list_of_size (Q.Gen.int_range 1 3)
-         (Q.triple (Q.int_range 0 5) (Q.float_range 5. 160.) Q.bool))
+         (Q.pair
+            (Q.triple (Q.int_range 0 5) (Q.float_range 5. 160.) Q.bool)
+            (Q.option (Q.float_range 1.0 1.2))))
   in
   Q.Test.make ~count:15 ~name:"session warm re-plan equals cold plan" arb
     (fun (inst, deltas) ->
@@ -739,14 +744,25 @@ let prop_warm_equals_cold =
       in
       ignore (Session.plan session);
       List.iter
-        (fun (site, value, is_node) ->
+        (fun ((site, value, is_node), factor) ->
+          let topo = Session.topology session in
           let delta =
             if is_node then
-              Session.Set_node_resource
-                { node = site mod 3; resource = "cpu"; value }
+              let node = site mod 3 in
+              let value =
+                match factor with
+                | Some f -> f *. T.node_resource topo node "cpu"
+                | None -> value
+              in
+              Session.Set_node_resource { node; resource = "cpu"; value }
             else
-              Session.Set_link_resource
-                { link = site mod 2; resource = "lbw"; value }
+              let link = site mod 2 in
+              let value =
+                match factor with
+                | Some f -> f *. T.link_resource topo link "lbw"
+                | None -> value
+              in
+              Session.Set_link_resource { link; resource = "lbw"; value }
           in
           ignore (Session.update session delta))
         deltas;

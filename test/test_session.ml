@@ -9,6 +9,8 @@ module Plrg = Sekitei_core.Plrg
 module Slrg = Sekitei_core.Slrg
 module Rg = Sekitei_core.Rg
 module Problem = Sekitei_core.Problem
+module Action = Sekitei_core.Action
+module I = Sekitei_util.Interval
 module Deadline = Sekitei_util.Deadline
 module Telemetry = Sekitei_telemetry.Telemetry
 module Registry = Sekitei_telemetry.Registry
@@ -95,6 +97,122 @@ let test_update_then_warm_equals_cold () =
   let again = Session.plan session in
   Alcotest.(check int) "counters consumed" 0
     again.Planner.stats.Planner.invalidated_actions
+
+(* A raise that stays inside its level (Small-C's WAN link, 70 -> 80
+   lbw) changes the touched actions' checked levels and nothing the
+   graph phases read: the session keeps its oracle, so the re-plan
+   evicts nothing and answers every SLRG query from the cache, while
+   replay plans against the new capacity. *)
+let test_update_inside_level_keeps_oracle () =
+  let sc, req = small_request () in
+  let session = Session.create req in
+  ignore (Session.plan session);
+  ignore
+    (Session.update session
+       (Session.Set_link_resource { link = 2; resource = "lbw"; value = 80. }));
+  let warm = Session.plan session in
+  Alcotest.(check bool) "update recompiled the link's actions" true
+    (warm.Planner.stats.Planner.invalidated_actions > 0);
+  Alcotest.(check int) "nothing evicted" 0
+    warm.Planner.stats.Planner.evicted_entries;
+  Alcotest.(check int) "no SLRG search" 0
+    warm.Planner.stats.Planner.slrg_queries;
+  let pb = Option.get (Session.problem session) in
+  close "the session plans against the new capacity" 80.
+    (Problem.link_cap pb 2 "lbw");
+  let cold =
+    Planner.plan
+      (Planner.request (Session.topology session) sc.Scenarios.app
+         ~leveling:req.Planner.leveling)
+  in
+  close "warm == cold cost" (cost_of "cold" cold) (cost_of "warm" warm)
+
+(* The identity predicate behind that reuse: it rejects a copy of a
+   compiled problem edited in any field the graph phases read, and
+   accepts one that differs only in what replay alone reads. *)
+let test_same_leveled () =
+  let sc = Scenarios.small () in
+  let app = sc.Scenarios.app in
+  let leveling = Media.leveling Media.C app in
+  let pb = Compile.compile sc.Scenarios.topo app leveling in
+  let n_props = Array.length pb.Problem.init in
+  let edit_action f =
+    (* the first action with a precondition, edited by [f] *)
+    let i =
+      Option.get
+        (Array.find_index
+           (fun (a : Action.t) -> Array.length a.Action.pre > 0)
+           pb.Problem.actions)
+    in
+    {
+      pb with
+      Problem.actions =
+        Array.mapi (fun j a -> if j = i then f a else a) pb.Problem.actions;
+    }
+  in
+  let bump arr = Array.map (fun p -> (p + 1) mod n_props) arr in
+  let check name expected other =
+    Alcotest.(check bool) name expected (Problem.same_leveled pb other)
+  in
+  check "itself" true pb;
+  check "fresh copies of every array" true
+    {
+      pb with
+      Problem.init = Array.copy pb.Problem.init;
+      goal_props = Array.copy pb.Problem.goal_props;
+      actions =
+        Array.map
+          (fun (a : Action.t) ->
+            {
+              a with
+              Action.pre = Array.copy a.Action.pre;
+              add_closure = Array.copy a.Action.add_closure;
+            })
+          pb.Problem.actions;
+    };
+  check "checked levels differ" true
+    {
+      pb with
+      Problem.actions =
+        Array.map
+          (fun (a : Action.t) ->
+            {
+              a with
+              Action.checked_node = [| ("cpu", I.point 1.) |];
+              checked_link = [| ("lbw", I.point 2.) |];
+            })
+          pb.Problem.actions;
+    };
+  check "one action's pre" false
+    (edit_action (fun a -> { a with Action.pre = bump a.Action.pre }));
+  check "one action's add_closure" false
+    (edit_action (fun a ->
+         { a with Action.add_closure = bump a.Action.add_closure }));
+  check "one action's cost_lb" false
+    (edit_action (fun a -> { a with Action.cost_lb = a.Action.cost_lb +. 1. }));
+  check "init" false
+    {
+      pb with
+      Problem.init =
+        Array.mapi (fun p b -> if p = 0 then not b else b) pb.Problem.init;
+    };
+  check "goal_props" false
+    { pb with Problem.goal_props = bump pb.Problem.goal_props };
+  check "one action fewer" false
+    {
+      pb with
+      Problem.actions =
+        Array.sub pb.Problem.actions 0 (Array.length pb.Problem.actions - 1);
+    };
+  (* Compiled problems: a raise inside the WAN link's level keeps the
+     leveled problem, a cut below a cutpoint does not. *)
+  let at lbw =
+    Compile.compile
+      (Mutate.set_link_resource sc.Scenarios.topo 2 "lbw" lbw)
+      app leveling
+  in
+  check "lbw 80 (same level)" true (at 80.);
+  check "lbw 66 (below a cutpoint)" false (at 66.)
 
 let test_update_to_infeasible_and_back () =
   let sc, req = small_request () in
@@ -399,6 +517,9 @@ let suite =
     ("warm skips compile", `Quick, test_warm_skips_compile);
     ("one-shot == cold session", `Quick, test_one_shot_plan_is_cold_session);
     ("update then warm == cold", `Quick, test_update_then_warm_equals_cold);
+    ("update inside a level keeps the oracle", `Quick,
+     test_update_inside_level_keeps_oracle);
+    ("same_leveled", `Quick, test_same_leveled);
     ("infeasible and back", `Quick, test_update_to_infeasible_and_back);
     ("remove link, replan", `Quick, test_remove_link_replan);
     ("update rejects bad ids", `Quick, test_update_rejects_bad_ids);

@@ -345,10 +345,14 @@ let () =
   match path with
   | Some path ->
       let tr =
-        try load path
-        with Sys_error msg ->
-          Printf.eprintf "trace_report: %s\n" msg;
-          exit 2
+        try load path with
+        | Sys_error _ when Sys.file_exists path && Sys.is_directory path ->
+            (* Reading a directory fails without naming it. *)
+            Printf.eprintf "%s: Is a directory\n" path;
+            exit 2
+        | Sys_error msg ->
+            Printf.eprintf "trace_report: %s\n" msg;
+            exit 2
       in
       if Hashtbl.length tr.spans = 0 then begin
         Printf.eprintf "%s: no spans found\n" path;
