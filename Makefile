@@ -96,7 +96,7 @@ examples-smoke:
 # `make bench-json` and commit the BENCH_rg.json diff.
 bench-gate:
 	dune exec bench/main.exe -- --json --check --repeat 3 --jobs 1 --warm \
-	  --out /tmp/sekitei_bench_gate.json \
+	  --out _build/sekitei_bench_gate.json \
 	  --baseline BENCH_rg.json --max-regress 200
 
 # Observability smoke: plan Small-C through the metrics subcommand and
@@ -114,22 +114,22 @@ metrics-smoke:
 	  --check > /dev/null
 	dune exec -- sekitei metrics --network small --levels C --format json \
 	  --check > /dev/null
-	@rm -f /tmp/sekitei_flight_smoke.jsonl
+	@rm -f _build/sekitei_flight_smoke.jsonl
 	-dune exec -- sekitei plan --network small --levels C --deadline 0 \
-	  --flight /tmp/sekitei_flight_smoke.jsonl > /dev/null 2>&1
-	@test -s /tmp/sekitei_flight_smoke.jsonl || \
+	  --flight _build/sekitei_flight_smoke.jsonl > /dev/null 2>&1
+	@test -s _build/sekitei_flight_smoke.jsonl || \
 	  { echo "metrics-smoke: no flight dump written"; exit 1; }
-	@dune exec -- tools/trace_report.exe /tmp/sekitei_flight_smoke.jsonl \
+	@dune exec -- tools/trace_report.exe _build/sekitei_flight_smoke.jsonl \
 	  | grep -q "flight-recorder dump" || \
 	  { echo "metrics-smoke: trace_report cannot read the dump"; exit 1; }
-	@rm -f /tmp/sekitei_flight_limit.jsonl
+	@rm -f _build/sekitei_flight_limit.jsonl
 	-dune exec -- sekitei plan --network small --levels C --rg-budget 1 \
-	  --flight /tmp/sekitei_flight_limit.jsonl \
-	  > /tmp/sekitei_flight_limit.out 2>&1
+	  --flight _build/sekitei_flight_limit.jsonl \
+	  > _build/sekitei_flight_limit.out 2>&1
 	@stats=$$(sed -n 's/^Stats: .* rg=\([0-9]*\)\/.*/\1/p' \
-	    /tmp/sekitei_flight_limit.out); \
+	    _build/sekitei_flight_limit.out); \
 	  dumped=$$(dune exec -- tools/trace_report.exe \
-	    /tmp/sekitei_flight_limit.jsonl \
+	    _build/sekitei_flight_limit.jsonl \
 	    | sed -n 's/^| rg\.created *| *\([0-9]*\) |$$/\1/p'); \
 	  test -n "$$stats" && test "$$stats" = "$$dumped" || \
 	  { echo "metrics-smoke: rg.created is '$$dumped' in the Search_limit" \
@@ -176,8 +176,8 @@ bench-json:
 profile:
 	dune build bin tools
 	dune exec -- sekitei plan --network small --levels C \
-	  --trace /tmp/sekitei_profile.jsonl > /dev/null
-	dune exec -- tools/trace_report.exe /tmp/sekitei_profile.jsonl
+	  --trace _build/sekitei_profile.jsonl > /dev/null
+	dune exec -- tools/trace_report.exe _build/sekitei_profile.jsonl
 
 clean:
 	dune clean

@@ -23,7 +23,7 @@ type t
 val build : ?deadline:Sekitei_util.Deadline.t -> Problem.t -> t
 
 (** [rebind t pb] is [t] over [pb], a recompiled problem that
-    {!Problem.same_leveled} finds equal to [t]'s: the costs and the
+    {!Problem.leveled_diff} finds [Same] as [t]'s: the costs and the
     relevant cone are shared, since they are computed from exactly what
     the two problems agree on. *)
 val rebind : t -> Problem.t -> t

@@ -63,17 +63,47 @@ let same_ints (a : int array) (b : int array) =
      let rec from i = i = Array.length a || (a.(i) = b.(i) && from (i + 1)) in
      from 0
 
-let same_leveled a b =
-  Array.length a.actions = Array.length b.actions
-  && a.init = b.init
-  && same_ints a.goal_props b.goal_props
-  && Array.for_all2
-       (fun (x : Action.t) (y : Action.t) ->
-         x.Action.kind = y.Action.kind
-         && Float.equal x.Action.cost_lb y.Action.cost_lb
-         && same_ints x.Action.pre y.Action.pre
-         && same_ints x.Action.add_closure y.Action.add_closure)
-       a.actions b.actions
+type leveled_diff = Same | Fewer of int array | Changed
+
+let same_kind (x : Action.kind) (y : Action.kind) =
+  match (x, y) with
+  | Action.Place a, Action.Place b -> a.comp = b.comp && a.node = b.node
+  | Action.Cross a, Action.Cross b ->
+      a.iface = b.iface && a.link = b.link && a.src = b.src && a.dst = b.dst
+  | _ -> false
+
+let leveled_equal (x : Action.t) (y : Action.t) =
+  same_kind x.Action.kind y.Action.kind
+  && Float.equal x.Action.cost_lb y.Action.cost_lb
+  && same_ints x.Action.pre y.Action.pre
+  && same_ints x.Action.add_closure y.Action.add_closure
+
+(* Greedy embedding: each new action is matched with the first unmatched
+   old action equal to it, which finds an embedding exactly when one
+   exists.  A subsequence as long as the old array is the identity, so
+   that case is decided pairwise without building the map. *)
+let leveled_diff ~old nw =
+  let n_old = Array.length old.actions and n = Array.length nw.actions in
+  if
+    n > n_old
+    || old.init <> nw.init
+    || not (same_ints old.goal_props nw.goal_props)
+  then Changed
+  else if n = n_old then
+    if Array.for_all2 leveled_equal old.actions nw.actions then Same
+    else Changed
+  else begin
+    let map = Array.make n_old (-1) in
+    let j = ref 0 in
+    Array.iteri
+      (fun i a ->
+        if !j < n && leveled_equal a nw.actions.(!j) then begin
+          map.(i) <- !j;
+          incr j
+        end)
+      old.actions;
+    if !j = n then Fewer map else Changed
+  end
 
 let prop_label t id =
   match Prop.of_id t.props id with

@@ -63,16 +63,34 @@ val link_cap : t -> int -> string -> float
 
 val action : t -> int -> Action.t
 
-(** [same_leveled a b] holds when [a] and [b] agree on everything the
-    PLRG, the SLRG oracle and the {!Supports} rows read: [init],
-    [goal_props], and each action's [kind], [pre], [add_closure] and
-    [cost_lb], position by position (so action ids agree too).  A
-    capacity change that crosses no level cutpoint typically yields a
-    problem that agrees with the old one while its actions' checked
-    levels differ: those, like the capacities themselves, are read by
-    replay alone.  A session keeps its PLRG and its oracle across an
-    update exactly when the old and the recompiled problem agree
-    ({!Session.update}). *)
-val same_leveled : t -> t -> bool
+(** How a recompiled problem relates to the one it replaces, judged on
+    everything the PLRG, the SLRG oracle and the {!Supports} rows read:
+    [init], [goal_props], and each action's [kind], [pre], [add_closure]
+    and [cost_lb].  Checked levels, like the capacities themselves, are
+    read by replay alone.
+
+    - [Same]: the two agree position by position, so action ids agree
+      too.  A capacity change that crosses no level cutpoint typically
+      yields this.
+    - [Fewer map]: [init] and [goal_props] agree and the new actions are
+      a field-equal subsequence of the old ones, fewer of them;
+      [map.(a)] is the new id of old action [a], or [-1] when [a] has no
+      counterpart.  A removed link, a failed node and a capacity cut
+      below a cutpoint typically yield this.  Removing actions can only
+      raise the PLRG and SLRG costs and shrink the relevant cone.
+    - [Changed]: anything else (an action added or altered, or a
+      different [init] or [goal_props]).
+
+    {!Session.update} keeps the whole oracle on [Same], the entries whose
+    recorded optimal path survives on [Fewer] ({!Slrg.shrink}), and
+    evicts the taint cone on [Changed] ({!Slrg.refresh}). *)
+type leveled_diff = Same | Fewer of int array | Changed
+
+(** [leveled_diff ~old nw] classifies [nw] against [old] (see
+    {!leveled_diff}).  [Fewer]'s map is built by a greedy embedding: each
+    new action is matched with the first unmatched old action equal to it
+    in those fields. *)
+val leveled_diff : old:t -> t -> leveled_diff
+
 val pp_prop : t -> Format.formatter -> int -> unit
 val prop_label : t -> int -> string

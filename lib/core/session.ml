@@ -8,10 +8,12 @@
    straight to the search.  {!update} applies a topology delta with
    dependency-tracked invalidation: only grounding groups at touched
    sites are recompiled ({!Compile.recompile}).  A recompiled problem
-   that poses the same leveled problem ({!Problem.same_leveled}) keeps
-   the PLRG and the whole oracle; otherwise only oracle entries whose
-   sets contain a delta-dirtied proposition are evicted
-   ({!Supports.taint} / {!Slrg.refresh}).
+   that poses the same leveled problem ({!Problem.leveled_diff} [Same])
+   keeps the PLRG and the whole oracle; one with only fewer actions
+   keeps the oracle entries whose witnessed optimal path survives
+   ({!Slrg.shrink}); otherwise only oracle entries whose sets contain a
+   delta-dirtied proposition are evicted ({!Supports.taint} /
+   {!Slrg.refresh}).
 
    Warm-equals-cold contract: a warm re-plan returns bit-identical
    results (plan actions, cost bounds, failure constructors) to a cold
@@ -259,6 +261,7 @@ let create ?adjust ?metrics (req : request) =
 let topology t = t.topo
 let is_warm t = t.state <> None
 let problem t = Option.map (fun st -> st.pb) t.state
+let oracle t = Option.bind t.state (fun st -> st.oracle)
 let metrics t = t.metrics
 let metrics_snapshot t = Registry.snapshot t.metrics
 
@@ -717,38 +720,49 @@ let update t delta =
                itself: every interned handle is suspect.  Full flush. *)
             t.state <- None
           else begin
+            let rebuild_plrg () =
+              let plrg, plrg_phase =
+                run_phase telemetry "plrg" (fun () -> Plrg.build pb)
+              in
+              st.plrg_phase <- plrg_phase;
+              plrg
+            in
             let plrg, evicted =
-              if Problem.same_leveled st.pb pb then begin
-                (* The delta stayed inside its levels: the graph phases
-                   read nothing that changed, so the PLRG, every oracle
-                   entry and the supports rows stay.  They only move to
-                   the new problem, which leaves the old one garbage. *)
-                let plrg = Plrg.rebind st.plrg pb in
-                Option.iter (fun o -> Slrg.rebind o pb plrg) st.oracle;
-                (plrg, 0)
-              end
-              else begin
-                let plrg, plrg_phase =
-                  run_phase telemetry "plrg" (fun () -> Plrg.build pb)
-                in
-                st.plrg_phase <- plrg_phase;
-                (* Taint on both sides of the delta: the old problem
-                   catches chains through removed actions, the new one
-                   chains through novel actions at the touched sites.
-                   Stable ids mean the same touched predicates serve
-                   both. *)
-                let _, dirty_old =
-                  Supports.taint st.pb ~node_touched ~link_touched
-                in
-                let _, dirty_new =
-                  Supports.taint pb ~node_touched ~link_touched
-                in
-                let dirty p = dirty_old.(p) || dirty_new.(p) in
-                ( plrg,
-                  match st.oracle with
-                  | Some o -> Slrg.refresh o pb plrg ~dirty
-                  | None -> 0 )
-              end
+              match Problem.leveled_diff ~old:st.pb pb with
+              | Problem.Same ->
+                  (* The delta stayed inside its levels: the graph phases
+                     read nothing that changed, so the PLRG, every oracle
+                     entry and the supports rows stay.  They only move to
+                     the new problem, which leaves the old one garbage. *)
+                  let plrg = Plrg.rebind st.plrg pb in
+                  Option.iter (fun o -> Slrg.rebind o pb plrg) st.oracle;
+                  (plrg, 0)
+              | Problem.Fewer map ->
+                  (* Actions only went away: an entry whose recorded
+                     optimal path survives is still exact. *)
+                  let plrg = rebuild_plrg () in
+                  ( plrg,
+                    match st.oracle with
+                    | Some o -> Slrg.shrink o pb plrg ~map
+                    | None -> 0 )
+              | Problem.Changed ->
+                  let plrg = rebuild_plrg () in
+                  (* Taint on both sides of the delta: the old problem
+                     catches chains through removed actions, the new one
+                     chains through novel actions at the touched sites.
+                     Stable ids mean the same touched predicates serve
+                     both. *)
+                  let _, dirty_old =
+                    Supports.taint st.pb ~node_touched ~link_touched
+                  in
+                  let _, dirty_new =
+                    Supports.taint pb ~node_touched ~link_touched
+                  in
+                  let dirty p = dirty_old.(p) || dirty_new.(p) in
+                  ( plrg,
+                    match st.oracle with
+                    | Some o -> Slrg.refresh o pb plrg ~dirty
+                    | None -> 0 )
             in
             st.pb <- pb;
             st.plrg <- plrg;

@@ -14,25 +14,41 @@
     [invalidated_actions] / [evicted_entries] counts of the next
     report.
 
-    {b Reuse rule.}  When the recompiled problem agrees with the old one
-    on everything the PLRG, the SLRG oracle and the {!Supports} rows read
-    ({!Problem.same_leveled}) — the usual outcome of a capacity change
-    that crosses no level cutpoint — the update keeps the PLRG, every
-    oracle entry and every supports row, and only points them at the
-    new problem, whose capacities and checked levels replay reads; the
-    next report counts 0 evicted entries.  Otherwise only oracle entries
-    whose proposition sets cross the delta's taint cone are evicted
-    ({!Supports.taint}, {!Slrg.refresh}), over a PLRG rebuilt for the
-    new problem.
+    {b Reuse rule.}  {!Problem.leveled_diff} compares the recompiled
+    problem with the old one on everything the PLRG, the SLRG oracle and
+    the {!Supports} rows read, and the update takes one of three paths.
+
+    - [Same], the usual outcome of a capacity change that crosses no
+      level cutpoint: the update keeps the PLRG, every oracle entry and
+      every supports row, and only points them at the new problem, whose
+      capacities and checked levels replay reads; the next report counts
+      0 evicted entries ({!Slrg.rebind}).
+    - [Fewer], when actions were only taken away (a removed link, a
+      failed node, a capacity cut below a cutpoint): the PLRG is
+      rebuilt, and an oracle entry stays exactly when the optimal path
+      its solve recorded, witness by witness, still exists in the new
+      problem; h_max memo entries go where the new PLRG changed one of
+      their propositions' costs ({!Slrg.shrink}).
+    - [Changed], when an action was added or altered: only oracle
+      entries whose proposition sets cross the delta's taint cone are
+      evicted ({!Supports.taint}, {!Slrg.refresh}), over a PLRG rebuilt
+      for the new problem.
+
+    On every path each kept solved entry is the exact cost of its set in
+    the new problem, and each kept witness names an action of the new
+    problem.
 
     {b Warm == cold.}  A warm re-plan agrees with a cold [Planner.plan]
     of the session's current topology on everything that matters: the
     result constructor, the optimal cost bound, and (on budget cutoffs)
-    the admissible best-f frontier evidence.  This holds after a kept
-    update as after an evicting one.  Exact oracle entries are
-    path-independent, and the per-request reset ({!Slrg.begin_request})
-    drops everything that is not — budget-exhausted bounds and the
-    escalation pool — so carried cache state cannot steer the search.
+    the admissible best-f frontier evidence.  This holds after an update
+    on any of the three paths.  Every solved entry a path keeps is exact
+    for the new problem — on [Fewer] because removing actions can only
+    raise costs, so a surviving witness path still attains the old one —
+    and every kept h_max entry is the new PLRG's, while the per-request
+    reset ({!Slrg.begin_request}) drops everything that is not
+    path-independent — budget-exhausted bounds and the escalation pool —
+    so carried cache state cannot steer the search.
     Two kinds of noise are tolerated, the oracle provisos {!Rg.search}
     documents: a cold run whose root queries exhaust their budget
     records order-dependent bounds a warm run may not reproduce, and
@@ -251,6 +267,12 @@ val is_warm : t -> bool
     emitted, with no second compile. *)
 val problem : t -> Problem.t option
 
+(** The session's SLRG oracle over {!problem}, [None] until a plan call
+    created it.  Read it, do not query it: a query fills caches the next
+    plan would otherwise fill itself, which changes that plan's counts.
+    For tests and diagnostics of what {!update} keeps. *)
+val oracle : t -> Slrg.t option
+
 (** The session's always-on metric registry.  Every {!plan} records
     lifetime counters (["session.plans"], [_ok]/[_failed], warm/cold
     splits, invalidation work), per-phase latency histograms
@@ -288,10 +310,11 @@ val plan : t -> report
 
 (** [update t delta] mutates the session's topology and incrementally
     revalidates the compiled state: untouched grounding groups are
-    copied and touched ones recompiled.  If the recompiled problem is
-    {!Problem.same_leveled} as the old one, the PLRG, the oracle's
-    entries and the supports rows are all kept (the reuse rule above).
-    Otherwise the PLRG is rebuilt and oracle entries inside the delta's
+    copied and touched ones recompiled.  {!Problem.leveled_diff} picks
+    the path (the reuse rule above): on [Same] the PLRG, the oracle's
+    entries and the supports rows are all kept; on [Fewer] the PLRG is
+    rebuilt and the entries whose witness path survives are kept; on
+    [Changed] the PLRG is rebuilt and oracle entries inside the delta's
     taint cone are evicted.  The invalidation work is accumulated into
     the next {!plan} report's [invalidated_actions] / [evicted_entries]
     counters.  Falls back to a full flush (next plan compiles cold) when

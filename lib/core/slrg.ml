@@ -49,6 +49,14 @@ type t = {
       (** exact set cost by interned id, NaN = not solved (infinity is a
           legitimate solved value: logically infeasible set) *)
   mutable solved_ids : int list;  (** ids with a solved entry, unordered *)
+  mutable wit_act : int array;
+      (** per set id on the path of an exact solve: the first action of
+          that path from the set, -1 = no witness; sized by the largest
+          witnessed id.  Every finite solved entry has one, unless a
+          {!refresh} dropped it. *)
+  mutable wit_next : int array;
+      (** parallel to [wit_act]: the id of the set that action regresses
+          to, the empty set or another witnessed set *)
   mutable bound_val : float array;
       (** per budget-exhausted set id: the admissible lower bound found
           so far, NaN = no bound *)
@@ -108,6 +116,8 @@ let create ?(telemetry = Telemetry.null) ?metrics ?(query_budget = 500)
     deadline = Deadline.none;
     solved_val = Array.make 1024 Float.nan;
     solved_ids = [];
+    wit_act = [||];
+    wit_next = [||];
     bound_val = Array.make 1024 Float.nan;
     bound_spent = Array.make 1024 0;
     escalation_pool = escalation_pool_factor * query_budget;
@@ -167,6 +177,19 @@ let set_bound t id b spent =
 
 let clear_bound t id =
   if id < Array.length t.bound_val then t.bound_val.(id) <- Float.nan
+
+let set_witness t id act next =
+  let n = Array.length t.wit_act in
+  if id >= n then begin
+    let cap = Stdlib.max (2 * n) (id + 1) in
+    t.wit_act <- grow t.wit_act cap (-1);
+    t.wit_next <- grow t.wit_next cap (-1)
+  end;
+  t.wit_act.(id) <- act;
+  t.wit_next.(id) <- next
+
+let[@inline] witness_act t id =
+  if id < Array.length t.wit_act then t.wit_act.(id) else -1
 
 let h_max t (set : int array) =
   let h = ref 0. in
@@ -231,25 +254,48 @@ let[@inline] push t (s : Propset.handle) g f (from : Propset.handle) =
   t.pushed.(id) <- Heap.insertions t.heap;
   Heap.add t.heap ~prio:f s
 
-(* Suffix-cost harvesting: at exact termination with optimum [cost], every
-   set on the recorded best complete path satisfies
-   [cost_to_empty set = cost - g(set)] — going through the set is one way
-   to complete (so [cost <= g + cost_to_empty]) and the recorded suffix
-   achieves exactly [cost - g].  One solve thus fills the [solved] cache
-   for the whole chain.  The recorded g may exceed the optimal prefix
-   cost on degenerate reopening orders, in which case the harvested value
-   is an underestimate — still a sound lower bound, never an
-   overestimate. *)
-let harvest t ~(root : Propset.handle) ~cost (from : Propset.handle) =
-  if from != Propset.no_handle then
-    let rec walk (s : Propset.handle) =
-      let id = s.Propset.id in
+(* The cheapest candidate of [p] whose successor slot is [c] (the first
+   on a tie), -1 if none.  [p] was expanded, so its row and every slot
+   of it are filled. *)
+let edge_action t (p : Propset.handle) (c : Propset.handle) =
+  let cands = Supports.candidates t.supports p in
+  let best = ref (-1) and best_cost = ref Float.infinity in
+  for i = 0 to Array.length cands - 1 do
+    if Supports.successor t.supports p i == c then begin
+      let w = t.problem.actions.(cands.(i)).Action.cost_lb in
+      if !best < 0 || w < !best_cost then begin
+        best := cands.(i);
+        best_cost := w
+      end
+    end
+  done;
+  !best
+
+(* At exact termination with optimum [cost], the best complete path
+   leaves [from] for [next] (the empty set or a solved one), and
+   [from]'s parent chain leads back to the root.
+
+   Witnesses: every set on the path records the first edge of its own
+   suffix, the cheapest action from it to the next set.  With those
+   edges the path costs at most the g recorded at [from] plus the last
+   edge, which is [cost], so it is optimal and so is each of its
+   suffixes; a solve that reopened a set qualifies too, since reopening
+   only ever lowered the recorded g values.
+
+   Suffix-cost harvesting, on a solve that reopened nothing: every set
+   on the path satisfies [cost_to_empty set = cost - g(set)] — going
+   through the set is one way to complete (so
+   [cost <= g + cost_to_empty]) and the recorded suffix achieves
+   exactly [cost - g].  One solve thus fills the [solved] cache for the
+   whole chain.  The root's cost is written by the caller. *)
+let record_path t ~(root : Propset.handle) ~cost ~harvest
+    (from : Propset.handle) (next : Propset.handle) =
+  let rec walk (s : Propset.handle) (next : Propset.handle) =
+    let id = s.Propset.id in
+    set_witness t id (edge_action t s next) next.Propset.id;
+    if id <> root.Propset.id then begin
       let g = g_of t id in
-      if
-        Array.length s.Propset.set > 0
-        && id <> root.Propset.id
-        && not (Float.is_nan g)
-      then begin
+      if harvest && not (Float.is_nan g) then begin
         let c = cost -. g in
         (* h_max is consistent under regression, hence admissible
            against the exact suffix cost at every chain node. *)
@@ -264,9 +310,10 @@ let harvest t ~(root : Propset.handle) ~cost (from : Propset.handle) =
         end
       end;
       let p = parent_of t id in
-      if p != Propset.no_handle then walk p
-    in
-    walk from
+      if p != Propset.no_handle then walk p s
+    end
+  in
+  walk from next
 
 (* One A* regression solve of [root] under [budget] expansions.  [prior]
    is the bound cached by an earlier exhausted run (NaN when none),
@@ -308,16 +355,19 @@ let run_query t (root : Propset.handle) ~prior ~budget =
       push t root 0. h_root Propset.no_handle;
       t.generated <- t.generated + 1;
       let best_complete = ref Float.infinity in
-      (* The set the best complete path descends from; its parent chain
-         is harvested on exact termination. *)
+      (* The best complete path leaves [complete_from] for
+         [complete_next], the empty set or a solved one; its parent
+         chain is harvested on exact termination. *)
       let complete_from = ref Propset.no_handle in
+      let complete_next = ref Propset.no_handle in
       (* NaN until the search stops; every answer is a number. *)
       let cost = ref Float.nan in
       let exact = ref true in
       (* Bound seeding can make the heuristic inconsistent, and after a
          node reopening the recorded g values need not telescope along
          the parent chain any more — the root answer stays exact, but
-         suffix harvesting is skipped for that (rare) run. *)
+         suffix harvesting is skipped for that run (its path still
+         records witnesses). *)
       let reopened = ref false in
       while Float.is_nan !cost do
         if Heap.is_empty heap then
@@ -346,7 +396,8 @@ let run_query t (root : Propset.handle) ~prior ~budget =
               if Array.length set.Propset.set = 0 then begin
                 if g < !best_complete then begin
                   best_complete := g;
-                  complete_from := set
+                  complete_from := parent_of t id;
+                  complete_next := set
                 end;
                 cost := !best_complete
               end
@@ -361,7 +412,8 @@ let run_query t (root : Propset.handle) ~prior ~budget =
                   if not (Float.is_nan rest) then begin
                     if g' +. rest < !best_complete then begin
                       best_complete := g' +. rest;
-                      complete_from := set
+                      complete_from := set;
+                      complete_next := set'
                     end
                   end
                   else begin
@@ -397,8 +449,9 @@ let run_query t (root : Propset.handle) ~prior ~budget =
       done;
       let cost = !cost in
       if !exact then begin
-        if not !reopened then
-          harvest t ~root ~cost !complete_from;
+        if !complete_from != Propset.no_handle then
+          record_path t ~root ~cost ~harvest:(not !reopened) !complete_from
+            !complete_next;
         (* Adaptive-A*-style bound harvesting: all queries regress toward
            the same target (the empty set), so cost-to-empty is one shared
            function across queries.  For every set touched by this exact
@@ -506,6 +559,18 @@ let iter_solved t f =
     (fun sid -> f (Propset.handle_of_id t.ctx sid).Propset.set t.solved_val.(sid))
     t.solved_ids
 
+let witness t (h : Propset.handle) =
+  let act = witness_act t h.Propset.id in
+  if act < 0 then None
+  else Some (act, Propset.handle_of_id t.ctx t.wit_next.(h.Propset.id))
+
+let iter_bounds t f =
+  Array.iteri
+    (fun id b ->
+      if not (Float.is_nan b) then
+        f (Propset.handle_of_id t.ctx id).Propset.set b)
+    t.bound_val
+
 (* ------------------------------------------------------------------ *)
 (* Session support: per-request reset and delta invalidation            *)
 (* ------------------------------------------------------------------ *)
@@ -531,12 +596,27 @@ let begin_request t ~deadline =
   t.query_ms <- 0.;
   t.gc_minor_words <- 0.
 
-(* Nothing the caches were computed from has changed, so every entry and
-   every supports row stays; only the problem the oracle reads moves. *)
+(* Nothing the caches were computed from has changed, so every entry,
+   every witness and every supports row stays; only the problem the
+   oracle reads moves. *)
 let rebind t pb plrg =
   t.problem <- pb;
   t.plrg <- plrg;
   Supports.rebind t.supports pb
+
+(* Evicts the h_max memo entries over a set holding a [dirty]
+   proposition, and counts them. *)
+let evict_hmax t ~dirty =
+  let evicted = ref 0 in
+  for id = 0 to Array.length t.hmax_by_id - 1 do
+    if not (Float.is_nan t.hmax_by_id.(id)) then
+      let set = (Propset.handle_of_id t.ctx id).Propset.set in
+      if Array.exists dirty set then begin
+        t.hmax_by_id.(id) <- Float.nan;
+        incr evicted
+      end
+  done;
+  !evicted
 
 let refresh t (pb : Problem.t) plrg ~dirty =
   t.problem <- pb;
@@ -559,15 +639,74 @@ let refresh t (pb : Problem.t) plrg ~dirty =
         end
         else true)
       t.solved_ids;
+  (* Witnesses name old action ids, which the recompile renumbered: all
+     are dropped, so a later {!shrink} evicts the entries kept here. *)
+  Array.fill t.wit_act 0 (Array.length t.wit_act) (-1);
   (* PLRG h_max of a clean set is unchanged (clean propositions keep
      their per-proposition costs); dirty sets must recompute against the
      rebuilt PLRG. *)
-  for id = 0 to Array.length t.hmax_by_id - 1 do
-    if not (Float.is_nan t.hmax_by_id.(id)) then
-      let set = (Propset.handle_of_id t.ctx id).Propset.set in
-      if Array.exists dirty set then begin
-        t.hmax_by_id.(id) <- Float.nan;
-        incr evicted
-      end
+  !evicted + evict_hmax t ~dirty
+
+(* The states of a set in {!shrink}'s walk. *)
+let unknown = '\000'
+let on_walk = '\001'
+let kept = '\002'
+let dropped = '\003'
+
+(* Removing actions only removes regression edges and can only shrink
+   the PLRG-relevant set, so no set's cost falls: a set whose witness
+   path still exists, every edge through an action that has a
+   field-equal counterpart which is still relevant, costs exactly what
+   it did.  [status] memoizes the walk per set id; a set met again while
+   on the walk closes a cycle, which proves nothing.  Infinite entries
+   have no path and stay infinite. *)
+let shrink t (pb : Problem.t) plrg ~map =
+  let old_plrg = t.plrg in
+  t.problem <- pb;
+  t.plrg <- plrg;
+  Propset.refresh_ctx ~map t.ctx pb;
+  t.supports <- Supports.make t.ctx pb plrg;
+  let status = Bytes.make (Propset.interned_count t.ctx) unknown in
+  let rec keeps id =
+    let s = Bytes.get status id in
+    if s <> unknown then s = kept
+    else begin
+      Bytes.set status id on_walk;
+      let keep =
+        Float.equal (solved t id) Float.infinity
+        ||
+        let a = witness_act t id in
+        a >= 0
+        && map.(a) >= 0
+        && Plrg.action_relevant plrg map.(a)
+        &&
+        let next = t.wit_next.(id) in
+        Array.length (Propset.handle_of_id t.ctx next).Propset.set = 0
+        || keeps next
+      in
+      Bytes.set status id (if keep then kept else dropped);
+      keep
+    end
+  in
+  let evicted = ref 0 in
+  t.solved_ids <-
+    List.filter
+      (fun sid ->
+        keeps sid
+        || begin
+             t.solved_val.(sid) <- Float.nan;
+             incr evicted;
+             false
+           end)
+      t.solved_ids;
+  (* Every walk has read the old ids by now: remap the kept witnesses
+     and drop the rest. *)
+  for id = 0 to Array.length t.wit_act - 1 do
+    let a = t.wit_act.(id) in
+    if a >= 0 then
+      t.wit_act.(id) <- (if keeps id then map.(a) else -1)
   done;
-  !evicted
+  let changed p =
+    not (Float.equal (Plrg.cost old_plrg p) (Plrg.cost plrg p))
+  in
+  !evicted + evict_hmax t ~dirty:changed

@@ -28,6 +28,16 @@
     - {b Bound seeding.}  Expansions reaching a set whose cost is known
       only as a cached bound fold that bound into the successor's f-value
       (still admissible), so exhausted queries sharpen later ones.
+    - {b Witnesses.}  Every set on the optimal path an exact solve
+      found (the root and the chain below it, harvested or not) records
+      the first edge of that path from it: the cheapest action from it
+      to the next set on the path, which is the empty set or another
+      witnessed set.  The edge is read off the rows the solve already
+      filled, so recording interns no set and fills no row.  Every
+      finite solved entry has a witness unless a {!refresh} dropped it;
+      following witnesses from it reaches the empty set, and the
+      actions' cost bounds sum to the entry.  {!shrink} keeps exactly
+      the entries whose witnessed path survives a delta.
 
     The A* itself allocates only what it keeps.  Its queue is one
     {!Sekitei_util.Heap} of interned handles per oracle, reset per solve;
@@ -128,6 +138,23 @@ val bound_promoted : t -> int
     order is unspecified. *)
 val iter_solved : t -> (int array -> float -> unit) -> unit
 
+(** [witness t h] is the witness recorded for [h]'s set (see the
+    module preamble), [None] if it has none: [Some (act, next)] where
+    [act] is an action id of the problem the oracle is bound to and
+    [next] the set [act] regresses [h]'s set to, either empty or
+    witnessed itself.  Every finite solved entry has one unless a
+    {!refresh} dropped it, and following witnesses from it reaches the
+    empty set with [cost_lb]s summing to the entry, up to float
+    rounding.  For tests and diagnostics. *)
+val witness : t -> Propset.handle -> (int * Propset.handle) option
+
+(** Iterate over every stored budget-exhausted bound (canonical set,
+    bound), read-only.  Each is an admissible lower bound on the set's
+    exact cost.  {!begin_request} drops them all, so after a search they
+    are that request's.  For tests and diagnostics; the order is
+    unspecified. *)
+val iter_bounds : t -> (int array -> float -> unit) -> unit
+
 (** [begin_request t ~deadline] resets the per-request state before a
     (possibly warm) plan request: every exhausted-query bound is dropped,
     the escalation pool is refilled, and [deadline] becomes the token
@@ -140,20 +167,46 @@ val iter_solved : t -> (int array -> float -> unit) -> unit
     (and caches) an admissible lower bound. *)
 val begin_request : t -> deadline:Sekitei_util.Deadline.t -> unit
 
+(** {1 Updates}
+
+    A session re-points its oracle at each recompiled problem through
+    one of three functions, chosen by {!Problem.leveled_diff}.  Each
+    keeps the interner, so set ids stay valid, and each leaves every
+    kept solved entry exact for the new problem and every kept witness
+    naming the new problem's action ids. *)
+
 (** [rebind t pb plrg] points a live oracle at a recompiled problem
-    that {!Problem.same_leveled} finds equal to the one it was built or
-    last refreshed for, and at that problem's PLRG ({!Plrg.rebind}).
-    Every solved and h_max entry, the {!Supports} rows and the
-    {!Propset.ctx} tables are kept, since the problems agree on
+    that {!Problem.leveled_diff} finds [Same] as the one it was built or
+    last updated for, and at that problem's PLRG ({!Plrg.rebind}).
+    Every solved and h_max entry, every witness, the {!Supports} rows
+    and the {!Propset.ctx} tables are kept, since the problems agree on
     everything they were computed from; nothing is evicted. *)
 val rebind : t -> Problem.t -> Plrg.t -> unit
 
+(** [shrink t pb plrg ~map] points a live oracle at a recompiled problem
+    that {!Problem.leveled_diff} finds [Fewer map] than the old one, and
+    at [plrg], built for [pb].  Removing actions can only raise set
+    costs, so a solved entry whose witness path still exists — each
+    witness action maps to a new action that [plrg] finds relevant, and
+    each next set is the empty set or an entry that is kept too — is
+    still exact; it stays, its witness remapped through [map].  Every
+    other finite entry is evicted; infinite entries stay.  An h_max memo
+    entry is evicted when [plrg] changed the cost of one of its set's
+    propositions.  The {!Propset.ctx} tables move through [map]; the
+    {!Supports} rows are rebuilt lazily, as in {!refresh}.  Returns the
+    number of solved and h_max entries evicted. *)
+val shrink : t -> Problem.t -> Plrg.t -> map:int array -> int
+
 (** [refresh t pb plrg ~dirty] rebinds a live oracle to a recompiled
-    problem after a topology delta: the supports table is rebuilt against
+    problem after any other delta: the supports table is rebuilt against
     the new PLRG, the shared {!Propset.ctx} regression tables are
     refreshed ({!Propset.refresh_ctx}), and every solved / h_max cache
     entry whose set contains a proposition with [dirty p = true] is
     evicted (see {!Supports.taint} for why clean entries stay exact).
+    Every witness is dropped, since the recompile renumbered the actions
+    they name, so a later {!shrink} evicts the entries kept here.  (On
+    connected networks the taint cone of a delta that adds or alters
+    actions covers almost every set, so little is kept this way.)
     Returns the number of entries evicted.  The caller must have checked
     that [pb.init] is unchanged — otherwise the interner is invalid and
     the oracle must be rebuilt with {!create}. *)

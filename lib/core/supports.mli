@@ -10,10 +10,11 @@
     set id: per set, the candidate array and a parallel row of successor
     handles (the set regressed through each candidate), each computed
     the first time a search reads it and served by array loads after
-    that, with no allocation.  Rows live as long as the [t];
-    {!Slrg.refresh} builds a fresh [t] for a recompiled problem, whose
-    action ids differ, and {!rebind} keeps them for one that
-    {!Problem.same_leveled} finds equal. *)
+    that, with no allocation.  Rows live as long as the [t].
+    {!Slrg.shrink} and {!Slrg.refresh} build a fresh [t] for a
+    recompiled problem whose action ids differ, so rows rebuild lazily
+    as searches read them, and {!rebind} keeps them for one that
+    {!Problem.leveled_diff} finds [Same]. *)
 
 type t
 
@@ -38,8 +39,8 @@ val successor : t -> Propset.handle -> int -> Propset.handle
 
 (** [rebind t pb] makes successor rows regress through [pb]'s actions
     from now on and keeps every row already filled.  [pb] must agree with
-    the problem [t] was made for ({!Problem.same_leveled}), so the rows
-    hold what [pb] would compute. *)
+    the problem [t] was made for ({!Problem.leveled_diff} finds it
+    [Same]), so the rows hold what [pb] would compute. *)
 val rebind : t -> Problem.t -> unit
 
 (** [taint pb ~node_touched ~link_touched] computes the invalidation

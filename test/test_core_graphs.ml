@@ -224,6 +224,34 @@ let test_slrg_harvest_agrees_with_fresh () =
       Alcotest.(check bool) "harvested entry agrees" true agree);
   Alcotest.(check bool) "solved cache non-trivial" true (!checked > 1)
 
+(* Stored bounds are admissible: a search whose SLRG queries run out of
+   budget keeps an open-minimum bound for each exhausted set, and exact
+   solves leave [cost - g] bounds on the sets they touched.  Each must
+   be at most the set's exact cost, from a fresh oracle with a budget
+   no query exhausts. *)
+let test_slrg_bounds_admissible () =
+  let module Scenarios = Sekitei_harness.Scenarios in
+  let module Rg = Sekitei_core.Rg in
+  List.iter
+    (fun (name, (sc : Scenarios.t)) ->
+      let app = sc.Scenarios.app in
+      let pb =
+        Compile.compile sc.Scenarios.topo app (Media.leveling Media.C app)
+      in
+      let plrg = Plrg.build pb in
+      let slrg = Slrg.create ~query_budget:50 pb plrg in
+      ignore (Rg.search pb slrg);
+      let exact = Slrg.create ~query_budget:1_000_000 pb plrg in
+      let n = ref 0 in
+      Slrg.iter_bounds slrg (fun set b ->
+          incr n;
+          let c = Slrg.query_set exact (Array.copy set) in
+          if not (b <= c +. 1e-6) then
+            Alcotest.failf "%s: stored bound %g above the exact cost %g"
+              name b c);
+      Alcotest.(check bool) (name ^ ": bounds stored") true (!n > 0))
+    [ ("Small-C", Scenarios.small ()); ("Large-C", Scenarios.large ()) ]
+
 (* ---------------- Propset interner ---------------- *)
 
 module Action = Sekitei_core.Action
@@ -268,6 +296,67 @@ let reference_regress (pb : Problem.t) (set : int array) (a : Action.t) =
       (Array.to_list set)
   in
   Propset.canonical pb (kept @ Array.to_list a.Action.pre)
+
+(* The cost of the witness path from [h] in [slrg], if every edge is
+   sound in [pb]: it names a [plrg]-relevant action of [pb] that
+   regresses the set to the next one, and the path ends at the empty
+   set.  [None] otherwise. *)
+let witness_path_cost (pb : Problem.t) plrg slrg (h : Propset.handle) =
+  let rec walk (h : Propset.handle) sum steps =
+    if Array.length h.Propset.set = 0 then Some sum
+    else if steps = 0 then None
+    else
+      match Slrg.witness slrg h with
+      | None -> None
+      | Some (a, next) ->
+          if
+            a < Array.length pb.Problem.actions
+            && Plrg.action_relevant plrg a
+            && reference_regress pb h.Propset.set pb.Problem.actions.(a)
+               = next.Propset.set
+          then
+            walk next
+              (sum +. pb.Problem.actions.(a).Action.cost_lb)
+              (steps - 1)
+          else None
+  in
+  walk h 0. 10_000
+
+(* Every finite solved entry of [slrg] has a sound witness path in [pb]
+   whose cost is the entry. *)
+let check_witnesses what pb plrg slrg =
+  let ctx = Slrg.ctx slrg in
+  let n = ref 0 in
+  Slrg.iter_solved slrg (fun set cost ->
+      if Float.is_finite cost then begin
+        incr n;
+        match witness_path_cost pb plrg slrg (Propset.intern ctx set) with
+        | Some sum ->
+            Alcotest.(check (float 1e-6))
+              (what ^ ": witness path cost") cost sum
+        | None -> Alcotest.failf "%s: no sound witness path" what
+      end);
+  Alcotest.(check bool) (what ^ ": witnessed entries") true (!n > 0)
+
+(* Every finite entry of a fresh oracle has a sound witness path.  A
+   refresh onto a recompiled problem keeps the clean entries but drops
+   every witness: the recompile may renumber the actions they name. *)
+let test_witness_paths () =
+  let pb = tiny Media.C in
+  let plrg = Plrg.build pb in
+  let slrg = Slrg.create pb plrg in
+  ignore (Slrg.query slrg (Array.to_list pb.Problem.goal_props));
+  check_witnesses "fresh" pb plrg slrg;
+  let pb' = tiny Media.C in
+  let evicted =
+    Slrg.refresh slrg pb' (Plrg.build pb') ~dirty:(fun _ -> false)
+  in
+  Alcotest.(check int) "clean refresh evicts nothing" 0 evicted;
+  let ctx = Slrg.ctx slrg in
+  for id = 0 to Propset.interned_count ctx - 1 do
+    Alcotest.(check bool) "no witness left" true
+      (Slrg.witness slrg (Propset.handle_of_id ctx id) = None)
+  done
 
 (* Successor rows: every candidate row is the ascending list of the
    set's distinct PLRG-relevant supporters, every slot is the interned
@@ -387,6 +476,7 @@ let suite =
     ("interner canonicalizes", `Quick, test_interner_canonicalizes);
     ("interner dense ids", `Quick, test_interner_dense_ids);
     ("successor rows", `Quick, test_successor_rows);
+    ("witness paths", `Quick, test_witness_paths);
     ("kernels allocation-free", `Quick, test_kernels_allocation_free);
     ("plrg goal reachable", `Quick, test_goal_reachable);
     ("plrg goal unreachable partitioned", `Quick, test_goal_unreachable_partitioned);
@@ -405,4 +495,5 @@ let suite =
     ("slrg cache hits counted", `Quick, test_slrg_cache_hits_counted);
     ("slrg bound escalation", `Quick, test_slrg_bound_escalation);
     ("slrg harvest agrees with fresh", `Quick, test_slrg_harvest_agrees_with_fresh);
+    ("slrg stored bounds admissible", `Quick, test_slrg_bounds_admissible);
   ]

@@ -973,6 +973,170 @@ let prop_plan_ids_stable =
                   && (T.get_link cur r.Audit.link).T.kind = r.Audit.kind)
                 a.Audit.links))
 
+(* ---------------- updates keep only exact oracle entries ---------------- *)
+
+(* What {!Session.update} keeps of the oracle is exact for the new
+   problem.  Each case opens a session on a network with alternative
+   routes (the diamond, or a transit-stub whose stubs are fully meshed)
+   and applies 1-4 deltas mixed from link removals, node failures and
+   absolute capacity settings, which cut or raise a capacity across the
+   levels' cutpoints about as often as not: removals and cuts take the
+   shrink path, raises the taint path, and changes inside a level keep
+   everything.  After every update:
+   - every solved entry equals an unbudgeted fresh oracle's answer on
+     the new problem, and every h_max memo entry is the new PLRG's;
+   - every finite solved entry has a witness path (unless a taint-path
+     update, which drops witnesses, came first): each edge names a
+     relevant action of the new problem that regresses the set to the
+     next one, the path ends at the empty set, and its [cost_lb]s sum to
+     the entry;
+   - the warm re-plan agrees with a cold plan on the result constructor
+     and the cost bound. *)
+let prop_updates_keep_exact_entries =
+  let diamond () =
+    let topo =
+      T.make
+        ~nodes:
+          (List.init 4 (fun i -> T.node ~cpu:30. i (Printf.sprintf "n%d" i)))
+        ~links:
+          [
+            T.link ~bw:150. T.Lan 0 0 1;
+            T.link ~bw:150. T.Lan 1 1 3;
+            T.link ~bw:150. T.Lan 2 0 2;
+            T.link ~bw:150. T.Lan 3 2 3;
+          ]
+    in
+    (topo, 0, 3)
+  in
+  (* Two transit routers, each with one stub of two hosts: nodes 2-3 and
+     4-5.  Server and client sit in different stubs. *)
+  let transit_stub seed =
+    let rng = Prng.create ~seed:(Int64.of_int seed) in
+    ( G.transit_stub ~extra_edge_prob:1. ~rng ~transit:2 ~stubs_per_transit:1
+        ~stub_size:2 (),
+      2,
+      5 )
+  in
+  let config =
+    {
+      Planner.default_config with
+      Planner.rg_max_expansions = 5_000;
+      slrg_query_budget = 1_000_000;
+    }
+  in
+  let close a b =
+    (not (Float.is_finite a || Float.is_finite b)) || Float.abs (a -. b) <= 1e-6
+  in
+  (* [tainted]: an update of this case took the taint path, which drops
+     every witness, so a kept entry may have none. *)
+  let entries_exact ~tainted session =
+    match (Session.problem session, Session.oracle session) with
+    | Some pb, Some oracle ->
+        let plrg = Plrg.build pb in
+        let fresh = Slrg.create ~query_budget:1_000_000 pb plrg in
+        let ctx = Slrg.ctx oracle in
+        let ok = ref true in
+        Slrg.iter_solved oracle (fun set cost ->
+            if not (close cost (Slrg.query_set fresh (Array.copy set))) then
+              ok := false;
+            let h = Propset.intern ctx set in
+            let unwitnessed = Slrg.witness oracle h = None in
+            if Float.is_finite cost && not (tainted && unwitnessed) then
+              match Test_core_graphs.witness_path_cost pb plrg oracle h with
+              | Some sum when close sum cost -> ()
+              | _ -> ok := false);
+        for id = 0 to Propset.interned_count ctx - 1 do
+          let h = Propset.handle_of_id ctx id in
+          let expect =
+            Array.fold_left
+              (fun m p -> Float.max m (Plrg.cost plrg p))
+              0. h.Propset.set
+          in
+          if not (Float.equal (Slrg.h_max_h oracle h) expect) then ok := false
+        done;
+        !ok
+    | _ -> true
+  in
+  let arb =
+    Q.triple Q.bool (Q.int_range 0 10_000)
+      (Q.list_of_size (Q.Gen.int_range 1 4)
+         (Q.triple (Q.int_range 0 3) Q.small_nat (Q.float_range 20. 160.)))
+  in
+  Q.Test.make ~count:20 ~name:"updates keep only exact oracle entries" arb
+    (fun (on_diamond, seed, deltas) ->
+      let topo, server, client =
+        if on_diamond then diamond () else transit_stub seed
+      in
+      let app = Media.app ~server ~client () in
+      let leveling = Media.leveling Media.C app in
+      let session =
+        Session.create (Planner.request ~config topo app ~leveling)
+      in
+      ignore (Session.plan session);
+      let tainted = ref false in
+      List.for_all
+        (fun (op, site, v) ->
+          let t = Session.topology session in
+          let live = T.links t in
+          let relays =
+            List.filter
+              (fun n -> n <> server && n <> client && T.node_alive t n)
+              (List.init (T.node_count t) Fun.id)
+          in
+          let pick xs = List.nth xs (site mod List.length xs) in
+          let delta =
+            match op with
+            | 0 when Array.length live > 1 ->
+                Some
+                  (Session.Remove_link
+                     { link = (pick (Array.to_list live)).T.link_id })
+            | 1 when relays <> [] ->
+                Some (Session.Fail_node { node = pick relays })
+            | 2 when Array.length live > 0 ->
+                Some
+                  (Session.Set_link_resource
+                     {
+                       link = (pick (Array.to_list live)).T.link_id;
+                       resource = "lbw";
+                       value = v;
+                     })
+            | _ ->
+                Some
+                  (Session.Set_node_resource
+                     {
+                       node = pick (server :: client :: relays);
+                       resource = "cpu";
+                       value = v /. 4.;
+                     })
+          in
+          match delta with
+          | None -> true
+          | Some d ->
+              let before = Session.problem session in
+              ignore (Session.update session d);
+              (match (before, Session.problem session) with
+              | Some old, Some pb -> (
+                  match Problem.leveled_diff ~old pb with
+                  | Problem.Changed -> tainted := true
+                  | Problem.Same | Problem.Fewer _ -> ())
+              | _ -> ());
+              entries_exact ~tainted:!tainted session
+              &&
+              let warm = Session.plan session in
+              let cold =
+                Planner.plan
+                  (Planner.request ~config (Session.topology session) app
+                     ~leveling)
+              in
+              match (warm.Planner.result, cold.Planner.result) with
+              | Ok p1, Ok p2 -> close p1.Plan.cost_lb p2.Plan.cost_lb
+              | ( Error (Planner.Search_limit { frontier = f1; _ }),
+                  Error (Planner.Search_limit { frontier = f2; _ }) ) ->
+                  close f1.Rg.best_f f2.Rg.best_f
+              | Error r1, Error r2 -> r1 = r2
+              | _ -> false)
+        deltas)
+
 (* ---------------- leveling propagation property ---------------- *)
 
 let prop_propagation_wellformed =
@@ -1161,6 +1325,7 @@ let suite =
       prop_warm_equals_cold;
       prop_link_identity_stable;
       prop_plan_ids_stable;
+      prop_updates_keep_exact_entries;
       prop_propagation_wellformed;
       prop_plans_certify;
       prop_mutations_rejected;

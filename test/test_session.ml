@@ -127,15 +127,18 @@ let test_update_inside_level_keeps_oracle () =
   in
   close "warm == cold cost" (cost_of "cold" cold) (cost_of "warm" warm)
 
-(* The identity predicate behind that reuse: it rejects a copy of a
-   compiled problem edited in any field the graph phases read, and
-   accepts one that differs only in what replay alone reads. *)
-let test_same_leveled () =
+(* The predicate behind that reuse: it finds a copy of a compiled
+   problem [Same] when it differs only in what replay alone reads,
+   [Fewer] when actions were only taken away (with the map naming each
+   survivor's new id), and [Changed] when any field the graph phases
+   read was edited or an action was added. *)
+let test_leveled_diff () =
   let sc = Scenarios.small () in
   let app = sc.Scenarios.app in
   let leveling = Media.leveling Media.C app in
   let pb = Compile.compile sc.Scenarios.topo app leveling in
   let n_props = Array.length pb.Problem.init in
+  let n = Array.length pb.Problem.actions in
   let edit_action f =
     (* the first action with a precondition, edited by [f] *)
     let i =
@@ -150,12 +153,40 @@ let test_same_leveled () =
         Array.mapi (fun j a -> if j = i then f a else a) pb.Problem.actions;
     }
   in
-  let bump arr = Array.map (fun p -> (p + 1) mod n_props) arr in
-  let check name expected other =
-    Alcotest.(check bool) name expected (Problem.same_leveled pb other)
+  let without keep =
+    let kept =
+      List.filter (fun (a : Action.t) -> keep a.Action.act_id)
+        (Array.to_list pb.Problem.actions)
+    in
+    {
+      pb with
+      Problem.actions =
+        Array.of_list
+          (List.mapi
+             (fun i (a : Action.t) -> { a with Action.act_id = i })
+             kept);
+    }
   in
-  check "itself" true pb;
-  check "fresh copies of every array" true
+  let bump arr = Array.map (fun p -> (p + 1) mod n_props) arr in
+  let show = function
+    | Problem.Same -> "Same"
+    | Problem.Fewer _ -> "Fewer"
+    | Problem.Changed -> "Changed"
+  in
+  let check name expected other =
+    Alcotest.(check string) name expected
+      (show (Problem.leveled_diff ~old:pb other))
+  in
+  (* [Fewer]'s map sends each kept action to a field-equal one, in
+     order, and names every new action once. *)
+  let check_fewer name (other : Problem.t) expect_map =
+    match Problem.leveled_diff ~old:pb other with
+    | Problem.Fewer map ->
+        Alcotest.(check (array int)) (name ^ ": map") expect_map map
+    | d -> Alcotest.failf "%s: expected Fewer, got %s" name (show d)
+  in
+  check "itself" "Same" pb;
+  check "fresh copies of every array" "Same"
     {
       pb with
       Problem.init = Array.copy pb.Problem.init;
@@ -170,7 +201,7 @@ let test_same_leveled () =
             })
           pb.Problem.actions;
     };
-  check "checked levels differ" true
+  check "checked levels differ" "Same"
     {
       pb with
       Problem.actions =
@@ -183,36 +214,56 @@ let test_same_leveled () =
             })
           pb.Problem.actions;
     };
-  check "one action's pre" false
+  check "one action's pre" "Changed"
     (edit_action (fun a -> { a with Action.pre = bump a.Action.pre }));
-  check "one action's add_closure" false
+  check "one action's add_closure" "Changed"
     (edit_action (fun a ->
          { a with Action.add_closure = bump a.Action.add_closure }));
-  check "one action's cost_lb" false
+  check "one action's cost_lb" "Changed"
     (edit_action (fun a -> { a with Action.cost_lb = a.Action.cost_lb +. 1. }));
-  check "init" false
+  check "init" "Changed"
     {
       pb with
       Problem.init =
         Array.mapi (fun p b -> if p = 0 then not b else b) pb.Problem.init;
     };
-  check "goal_props" false
+  check "goal_props" "Changed"
     { pb with Problem.goal_props = bump pb.Problem.goal_props };
-  check "one action fewer" false
+  check "one action more" "Changed"
     {
       pb with
       Problem.actions =
-        Array.sub pb.Problem.actions 0 (Array.length pb.Problem.actions - 1);
+        Array.append pb.Problem.actions [| pb.Problem.actions.(0) |];
     };
+  (* One action gone and the first two swapped: fewer, but out of
+     order. *)
+  check "fewer, out of order" "Changed"
+    (let moved i j = { pb.Problem.actions.(i) with Action.act_id = j } in
+     {
+       pb with
+       Problem.actions =
+         Array.init (n - 1) (fun j ->
+             if j = 0 then moved 1 0
+             else if j = 1 then moved 0 1
+             else moved (j + 1) j);
+     });
+  check_fewer "last action gone" (without (fun a -> a < n - 1))
+    (Array.init n (fun a -> if a < n - 1 then a else -1));
+  check_fewer "every third action gone"
+    (without (fun a -> a mod 3 <> 1))
+    (Array.init n (fun a -> if a mod 3 = 1 then -1 else a - ((a + 1) / 3)));
   (* Compiled problems: a raise inside the WAN link's level keeps the
-     leveled problem, a cut below a cutpoint does not. *)
+     leveled problem, a cut below a cutpoint only drops actions, and a
+     raise above one adds some. *)
   let at lbw =
     Compile.compile
       (Mutate.set_link_resource sc.Scenarios.topo 2 "lbw" lbw)
       app leveling
   in
-  check "lbw 80 (same level)" true (at 80.);
-  check "lbw 66 (below a cutpoint)" false (at 66.)
+  check "lbw 80 (same level)" "Same" (at 80.);
+  check "lbw 66 (below a cutpoint)" "Fewer" (at 66.);
+  Alcotest.(check string) "lbw 66 -> 70 (back above it)" "Changed"
+    (show (Problem.leveled_diff ~old:(at 66.) pb))
 
 let test_update_to_infeasible_and_back () =
   let sc, req = small_request () in
@@ -519,7 +570,7 @@ let suite =
     ("update then warm == cold", `Quick, test_update_then_warm_equals_cold);
     ("update inside a level keeps the oracle", `Quick,
      test_update_inside_level_keeps_oracle);
-    ("same_leveled", `Quick, test_same_leveled);
+    ("leveled_diff", `Quick, test_leveled_diff);
     ("infeasible and back", `Quick, test_update_to_infeasible_and_back);
     ("remove link, replan", `Quick, test_remove_link_replan);
     ("update rejects bad ids", `Quick, test_update_rejects_bad_ids);
