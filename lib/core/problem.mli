@@ -82,8 +82,8 @@ val action : t -> int -> Action.t
       different [init] or [goal_props]).
 
     {!Session.update} keeps the whole oracle on [Same], the entries whose
-    recorded optimal path survives on [Fewer] ({!Slrg.shrink}), and
-    evicts the taint cone on [Changed] ({!Slrg.refresh}). *)
+    recorded optimal path survives on [Fewer] ({!Slrg.shrink}), and drops
+    it on [Changed], so the next plan starts a fresh one. *)
 type leveled_diff = Same | Fewer of int array | Changed
 
 (** [leveled_diff ~old nw] classifies [nw] against [old] (see

@@ -142,36 +142,29 @@ type ctx = {
 
 (* Add-closures need no table: {!Action.t} keeps them strictly
    increasing, so [regress_intern] merges them as they are. *)
-let pre_tables (pb : Problem.t) =
-  Array.map
-    (fun (a : Action.t) -> canonical_array pb a.Action.pre)
-    pb.Problem.actions
-
 let make_ctx (pb : Problem.t) =
   {
-    pre_canon = pre_tables pb;
+    pre_canon =
+      Array.map
+        (fun (a : Action.t) -> canonical_array pb a.Action.pre)
+        pb.Problem.actions;
     interner = Interner.create ();
     scratch = Array.make 64 0;
   }
 
 (* Rebinding a ctx to a recompiled problem keeps the interner (prop ids —
    and therefore canonical sets and their dense handle ids — are stable
-   across topology deltas; see {!Session}) but rebuilds the per-action
-   tables, which are keyed by action ids the recompile renumbers, or
-   moves them through an old-to-new id map.  The caller is responsible
-   for checking that [pb.init] is unchanged — a different initial
-   section changes what "canonical" means and requires a fresh ctx. *)
-let refresh_ctx ?map ctx (pb : Problem.t) =
-  match map with
-  | None -> ctx.pre_canon <- pre_tables pb
-  | Some map ->
-      (* A field-equal action keeps its canonical preconditions: the old
-         rows move to the new ids. *)
-      let rows = Array.make (Array.length pb.Problem.actions) [||] in
-      Array.iteri
-        (fun a a' -> if a' >= 0 then rows.(a') <- ctx.pre_canon.(a))
-        map;
-      ctx.pre_canon <- rows
+   across topology deltas, and the caller guarantees an unchanged
+   [init], which is what "canonical" depends on).  The per-action tables
+   are keyed by action ids the recompile renumbers; a field-equal action
+   keeps its canonical preconditions, so the old rows move to the new
+   ids. *)
+let refresh_ctx ~map ctx (pb : Problem.t) =
+  let rows = Array.make (Array.length pb.Problem.actions) [||] in
+  Array.iteri
+    (fun a a' -> if a' >= 0 then rows.(a') <- ctx.pre_canon.(a))
+    map;
+  ctx.pre_canon <- rows
 
 let intern ctx set = Interner.intern ctx.interner set
 let handle_of_id ctx id = Interner.get ctx.interner id

@@ -71,20 +71,17 @@ type ctx
 
 val make_ctx : Problem.t -> ctx
 
-(** [refresh_ctx ?map ctx pb] rebinds the ctx to a recompiled problem:
-    the per-action regression tables are rebuilt (they are keyed by
-    action ids, which recompilation renumbers), while the interner — and
-    with it every dense handle id — is kept, because proposition ids are
-    stable across topology deltas.  With [map] (old action id to new id,
-    [-1] when gone; see {!Problem.leveled_diff}), each new action's table
-    is carried over from the old action it maps from instead of being
-    recomputed, so every old action [a] with [map.(a) >= 0] must be
-    field-equal to new action [map.(a)].  The caller must ensure
-    [pb.init] equals the init array the ctx was created with; a changed
-    initial section changes canonicalization itself and requires a
-    fresh ctx ({!Session} checks this and rebuilds from scratch on a
-    mismatch). *)
-val refresh_ctx : ?map:int array -> ctx -> Problem.t -> unit
+(** [refresh_ctx ~map ctx pb] rebinds the ctx to a recompiled problem
+    with fewer actions ({!Problem.leveled_diff}'s [Fewer map]): the
+    interner — and with it every dense handle id — is kept, because
+    proposition ids are stable across topology deltas, and the
+    per-action regression tables, keyed by action ids the recompile
+    renumbers, move through [map] (old action id to new id, [-1] when
+    gone).  Every old action [a] with [map.(a) >= 0] must be field-equal
+    to new action [map.(a)], and every new action must have such an old
+    one.  [pb.init] must equal the init array the ctx was created with,
+    since it decides what "canonical" means; [Fewer] guarantees both. *)
+val refresh_ctx : map:int array -> ctx -> Problem.t -> unit
 
 (** Intern a canonical set in the ctx's interner. *)
 val intern : ctx -> int array -> handle

@@ -11,9 +11,8 @@
    that poses the same leveled problem ({!Problem.leveled_diff} [Same])
    keeps the PLRG and the whole oracle; one with only fewer actions
    keeps the oracle entries whose witnessed optimal path survives
-   ({!Slrg.shrink}); otherwise only oracle entries whose sets contain a
-   delta-dirtied proposition are evicted ({!Supports.taint} /
-   {!Slrg.refresh}).
+   ({!Slrg.shrink}); any other drops the oracle, and the next plan
+   creates a fresh one as a cold run does.
 
    Warm-equals-cold contract: a warm re-plan returns bit-identical
    results (plan actions, cost bounds, failure constructors) to a cold
@@ -24,7 +23,10 @@
    which is why {!Slrg.begin_request} drops all of them (and refills the
    escalation pool) at every request start.  Under budget exhaustion the
    served bound may differ from the cold one — still admissible, and the
-   search still returns a correct plan, but tie-breaking may diverge. *)
+   search still returns a correct plan, but tie-breaking may diverge.
+   After an update that dropped the oracle, the re-plan is a cold search
+   of a problem identical to a cold compile's, so it matches a cold run
+   exactly, search counts included, with or without budget exhaustion. *)
 
 let src = Logs.Src.create "sekitei.planner" ~doc:"Sekitei planner phases"
 
@@ -667,11 +669,11 @@ let apply_delta topo = function
   | Remove_link { link } -> Mutate.remove_link topo link
   | Fail_node { node } -> Mutate.fail_node topo node
 
-(* Touched sites of a delta, in terms the invalidation machinery wants:
-   node indices and link ids.  Link ids are stable across every Mutate
-   operation, so one touched set speaks for both the pre- and post-delta
-   problem — a tombstoned link's id still names it in the old problem's
-   actions, and never occurs in the new one. *)
+(* Touched sites of a delta, as {!Compile.recompile}'s reuse hooks read
+   them: node indices and link ids.  Link ids are stable across every
+   Mutate operation, so a touched id names the same link in the old
+   problem's grounding groups as in the new topology — where a
+   tombstoned one has no group at all. *)
 let touched_of old_topo = function
   | Set_node_resource { node; _ } -> ([ node ], [])
   | Set_link_resource { link; _ } -> ([], [ link ])
@@ -715,62 +717,47 @@ let update t delta =
              one-shot run would. *)
           t.state <- None
       | (pb, invalidated), compile_phase ->
-          if st.pb.Problem.init <> pb.Problem.init then
-            (* A changed initial section changes set canonicalization
-               itself: every interned handle is suspect.  Full flush. *)
-            t.state <- None
-          else begin
-            let rebuild_plrg () =
-              let plrg, plrg_phase =
-                run_phase telemetry "plrg" (fun () -> Plrg.build pb)
-              in
-              st.plrg_phase <- plrg_phase;
-              plrg
+          let rebuild_plrg () =
+            let plrg, plrg_phase =
+              run_phase telemetry "plrg" (fun () -> Plrg.build pb)
             in
-            let plrg, evicted =
-              match Problem.leveled_diff ~old:st.pb pb with
-              | Problem.Same ->
-                  (* The delta stayed inside its levels: the graph phases
-                     read nothing that changed, so the PLRG, every oracle
-                     entry and the supports rows stay.  They only move to
-                     the new problem, which leaves the old one garbage. *)
-                  let plrg = Plrg.rebind st.plrg pb in
-                  Option.iter (fun o -> Slrg.rebind o pb plrg) st.oracle;
-                  (plrg, 0)
-              | Problem.Fewer map ->
-                  (* Actions only went away: an entry whose recorded
-                     optimal path survives is still exact. *)
-                  let plrg = rebuild_plrg () in
-                  ( plrg,
-                    match st.oracle with
-                    | Some o -> Slrg.shrink o pb plrg ~map
-                    | None -> 0 )
-              | Problem.Changed ->
-                  let plrg = rebuild_plrg () in
-                  (* Taint on both sides of the delta: the old problem
-                     catches chains through removed actions, the new one
-                     chains through novel actions at the touched sites.
-                     Stable ids mean the same touched predicates serve
-                     both. *)
-                  let _, dirty_old =
-                    Supports.taint st.pb ~node_touched ~link_touched
-                  in
-                  let _, dirty_new =
-                    Supports.taint pb ~node_touched ~link_touched
-                  in
-                  let dirty p = dirty_old.(p) || dirty_new.(p) in
-                  ( plrg,
-                    match st.oracle with
-                    | Some o -> Slrg.refresh o pb plrg ~dirty
-                    | None -> 0 )
-            in
-            st.pb <- pb;
-            st.plrg <- plrg;
-            st.compile_phase <- compile_phase;
-            t.pending_invalidated <- t.pending_invalidated + invalidated;
-            t.pending_evicted <- t.pending_evicted + evicted;
-            Log.info (fun m ->
-                m "delta applied: %d actions invalidated, %d entries evicted"
-                  invalidated evicted)
-          end));
+            st.plrg_phase <- plrg_phase;
+            plrg
+          in
+          let plrg, evicted =
+            match Problem.leveled_diff ~old:st.pb pb with
+            | Problem.Same ->
+                (* The delta stayed inside its levels: the graph phases
+                   read nothing that changed, so the PLRG, every oracle
+                   entry and the supports rows stay.  They only move to
+                   the new problem, which leaves the old one garbage. *)
+                let plrg = Plrg.rebind st.plrg pb in
+                Option.iter (fun o -> Slrg.rebind o pb plrg) st.oracle;
+                (plrg, 0)
+            | Problem.Fewer map ->
+                (* Actions only went away: an entry whose recorded
+                   optimal path survives is still exact. *)
+                let plrg = rebuild_plrg () in
+                ( plrg,
+                  match st.oracle with
+                  | Some o -> Slrg.shrink o pb plrg ~map
+                  | None -> 0 )
+            | Problem.Changed ->
+                (* An action was added or altered, or [init] or the goals
+                   moved: the next plan creates a fresh oracle, exactly
+                   as a cold run does. *)
+                let evicted =
+                  match st.oracle with Some o -> Slrg.entries o | None -> 0
+                in
+                st.oracle <- None;
+                (rebuild_plrg (), evicted)
+          in
+          st.pb <- pb;
+          st.plrg <- plrg;
+          st.compile_phase <- compile_phase;
+          t.pending_invalidated <- t.pending_invalidated + invalidated;
+          t.pending_evicted <- t.pending_evicted + evicted;
+          Log.info (fun m ->
+              m "delta applied: %d actions invalidated, %d entries evicted"
+                invalidated evicted)));
   t

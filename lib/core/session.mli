@@ -29,24 +29,28 @@
       its solve recorded, witness by witness, still exists in the new
       problem; h_max memo entries go where the new PLRG changed one of
       their propositions' costs ({!Slrg.shrink}).
-    - [Changed], when an action was added or altered: only oracle
-      entries whose proposition sets cross the delta's taint cone are
-      evicted ({!Supports.taint}, {!Slrg.refresh}), over a PLRG rebuilt
-      for the new problem.
+    - [Changed], when an action was added or altered, or the initial
+      section or the goals moved: the update keeps the recompiled
+      problem, rebuilds the PLRG and drops the oracle, counting every
+      solved and h_max entry it held as evicted; the next plan creates a
+      fresh oracle, exactly as a cold run does.
 
-    On every path each kept solved entry is the exact cost of its set in
-    the new problem, and each kept witness names an action of the new
-    problem.
+    On the first two paths each kept solved entry is the exact cost of
+    its set in the new problem, and each kept witness names an action of
+    the new problem.
 
     {b Warm == cold.}  A warm re-plan agrees with a cold [Planner.plan]
     of the session's current topology on everything that matters: the
     result constructor, the optimal cost bound, and (on budget cutoffs)
     the admissible best-f frontier evidence.  This holds after an update
-    on any of the three paths.  Every solved entry a path keeps is exact
-    for the new problem — on [Fewer] because removing actions can only
-    raise costs, so a surviving witness path still attains the old one —
-    and every kept h_max entry is the new PLRG's, while the per-request
-    reset ({!Slrg.begin_request}) drops everything that is not
+    on any of the three paths.  After [Changed] the re-plan is a cold
+    search of a problem identical to a cold compile's, so it agrees
+    exactly, plan steps and search counts included.  On the other two
+    paths every solved entry kept is exact for the new problem — on
+    [Fewer] because removing actions can only raise costs, so a
+    surviving witness path still attains the old one — and every kept
+    h_max entry is the new PLRG's, while the per-request reset
+    ({!Slrg.begin_request}) drops everything that is not
     path-independent — budget-exhausted bounds and the escalation pool —
     so carried cache state cannot steer the search.
     Two kinds of noise are tolerated, the oracle provisos {!Rg.search}
@@ -268,9 +272,10 @@ val is_warm : t -> bool
 val problem : t -> Problem.t option
 
 (** The session's SLRG oracle over {!problem}, [None] until a plan call
-    created it.  Read it, do not query it: a query fills caches the next
-    plan would otherwise fill itself, which changes that plan's counts.
-    For tests and diagnostics of what {!update} keeps. *)
+    created it and again after an {!update} dropped it.  Read it, do not
+    query it: a query fills caches the next plan would otherwise fill
+    itself, which changes that plan's counts.  For tests and diagnostics
+    of what {!update} keeps. *)
 val oracle : t -> Slrg.t option
 
 (** The session's always-on metric registry.  Every {!plan} records
@@ -314,13 +319,11 @@ val plan : t -> report
     the path (the reuse rule above): on [Same] the PLRG, the oracle's
     entries and the supports rows are all kept; on [Fewer] the PLRG is
     rebuilt and the entries whose witness path survives are kept; on
-    [Changed] the PLRG is rebuilt and oracle entries inside the delta's
-    taint cone are evicted.  The invalidation work is accumulated into
-    the next {!plan} report's [invalidated_actions] / [evicted_entries]
-    counters.  Falls back to a full flush (next plan compiles cold) when
-    the delta changes the initial proposition section — set
-    canonicalization itself shifts — or when the mutated spec no longer
-    compiles.  Returns [t] (the session is updated in place).
+    [Changed] the PLRG is rebuilt and the oracle dropped.  The
+    invalidation work is accumulated into the next {!plan} report's
+    [invalidated_actions] / [evicted_entries] counters.  Falls back to a
+    full flush (next plan compiles cold) only when the mutated spec no
+    longer compiles.  Returns [t] (the session is updated in place).
 
     A bad delta is rejected {e before} anything mutates:
     {!Sekitei_network.Topology.Stale_link} for a link id tombstoned by

@@ -52,8 +52,7 @@ type t = {
   mutable wit_act : int array;
       (** per set id on the path of an exact solve: the first action of
           that path from the set, -1 = no witness; sized by the largest
-          witnessed id.  Every finite solved entry has one, unless a
-          {!refresh} dropped it. *)
+          witnessed id.  Every finite solved entry has one. *)
   mutable wit_next : int array;
       (** parallel to [wit_act]: the id of the set that action regresses
           to, the empty set or another witnessed set *)
@@ -554,6 +553,11 @@ let cache_hits t = t.cache_hits
 let suffix_harvested t = t.suffix_harvested
 let bound_promoted t = t.bound_promoted
 
+let entries t =
+  Array.fold_left
+    (fun n h -> if Float.is_nan h then n else n + 1)
+    (List.length t.solved_ids) t.hmax_by_id
+
 let iter_solved t f =
   List.iter
     (fun sid -> f (Propset.handle_of_id t.ctx sid).Propset.set t.solved_val.(sid))
@@ -603,49 +607,6 @@ let rebind t pb plrg =
   t.problem <- pb;
   t.plrg <- plrg;
   Supports.rebind t.supports pb
-
-(* Evicts the h_max memo entries over a set holding a [dirty]
-   proposition, and counts them. *)
-let evict_hmax t ~dirty =
-  let evicted = ref 0 in
-  for id = 0 to Array.length t.hmax_by_id - 1 do
-    if not (Float.is_nan t.hmax_by_id.(id)) then
-      let set = (Propset.handle_of_id t.ctx id).Propset.set in
-      if Array.exists dirty set then begin
-        t.hmax_by_id.(id) <- Float.nan;
-        incr evicted
-      end
-  done;
-  !evicted
-
-let refresh t (pb : Problem.t) plrg ~dirty =
-  t.problem <- pb;
-  t.plrg <- plrg;
-  Propset.refresh_ctx t.ctx pb;
-  t.supports <- Supports.make t.ctx pb plrg;
-  let evicted = ref 0 in
-  (* Solved entries over a set with a dirty proposition may regress
-     through tainted actions; everything else regresses through actions
-     identical in the old and new problems (see {!Supports.taint}) and
-     stays exact. *)
-  t.solved_ids <-
-    List.filter
-      (fun sid ->
-        let set = (Propset.handle_of_id t.ctx sid).Propset.set in
-        if Array.exists dirty set then begin
-          t.solved_val.(sid) <- Float.nan;
-          incr evicted;
-          false
-        end
-        else true)
-      t.solved_ids;
-  (* Witnesses name old action ids, which the recompile renumbered: all
-     are dropped, so a later {!shrink} evicts the entries kept here. *)
-  Array.fill t.wit_act 0 (Array.length t.wit_act) (-1);
-  (* PLRG h_max of a clean set is unchanged (clean propositions keep
-     their per-proposition costs); dirty sets must recompute against the
-     rebuilt PLRG. *)
-  !evicted + evict_hmax t ~dirty
 
 (* The states of a set in {!shrink}'s walk. *)
 let unknown = '\000'
@@ -706,7 +667,18 @@ let shrink t (pb : Problem.t) plrg ~map =
     if a >= 0 then
       t.wit_act.(id) <- (if keeps id then map.(a) else -1)
   done;
+  (* An h_max memo entry over a set holding a proposition whose PLRG cost
+     changed is recomputed on its next read. *)
   let changed p =
     not (Float.equal (Plrg.cost old_plrg p) (Plrg.cost plrg p))
   in
-  !evicted + evict_hmax t ~dirty:changed
+  for id = 0 to Array.length t.hmax_by_id - 1 do
+    if
+      (not (Float.is_nan t.hmax_by_id.(id)))
+      && Array.exists changed (Propset.handle_of_id t.ctx id).Propset.set
+    then begin
+      t.hmax_by_id.(id) <- Float.nan;
+      incr evicted
+    end
+  done;
+  !evicted

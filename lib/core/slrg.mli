@@ -34,10 +34,10 @@
       to the next set on the path, which is the empty set or another
       witnessed set.  The edge is read off the rows the solve already
       filled, so recording interns no set and fills no row.  Every
-      finite solved entry has a witness unless a {!refresh} dropped it;
-      following witnesses from it reaches the empty set, and the
-      actions' cost bounds sum to the entry.  {!shrink} keeps exactly
-      the entries whose witnessed path survives a delta.
+      finite solved entry has a witness; following witnesses from it
+      reaches the empty set, and the actions' cost bounds sum to the
+      entry.  {!shrink} keeps exactly the entries whose witnessed path
+      survives a delta.
 
     The A* itself allocates only what it keeps.  Its queue is one
     {!Sekitei_util.Heap} of interned handles per oracle, reset per solve;
@@ -142,10 +142,9 @@ val iter_solved : t -> (int array -> float -> unit) -> unit
     module preamble), [None] if it has none: [Some (act, next)] where
     [act] is an action id of the problem the oracle is bound to and
     [next] the set [act] regresses [h]'s set to, either empty or
-    witnessed itself.  Every finite solved entry has one unless a
-    {!refresh} dropped it, and following witnesses from it reaches the
-    empty set with [cost_lb]s summing to the entry, up to float
-    rounding.  For tests and diagnostics. *)
+    witnessed itself.  Every finite solved entry has one, and following
+    witnesses from it reaches the empty set with [cost_lb]s summing to
+    the entry, up to float rounding.  For tests and diagnostics. *)
 val witness : t -> Propset.handle -> (int * Propset.handle) option
 
 (** Iterate over every stored budget-exhausted bound (canonical set,
@@ -169,11 +168,13 @@ val begin_request : t -> deadline:Sekitei_util.Deadline.t -> unit
 
 (** {1 Updates}
 
-    A session re-points its oracle at each recompiled problem through
-    one of three functions, chosen by {!Problem.leveled_diff}.  Each
-    keeps the interner, so set ids stay valid, and each leaves every
-    kept solved entry exact for the new problem and every kept witness
-    naming the new problem's action ids. *)
+    A session keeps its oracle across a recompiled problem in the two
+    cases {!Problem.leveled_diff} can vouch for: [Same] ({!rebind}) and
+    [Fewer] ({!shrink}).  Both keep the interner, so set ids stay valid,
+    and both leave every kept solved entry exact for the new problem and
+    every kept witness naming the new problem's action ids.  On
+    [Changed] the session drops the oracle and counts its {!entries} as
+    evicted; the next plan creates a fresh one with {!create}. *)
 
 (** [rebind t pb plrg] points a live oracle at a recompiled problem
     that {!Problem.leveled_diff} finds [Same] as the one it was built or
@@ -192,22 +193,11 @@ val rebind : t -> Problem.t -> Plrg.t -> unit
     still exact; it stays, its witness remapped through [map].  Every
     other finite entry is evicted; infinite entries stay.  An h_max memo
     entry is evicted when [plrg] changed the cost of one of its set's
-    propositions.  The {!Propset.ctx} tables move through [map]; the
-    {!Supports} rows are rebuilt lazily, as in {!refresh}.  Returns the
-    number of solved and h_max entries evicted. *)
+    propositions.  The {!Propset.ctx} tables move through [map]
+    ({!Propset.refresh_ctx}); the {!Supports} rows are rebuilt, and
+    refill lazily as searches read them.  Returns the number of solved
+    and h_max entries evicted. *)
 val shrink : t -> Problem.t -> Plrg.t -> map:int array -> int
 
-(** [refresh t pb plrg ~dirty] rebinds a live oracle to a recompiled
-    problem after any other delta: the supports table is rebuilt against
-    the new PLRG, the shared {!Propset.ctx} regression tables are
-    refreshed ({!Propset.refresh_ctx}), and every solved / h_max cache
-    entry whose set contains a proposition with [dirty p = true] is
-    evicted (see {!Supports.taint} for why clean entries stay exact).
-    Every witness is dropped, since the recompile renumbered the actions
-    they name, so a later {!shrink} evicts the entries kept here.  (On
-    connected networks the taint cone of a delta that adds or alters
-    actions covers almost every set, so little is kept this way.)
-    Returns the number of entries evicted.  The caller must have checked
-    that [pb.init] is unchanged — otherwise the interner is invalid and
-    the oracle must be rebuilt with {!create}. *)
-val refresh : t -> Problem.t -> Plrg.t -> dirty:(int -> bool) -> int
+(** The number of solved and h_max memo entries the oracle holds. *)
+val entries : t -> int

@@ -116,62 +116,3 @@ let successor t (h : Propset.handle) i =
   end
 
 let rebind t (pb : Problem.t) = t.actions <- pb.Problem.actions
-
-(* Dependency-tracked invalidation support for long-lived sessions.
-
-   A topology delta touches nodes and links; an action is {e tainted} when
-   it is grounded at a touched site or (transitively) when one of its
-   preconditions can only be produced by tainted actions whose outputs the
-   delta may have changed.  We over-approximate with a worklist fixpoint:
-
-   - every action at a touched site is tainted;
-   - every add-closure proposition of a tainted action is {e dirty};
-   - every action with a dirty precondition is tainted.
-
-   The key soundness property (relied on by [Slrg.refresh]): any action
-   applicable to a set with no dirty proposition is untainted, and an
-   untainted action's preconditions are all clean — so regression from a
-   clean set only ever meets actions identical in the old and new
-   problems, and cached exact costs over clean sets stay valid. *)
-let taint (pb : Problem.t) ~node_touched ~link_touched =
-  let n_actions = Array.length pb.Problem.actions in
-  let n_props = Array.length pb.Problem.init in
-  let tainted = Array.make n_actions false in
-  let dirty = Array.make n_props false in
-  (* Reverse index: proposition -> actions consuming it as a
-     precondition. *)
-  let consumers = Array.make n_props [] in
-  Array.iter
-    (fun (a : Action.t) ->
-      Array.iter
-        (fun p -> consumers.(p) <- a.Action.act_id :: consumers.(p))
-        a.Action.pre)
-    pb.Problem.actions;
-  let stack = Stack.create () in
-  let taint_act aid =
-    if not tainted.(aid) then begin
-      tainted.(aid) <- true;
-      Array.iter
-        (fun p ->
-          if not dirty.(p) then begin
-            dirty.(p) <- true;
-            Stack.push p stack
-          end)
-        pb.Problem.actions.(aid).Action.add_closure
-    end
-  in
-  Array.iter
-    (fun (a : Action.t) ->
-      let touched =
-        match a.Action.kind with
-        | Action.Place { node; _ } -> node_touched node
-        | Action.Cross { link; src; dst; _ } ->
-            link_touched link || node_touched src || node_touched dst
-      in
-      if touched then taint_act a.Action.act_id)
-    pb.Problem.actions;
-  while not (Stack.is_empty stack) do
-    let p = Stack.pop stack in
-    List.iter taint_act consumers.(p)
-  done;
-  (tainted, dirty)

@@ -11,9 +11,9 @@
     handles (the set regressed through each candidate), each computed
     the first time a search reads it and served by array loads after
     that, with no allocation.  Rows live as long as the [t].
-    {!Slrg.shrink} and {!Slrg.refresh} build a fresh [t] for a
-    recompiled problem whose action ids differ, so rows rebuild lazily
-    as searches read them, and {!rebind} keeps them for one that
+    {!Slrg.shrink} builds a fresh [t] for a recompiled problem with
+    fewer actions, whose ids differ, so rows rebuild lazily as searches
+    read them, and {!rebind} keeps them for one that
     {!Problem.leveled_diff} finds [Same]. *)
 
 type t
@@ -42,24 +42,3 @@ val successor : t -> Propset.handle -> int -> Propset.handle
     the problem [t] was made for ({!Problem.leveled_diff} finds it
     [Same]), so the rows hold what [pb] would compute. *)
 val rebind : t -> Problem.t -> unit
-
-(** [taint pb ~node_touched ~link_touched] computes the invalidation
-    cone of a topology delta as a worklist fixpoint over the reverse
-    (proposition -> consuming action) index: actions grounded at a
-    touched node/link are tainted, their add-closure propositions become
-    dirty, and actions with a dirty precondition are tainted in turn.
-    Returns [(tainted, dirty)] — bool arrays over action ids and
-    proposition ids.  Soundness invariant for cache eviction: a cached
-    value over a set with no dirty proposition only ever regresses
-    through untainted actions, which are identical in the old and new
-    problems.  Callers apply this to both the pre- and post-delta
-    problems and take the union (a delta can both remove and create
-    grounded actions).  Link ids are stable across mutations, so the
-    same [link_touched] predicate serves both problems — a tombstoned
-    link's id still names it in the old problem's actions and never
-    occurs in the new one. *)
-val taint :
-  Problem.t ->
-  node_touched:(int -> bool) ->
-  link_touched:(int -> bool) ->
-  bool array * bool array

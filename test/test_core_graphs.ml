@@ -338,31 +338,19 @@ let check_witnesses what pb plrg slrg =
       end);
   Alcotest.(check bool) (what ^ ": witnessed entries") true (!n > 0)
 
-(* Every finite entry of a fresh oracle has a sound witness path.  A
-   refresh onto a recompiled problem keeps the clean entries but drops
-   every witness: the recompile may renumber the actions they name. *)
+(* Every finite entry of a fresh oracle has a sound witness path. *)
 let test_witness_paths () =
   let pb = tiny Media.C in
   let plrg = Plrg.build pb in
   let slrg = Slrg.create pb plrg in
   ignore (Slrg.query slrg (Array.to_list pb.Problem.goal_props));
-  check_witnesses "fresh" pb plrg slrg;
-  let pb' = tiny Media.C in
-  let evicted =
-    Slrg.refresh slrg pb' (Plrg.build pb') ~dirty:(fun _ -> false)
-  in
-  Alcotest.(check int) "clean refresh evicts nothing" 0 evicted;
-  let ctx = Slrg.ctx slrg in
-  for id = 0 to Propset.interned_count ctx - 1 do
-    Alcotest.(check bool) "no witness left" true
-      (Slrg.witness slrg (Propset.handle_of_id ctx id) = None)
-  done
+  check_witnesses "fresh" pb plrg slrg
 
 (* Successor rows: every candidate row is the ascending list of the
    set's distinct PLRG-relevant supporters, every slot is the interned
    regression through its candidate, a re-read is the physically same
    handle, and all of it still holds for the rows rebuilt when a warm
-   oracle is rebound to a recompiled problem. *)
+   oracle is shrunk onto a recompiled problem. *)
 let check_successor_rows what (pb : Problem.t) plrg slrg =
   let ctx = Slrg.ctx slrg and sup = Slrg.supports slrg in
   let n0 = Propset.interned_count ctx in
@@ -406,10 +394,11 @@ let test_successor_rows () =
   check_successor_rows "cold" pb plrg slrg;
   let pb' = tiny Media.C in
   let plrg' = Plrg.build pb' in
-  let evicted = Slrg.refresh slrg pb' plrg' ~dirty:(fun _ -> false) in
-  Alcotest.(check int) "clean refresh evicts nothing" 0 evicted;
+  let map = Array.init (Array.length pb'.Problem.actions) Fun.id in
+  let evicted = Slrg.shrink slrg pb' plrg' ~map in
+  Alcotest.(check int) "identity shrink evicts nothing" 0 evicted;
   ignore (Slrg.query slrg (Array.to_list pb'.Problem.goal_props));
-  check_successor_rows "after refresh" pb' plrg' slrg
+  check_successor_rows "after shrink" pb' plrg' slrg
 
 (* The search kernels allocate nothing on their hot paths once warm:
    a filled successor slot, a regression whose result is already

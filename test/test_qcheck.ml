@@ -981,12 +981,12 @@ let prop_plan_ids_stable =
    and applies 1-4 deltas mixed from link removals, node failures and
    absolute capacity settings, which cut or raise a capacity across the
    levels' cutpoints about as often as not: removals and cuts take the
-   shrink path, raises the taint path, and changes inside a level keep
-   everything.  After every update:
+   shrink path, raises that add or alter actions drop the oracle, and
+   changes inside a level keep everything.  After every update:
+   - an update [Problem.leveled_diff] finds [Changed] left no oracle;
    - every solved entry equals an unbudgeted fresh oracle's answer on
      the new problem, and every h_max memo entry is the new PLRG's;
-   - every finite solved entry has a witness path (unless a taint-path
-     update, which drops witnesses, came first): each edge names a
+   - every finite solved entry has a witness path: each edge names a
      relevant action of the new problem that regresses the set to the
      next one, the path ends at the empty set, and its [cost_lb]s sum to
      the entry;
@@ -1027,9 +1027,7 @@ let prop_updates_keep_exact_entries =
   let close a b =
     (not (Float.is_finite a || Float.is_finite b)) || Float.abs (a -. b) <= 1e-6
   in
-  (* [tainted]: an update of this case took the taint path, which drops
-     every witness, so a kept entry may have none. *)
-  let entries_exact ~tainted session =
+  let entries_exact session =
     match (Session.problem session, Session.oracle session) with
     | Some pb, Some oracle ->
         let plrg = Plrg.build pb in
@@ -1039,10 +1037,11 @@ let prop_updates_keep_exact_entries =
         Slrg.iter_solved oracle (fun set cost ->
             if not (close cost (Slrg.query_set fresh (Array.copy set))) then
               ok := false;
-            let h = Propset.intern ctx set in
-            let unwitnessed = Slrg.witness oracle h = None in
-            if Float.is_finite cost && not (tainted && unwitnessed) then
-              match Test_core_graphs.witness_path_cost pb plrg oracle h with
+            if Float.is_finite cost then
+              match
+                Test_core_graphs.witness_path_cost pb plrg oracle
+                  (Propset.intern ctx set)
+              with
               | Some sum when close sum cost -> ()
               | _ -> ok := false);
         for id = 0 to Propset.interned_count ctx - 1 do
@@ -1073,7 +1072,6 @@ let prop_updates_keep_exact_entries =
         Session.create (Planner.request ~config topo app ~leveling)
       in
       ignore (Session.plan session);
-      let tainted = ref false in
       List.for_all
         (fun (op, site, v) ->
           let t = Session.topology session in
@@ -1117,10 +1115,10 @@ let prop_updates_keep_exact_entries =
               (match (before, Session.problem session) with
               | Some old, Some pb -> (
                   match Problem.leveled_diff ~old pb with
-                  | Problem.Changed -> tainted := true
-                  | Problem.Same | Problem.Fewer _ -> ())
-              | _ -> ());
-              entries_exact ~tainted:!tainted session
+                  | Problem.Changed -> Session.oracle session = None
+                  | Problem.Same | Problem.Fewer _ -> true)
+              | _ -> true)
+              && entries_exact session
               &&
               let warm = Session.plan session in
               let cold =

@@ -18,6 +18,8 @@ module Scenarios = Sekitei_harness.Scenarios
 module Media = Sekitei_domains.Media
 module T = Sekitei_network.Topology
 module Mutate = Sekitei_network.Mutate
+module Model = Sekitei_spec.Model
+module Expr = Sekitei_expr.Expr
 
 let close = Alcotest.(check (float 1e-6))
 
@@ -25,6 +27,25 @@ let small_request () =
   let sc = Scenarios.small () in
   (sc, Planner.request sc.Scenarios.topo sc.Scenarios.app
          ~leveling:(Media.leveling Media.C sc.Scenarios.app))
+
+(* Small's app with the server's supply read off its node's cpu: 200 at
+   the default 30, so a cpu change at the server moves the initial
+   section. *)
+let cpu_supplied_app (sc : Scenarios.t) =
+  let app = sc.Scenarios.app in
+  {
+    app with
+    Model.components =
+      List.map
+        (fun (c : Model.component) ->
+          if String.equal c.Model.comp_name "Server" then
+            {
+              c with
+              Model.effects = [ ("M", "ibw", Expr.parse "node.cpu * 20 / 3") ];
+            }
+          else c)
+        app.Model.components;
+  }
 
 let cost_of label (r : Planner.report) =
   match r.Planner.result with
@@ -265,6 +286,64 @@ let test_leveled_diff () =
   Alcotest.(check string) "lbw 66 -> 70 (back above it)" "Changed"
     (show (Problem.leveled_diff ~old:(at 66.) pb))
 
+(* An update that adds or alters actions ([Changed]) drops the oracle
+   and counts every entry it held as evicted; the re-plan is then a cold
+   search of a problem identical to a cold compile's, so it matches a
+   cold [Planner.plan] exactly: the same steps, the same cost bound bit
+   for bit and the same search counts.  On Small-C, lbw 66 -> 70 raises
+   the WAN link back above a cutpoint (see "leveled_diff"); on the
+   cpu-supplied app, a cpu change at the server moves [init]. *)
+let test_changed_update_starts_over () =
+  let check name (sc : Scenarios.t) app first second =
+    let leveling = Media.leveling Media.C app in
+    let session =
+      Session.create (Planner.request sc.Scenarios.topo app ~leveling)
+    in
+    ignore (Session.plan session);
+    ignore (Session.update session first);
+    ignore (Session.plan session);
+    let held = Slrg.entries (Option.get (Session.oracle session)) in
+    Alcotest.(check bool) (name ^ ": the oracle held entries") true (held > 0);
+    ignore (Session.update session second);
+    Alcotest.(check bool) (name ^ ": no oracle after the update") true
+      (Session.oracle session = None);
+    Alcotest.(check bool) (name ^ ": still warm") true
+      (Session.is_warm session);
+    let warm = Session.plan session in
+    let cold =
+      Planner.plan (Planner.request (Session.topology session) app ~leveling)
+    in
+    let ws = warm.Planner.stats and cs = cold.Planner.stats in
+    Alcotest.(check int) (name ^ ": every held entry evicted") held
+      ws.Planner.evicted_entries;
+    (match (warm.Planner.result, cold.Planner.result) with
+    | Ok w, Ok c ->
+        Alcotest.(check bool) (name ^ ": same steps") true
+          (w.Plan.steps = c.Plan.steps);
+        Alcotest.(check int64) (name ^ ": cost_lb bit for bit")
+          (Int64.bits_of_float c.Plan.cost_lb)
+          (Int64.bits_of_float w.Plan.cost_lb)
+    | _ -> Alcotest.failf "%s: expected two plans" name);
+    List.iter
+      (fun (what, f) -> Alcotest.(check int) (name ^ ": " ^ what) (f cs) (f ws))
+      [
+        ("slrg_queries", fun (s : Planner.stats) -> s.Planner.slrg_queries);
+        ("slrg_nodes", fun s -> s.Planner.slrg_nodes);
+        ("rg_created", fun s -> s.Planner.rg_created);
+        ("rg_expanded", fun s -> s.Planner.rg_expanded);
+      ]
+  in
+  let sc = Scenarios.small () in
+  let lbw v =
+    Session.Set_link_resource { link = 2; resource = "lbw"; value = v }
+  in
+  let server_cpu v =
+    Session.Set_node_resource { node = 4; resource = "cpu"; value = v }
+  in
+  check "lbw 66 -> 70" sc sc.Scenarios.app (lbw 66.) (lbw 70.);
+  check "server cpu 14 -> 30" sc (cpu_supplied_app sc) (server_cpu 14.)
+    (server_cpu 30.)
+
 let test_update_to_infeasible_and_back () =
   let sc, req = small_request () in
   let session = Session.create req in
@@ -415,25 +494,58 @@ let test_fail_node_replan () =
 (* Compile.recompile's contract: the reused-and-patched problem is
    structurally identical to a cold compile of the mutated topology —
    same actions in the same order (act_ids are reassigned in cold order),
-   same propositions, same cost bounds. *)
+   same initial section, goals and supports tables.  A session keeps the
+   recompiled problem after every delta, one that moves the initial
+   section included, so each kind of delta is checked: a cut below a
+   cutpoint and the raise back above it, a removed link, a failed node,
+   a cpu change, and a cpu change at the server of an app whose supply
+   reads its node's cpu. *)
 let test_recompile_equals_cold_compile () =
   let sc = Scenarios.small () in
-  let leveling = Media.leveling Media.C sc.Scenarios.app in
-  let old = Compile.compile sc.Scenarios.topo sc.Scenarios.app leveling in
-  let topo' = Mutate.set_link_resource sc.Scenarios.topo 2 "lbw" 66. in
-  let pb, invalidated =
-    Compile.recompile ~old
-      ~node_touched:(fun _ -> false)
-      ~link_touched:(fun l -> l = 2)
-      topo' sc.Scenarios.app leveling
+  let check name ?(app = sc.Scenarios.app) ?(init_moves = false) topo mutate
+      ~nodes ~links =
+    let leveling = Media.leveling Media.C app in
+    let old = Compile.compile topo app leveling in
+    let topo' = mutate topo in
+    let pb, invalidated =
+      Compile.recompile ~old
+        ~node_touched:(fun n -> List.mem n nodes)
+        ~link_touched:(fun l -> List.mem l links)
+        topo' app leveling
+    in
+    let fresh = Compile.compile topo' app leveling in
+    Alcotest.(check bool) (name ^ ": some actions invalidated") true
+      (invalidated > 0);
+    Alcotest.(check bool) (name ^ ": the initial section moved") init_moves
+      (old.Problem.init <> fresh.Problem.init);
+    Alcotest.(check int) (name ^ ": same action count")
+      (Array.length fresh.Problem.actions)
+      (Array.length pb.Problem.actions);
+    Alcotest.(check bool) (name ^ ": identical actions") true
+      (pb.Problem.actions = fresh.Problem.actions);
+    Alcotest.(check (array bool)) (name ^ ": same init") fresh.Problem.init
+      pb.Problem.init;
+    Alcotest.(check (array int)) (name ^ ": same goal_props")
+      fresh.Problem.goal_props pb.Problem.goal_props;
+    Alcotest.(check (array (list int))) (name ^ ": same supports")
+      fresh.Problem.supports pb.Problem.supports
   in
-  let fresh = Compile.compile topo' sc.Scenarios.app leveling in
-  Alcotest.(check bool) "some actions invalidated" true (invalidated > 0);
-  Alcotest.(check int) "same action count"
-    (Array.length fresh.Problem.actions)
-    (Array.length pb.Problem.actions);
-  Alcotest.(check bool) "identical actions" true
-    (pb.Problem.actions = fresh.Problem.actions)
+  let topo = sc.Scenarios.topo in
+  let lbw v t = Mutate.set_link_resource t 2 "lbw" v in
+  check "lbw 66" topo (lbw 66.) ~nodes:[] ~links:[ 2 ];
+  check "lbw 66 -> 70" (lbw 66. topo) (lbw 70.) ~nodes:[] ~links:[ 2 ];
+  check "remove link 1" topo
+    (fun t -> Mutate.remove_link t 1)
+    ~nodes:[] ~links:[ 1 ];
+  check "fail node 2" topo
+    (fun t -> Mutate.fail_node t 2)
+    ~nodes:[ 2 ] ~links:[ 1; 2 ];
+  check "cpu 10 at n3" topo
+    (fun t -> Mutate.set_node_resource t 3 "cpu" 10.)
+    ~nodes:[ 3 ] ~links:[];
+  check "server cpu 14" ~app:(cpu_supplied_app sc) ~init_moves:true topo
+    (fun t -> Mutate.set_node_resource t 4 "cpu" 14.)
+    ~nodes:[ 4 ] ~links:[]
 
 (* ---------------- deadlines ---------------- *)
 
@@ -571,6 +683,8 @@ let suite =
     ("update inside a level keeps the oracle", `Quick,
      test_update_inside_level_keeps_oracle);
     ("leveled_diff", `Quick, test_leveled_diff);
+    ("changed update starts the oracle over", `Quick,
+     test_changed_update_starts_over);
     ("infeasible and back", `Quick, test_update_to_infeasible_and_back);
     ("remove link, replan", `Quick, test_remove_link_replan);
     ("update rejects bad ids", `Quick, test_update_rejects_bad_ids);

@@ -11,10 +11,19 @@ tree's own perfbench/run.py (the parent's from the export, the change's
 from this checkout) on the same workload and seed, pairs in alternating
 order: parent first in odd pairs, change first in even ones.  Prints
 every run, then for each end-to-end metric BENCHMARK.json declares each
-side's median and quartiles, the change's win count, and whether the
-acceptance rule holds: the change wins at least 9 of 10 pairs (the same
-share of other pair counts) and the medians differ by more than the
-parent's interquartile range.  Exits non-zero when a run fails.
+side's median and quartiles, the change's win count and two verdicts:
+
+- the gain rule, which holds when the change wins at least 9 of 10
+  pairs (the same share of other pair counts) and the medians differ by
+  more than the parent's interquartile range;
+- the no-regression rule against the metric's `bound`: "unresolved"
+  when the parent's interquartile range exceeds bound x its median and
+  not every change run beats every parent run, else "regressed" when
+  the change's median is worse than the parent's by more than bound x
+  the parent's median, else "no regression".
+
+Last it prints each side's share of failed requests.  Exits non-zero
+when a run fails.
 """
 
 import argparse
@@ -87,21 +96,33 @@ def main():
           f"{args.seconds} s (parent {args.parent})")
     need = -(-9 * args.pairs // 10)  # ceil(0.9 * pairs)
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
+        name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
         par = [r["metrics"][name]["value"] for r in runs["parent"]]
         chg = [r["metrics"][name]["value"] for r in runs["change"]]
         wins = sum((c < q) if lower else (c > q) for q, c in zip(par, chg))
         (p1, pm, p3), (c1, cm, c3) = quartiles(par), quartiles(chg)
         better_median = cm < pm if lower else cm > pm
         holds = wins >= need and better_median and abs(cm - pm) > (p3 - p1)
+        all_better = max(chg) < min(par) if lower else min(chg) > max(par)
+        worse_by = (cm - pm) if lower else (pm - cm)
+        if p3 - p1 > bound * abs(pm) and not all_better:
+            verdict = "unresolved"
+        elif worse_by > bound * abs(pm):
+            verdict = "regressed"
+        else:
+            verdict = "no regression"
         print(f"{name} ({m['unit']}, {m['better']} is better): "
               f"parent median {pm:.4g} [q1 {p1:.4g}, q3 {p3:.4g}]  "
               f"change median {cm:.4g} [q1 {c1:.4g}, q3 {c3:.4g}]  "
               f"change {(cm - pm) / pm * 100:+.1f}%  "
               f"wins {wins}/{args.pairs}  "
-              f"gain rule {'holds' if holds else 'does not hold'}")
-    failed = sum(r["failed"] for side in runs.values() for r in side)
-    print(f"failed requests: {failed}")
+              f"gain rule {'holds' if holds else 'does not hold'}  "
+              f"bound {bound:g}: {verdict}")
+    for side, results in runs.items():
+        failed = sum(r["failed"] for r in results)
+        attempted = sum(r["attempted"] for r in results)
+        print(f"failed requests, {side}: {failed}/{attempted} "
+              f"({failed / attempted:.2%})")
 
 
 if __name__ == "__main__":
