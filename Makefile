@@ -104,8 +104,9 @@ bench-gate:
 # violation), then force a deadline failure with the flight recorder
 # armed and assert the dump is written and readable.  Last, force a
 # Search_limit dump (--rg-budget 1) and assert that the counter table
-# trace_report reads from it shows the same rg.created as the run's
-# Stats line: the trace's counts are the report's.  Guards the
+# trace_report reads from it shows the same rg.created, rg.expanded and
+# plrg.relevant_props/_actions as the run's Stats line (rg=, expanded=,
+# plrg=P/A): the trace's counts are the report's.  Guards the
 # always-on metrics path end to end: an encoder change that would break
 # a scraper or the postmortem tooling fails here, not on a dashboard.
 metrics-smoke:
@@ -126,14 +127,20 @@ metrics-smoke:
 	-dune exec -- sekitei plan --network small --levels C --rg-budget 1 \
 	  --flight _build/sekitei_flight_limit.jsonl \
 	  > _build/sekitei_flight_limit.out 2>&1
-	@stats=$$(sed -n 's/^Stats: .* rg=\([0-9]*\)\/.*/\1/p' \
+	@dune exec -- tools/trace_report.exe _build/sekitei_flight_limit.jsonl \
+	  > _build/sekitei_flight_limit.report
+	@same() { \
+	  stats=$$(sed -n "s|^Stats: .* $$1.*|\1|p" \
 	    _build/sekitei_flight_limit.out); \
-	  dumped=$$(dune exec -- tools/trace_report.exe \
-	    _build/sekitei_flight_limit.jsonl \
-	    | sed -n 's/^| rg\.created *| *\([0-9]*\) |$$/\1/p'); \
+	  dumped=$$(sed -n "s/^| $$2 *| *\([0-9]*\) |$$/\1/p" \
+	    _build/sekitei_flight_limit.report); \
 	  test -n "$$stats" && test "$$stats" = "$$dumped" || \
-	  { echo "metrics-smoke: rg.created is '$$dumped' in the Search_limit" \
-	      "dump but '$$stats' on the Stats line"; exit 1; }
+	  { echo "metrics-smoke: $$2 is '$$dumped' in the Search_limit dump" \
+	      "but '$$stats' on the Stats line"; exit 1; }; }; \
+	  same 'rg=\([0-9]*\)/' 'rg\.created' && \
+	  same 'expanded=\([0-9]*\) ' 'rg\.expanded' && \
+	  same 'plrg=\([0-9]*\)/' 'plrg\.relevant_props' && \
+	  same 'plrg=[0-9]*/\([0-9]*\) ' 'plrg\.relevant_actions'
 	@echo "metrics-smoke: ok"
 
 # Spec-to-verdict smoke: a 2 s run of each perfbench workload (release

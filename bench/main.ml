@@ -247,12 +247,7 @@ let json_mode () =
   in
   (* --warm additionally times session re-plans (warm_search_ms). *)
   let warm = List.mem "--warm" argv in
-  (* --no-metrics disarms the registry + flight recorder the bench
-     otherwise arms on every run (the production configuration); the
-     A/B against a default run is the observability overhead number
-     EXPERIMENTS.md tracks. *)
-  let metrics_armed = not (List.mem "--no-metrics" argv) in
-  let records = Bench_json.run_default ~repeat ~jobs ~warm ~metrics_armed () in
+  let records = Bench_json.run_default ~repeat ~jobs ~warm () in
   let doc = Bench_json.to_json ?tag records in
   Bench_json.write_file out doc;
   (if check then

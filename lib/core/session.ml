@@ -141,6 +141,38 @@ let empty_stats =
     t_search_ms = 0.;
   }
 
+(* The report's counts, declared once: each row names a count, the
+   stage a request must reach for it to measure anything, and its field
+   of [stats].  The trace's Counter events, the registry's counters and
+   the bench record's keys are all read off this table. *)
+type stage = Requested | Compiled | Searched
+type count = { name : string; stage : stage; get : stats -> int }
+
+let counts =
+  let row stage name get = { name; stage; get } in
+  [
+    row Compiled "compile.actions" (fun s -> s.total_actions);
+    row Compiled "plrg.relevant_props" (fun s -> s.plrg_props);
+    row Compiled "plrg.relevant_actions" (fun s -> s.plrg_actions);
+    row Searched "slrg.nodes" (fun s -> s.slrg_nodes);
+    row Searched "slrg.queries" (fun s -> s.slrg_queries);
+    row Searched "rg.created" (fun s -> s.rg_created);
+    row Searched "rg.open_left" (fun s -> s.rg_open_left);
+    row Searched "rg.expanded" (fun s -> s.rg_expanded);
+    row Searched "rg.replay_pruned" (fun s -> s.replay_pruned);
+    row Searched "rg.final_replay_rejected" (fun s -> s.final_replay_rejected);
+    row Searched "rg.duplicates" (fun s -> s.rg_duplicates);
+    row Searched "rg.order_repaired" (fun s -> s.order_repaired);
+    row Searched "slrg.cache_hits" (fun s -> s.slrg_cache_hits);
+    row Searched "slrg.suffix_harvested" (fun s -> s.slrg_suffix_harvested);
+    row Searched "slrg.bound_promoted" (fun s -> s.slrg_bound_promoted);
+    row Searched "slrg.deferred" (fun s -> s.slrg_deferred);
+    row Searched "slrg.saved" (fun s -> s.slrg_saved);
+    row Requested "session.invalidated_actions" (fun s ->
+        s.invalidated_actions);
+    row Requested "session.evicted_entries" (fun s -> s.evicted_entries);
+  ]
+
 let no_phase = { ms = 0.; minor_words = 0.; major_collections = 0 }
 
 let empty_phases =
@@ -354,39 +386,25 @@ let flight_dump t =
       | exception Sys_error msg ->
           Log.warn (fun m -> m "flight recorder: dump not written: %s" msg))
 
-(* One request's counts as trace events, read from its finished report;
-   where the registry records the same fact it uses the same name.
-   [reached] says how far the request got — [`Validated] only,
-   [`Compiled] once compiled state (PLRG included) existed, [`Searched]
-   once the RG search ran.  Counts of stages it never reached are zeros
-   that measured nothing, left out here and in [record_metrics]. *)
-let trace_counts telemetry ~reached (r : report) =
-  let s = r.stats and count = Telemetry.count telemetry in
-  if reached <> `Validated then begin
-    count "plrg.relevant_props" s.plrg_props;
-    count "plrg.relevant_actions" s.plrg_actions
-  end;
-  if reached = `Searched then begin
-    count "rg.created" s.rg_created;
-    count "rg.expanded" s.rg_expanded;
-    count "rg.replay_pruned" s.replay_pruned;
-    count "rg.final_replay_rejected" s.final_replay_rejected;
-    count "rg.duplicates" s.rg_duplicates;
-    count "rg.order_repaired" s.order_repaired;
-    count "rg.slrg_deferred" s.slrg_deferred;
-    count "rg.slrg_saved" s.slrg_saved;
-    Telemetry.gauge telemetry "rg.open_left" (float_of_int s.rg_open_left);
-    count "slrg.queries" s.slrg_queries;
-    count "slrg.cache_hits" s.slrg_cache_hits;
-    count "slrg.suffix_harvested" s.slrg_suffix_harvested;
-    count "slrg.bound_promoted" s.slrg_bound_promoted
-  end
+(* One request's counts, read from its finished report and sent under
+   the table's names to the trace (a [Counter] event each, carrying this
+   plan's value) and to the registry (whose counters sum them over
+   plans).  Rows of a stage the request never reached are zeros that
+   measured nothing, left out of both. *)
+let record_counts t ~reached (s : stats) =
+  List.iter
+    (fun c ->
+      if c.stage <= reached then begin
+        let v = c.get s in
+        Telemetry.count t.telemetry c.name v;
+        Registry.count t.metrics c.name v
+      end)
+    counts
 
 (* Lifetime metrics recorded for every plan call, successful or not.
    Phase histograms only take samples from requests that actually ran
    the phase (warm requests report compile/plrg as 0 ms — not a latency
-   observation, just absence of work), and the search counts only come
-   from requests whose RG ran. *)
+   observation, just absence of work). *)
 let record_metrics t ~was_warm ~reached (report : report) =
   let m = t.metrics and s = report.stats in
   Registry.count m "session.plans" 1;
@@ -406,17 +424,7 @@ let record_metrics t ~was_warm ~reached (report : report) =
   phase_sample "phase.plrg_ms" report.phases.plrg;
   phase_sample "phase.slrg_ms" report.phases.slrg;
   phase_sample "phase.rg_ms" report.phases.rg;
-  Registry.count m "session.invalidated_actions" s.invalidated_actions;
-  Registry.count m "session.evicted_entries" s.evicted_entries;
-  if reached = `Searched then begin
-    Registry.count m "rg.searches" 1;
-    Registry.count m "rg.created" s.rg_created;
-    Registry.count m "rg.expanded" s.rg_expanded;
-    Registry.count m "rg.duplicates" s.rg_duplicates;
-    Registry.set_gauge m "rg.open_left" (float_of_int s.rg_open_left);
-    Registry.count m "slrg.queries" s.slrg_queries;
-    Registry.count m "slrg.cache_hits" s.slrg_cache_hits
-  end;
+  if reached = Searched then Registry.count m "rg.searches" 1;
   match report.result with
   | Ok p -> Registry.set_gauge m "plan.last_cost" p.Plan.cost_lb
   | Error _ -> ()
@@ -435,7 +443,7 @@ let plan_exn t =
   t.pending_invalidated <- 0;
   t.pending_evicted <- 0;
   let sp_plan = Telemetry.begin_span telemetry "plan" in
-  let finish ?(reached = `Validated) ?(phases = empty_phases) result stats =
+  let finish ?(reached = Requested) ?(phases = empty_phases) result stats =
     let report =
       {
         result;
@@ -443,7 +451,7 @@ let plan_exn t =
         stats = { stats with invalidated_actions; evicted_entries };
       }
     in
-    trace_counts telemetry ~reached report;
+    record_counts t ~reached report.stats;
     let attrs =
       ("ok", Telemetry.Bool (Result.is_ok result))
       ::
@@ -520,7 +528,7 @@ let plan_exn t =
             let chain =
               List.map label (Plrg.support_chain plrg (List.hd goals))
             in
-            finish ~reached:`Compiled ~phases
+            finish ~reached:Compiled ~phases
               (Error
                  (Unreachable_goal { goals = List.map label goals; chain }))
               {
@@ -607,7 +615,7 @@ let plan_exn t =
                 rg = rg_phase;
               }
             in
-            let finish = finish ~reached:`Searched ~phases in
+            let finish = finish ~reached:Searched ~phases in
             match result with
             | Rg.Solution (tail, metrics, cost_lb) ->
                 Log.info (fun m ->

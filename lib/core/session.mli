@@ -129,9 +129,9 @@ type failure_reason =
           rendered diagnostic *)
 
 (** One request's counts.  Every other view of a count — {!pp_phases},
-    the trace's [Counter] events, the registry's search counters — is
-    read from this record.  A count of a stage the request never reached
-    is 0. *)
+    the trace's [Counter] events, the registry's counters, the bench
+    record — is read from this record, through {!counts} where it is
+    named.  A count of a stage the request never reached is 0. *)
 type stats = {
   total_actions : int;  (** Table 2 col 5: leveled actions after pruning *)
   plrg_props : int;  (** Table 2 col 6 (left) *)
@@ -173,6 +173,26 @@ type stats = {
   t_total_ms : float;  (** Table 2 col 9 (left) *)
   t_search_ms : float;  (** Table 2 col 9 (right): graph phases only *)
 }
+
+(** How far a request got: every request is [Requested]; [Compiled]
+    once compiled state (the PLRG included) existed; [Searched] once the
+    RG search ran. *)
+type stage = Requested | Compiled | Searched
+
+(** A report count: its name, the stage a request must reach for the
+    count to measure anything, and its field of {!stats}. *)
+type count = { name : string; stage : stage; get : stats -> int }
+
+(** Every report count, declared once, in {!stats} order; the single
+    place a count is named.  Each {!plan} sends each row whose stage the
+    request reached to the trace, as a [Counter] event carrying that
+    plan's value, and to the registry, whose counter of the same name
+    sums it over plans; a row of a stage not reached goes to neither.
+    The bench record's JSON key for a row is its name through
+    {!Sekitei_telemetry.Export.sanitize} (["rg.created"] is
+    [rg_created]).  Adding a count means adding its {!stats} field and
+    one row here. *)
+val counts : count list
 
 (** Everything a planning run needs.  Build with {!request}; override
     fields with record update syntax ([{ req with config = ... }]). *)
@@ -280,15 +300,14 @@ val oracle : t -> Slrg.t option
 
 (** The session's always-on metric registry.  Every {!plan} records
     lifetime counters (["session.plans"], [_ok]/[_failed], warm/cold
-    splits, invalidation work), per-phase latency histograms
-    (["phase.compile_ms"] ... ["phase.rg_ms"], ["plan.total_ms"],
-    ["plan.search_ms"]), and the ["plan.last_cost"] gauge.  A plan whose
-    RG search ran also adds its search counts from the report
-    (["rg.searches"], ["rg.created"], ["rg.expanded"],
-    ["rg.duplicates"], ["slrg.queries"], ["slrg.cache_hits"]) and the
-    ["rg.open_left"] gauge; the SLRG oracle records each query's latency
-    in ["slrg.query_ms"].  {!update} counts ["session.updates"].  Render
-    a snapshot with {!Sekitei_telemetry.Export}. *)
+    splits), per-phase latency histograms (["phase.compile_ms"] ...
+    ["phase.rg_ms"], ["plan.total_ms"], ["plan.search_ms"]), the
+    ["plan.last_cost"] gauge, and the report's counts under the names
+    of {!counts}, each from the stage its row names on; a plan whose RG
+    search ran also counts ["rg.searches"].  The SLRG oracle records each
+    query's latency in ["slrg.query_ms"].  {!update} counts
+    ["session.updates"].  Render a snapshot with
+    {!Sekitei_telemetry.Export}. *)
 val metrics : t -> Sekitei_telemetry.Registry.t
 
 (** [Registry.snapshot (metrics t)]. *)
@@ -299,10 +318,8 @@ val metrics_snapshot : t -> Sekitei_telemetry.Registry.snapshot
     telemetry span tree as the one-shot planner; on failure the ["plan"]
     span's end event additionally carries a ["failure"] string attribute
     with the {!pp_failure}-rendered reason.  Just before that end event
-    the report's counts go out as [Counter] events, one per count and
-    plan, under the registry's names where the two share a fact: the
-    ["plrg.*"] counts once compiled state exists, and the ["rg.*"] and
-    ["slrg.*"] counts when the RG search ran.
+    the report's counts go out as [Counter] events, one per {!counts}
+    row whose stage the request reached, under the registry's names.
 
     When the request's telemetry handle arms a
     {!Sekitei_telemetry.Telemetry.Flight} recorder with a dump path, a

@@ -16,20 +16,13 @@ module Domain_pool = Sekitei_util.Domain_pool
 module Histogram = Sekitei_util.Histogram
 module Telemetry = Sekitei_telemetry.Telemetry
 module Registry = Sekitei_telemetry.Registry
+module Export = Sekitei_telemetry.Export
 module Certify = Sekitei_analysis.Certify
 module Diagnostic = Sekitei_util.Diagnostic
 
 type record = {
   scenario : string;
-  actions : int;
-  rg_created : int;
-  rg_expanded : int;
-  rg_duplicates : int;
-  slrg_cache_hits : int;
-  slrg_suffix_harvested : int;
-  slrg_bound_promoted : int;
-  slrg_deferred : int;
-  slrg_saved : int;
+  stats : Session.stats;
   search_ms : float;
   search_ms_p50 : float;
   search_ms_p90 : float;
@@ -55,21 +48,15 @@ let median xs =
   else if n mod 2 = 1 then a.(n / 2)
   else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
-let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
-    (sc : Scenarios.t) level =
+let measure ?config ?(repeat = 1) ?(warm = false) (sc : Scenarios.t) level =
   let repeat = Stdlib.max 1 repeat in
   let leveling = Media.leveling level sc.Scenarios.app in
   (* The recorded timings measure the production configuration: metric
      registry shared across the repeats and a flight recorder armed on
      every run's telemetry handle, with no sinks attached — exactly the
-     always-on observability a deployed planner carries.  [--no-metrics]
-     (metrics_armed = false) disarms both for the overhead A/B tracked
-     in EXPERIMENTS.md. *)
-  let metrics = if metrics_armed then Some (Registry.create ()) else None in
-  let telemetry () =
-    if metrics_armed then Telemetry.create ~flight:(Telemetry.Flight.create ()) []
-    else Telemetry.null
-  in
+     always-on observability a deployed planner carries. *)
+  let metrics = Registry.create () in
+  let telemetry () = Telemetry.create ~flight:(Telemetry.Flight.create ()) [] in
   let runs =
     List.init repeat (fun _ ->
         (* Each timed run starts from a compacted heap: without this,
@@ -77,7 +64,7 @@ let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
            charges its collection cost to whichever run happens to
            allocate next, and the medians drift with measurement order. *)
         Gc.compact ();
-        Planner.plan ?metrics
+        Planner.plan ~metrics
           (Planner.request ?config ~telemetry:(telemetry ())
              sc.Scenarios.topo sc.Scenarios.app ~leveling))
   in
@@ -103,7 +90,6 @@ let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
                sc.Scenarios.name (Media.scenario_name level)
                (Diagnostic.to_string d)))
   | Error _ -> ());
-  let s = first.Planner.stats in
   let med f = median (List.map f runs) in
   (* Warm timings come from a {!Session}: one cold plan compiles
      the problem and fills the oracle, then [repeat] warm re-plans are
@@ -116,7 +102,7 @@ let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
     else begin
       Gc.compact ();
       let session =
-        Session.create ?metrics
+        Session.create ~metrics
           (Planner.request ?config ~telemetry:(telemetry ())
              sc.Scenarios.topo sc.Scenarios.app ~leveling)
       in
@@ -140,15 +126,7 @@ let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
   {
     scenario =
       Printf.sprintf "%s-%s" sc.Scenarios.name (Media.scenario_name level);
-    actions = s.Planner.total_actions;
-    rg_created = s.Planner.rg_created;
-    rg_expanded = s.Planner.rg_expanded;
-    rg_duplicates = s.Planner.rg_duplicates;
-    slrg_cache_hits = s.Planner.slrg_cache_hits;
-    slrg_suffix_harvested = s.Planner.slrg_suffix_harvested;
-    slrg_bound_promoted = s.Planner.slrg_bound_promoted;
-    slrg_deferred = s.Planner.slrg_deferred;
-    slrg_saved = s.Planner.slrg_saved;
+    stats = first.Planner.stats;
     search_ms = med (fun r -> r.Planner.stats.Planner.t_search_ms);
     search_ms_p50 = search_p 0.50;
     search_ms_p90 = search_p 0.90;
@@ -170,12 +148,11 @@ let measure ?config ?(repeat = 1) ?(warm = false) ?(metrics_armed = true)
     wall_ms_batch = 0.;
   }
 
-let run_default ?config ?(repeat = 1) ?(jobs = 1) ?(warm = false)
-    ?(metrics_armed = true) () =
+let run_default ?config ?(repeat = 1) ?(jobs = 1) ?(warm = false) () =
   let t = Timer.start () in
   let records =
     Domain_pool.map ~jobs
-      (fun (sc, level) -> measure ?config ~repeat ~warm ~metrics_armed sc level)
+      (fun (sc, level) -> measure ?config ~repeat ~warm sc level)
       [
         (Scenarios.tiny (), Media.C);
         (Scenarios.small (), Media.C);
@@ -188,23 +165,19 @@ let run_default ?config ?(repeat = 1) ?(jobs = 1) ?(warm = false)
 (* Timings are rounded to microseconds so records stay diff-friendly. *)
 let ms v = Json.Float (Float.round (v *. 1000.) /. 1000.)
 
+(* A count's key: its {!Session.counts} name, sanitized as the
+   Prometheus exposition does (dots become underscores). *)
+let key (c : Session.count) = Export.sanitize c.Session.name
+
 let record_to_json ?tag r =
   let tag_field =
     match tag with None -> [] | Some t -> [ ("tag", Json.Str t) ]
   in
+  let count (c : Session.count) = (key c, Json.Int (c.Session.get r.stats)) in
   Json.Obj
     (tag_field
+    @ (("scenario", Json.Str r.scenario) :: List.map count Session.counts)
     @ [
-        ("scenario", Json.Str r.scenario);
-        ("actions", Json.Int r.actions);
-        ("rg_created", Json.Int r.rg_created);
-        ("rg_expanded", Json.Int r.rg_expanded);
-        ("rg_duplicates", Json.Int r.rg_duplicates);
-        ("slrg_cache_hits", Json.Int r.slrg_cache_hits);
-        ("slrg_suffix_harvested", Json.Int r.slrg_suffix_harvested);
-        ("slrg_bound_promoted", Json.Int r.slrg_bound_promoted);
-        ("slrg_deferred", Json.Int r.slrg_deferred);
-        ("slrg_saved", Json.Int r.slrg_saved);
         ("search_ms", ms r.search_ms);
         ("search_ms_p50", ms r.search_ms_p50);
         ("search_ms_p90", ms r.search_ms_p90);
@@ -232,33 +205,24 @@ let to_json ?tag records =
    accepts an integer: a whole-valued float is emitted without a
    fraction. *)
 let schema =
-  [
-    ("scenario", `Str);
-    ("actions", `Int);
-    ("rg_created", `Int);
-    ("rg_expanded", `Int);
-    ("rg_duplicates", `Int);
-    ("slrg_cache_hits", `Int);
-    ("slrg_suffix_harvested", `Int);
-    ("slrg_bound_promoted", `Int);
-    ("slrg_deferred", `Int);
-    ("slrg_saved", `Int);
-    ("search_ms", `Float);
-    ("search_ms_p50", `Float);
-    ("search_ms_p90", `Float);
-    ("search_ms_p99", `Float);
-    ("warm_search_ms", `Float);
-    ("compile_ms", `Float);
-    ("compile_minor_words", `Float);
-    ("plrg_ms", `Float);
-    ("slrg_ms", `Float);
-    ("rg_ms", `Float);
-    ("minor_words", `Float);
-    ("slrg_minor_words", `Float);
-    ("major_collections", `Int);
-    ("jobs", `Int);
-    ("wall_ms_batch", `Float);
-  ]
+  (("scenario", `Str) :: List.map (fun c -> (key c, `Int)) Session.counts)
+  @ [
+      ("search_ms", `Float);
+      ("search_ms_p50", `Float);
+      ("search_ms_p90", `Float);
+      ("search_ms_p99", `Float);
+      ("warm_search_ms", `Float);
+      ("compile_ms", `Float);
+      ("compile_minor_words", `Float);
+      ("plrg_ms", `Float);
+      ("slrg_ms", `Float);
+      ("rg_ms", `Float);
+      ("minor_words", `Float);
+      ("slrg_minor_words", `Float);
+      ("major_collections", `Int);
+      ("jobs", `Int);
+      ("wall_ms_batch", `Float);
+    ]
 
 let parse_check doc =
   match Json.of_string doc with
@@ -311,14 +275,6 @@ let gated_metrics =
     "search_ms"; "rg_created"; "slrg_ms"; "warm_search_ms"; "compile_minor_words";
   ]
 
-let metric_of_record r = function
-  | "search_ms" -> r.search_ms
-  | "rg_created" -> float_of_int r.rg_created
-  | "slrg_ms" -> r.slrg_ms
-  | "warm_search_ms" -> r.warm_search_ms
-  | "compile_minor_words" -> r.compile_minor_words
-  | m -> invalid_arg ("Bench_json.metric_of_record: " ^ m)
-
 let diff_baseline ~baseline records =
   match Json.of_string baseline with
   | Error e -> Error ("baseline: " ^ e)
@@ -335,16 +291,20 @@ let diff_baseline ~baseline records =
         match lookup r.scenario with
         | None -> Error (Printf.sprintf "baseline has no record for %s" r.scenario)
         | Some row ->
+            (* The current value is read off the record's own JSON, so a
+               gated key means the same on both sides. *)
+            let current = record_to_json r in
+            let metric obj m = Option.bind (Json.member m obj) Json.to_float in
             let rec go acc = function
               | [] -> Ok (List.rev acc)
               | m :: rest -> (
-                  match Option.bind (Json.member m row) Json.to_float with
-                  | None ->
+                  match (metric row m, metric current m) with
+                  | None, _ ->
                       Error
                         (Printf.sprintf "baseline %s: bad or missing %s"
                            r.scenario m)
-                  | Some base ->
-                      let cur = metric_of_record r m in
+                  | Some _, None -> invalid_arg ("Bench_json.gated_metrics: " ^ m)
+                  | Some base, Some cur ->
                       let pct =
                         if base > 0. then (cur -. base) /. base *. 100.
                         else if cur > 0. then Float.infinity

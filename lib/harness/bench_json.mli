@@ -1,27 +1,19 @@
 (** Machine-readable planner benchmark records ([bench/main.exe --json]).
 
-    Emits one flat JSON object per (scenario, level) pair —
-    [{scenario, actions, rg_created, rg_expanded, rg_duplicates,
-    slrg_cache_hits, slrg_suffix_harvested, slrg_bound_promoted,
-    slrg_deferred, slrg_saved, search_ms, warm_search_ms, compile_ms,
-    compile_minor_words, plrg_ms, slrg_ms, rg_ms, minor_words,
-    slrg_minor_words, major_collections, jobs, wall_ms_batch}] —
-    collected into a JSON array written to [BENCH_rg.json] so the
-    planner's perf trajectory (per-phase split, SLRG cache reuse,
+    Emits one flat JSON object per (scenario, level) pair — [scenario],
+    one integer key per report count of {!Sekitei_core.Session.counts}
+    (the count's name sanitized, e.g. [rg_created], [slrg_deferred]),
+    then the timing, GC and batch fields of {!record} under their own
+    names — collected into a JSON array written to [BENCH_rg.json] so
+    the planner's perf trajectory (per-phase split, SLRG cache reuse,
     deferred-evaluation savings, search-phase GC footprint) is tracked
     across commits. *)
 
 type record = {
   scenario : string;  (** e.g. ["Small-C"] *)
-  actions : int;  (** leveled actions after pruning *)
-  rg_created : int;
-  rg_expanded : int;
-  rg_duplicates : int;
-  slrg_cache_hits : int;  (** SLRG queries answered from cache *)
-  slrg_suffix_harvested : int;  (** harvested exact cache entries *)
-  slrg_bound_promoted : int;  (** exhausted bounds promoted to exact *)
-  slrg_deferred : int;  (** RG nodes queued under the cheap PLRG bound *)
-  slrg_saved : int;  (** SLRG queries never run thanks to deferral *)
+  stats : Sekitei_core.Session.stats;
+      (** the first run's counts, emitted through
+          {!Sekitei_core.Session.counts}; its timings are not emitted *)
   search_ms : float;  (** graph phases total (plrg + slrg create + rg) *)
   search_ms_p50 : float;
       (** per-repeat distribution of [t_search_ms] through a
@@ -67,18 +59,14 @@ type record = {
     run — the planner is deterministic, so they agree across repeats.
     [warm] (default [false]) additionally opens a planning session, runs
     one untimed cold plan, and records the median [t_search_ms] of
-    [repeat] warm re-plans as [warm_search_ms].
-
-    [metrics_armed] (default [true]) measures the production
-    observability configuration: a shared metric registry and a
-    flight recorder armed on every run's telemetry handle, no sinks
-    attached.  [false] disarms both — the bench's [--no-metrics], used
-    for the overhead A/B recorded in EXPERIMENTS.md. *)
+    [repeat] warm re-plans as [warm_search_ms].  Every run measures the
+    production observability configuration: a metric registry shared
+    across the runs and a flight recorder armed on each run's telemetry
+    handle, no sinks attached. *)
 val measure :
   ?config:Sekitei_core.Planner.config ->
   ?repeat:int ->
   ?warm:bool ->
-  ?metrics_armed:bool ->
   Scenarios.t ->
   Sekitei_domains.Media.scenario ->
   record
@@ -93,7 +81,6 @@ val run_default :
   ?repeat:int ->
   ?jobs:int ->
   ?warm:bool ->
-  ?metrics_armed:bool ->
   unit ->
   record list
 
@@ -120,7 +107,9 @@ val write_file : string -> string -> unit
     the gate even on hardware fast enough to hide it in the timings, and
     [warm_search_ms] catches cross-request
     reuse regressions (compared only when measured on both sides — an
-    unmeasured run records 0.0, and 0-vs-0 never trips). *)
+    unmeasured run records 0.0, and 0-vs-0 never trips).  Both sides
+    are read from their JSON records, the current one as {!to_json}
+    would emit it. *)
 
 (** One (scenario, metric) comparison.  [d_pct] is the relative change
     in percent, positive when the current run is worse (higher). *)

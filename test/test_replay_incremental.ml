@@ -19,6 +19,7 @@ module Rg = Sekitei_core.Rg
 module Media = Sekitei_domains.Media
 module Scenarios = Sekitei_harness.Scenarios
 module Bench_json = Sekitei_harness.Bench_json
+module Planner = Sekitei_core.Planner
 module G = Sekitei_network.Generators
 module T = Sekitei_network.Topology
 
@@ -191,8 +192,9 @@ let test_dedup_counts_duplicates () =
 
 let test_bench_json_schema () =
   let r = Bench_json.measure (Scenarios.tiny ()) Media.C in
-  Alcotest.(check bool) "actions positive" true (r.Bench_json.actions > 0);
-  Alcotest.(check bool) "created positive" true (r.Bench_json.rg_created > 0);
+  let s = r.Bench_json.stats in
+  Alcotest.(check bool) "actions positive" true (s.Planner.total_actions > 0);
+  Alcotest.(check bool) "created positive" true (s.Planner.rg_created > 0);
   let doc = Bench_json.to_json [ r ] in
   (match Bench_json.parse_check doc with
   | Ok n -> Alcotest.(check int) "one record" 1 n
@@ -203,9 +205,9 @@ let test_bench_json_schema () =
     && r.Bench_json.rg_ms >= 0.
     && r.Bench_json.compile_ms >= 0.);
   Alcotest.(check bool) "slrg cache counters present and sane" true
-    (r.Bench_json.slrg_cache_hits >= 0
-    && r.Bench_json.slrg_suffix_harvested >= 0
-    && r.Bench_json.slrg_bound_promoted >= 0);
+    (s.Planner.slrg_cache_hits >= 0
+    && s.Planner.slrg_suffix_harvested >= 0
+    && s.Planner.slrg_bound_promoted >= 0);
   let tagged = Bench_json.to_json ~tag:"test" [ r; r ] in
   (match Bench_json.parse_check tagged with
   | Ok n -> Alcotest.(check int) "parses as two records" 2 n

@@ -613,67 +613,148 @@ let test_deadline_does_not_poison_session () =
 
 (* ---------------- one route per count ---------------- *)
 
-(* The report is the one place a count is computed.  In a traced session
-   each plan's Counter events carry exactly that plan's stats, once per
-   name, and the registry's search counters are their sums.  The warm
-   plan answers from a hot oracle, so its counts differ from the cold
-   one's: a cumulative route would show here. *)
+(* The table's rows, spelled out so that a rename or a change of stage
+   shows up here. *)
+let count_rows =
+  Planner.
+    [
+      ("compile.actions", Compiled);
+      ("plrg.relevant_props", Compiled);
+      ("plrg.relevant_actions", Compiled);
+      ("slrg.nodes", Searched);
+      ("slrg.queries", Searched);
+      ("rg.created", Searched);
+      ("rg.open_left", Searched);
+      ("rg.expanded", Searched);
+      ("rg.replay_pruned", Searched);
+      ("rg.final_replay_rejected", Searched);
+      ("rg.duplicates", Searched);
+      ("rg.order_repaired", Searched);
+      ("slrg.cache_hits", Searched);
+      ("slrg.suffix_harvested", Searched);
+      ("slrg.bound_promoted", Searched);
+      ("slrg.deferred", Searched);
+      ("slrg.saved", Searched);
+      ("session.invalidated_actions", Requested);
+      ("session.evicted_entries", Requested);
+    ]
+
+let stage_name = function
+  | Planner.Requested -> "requested"
+  | Planner.Compiled -> "compiled"
+  | Planner.Searched -> "searched"
+
+(* Plan once in [session], returning the report and the Counter events
+   the plan added to the trace [events] reads, sorted by name. *)
+let plan_with_counters session events =
+  let seen = List.length (events ()) in
+  let r = Session.plan session in
+  let counters =
+    List.filteri (fun i _ -> i >= seen) (events ())
+    |> List.filter_map (function
+         | Telemetry.Counter { name; total; _ } -> Some (name, total)
+         | _ -> None)
+  in
+  (r, List.sort compare counters)
+
+(* The report is the one place a count is computed and {!Session.counts}
+   the one place it is named.  In a traced session each plan's Counter
+   events carry exactly that plan's stats, once per row, and each
+   registry counter is their sum.  The warm plan answers from a hot
+   oracle, so its counts differ from the cold one's: a cumulative route
+   would show here. *)
 let test_counters_agree () =
+  let rows = List.map (fun (name, stage) -> (name, stage_name stage)) in
+  Alcotest.(check (list (pair string string))) "the table's rows"
+    (rows count_rows)
+    (rows
+       (List.map
+          (fun (c : Planner.count) -> (c.Planner.name, c.Planner.stage))
+          Planner.counts));
   let sink, events = Telemetry.memory () in
   let telemetry = Telemetry.create [ sink ] in
   let _, req = small_request () in
   let session = Session.create { req with Planner.telemetry } in
-  let plan_with_counters () =
-    let seen = List.length (events ()) in
-    let r = Session.plan session in
-    let counters =
-      List.filteri (fun i _ -> i >= seen) (events ())
-      |> List.filter_map (function
-           | Telemetry.Counter { name; total; _ } -> Some (name, total)
-           | _ -> None)
-    in
-    (r.Planner.stats, List.sort compare counters)
-  in
-  let expected (s : Planner.stats) =
+  let expected (r : Planner.report) =
     List.sort compare
-      [
-        ("plrg.relevant_props", s.Planner.plrg_props);
-        ("plrg.relevant_actions", s.Planner.plrg_actions);
-        ("rg.created", s.Planner.rg_created);
-        ("rg.expanded", s.Planner.rg_expanded);
-        ("rg.replay_pruned", s.Planner.replay_pruned);
-        ("rg.final_replay_rejected", s.Planner.final_replay_rejected);
-        ("rg.duplicates", s.Planner.rg_duplicates);
-        ("rg.order_repaired", s.Planner.order_repaired);
-        ("rg.slrg_deferred", s.Planner.slrg_deferred);
-        ("rg.slrg_saved", s.Planner.slrg_saved);
-        ("slrg.queries", s.Planner.slrg_queries);
-        ("slrg.cache_hits", s.Planner.slrg_cache_hits);
-        ("slrg.suffix_harvested", s.Planner.slrg_suffix_harvested);
-        ("slrg.bound_promoted", s.Planner.slrg_bound_promoted);
-      ]
+      (List.map
+         (fun (c : Planner.count) -> (c.Planner.name, c.Planner.get r.stats))
+         Planner.counts)
   in
   let counts = Alcotest.(list (pair string int)) in
-  let cold, cold_counters = plan_with_counters () in
-  let warm, warm_counters = plan_with_counters () in
+  let cold, cold_counters = plan_with_counters session events in
+  let warm, warm_counters = plan_with_counters session events in
   Alcotest.check counts "cold plan's counters" (expected cold) cold_counters;
   Alcotest.check counts "warm plan's counters" (expected warm) warm_counters;
   Alcotest.(check bool) "warm oracle runs fewer queries" true
-    (warm.Planner.slrg_queries < cold.Planner.slrg_queries);
+    (warm.stats.Planner.slrg_queries < cold.stats.Planner.slrg_queries);
   let snap = Session.metrics_snapshot session in
   Alcotest.(check int) "rg.searches" 2
     (Registry.counter_value snap "rg.searches");
   List.iter
-    (fun (name, f) ->
-      Alcotest.(check int) name (f cold + f warm)
-        (Registry.counter_value snap name))
-    [
-      ("rg.created", fun (s : Planner.stats) -> s.Planner.rg_created);
-      ("rg.expanded", fun s -> s.Planner.rg_expanded);
-      ("rg.duplicates", fun s -> s.Planner.rg_duplicates);
-      ("slrg.queries", fun s -> s.Planner.slrg_queries);
-      ("slrg.cache_hits", fun s -> s.Planner.slrg_cache_hits);
-    ]
+    (fun (c : Planner.count) ->
+      Alcotest.(check int) c.Planner.name
+        (c.Planner.get cold.stats + c.Planner.get warm.stats)
+        (Registry.counter_value snap c.Planner.name))
+    Planner.counts
+
+(* A row goes out only once its stage is reached, to the trace and the
+   registry alike: an invalid spec gets only the session counts, an
+   unreachable goal the compile-stage counts too, and a cut-off search
+   every count. *)
+let test_counts_gated_by_stage () =
+  let names_upto stage =
+    List.filter_map
+      (fun (name, s) -> if s <= stage then Some name else None)
+      count_rows
+    |> List.sort compare
+  in
+  let check label req ~failure stage =
+    let sink, events = Telemetry.memory () in
+    let session =
+      Session.create { req with Planner.telemetry = Telemetry.create [ sink ] }
+    in
+    let r, counters = plan_with_counters session events in
+    (match r.Planner.result with
+    | Error reason when failure reason -> ()
+    | Error reason ->
+        Alcotest.failf "%s: wrong failure: %a" label Planner.pp_failure reason
+    | Ok _ -> Alcotest.failf "%s: expected a failure" label);
+    let names = Alcotest.(list string) in
+    Alcotest.check names (label ^ ": trace") (names_upto stage)
+      (List.map fst counters);
+    Alcotest.check names (label ^ ": registry") (names_upto stage)
+      (List.filter
+         (fun n -> List.mem_assoc n count_rows)
+         (List.map fst (Registry.counters (Session.metrics_snapshot session)))
+      |> List.sort compare)
+  in
+  let app = Media.app ~server:0 ~client:1 () in
+  check "invalid spec"
+    (Planner.request
+       (Sekitei_network.Generators.line_kinds [ T.Wan ])
+       { app with Model.goals = [] })
+    ~failure:(function Planner.Invalid_spec _ -> true | _ -> false)
+    Planner.Requested;
+  let file = "examples/specs/infeasible.spec" in
+  let path = if Sys.file_exists ("../" ^ file) then "../" ^ file else file in
+  let doc =
+    Sekitei_spec.Dsl.parse_document
+      (In_channel.with_open_text path In_channel.input_all)
+  in
+  check "unreachable goal"
+    (Planner.request
+       (Option.get doc.Sekitei_spec.Dsl.topo)
+       doc.Sekitei_spec.Dsl.app ~leveling:doc.Sekitei_spec.Dsl.leveling)
+    ~failure:(function Planner.Unreachable_goal _ -> true | _ -> false)
+    Planner.Compiled;
+  let _, req = small_request () in
+  check "search limit"
+    { req with
+      Planner.config =
+        { req.Planner.config with Planner.rg_max_expansions = 1 } }
+    ~failure:(function Planner.Search_limit _ -> true | _ -> false)
+    Planner.Searched
 
 let suite =
   [
@@ -695,4 +776,5 @@ let suite =
     ("deadline leaves session intact", `Quick,
      test_deadline_does_not_poison_session);
     ("counters agree", `Quick, test_counters_agree);
+    ("counts gated by stage", `Quick, test_counts_gated_by_stage);
   ]
