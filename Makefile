@@ -8,7 +8,9 @@ test:
 
 # Source hygiene.  The build image has no ocamlformat, so the lint is
 # the closest equivalent: `dune build @check` typechecks every module
-# (including ones no executable pulls in), and a grep rejects trailing
+# (including ones no executable pulls in) with warning 60 as an error
+# (the root `dune` file's dev flags), so an unused module alias left
+# behind by a deletion fails it, and a grep rejects trailing
 # whitespace and tab indentation in OCaml sources.  A second grep
 # rejects catch-all exception handlers (`with _ ->`) outside test/:
 # they swallow Out_of_memory and Stack_overflow and have twice hidden
@@ -176,7 +178,7 @@ bench:
 # records warm_search_ms, the search time of a session re-plan that
 # reuses the compiled problem and the hot SLRG oracle.
 bench-json:
-	dune exec bench/main.exe -- --json --tag pr18 --repeat 3 --jobs 1 --warm
+	dune exec bench/main.exe -- --json --tag counts-table --repeat 3 --jobs 1 --warm
 
 # Profile the Small-C run: trace every planner phase to JSONL and render
 # the span tree / counter summary.

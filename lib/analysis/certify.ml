@@ -13,7 +13,6 @@ module Expr = Sekitei_expr.Expr
 module Topology = Sekitei_network.Topology
 module Model = Sekitei_spec.Model
 module Problem = Sekitei_core.Problem
-module Prop = Sekitei_core.Prop
 module Action = Sekitei_core.Action
 module Plan = Sekitei_core.Plan
 

@@ -18,5 +18,3 @@ type t = {
   checked_link : (string * I.t) array;
   label : string;
 }
-
-let pp fmt a = Format.fprintf fmt "%s (cost>=%g)" a.label a.cost_lb

@@ -39,5 +39,3 @@ type t = {
   checked_link : (string * I.t) array;
   label : string;
 }
-
-val pp : Format.formatter -> t -> unit

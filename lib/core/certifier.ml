@@ -7,5 +7,4 @@ type checker = Problem.t -> Plan.t -> (unit, string) result
 
 let hook : checker option ref = ref None
 let install f = hook := Some f
-let installed () = Option.is_some !hook
 let run pb plan = match !hook with None -> Ok () | Some f -> f pb plan

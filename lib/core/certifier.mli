@@ -15,5 +15,4 @@ type checker = Problem.t -> Plan.t -> (unit, string) result
     [reason] is a rendered diagnostic. *)
 
 val install : checker -> unit
-val installed : unit -> bool
 val run : Problem.t -> Plan.t -> (unit, string) result

@@ -1004,8 +1004,7 @@ let compile ?(adjust = no_adjust) ?(telemetry = Telemetry.null)
    result is structurally identical to a cold [compile] of the mutated
    topology, just cheaper. *)
 let recompile ?(adjust = no_adjust) ?(telemetry = Telemetry.null)
-    ?(deadline = Deadline.none) ~(old : Problem.t) ~node_touched
-    ~link_touched topo app leveling =
+    ~(old : Problem.t) ~node_touched ~link_touched topo app leveling =
   (* Reuse groups are built from the *pre-prune* ground set: deadness is
      a global property (it flows through [iface_max] and the relaxed
      reachability cascade), so a delta at one site can revive an action
@@ -1054,8 +1053,8 @@ let recompile ?(adjust = no_adjust) ?(telemetry = Telemetry.null)
     }
   in
   let pb =
-    compile_with ~adjust ~telemetry ~deadline ~prune:true ~reuse topo app
-      leveling
+    compile_with ~adjust ~telemetry ~deadline:Deadline.none ~prune:true ~reuse
+      topo app leveling
   in
   (* Invalidation is counted against the ground set the groups serve. *)
   (pb, Array.length old.Problem.ground_actions - !reused)

@@ -96,7 +96,6 @@ val compile :
 val recompile :
   ?adjust:(comp:string -> node:int -> float) ->
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
-  ?deadline:Sekitei_util.Deadline.t ->
   old:Problem.t ->
   node_touched:(int -> bool) ->
   link_touched:(int -> bool) ->

@@ -18,8 +18,6 @@ let step_to_string (pb : Problem.t) (a : Action.t) =
 let to_string pb t =
   String.concat ",\n" (List.map (step_to_string pb) t.steps) ^ "."
 
-let pp pb fmt t = Format.pp_print_string fmt (to_string pb t)
-
 let labels t = List.map (fun (a : Action.t) -> a.Action.label) t.steps
 
 let placements (pb : Problem.t) t =

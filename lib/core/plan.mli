@@ -17,8 +17,6 @@ val length : t -> int
     from n0 to n1". *)
 val to_string : Problem.t -> t -> string
 
-val pp : Problem.t -> Format.formatter -> t -> unit
-
 (** Step labels only (for compact test assertions). *)
 val labels : t -> string list
 

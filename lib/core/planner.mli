@@ -51,18 +51,7 @@ val plan :
 
     Requests are planned shared-nothing, with one caveat the caller
     owns: a {!Sekitei_telemetry.Telemetry.t} handle carries mutable
-    span state, so each request must have its own handle (or
-    {!Sekitei_telemetry.Telemetry.null}); a sink shared between those
-    handles must be wrapped with {!Sekitei_telemetry.Telemetry.locked}.
-
-    [metrics] may be one registry shared by the whole batch: its
-    per-domain shards keep worker recording contention-free, and each
-    worker additionally reports pool-health metrics (["pool.workers"],
-    ["pool.items"], ["pool.worker_busy_ms"], ["pool.worker_idle_ms"])
-    from its own domain when it finishes. *)
-val plan_batch :
-  ?adjust:(comp:string -> node:int -> float) ->
-  ?jobs:int ->
-  ?metrics:Sekitei_telemetry.Registry.t ->
-  request list ->
-  report list
+    span state and its sinks are not synchronised, so each request must
+    have its own handle with its own sinks (or
+    {!Sekitei_telemetry.Telemetry.null}). *)
+val plan_batch : ?jobs:int -> request list -> report list

@@ -5,7 +5,11 @@ let feasible pb steps scale =
   | Ok m -> Some m
   | Error _ -> None
 
-let minimize ?(tolerance = 1e-3) pb (plan : Plan.t) =
+(* Bisection stops once the feasible and infeasible scales are this
+   close. *)
+let tolerance = 1e-3
+
+let minimize pb (plan : Plan.t) =
   match feasible pb plan.Plan.steps 1. with
   | None -> None
   | Some full ->

@@ -17,6 +17,6 @@ type result = {
   metrics : Replay.metrics;  (** metrics at that scale *)
 }
 
-(** [minimize problem plan] bisects to [tolerance] (default 1e-3).
+(** [minimize problem plan] bisects the scale to within 1e-3.
     Returns [None] when even the unscaled plan fails to replay. *)
-val minimize : ?tolerance:float -> Problem.t -> Plan.t -> result option
+val minimize : Problem.t -> Plan.t -> result option

@@ -52,8 +52,6 @@ let node_cap t node r =
 let link_cap t link r =
   try Topology.link_resource t.topo link r with Not_found -> 0.
 
-let action t id = t.actions.(id)
-
 (* Element-wise, after a physical test: a recompile shares the arrays of
    every action it reuses, so most comparisons stop at [==]. *)
 let same_ints (a : int array) (b : int array) =
@@ -114,5 +112,3 @@ let prop_label t id =
       Printf.sprintf "avail(%s,%s,L%d=%s)" t.ifaces.(i).iface_name
         (Topology.get_node t.topo n).node_name l
         (I.to_string t.iface_levels.(i).(l))
-
-let pp_prop t fmt id = Format.pp_print_string fmt (prop_label t id)

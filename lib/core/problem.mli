@@ -61,8 +61,6 @@ val node_cap : t -> int -> string -> float
 (** Static capacity of a link resource; 0.0 when the link lacks it. *)
 val link_cap : t -> int -> string -> float
 
-val action : t -> int -> Action.t
-
 (** How a recompiled problem relates to the one it replaces, judged on
     everything the PLRG, the SLRG oracle and the {!Supports} rows read:
     [init], [goal_props], and each action's [kind], [pre], [add_closure]
@@ -92,5 +90,4 @@ type leveled_diff = Same | Fewer of int array | Changed
     in those fields. *)
 val leveled_diff : old:t -> t -> leveled_diff
 
-val pp_prop : t -> Format.formatter -> int -> unit
 val prop_label : t -> int -> string

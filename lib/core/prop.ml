@@ -46,5 +46,3 @@ let of_id t id =
     let offset = id - t.iface_base.(!iface) in
     Avail (!iface, offset / t.levels.(!iface), offset mod t.levels.(!iface))
   end
-
-let levels_of_iface t i = t.levels.(i)

@@ -22,6 +22,3 @@ val of_id : interner -> int -> t
 
 val placed_id : interner -> comp:int -> node:int -> int
 val avail_id : interner -> iface:int -> node:int -> level:int -> int
-
-(** Number of levels of an interface (as sized at creation). *)
-val levels_of_iface : interner -> int -> int

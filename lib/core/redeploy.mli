@@ -19,10 +19,6 @@ type policy = {
       (** added when the component type moves to a different node *)
 }
 
-(** Keep discount 5, migration surcharge 3 — placements are sticky but
-    migration is not prohibitive. *)
-val default_policy : policy
-
 type diff = {
   kept : (string * int) list;
   moved : (string * int * int) list;  (** component, old node, new node *)
@@ -31,7 +27,9 @@ type diff = {
 }
 
 (** [replan ~previous topo app leveling] plans on the (possibly changed)
-    topology with adaptation costs relative to the previous placements. *)
+    topology with adaptation costs relative to the previous placements.
+    [policy] defaults to a keep discount of 5 and a migration surcharge
+    of 3: placements are sticky but migration is not prohibitive. *)
 val replan :
   ?config:Planner.config ->
   ?policy:policy ->

@@ -553,8 +553,7 @@ let run ?(telemetry = Telemetry.null) ?source_scale pb ~mode tail =
 
 type rstate = { rst : state; rcost : float; rlen : int }
 
-let initial ?source_scale pb =
-  { rst = init_state ?source_scale pb; rcost = 0.; rlen = 0 }
+let initial pb = { rst = init_state pb; rcost = 0.; rlen = 0 }
 
 let extend pb ~mode rs (act : Action.t) =
   (* The child rebinds its own fields; the parent's maps are shared, not

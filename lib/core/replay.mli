@@ -90,8 +90,8 @@ val run :
 
 type rstate
 
-(** State of the empty sequence ([source_scale] as in {!run}). *)
-val initial : ?source_scale:float -> Problem.t -> rstate
+(** State of the empty sequence, at full source supply. *)
+val initial : Problem.t -> rstate
 
 (** [extend pb ~mode rs act] executes [act] against a snapshot of [rs].
     [rs] itself is never mutated — whether [act] succeeds or fails — and

@@ -16,9 +16,6 @@ module Topology = Sekitei_network.Topology
     client n3. *)
 val topology : unit -> Topology.t
 
-val server : int
-val client : int
-
 val app : ?cross_weight:float -> ?place_weight:float -> unit -> Model.app
 
 (** Scenario-C-style levels on [T] (cutpoints 90, 100) with [Z] derived. *)

@@ -71,5 +71,6 @@ let app ?(supply = 120.) ?(demand = 20.) ?(deadline = 40.) ~storage ~consumer
     goals = [ Model.Placed ("Consumer", consumer) ];
   }
 
-let leveling ?(cuts = [ 60.; 80.; 120. ]) app =
-  Leveling.propagate app (Leveling.with_iface Leveling.empty "F" "ibw" cuts)
+let leveling app =
+  Leveling.propagate app
+    (Leveling.with_iface Leveling.empty "F" "ibw" [ 60.; 80.; 120. ])

@@ -30,5 +30,6 @@ val app :
   unit ->
   Model.app
 
-(** Levels on [F.ibw] at the given cutpoints, propagated to [FZ] and [R]. *)
-val leveling : ?cuts:float list -> Model.app -> Leveling.t
+(** Levels on [F.ibw] at cutpoints 60, 80 and 120, propagated to [FZ]
+    and [R]. *)
+val leveling : Model.app -> Leveling.t

@@ -253,7 +253,6 @@ let rec simplify e =
       | Const x, Const y -> Const (Float.max x y)
       | a', b' -> Max (a', b'))
 
-
 type monotonicity = Increasing | Decreasing | Constant | Unknown
 
 (* Static sign assuming every variable is non-negative (bandwidths, CPU
@@ -323,29 +322,6 @@ and scale_mono m s =
    negative constant. *)
 and sign_of_simplified e = sign_of (simplify e)
 
-let easier_when_lower c v =
-  (* A condition is easier (or unchanged) when v decreases iff its
-     satisfaction is downward-monotone in v. *)
-  let rec go = function
-    | True -> Some true
-    | Cmp (op, a, b) -> (
-        let d = monotonicity (Sub (a, b)) v in
-        match (op, d) with
-        | _, Constant -> Some true
-        | (Ge | Gt), Decreasing -> Some true
-        | (Ge | Gt), Increasing -> Some false
-        | (Le | Lt), Increasing -> Some true
-        | (Le | Lt), Decreasing -> Some false
-        | Eq, _ -> None
-        | _, Unknown -> None)
-    | And (a, b) | Or (a, b) -> (
-        match (go a, go b) with
-        | Some true, Some true -> Some true
-        | Some false, Some _ | Some _, Some false -> Some false
-        | _ -> None)
-  in
-  go c
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -399,9 +375,6 @@ and paren_cond c =
   match c with
   | And _ | Or _ -> "(" ^ cond_to_string c ^ ")"
   | _ -> cond_to_string c
-
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-let pp_cond fmt c = Format.pp_print_string fmt (cond_to_string c)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

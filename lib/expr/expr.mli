@@ -6,8 +6,8 @@
     variables ([Node.cpu >= (T.ibw + I.ibw)/5], [M.ibw' := min(M.ibw,
     Link.lbw)]).  This module provides the AST, exact point evaluation,
     sound interval evaluation (used by optimistic resource maps), and a
-    syntactic monotonicity analysis (used to derive degradable/upgradable
-    tags and to justify endpoint evaluation). *)
+    syntactic monotonicity analysis (used to justify endpoint
+    evaluation). *)
 
 type var = string
 (** Variable names are dot-qualified: ["M.ibw"], ["node.cpu"],
@@ -113,11 +113,6 @@ type monotonicity = Increasing | Decreasing | Constant | Unknown
     denominator. *)
 val monotonicity : t -> var -> monotonicity
 
-(** Does the condition get easier to satisfy as the variable decreases?
-    (conservatively computed; [None] = cannot tell).  Used by the automatic
-    degradability analysis (paper section 3.1). *)
-val easier_when_lower : cond -> var -> bool option
-
 (** Constant folding and algebraic identities ([x+0], [1*x], ...). *)
 val simplify : t -> t
 
@@ -127,8 +122,6 @@ val simplify : t -> t
 val to_string : t -> string
 
 val cond_to_string : cond -> string
-val pp : Format.formatter -> t -> unit
-val pp_cond : Format.formatter -> cond -> unit
 
 exception Parse_error of string
 

@@ -162,38 +162,50 @@ let run_default ?config ?(repeat = 1) ?(jobs = 1) ?(warm = false) () =
   let wall_ms_batch = Timer.elapsed_ms t in
   List.map (fun r -> { r with jobs; wall_ms_batch }) records
 
-(* Timings are rounded to microseconds so records stay diff-friendly. *)
-let ms v = Json.Float (Float.round (v *. 1000.) /. 1000.)
-
 (* A count's key: its {!Session.counts} name, sanitized as the
    Prometheus exposition does (dots become underscores). *)
 let key (c : Session.count) = Export.sanitize c.Session.name
+
+(* Every key of a record, in emission order, with the JSON kind the
+   schema check expects and the value {!to_json} writes.  A float
+   column accepts an integer: a whole-valued float is emitted without a
+   fraction. *)
+let columns =
+  let count (c : Session.count) =
+    (key c, `Int, fun r -> Json.Int (c.Session.get r.stats))
+  in
+  (* Timings are rounded to microseconds so records stay
+     diff-friendly; allocation counts to whole words. *)
+  let ms k f =
+    (k, `Float, fun r -> Json.Float (Float.round (f r *. 1000.) /. 1000.))
+  in
+  let words k f = (k, `Float, fun r -> Json.Float (Float.round (f r))) in
+  let int k f = (k, `Int, fun r -> Json.Int (f r)) in
+  (("scenario", `Str, fun r -> Json.Str r.scenario)
+   :: List.map count Session.counts)
+  @ [
+      ms "search_ms" (fun r -> r.search_ms);
+      ms "search_ms_p50" (fun r -> r.search_ms_p50);
+      ms "search_ms_p90" (fun r -> r.search_ms_p90);
+      ms "search_ms_p99" (fun r -> r.search_ms_p99);
+      ms "warm_search_ms" (fun r -> r.warm_search_ms);
+      ms "compile_ms" (fun r -> r.compile_ms);
+      words "compile_minor_words" (fun r -> r.compile_minor_words);
+      ms "plrg_ms" (fun r -> r.plrg_ms);
+      ms "slrg_ms" (fun r -> r.slrg_ms);
+      ms "rg_ms" (fun r -> r.rg_ms);
+      words "minor_words" (fun r -> r.minor_words);
+      words "slrg_minor_words" (fun r -> r.slrg_minor_words);
+      int "major_collections" (fun r -> r.major_collections);
+      int "jobs" (fun r -> r.jobs);
+      ms "wall_ms_batch" (fun r -> r.wall_ms_batch);
+    ]
 
 let record_to_json ?tag r =
   let tag_field =
     match tag with None -> [] | Some t -> [ ("tag", Json.Str t) ]
   in
-  let count (c : Session.count) = (key c, Json.Int (c.Session.get r.stats)) in
-  Json.Obj
-    (tag_field
-    @ (("scenario", Json.Str r.scenario) :: List.map count Session.counts)
-    @ [
-        ("search_ms", ms r.search_ms);
-        ("search_ms_p50", ms r.search_ms_p50);
-        ("search_ms_p90", ms r.search_ms_p90);
-        ("search_ms_p99", ms r.search_ms_p99);
-        ("warm_search_ms", ms r.warm_search_ms);
-        ("compile_ms", ms r.compile_ms);
-        ("compile_minor_words", Json.Float (Float.round r.compile_minor_words));
-        ("plrg_ms", ms r.plrg_ms);
-        ("slrg_ms", ms r.slrg_ms);
-        ("rg_ms", ms r.rg_ms);
-        ("minor_words", Json.Float (Float.round r.minor_words));
-        ("slrg_minor_words", Json.Float (Float.round r.slrg_minor_words));
-        ("major_collections", Json.Int r.major_collections);
-        ("jobs", Json.Int r.jobs);
-        ("wall_ms_batch", ms r.wall_ms_batch);
-      ])
+  Json.Obj (tag_field @ List.map (fun (k, _, value) -> (k, value r)) columns)
 
 let to_json ?tag records =
   "[\n  "
@@ -201,34 +213,12 @@ let to_json ?tag records =
       (List.map (fun r -> Json.to_string (record_to_json ?tag r)) records)
   ^ "\n]\n"
 
-(* Every schema key with the JSON kind of its value.  A float column
-   accepts an integer: a whole-valued float is emitted without a
-   fraction. *)
-let schema =
-  (("scenario", `Str) :: List.map (fun c -> (key c, `Int)) Session.counts)
-  @ [
-      ("search_ms", `Float);
-      ("search_ms_p50", `Float);
-      ("search_ms_p90", `Float);
-      ("search_ms_p99", `Float);
-      ("warm_search_ms", `Float);
-      ("compile_ms", `Float);
-      ("compile_minor_words", `Float);
-      ("plrg_ms", `Float);
-      ("slrg_ms", `Float);
-      ("rg_ms", `Float);
-      ("minor_words", `Float);
-      ("slrg_minor_words", `Float);
-      ("major_collections", `Int);
-      ("jobs", `Int);
-      ("wall_ms_batch", `Float);
-    ]
-
-let parse_check doc =
+(* The records of a document that passes the schema check. *)
+let parse_records doc =
   match Json.of_string doc with
   | Error e -> Error e
   | Ok (Json.List records) ->
-      let bad_key obj (k, kind) =
+      let bad_key obj (k, kind, _) =
         match (kind, Json.member k obj) with
         | `Str, Some (Json.Str _)
         | `Int, Some (Json.Int _)
@@ -237,15 +227,17 @@ let parse_check doc =
         | _ -> Some k
       in
       let rec go i = function
-        | [] -> Ok (List.length records)
+        | [] -> Ok records
         | r :: rest -> (
-            match List.find_map (bad_key r) schema with
+            match List.find_map (bad_key r) columns with
             | Some k ->
                 Error (Printf.sprintf "record %d: bad or missing key %s" i k)
             | None -> go (i + 1) rest)
       in
       go 0 records
   | Ok _ -> Error "not a JSON array"
+
+let parse_check doc = Result.map List.length (parse_records doc)
 
 let write_file path doc =
   let oc = open_out path in
@@ -276,9 +268,9 @@ let gated_metrics =
   ]
 
 let diff_baseline ~baseline records =
-  match Json.of_string baseline with
+  match parse_records baseline with
   | Error e -> Error ("baseline: " ^ e)
-  | Ok (Json.List rows) -> (
+  | Ok rows ->
       let lookup scenario =
         List.find_opt
           (fun row ->
@@ -292,18 +284,17 @@ let diff_baseline ~baseline records =
         | None -> Error (Printf.sprintf "baseline has no record for %s" r.scenario)
         | Some row ->
             (* The current value is read off the record's own JSON, so a
-               gated key means the same on both sides. *)
+               gated key means the same on both sides.  The baseline
+               passed the schema check and the current record is written
+               from the same columns, so both carry every gated key. *)
             let current = record_to_json r in
             let metric obj m = Option.bind (Json.member m obj) Json.to_float in
             let rec go acc = function
               | [] -> Ok (List.rev acc)
               | m :: rest -> (
                   match (metric row m, metric current m) with
-                  | None, _ ->
-                      Error
-                        (Printf.sprintf "baseline %s: bad or missing %s"
-                           r.scenario m)
-                  | Some _, None -> invalid_arg ("Bench_json.gated_metrics: " ^ m)
+                  | None, _ | _, None ->
+                      invalid_arg ("Bench_json.gated_metrics: " ^ m)
                   | Some base, Some cur ->
                       let pct =
                         if base > 0. then (cur -. base) /. base *. 100.
@@ -330,8 +321,7 @@ let diff_baseline ~baseline records =
             | Ok ds -> all (ds :: acc) rest
             | Error _ as e -> e)
       in
-      all [] records)
-  | Ok _ -> Error "baseline: not a JSON array"
+      all [] records
 
 let regressions ~max_regress deltas =
   List.filter (fun d -> d.d_pct > max_regress) deltas

@@ -84,6 +84,10 @@ val run_default :
   unit ->
   record list
 
+(** A count's record key: its {!Sekitei_core.Session.counts} name with
+    {!Sekitei_telemetry.Export.sanitize} applied, e.g. [rg_created]. *)
+val key : Sekitei_core.Session.count -> string
+
 (** Serialize as a JSON array, one record per line.  [tag] adds a
     ["tag"] field to every record (e.g. a commit phase label). *)
 val to_json : ?tag:string -> record list -> string
@@ -126,8 +130,8 @@ val gated_metrics : string list
 
 (** [diff_baseline ~baseline records] parses [baseline] (a previously
     emitted document) and compares every current record against the
-    baseline record with the same [scenario].  Errors on a malformed
-    baseline or a current scenario the baseline does not cover. *)
+    baseline record with the same [scenario].  Errors on a baseline that
+    fails {!parse_check} or that lacks a current record's scenario. *)
 val diff_baseline : baseline:string -> record list -> (delta list, string) result
 
 (** Deltas exceeding [max_regress] percent (worse-only; improvements

@@ -1,4 +1,5 @@
 module Planner = Sekitei_core.Planner
+module Session = Sekitei_core.Session
 module Plan = Sekitei_core.Plan
 module Replay = Sekitei_core.Replay
 module Media = Sekitei_domains.Media
@@ -13,13 +14,15 @@ let quote field =
 
 let row_line cells = String.concat "," (List.map quote cells) ^ "\n"
 
+(* One count column per {!Session.counts} row, named as the bench
+   record names it. *)
 let header =
   [
     "network"; "levels"; "found"; "cost_bound"; "plan_actions";
-    "realized_cost"; "lan_peak"; "wan_peak"; "total_actions"; "plrg_props";
-    "plrg_actions"; "slrg_nodes"; "rg_created"; "rg_open"; "rg_duplicates"; "time_total_ms";
-    "time_search_ms";
+    "realized_cost"; "lan_peak"; "wan_peak";
   ]
+  @ List.map Bench_json.key Session.counts
+  @ [ "time_total_ms"; "time_search_ms" ]
 
 let float_cell = Printf.sprintf "%.6g"
 
@@ -42,21 +45,16 @@ let table2_csv rows =
             ]
         | None -> [ "0"; ""; ""; ""; ""; "" ]
       in
+      let count_cells =
+        List.map
+          (fun (c : Session.count) -> string_of_int (c.Session.get s))
+          Session.counts
+      in
       Buffer.add_string buf
         (row_line
            ([ r.Table2.network; Media.scenario_name r.Table2.level_scenario ]
-           @ plan_cells
-           @ [
-               string_of_int s.Planner.total_actions;
-               string_of_int s.Planner.plrg_props;
-               string_of_int s.Planner.plrg_actions;
-               string_of_int s.Planner.slrg_nodes;
-               string_of_int s.Planner.rg_created;
-               string_of_int s.Planner.rg_open_left;
-               string_of_int s.Planner.rg_duplicates;
-               float_cell s.Planner.t_total_ms;
-               float_cell s.Planner.t_search_ms;
-             ])))
+           @ plan_cells @ count_cells
+           @ [ float_cell s.Planner.t_total_ms; float_cell s.Planner.t_search_ms ])))
     rows;
   Buffer.contents buf
 

@@ -3,7 +3,9 @@
 
     Values are RFC-4180-quoted where needed; the first line is a header.
     The row schema matches {!Table2.row} plus the realized metrics the
-    paper's table omits. *)
+    paper's table omits.  Its count columns are the rows of
+    {!Sekitei_core.Session.counts}, in order, each under its bench
+    record key ({!Bench_json.key}). *)
 
 (** Header + one line per row. *)
 val table2_csv : Table2.row list -> string

@@ -94,10 +94,3 @@ let large ?(seed = default_large_seed) () =
         "Scenarios.large: seed does not produce the required path structure"
 
 let all () = [ tiny (); small (); large () ]
-
-let with_weights ~cross_weight ~place_weight t =
-  {
-    t with
-    app =
-      Media.app ~cross_weight ~place_weight ~server:t.server ~client:t.client ();
-  }

@@ -33,6 +33,3 @@ val small : unit -> t
 val large : ?seed:int64 -> unit -> t
 
 val all : unit -> t list
-
-(** Rebuild a scenario's app with different cost weights (Figure 5). *)
-val with_weights : cross_weight:float -> place_weight:float -> t -> t

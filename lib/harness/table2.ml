@@ -79,13 +79,3 @@ let render rows =
         ])
     rows;
   Table.render t
-
-let row_summary r =
-  match r.plan with
-  | Some p ->
-      Printf.sprintf "%s/%s: plan len=%d cost_lb=%g lan_peak=%g" r.network
-        (Media.scenario_name r.level_scenario)
-        (Plan.length p) p.Plan.cost_lb p.Plan.metrics.Replay.lan_peak
-  | None ->
-      Printf.sprintf "%s/%s: no plan" r.network
-        (Media.scenario_name r.level_scenario)

@@ -31,6 +31,3 @@ val run :
 
 (** Render in the paper's layout (ASCII). *)
 val render : row list -> string
-
-(** One-line summary per row, for logs and tests. *)
-val row_summary : row -> string

@@ -24,8 +24,7 @@ let to_dot ?(highlight = []) t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_file ?highlight t file =
+let write_file t file =
   let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot ?highlight t))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      output_string oc (to_dot t))

@@ -5,5 +5,5 @@
     drawn bold, nodes listed in [highlight] are filled. *)
 val to_dot : ?highlight:Topology.node_id list -> Topology.t -> string
 
-(** Write the DOT text to a file. *)
-val write_file : ?highlight:Topology.node_id list -> Topology.t -> string -> unit
+(** Write the DOT text, with nothing highlighted, to a file. *)
+val write_file : Topology.t -> string -> unit

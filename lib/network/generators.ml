@@ -1,69 +1,60 @@
 open Topology
 module Prng = Sekitei_util.Prng
-module Union_find = Sekitei_util.Union_find
 
-type params = { cpu : float; lan_bw : float; wan_bw : float }
+let mk_node i = node i (Printf.sprintf "n%d" i)
 
-let default_params = { cpu = 30.; lan_bw = 150.; wan_bw = 70. }
-
-let mk_node p i = node ~cpu:p.cpu i (Printf.sprintf "n%d" i)
-
-let bw_of p = function Lan -> p.lan_bw | Wan -> p.wan_bw
-
-let mk_link p kind id a b = link ~bw:(bw_of p kind) kind id a b
-
-let line_kinds ?(params = default_params) kinds =
+let line_kinds kinds =
   let m = List.length kinds in
-  let nodes = List.init (m + 1) (mk_node params) in
-  let links = List.mapi (fun i k -> mk_link params k i i (i + 1)) kinds in
+  let nodes = List.init (m + 1) mk_node in
+  let links = List.mapi (fun i k -> link k i i (i + 1)) kinds in
   make ~nodes ~links
 
-let line ?(params = default_params) n =
+let line n =
   if n < 1 then invalid_arg "Generators.line: need at least one node";
-  line_kinds ~params (List.init (n - 1) (fun _ -> Lan))
+  line_kinds (List.init (n - 1) (fun _ -> Lan))
 
-let ring ?(params = default_params) n =
+let ring n =
   if n < 3 then invalid_arg "Generators.ring: need at least three nodes";
-  let nodes = List.init n (mk_node params) in
-  let links = List.init n (fun i -> mk_link params Lan i i ((i + 1) mod n)) in
+  let nodes = List.init n mk_node in
+  let links = List.init n (fun i -> link Lan i i ((i + 1) mod n)) in
   make ~nodes ~links
 
-let star ?(params = default_params) n =
+let star n =
   if n < 1 then invalid_arg "Generators.star: need at least one leaf";
-  let nodes = List.init (n + 1) (mk_node params) in
-  let links = List.init n (fun i -> mk_link params Lan i 0 (i + 1)) in
+  let nodes = List.init (n + 1) mk_node in
+  let links = List.init n (fun i -> link Lan i 0 (i + 1)) in
   make ~nodes ~links
 
-let grid ?(params = default_params) rows cols =
+let grid rows cols =
   if rows < 1 || cols < 1 then invalid_arg "Generators.grid";
   let id r c = (r * cols) + c in
-  let nodes = List.init (rows * cols) (mk_node params) in
+  let nodes = List.init (rows * cols) mk_node in
   let links = ref [] in
   let next = ref 0 in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
       if c + 1 < cols then begin
-        links := mk_link params Lan !next (id r c) (id r (c + 1)) :: !links;
+        links := link Lan !next (id r c) (id r (c + 1)) :: !links;
         incr next
       end;
       if r + 1 < rows then begin
-        links := mk_link params Lan !next (id r c) (id (r + 1) c) :: !links;
+        links := link Lan !next (id r c) (id (r + 1) c) :: !links;
         incr next
       end
     done
   done;
   make ~nodes ~links:(List.rev !links)
 
-let transit_stub ?(params = default_params) ?(extra_edge_prob = 0.15) ~rng
-    ~transit ~stubs_per_transit ~stub_size () =
+let transit_stub ?(extra_edge_prob = 0.15) ~rng ~transit ~stubs_per_transit
+    ~stub_size () =
   if transit < 1 || stubs_per_transit < 0 || stub_size < 1 then
     invalid_arg "Generators.transit_stub";
   let total = transit * (1 + (stubs_per_transit * stub_size)) in
-  let nodes = List.init total (mk_node params) in
+  let nodes = List.init total mk_node in
   let links = ref [] in
   let next_link = ref 0 in
   let add kind a b =
-    links := mk_link params kind !next_link a b :: !links;
+    links := link kind !next_link a b :: !links;
     incr next_link
   in
   let link_exists a b =

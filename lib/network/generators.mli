@@ -7,33 +7,25 @@
     its transit-stub model (seeded, deterministic): a core of transit
     routers joined by WAN links, each sprouting stub domains of LAN-linked
     hosts.  All generators use the paper's resource defaults (CPU 30,
-    LAN 150, WAN 70) unless overridden. *)
+    LAN 150, WAN 70). *)
 
 open Topology
 
-type params = {
-  cpu : float;
-  lan_bw : float;
-  wan_bw : float;
-}
+(** [line n] is a chain of [n] nodes joined by LAN links. *)
+val line : int -> t
 
-val default_params : params
-
-(** [line ~params n] is a chain of [n] nodes joined by LAN links. *)
-val line : ?params:params -> int -> t
-
-(** [line_kinds ~params kinds] is a chain whose [i]-th link has the given
+(** [line_kinds kinds] is a chain whose [i]-th link has the given
     kind, e.g. [[Lan; Lan; Wan; Lan]] builds a 5-node path crossing one WAN
     link. *)
-val line_kinds : ?params:params -> link_kind list -> t
+val line_kinds : link_kind list -> t
 
-val ring : ?params:params -> int -> t
+val ring : int -> t
 
-(** [star ~params n] has one hub (node 0) and [n] LAN-linked leaves. *)
-val star : ?params:params -> int -> t
+(** [star n] has one hub (node 0) and [n] LAN-linked leaves. *)
+val star : int -> t
 
-(** [grid ~params rows cols] is a LAN mesh. *)
-val grid : ?params:params -> int -> int -> t
+(** [grid rows cols] is a LAN mesh. *)
+val grid : int -> int -> t
 
 (** [transit_stub ~rng ~transit ~stubs_per_transit ~stub_size ()] builds a
     two-tier GT-ITM-style network:
@@ -48,7 +40,6 @@ val grid : ?params:params -> int -> int -> t
     The paper's Figure 10 network is [transit:3 ~stubs_per_transit:3
     ~stub_size:10] = 93 nodes. *)
 val transit_stub :
-  ?params:params ->
   ?extra_edge_prob:float ->
   rng:Sekitei_util.Prng.t ->
   transit:int ->

@@ -23,13 +23,6 @@ let set_node_resource t node res v =
   let n = get_node t node in
   with_node_resources t node ((res, v) :: List.remove_assoc res n.node_resources)
 
-let scale_links ?kind t res factor =
-  map_link_resources t (fun l ->
-      let applies = match kind with None -> true | Some k -> l.kind = k in
-      match (applies, List.assoc_opt res l.link_resources) with
-      | true, Some v -> (res, v *. factor) :: List.remove_assoc res l.link_resources
-      | _ -> l.link_resources)
-
 let remove_link t link = Topology.remove_link t link
 
 let fail_node t node =

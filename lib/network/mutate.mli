@@ -30,10 +30,6 @@ val set_link_resource : t -> link_id -> string -> float -> t
     negative [v]. *)
 val set_node_resource : t -> node_id -> string -> float -> t
 
-(** [scale_links ?kind t res factor] multiplies [res] on every live link
-    (of the given kind, default all) by [factor]. *)
-val scale_links : ?kind:link_kind -> t -> string -> float -> t
-
 (** [remove_link t link] tombstones a link.  The id keeps denoting the
     removed physical link; surviving links keep their ids unchanged.
     @raise Stale_link when the link was already removed,

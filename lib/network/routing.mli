@@ -2,7 +2,7 @@
 
     The planner itself performs regression search, not routing; these
     utilities support scenario construction (pinning the server/client path
-    structure of the paper's networks), validation, and baselines. *)
+    structure of the paper's networks) and workload generation. *)
 
 open Topology
 
@@ -13,17 +13,5 @@ type path = { hops : node_id list; path_links : link_id list }
 (** Fewest-hops path (BFS).  [None] when unreachable. *)
 val shortest_path : t -> node_id -> node_id -> path option
 
-(** Cheapest path under a per-link weight (Dijkstra; weights must be
-    non-negative).  [None] when unreachable. *)
-val dijkstra : t -> weight:(link -> float) -> node_id -> node_id -> path option
-
-(** Maximum-bottleneck-bandwidth path, using the ["lbw"] link resource.
-    Returns the path and its bottleneck.  [None] when unreachable. *)
-val widest_path : t -> node_id -> node_id -> (path * float) option
-
 (** Hop distance; [None] when unreachable. *)
 val hop_distance : t -> node_id -> node_id -> int option
-
-(** All simple paths up to [max_hops] links, in lexicographic node order
-    (for exhaustive baselines on small networks). *)
-val simple_paths : t -> max_hops:int -> node_id -> node_id -> path list

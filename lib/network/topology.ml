@@ -141,13 +141,6 @@ let adjacent t id =
   if id < 0 || id >= node_count t then invalid_arg "Topology.adjacent"
   else t.adj.(id)
 
-let find_link t a b =
-  let rec scan = function
-    | [] -> None
-    | (peer, lid) :: rest -> if peer = b then Some (get_link t lid) else scan rest
-  in
-  if a < 0 || a >= node_count t then None else scan t.adj.(a)
-
 let node_resource t id name = List.assoc name (get_node t id).node_resources
 let link_resource t id name = List.assoc name (get_link t id).link_resources
 
@@ -157,11 +150,6 @@ let peer t lid n =
   if n = a then b
   else if n = b then a
   else invalid_arg "Topology.peer: node not an endpoint"
-
-let node_by_name t name =
-  match Array.find_opt (fun n -> String.equal n.node_name name) t.node_arr with
-  | Some n -> n
-  | None -> raise Not_found
 
 let is_connected t =
   let n = node_count t in
@@ -193,16 +181,6 @@ let with_link_resources t id resources =
   let _ = get_link t id in
   let link_arr = Array.copy t.link_arr in
   link_arr.(id) <- { link_arr.(id) with link_resources = resources };
-  of_parts ~node_arr:t.node_arr ~node_live:t.node_live ~link_arr
-    ~link_live:t.link_live
-
-let map_link_resources t f =
-  let link_arr =
-    Array.mapi
-      (fun id l ->
-        if t.link_live.(id) then { l with link_resources = f l } else l)
-      t.link_arr
-  in
   of_parts ~node_arr:t.node_arr ~node_live:t.node_live ~link_arr
     ~link_live:t.link_live
 

@@ -103,9 +103,6 @@ val failed_nodes : t -> node_id list
 (** Neighbours over live links only: [(peer, link_id)] list. *)
 val adjacent : t -> node_id -> (node_id * link_id) list
 
-(** The (lowest-id) live link joining two nodes, if any; symmetric. *)
-val find_link : t -> node_id -> node_id -> link option
-
 (** [node_resource t id name] looks up a node resource.
     @raise Not_found when absent. *)
 val node_resource : t -> node_id -> string -> float
@@ -118,9 +115,6 @@ val link_resource : t -> link_id -> string -> float
 (** The other endpoint of a link.
     @raise Stale_link on tombstoned ids. *)
 val peer : t -> link_id -> node_id -> node_id
-
-(** [node_by_name t name] finds a node by name.  @raise Not_found *)
-val node_by_name : t -> string -> node
 
 (** Connectivity over live links; failed nodes (which have no live
     links) count, so a topology with a failed node is disconnected. *)
@@ -144,10 +138,6 @@ val with_node_resources : t -> node_id -> (string * float) list -> t
 (** Replace a link's resource list.  @raise Stale_link on tombstoned
     ids, [Invalid_argument] on never-issued ones. *)
 val with_link_resources : t -> link_id -> (string * float) list -> t
-
-(** [map_link_resources t f] rewrites every live link's resource list in
-    one pass (dead links are untouched). *)
-val map_link_resources : t -> (link -> (string * float) list) -> t
 
 (** Tombstone a link; its id keeps denoting the removed physical link
     and all id-keyed accessors raise {!Stale_link} for it from now on.

@@ -132,9 +132,11 @@ let demanded_constants cond v =
   in
   go [] cond
 
-let suggest ?(expansion = 1.1) ?(intermediate = 1) (app : Model.app) =
-  if expansion <= 1. then invalid_arg "Leveling.suggest: expansion must be > 1";
-  if intermediate < 0 then invalid_arg "Leveling.suggest: negative intermediate";
+(* The operating band above each demand: the paper's "cut exactly
+   around 90" for a demand of 90 gives 90..99. *)
+let expansion = 1.1
+
+let suggest (app : Model.app) =
   (* Supply per interface primary property: constant effects of pre-placed
      providers. *)
   let supply = Hashtbl.create 8 in
@@ -186,18 +188,15 @@ let suggest ?(expansion = 1.1) ?(intermediate = 1) (app : Model.app) =
       | Model.Available (iface, prop, _, minv) -> record iface prop minv
       | Model.Placed _ -> ())
     app.goals;
-  (* Cutpoints: demands, a band just above each demand, geometric fillers
-     up to the supply, and the supply. *)
+  (* Cutpoints: demands, a band just above each demand, the geometric mean
+     of the largest demand and the supply, and the supply. *)
   let seeded =
     Hashtbl.fold
       (fun (iface, prop) ds acc ->
         let d_max = List.fold_left Float.max 0. ds in
         let s = Option.value (Hashtbl.find_opt supply (iface, prop)) ~default:0. in
         let ladder =
-          if s > d_max *. expansion then
-            List.init intermediate (fun i ->
-                let frac = float_of_int (i + 1) /. float_of_int (intermediate + 1) in
-                d_max *. ((s /. d_max) ** frac))
+          if s > d_max *. expansion then [ d_max *. ((s /. d_max) ** 0.5) ]
           else []
         in
         let cuts =
@@ -214,87 +213,3 @@ let suggest ?(expansion = 1.1) ?(intermediate = 1) (app : Model.app) =
       empty seeded
   in
   propagate app base
-
-(* --------------------------------------------------------------------- *)
-(* Tag analysis                                                           *)
-(* --------------------------------------------------------------------- *)
-
-let analyze_tags (app : Model.app) =
-  let verdicts = ref [] in
-  List.iter
-    (fun (i : Model.iface) ->
-      List.iter
-        (fun (p : Model.property) ->
-          let v = Model.qualified i.iface_name p.prop_name in
-          (* Collect every condition and effect across components that
-             mentions this property. *)
-          let conds =
-            List.concat_map
-              (fun (c : Model.component) ->
-                List.filter (fun cd -> List.mem v (Expr.cond_vars cd)) c.conditions)
-              app.components
-          in
-          let effects =
-            List.concat_map
-              (fun (c : Model.component) ->
-                List.filter_map
-                  (fun (_, _, e) ->
-                    if List.mem v (Expr.vars e) then Some e else None)
-                  c.effects)
-              app.components
-          in
-          let consumption =
-            List.concat_map
-              (fun (c : Model.component) ->
-                List.filter_map
-                  (fun (_, e) ->
-                    if List.mem v (Expr.vars e) then Some e else None)
-                  c.consumes)
-              app.components
-          in
-          let all_effects_monotone =
-            List.for_all
-              (fun e ->
-                match Expr.monotonicity e v with
-                | Expr.Increasing | Expr.Constant -> true
-                | Expr.Decreasing | Expr.Unknown -> false)
-              (effects @ consumption)
-          in
-          let cond_easiness = List.map (fun c -> Expr.easier_when_lower c v) conds in
-          let tag =
-            if
-              all_effects_monotone
-              && List.for_all (fun x -> x = Some true) cond_easiness
-            then Some Model.Degradable
-            else if
-              all_effects_monotone
-              && conds <> []
-              && List.for_all (fun x -> x = Some false) cond_easiness
-            then Some Model.Upgradable
-            else None
-          in
-          match tag with
-          | Some tag -> verdicts := (i.iface_name, p.prop_name, tag) :: !verdicts
-          | None -> ())
-        i.properties)
-    app.interfaces;
-  List.rev !verdicts
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun ((i, p), cuts) ->
-      Format.fprintf fmt "%s.%s: %s@," i p
-        (String.concat ", " (List.map string_of_float cuts)))
-    (List.sort compare t.iface);
-  List.iter
-    (fun (r, cuts) ->
-      Format.fprintf fmt "link.%s: %s@," r
-        (String.concat ", " (List.map string_of_float cuts)))
-    t.link;
-  List.iter
-    (fun (r, cuts) ->
-      Format.fprintf fmt "node.%s: %s@," r
-        (String.concat ", " (List.map string_of_float cuts)))
-    t.node;
-  Format.fprintf fmt "@]"

@@ -46,28 +46,16 @@ val node_cutpoints : t -> (string * float list) list
     keep them. *)
 val propagate : Model.app -> t -> t
 
-(** [suggest ?expansion ?intermediate app] proposes cutpoints
-    automatically, addressing the paper's open question of level choice
-    (sections 4.3 and 6: "the good choice of levels depends on
-    requirements of application components"; "the choice of levels needs
-    to be performed by a domain expert").
+(** [suggest app] proposes cutpoints automatically, addressing the
+    paper's open question of level choice (sections 4.3 and 6: "the good
+    choice of levels depends on requirements of application components";
+    "the choice of levels needs to be performed by a domain expert").
 
     The heuristic mirrors what the expert does in the paper's scenario C:
     for every interface property that some component condition or goal
     demands at least [d] of, emit cutpoints at [d] (so the demand becomes
-    a level boundary), at [d * expansion] (a slightly-above-demand
-    operating band, default 1.1 - the paper's "cut exactly around 90"),
-    at [intermediate] geometrically spaced points up to the supply, and at
-    the supply itself.  Derived interfaces then get proportional levels
-    via {!propagate}. *)
-val suggest : ?expansion:float -> ?intermediate:int -> Model.app -> t
-
-(** Automatic degradability analysis (paper section 3.1 suggests tags "can
-    be obtained automatically by syntactic analysis"): a property is
-    degradable if every component condition mentioning it becomes easier
-    to satisfy as it decreases and every effect using it is monotone
-    non-decreasing; upgradable in the symmetric case.  Returns the tags it
-    can determine. *)
-val analyze_tags : Model.app -> (string * string * Model.tag) list
-
-val pp : Format.formatter -> t -> unit
+    a level boundary), at [d * 1.1] (a slightly-above-demand operating
+    band - the paper's "cut exactly around 90"), at the geometric mean of
+    the largest demand and the supply, and at the supply itself.  Derived
+    interfaces then get proportional levels via {!propagate}. *)
+val suggest : Model.app -> t

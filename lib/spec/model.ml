@@ -93,52 +93,3 @@ let primary_property iface =
   match iface.properties with
   | p :: _ -> p
   | [] -> assert false (* forbidden by the constructor *)
-
-let pp_tag fmt = function
-  | Degradable -> Format.pp_print_string fmt "degradable"
-  | Upgradable -> Format.pp_print_string fmt "upgradable"
-  | Neither -> Format.pp_print_string fmt "neither"
-
-let pp_iface fmt i =
-  Format.fprintf fmt "@[<v 2>interface %s {" i.iface_name;
-  List.iter
-    (fun p ->
-      Format.fprintf fmt "@,property %s (default %g, %a);" p.prop_name
-        p.prop_default pp_tag p.prop_tag)
-    i.properties;
-  List.iter
-    (fun (p, e) -> Format.fprintf fmt "@,cross %s := %a;" p Expr.pp e)
-    i.cross_transforms;
-  List.iter
-    (fun (r, e) -> Format.fprintf fmt "@,consume link.%s -= %a;" r Expr.pp e)
-    i.cross_consumes;
-  List.iter
-    (fun c -> Format.fprintf fmt "@,condition %a;" Expr.pp_cond c)
-    i.cross_conditions;
-  Format.fprintf fmt "@,cost %a;" Expr.pp i.cross_cost;
-  Format.fprintf fmt "@]@,}"
-
-let pp_component fmt c =
-  Format.fprintf fmt "@[<v 2>component %s {" c.comp_name;
-  if c.requires <> [] then
-    Format.fprintf fmt "@,requires %s;" (String.concat ", " c.requires);
-  if c.provides <> [] then
-    Format.fprintf fmt "@,provides %s;" (String.concat ", " c.provides);
-  List.iter
-    (fun cond -> Format.fprintf fmt "@,condition %a;" Expr.pp_cond cond)
-    c.conditions;
-  List.iter
-    (fun (i, p, e) ->
-      Format.fprintf fmt "@,effect %s := %a;" (qualified i p) Expr.pp e)
-    c.effects;
-  List.iter
-    (fun (r, e) -> Format.fprintf fmt "@,consume node.%s -= %a;" r Expr.pp e)
-    c.consumes;
-  Format.fprintf fmt "@,cost %a;" Expr.pp c.place_cost;
-  if not c.placeable then Format.fprintf fmt "@,anchored;";
-  Format.fprintf fmt "@]@,}"
-
-let pp_goal fmt = function
-  | Placed (c, n) -> Format.fprintf fmt "placed(%s, n%d)" c n
-  | Available (i, p, n, v) ->
-      Format.fprintf fmt "%s.%s >= %g @@ n%d" i p v n

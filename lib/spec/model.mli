@@ -113,9 +113,3 @@ val split_var : string -> string * string
 (** The distinguished quantitative property of an interface — its first
     one (always [ibw] in the paper's domain). *)
 val primary_property : iface -> property
-
-(** {1 Printing} *)
-
-val pp_iface : Format.formatter -> iface -> unit
-val pp_component : Format.formatter -> component -> unit
-val pp_goal : Format.formatter -> goal -> unit

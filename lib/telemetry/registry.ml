@@ -31,23 +31,13 @@ type shard = {
 }
 
 type t = {
-  rel_error : float;
   seq : int Atomic.t;  (* global gauge-write ordering *)
   reg_lock : Mutex.t;  (* guards the shard table *)
   shards : (int, shard) Hashtbl.t;  (* keyed by Domain id *)
 }
 
-let create ?(rel_error = 0.01) () =
-  if not (rel_error > 0. && rel_error < 1.) then
-    invalid_arg "Registry.create: rel_error not in (0,1)";
-  {
-    rel_error;
-    seq = Atomic.make 1;
-    reg_lock = Mutex.create ();
-    shards = Hashtbl.create 8;
-  }
-
-let rel_error t = t.rel_error
+let create () =
+  { seq = Atomic.make 1; reg_lock = Mutex.create (); shards = Hashtbl.create 8 }
 
 let with_lock m f =
   Mutex.lock m;
@@ -96,8 +86,7 @@ let set g v = g.cell := (v, Atomic.fetch_and_add g.g_seq 1)
 
 let histogram t name =
   let shard = shard_for t in
-  find_or_create shard shard.histograms name (fun () ->
-      Histogram.create ~rel_error:t.rel_error ())
+  find_or_create shard shard.histograms name (fun () -> Histogram.create ())
 
 let observe h v = Histogram.add h v
 
@@ -168,24 +157,3 @@ let counter_value snap name =
 
 let gauge_value snap name = List.assoc_opt name snap.gauges
 let histogram_value snap name = List.assoc_opt name snap.histograms
-
-let merge_snapshots a b =
-  let merge_assoc combine xs ys =
-    let tbl = Hashtbl.create 32 in
-    List.iter (fun (n, v) -> Hashtbl.replace tbl n v) xs;
-    List.iter
-      (fun (n, v) ->
-        match Hashtbl.find_opt tbl n with
-        | Some prev -> Hashtbl.replace tbl n (combine prev v)
-        | None -> Hashtbl.add tbl n v)
-      ys;
-    Hashtbl.fold (fun n v acc -> (n, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  {
-    counters = merge_assoc ( + ) a.counters b.counters;
-    (* Snapshots carry no write ordering, so on a gauge-name collision
-       the right-hand snapshot wins. *)
-    gauges = merge_assoc (fun _ v -> v) a.gauges b.gauges;
-    histograms = merge_assoc Histogram.merge a.histograms b.histograms;
-  }

@@ -4,8 +4,8 @@
 
     Handles resolve to the {e calling} domain's shard, so each
     [Domain_pool] worker records into private cells and never contends:
-    {!incr} is an [int ref] bump, {!observe} a histogram array store,
-    {!set} a ref store.  Locks guard only structure (shard/metric
+    {!count} bumps an [int ref], {!observe} is a histogram array store,
+    {!set_gauge} a ref store.  Locks guard only structure (shard/metric
     creation, snapshot walks), never the recording fast path.
 
     {!snapshot} merges every shard into one coherent view: counters sum,
@@ -21,26 +21,17 @@
 
 type t
 
-(** [create ?rel_error ()] — [rel_error] (default [0.01]) is passed to
-    every histogram the registry creates.
-    @raise Invalid_argument unless [0 < rel_error < 1]. *)
-val create : ?rel_error:float -> unit -> t
+(** An empty registry.  Its histograms have
+    {!Sekitei_util.Histogram.create}'s default relative error (1%). *)
+val create : unit -> t
 
-val rel_error : t -> float
+(** {1 Recording} *)
 
-(** {1 Handles} *)
-
-type counter
-type gauge
 type histogram
 
-(** Find-or-create the named metric in the calling domain's shard. *)
-val counter : t -> string -> counter
-
-val gauge : t -> string -> gauge
+(** Find-or-create the named histogram in the calling domain's shard. *)
 val histogram : t -> string -> histogram
-val incr : counter -> int -> unit
-val set : gauge -> float -> unit
+
 val observe : histogram -> float -> unit
 
 (** {1 Name-resolved conveniences} — one-shot record on cold paths
@@ -68,10 +59,3 @@ val counter_value : snapshot -> string -> int
 
 val gauge_value : snapshot -> string -> float option
 val histogram_value : snapshot -> string -> Sekitei_util.Histogram.t option
-
-(** Combine two snapshots (e.g. from two registries, or saved points in
-    time): counters add, histograms merge, and on a gauge-name collision
-    the {e right} snapshot wins (snapshots carry no cross-registry write
-    ordering).
-    @raise Invalid_argument when histograms disagree on [rel_error]. *)
-val merge_snapshots : snapshot -> snapshot -> snapshot

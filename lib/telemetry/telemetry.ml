@@ -28,7 +28,6 @@ type event =
       attrs : (string * value) list;
     }
   | Counter of { name : string; total : int; t_ms : float }
-  | Gauge of { name : string; value : float; t_ms : float }
   | Progress of { name : string; t_ms : float; attrs : (string * value) list }
 
 type sink = { emit : event -> unit; close : unit -> unit }
@@ -71,13 +70,6 @@ let json_of_event ev =
           ("total", Json.Int total);
           ("t_ms", Json.Float t_ms);
         ]
-    | Gauge { name; value; t_ms } ->
-        [
-          ("ev", Json.Str "gauge");
-          ("name", Json.Str name);
-          ("value", Json.Float value);
-          ("t_ms", Json.Float t_ms);
-        ]
     | Progress { name; t_ms; attrs } ->
         [
           ("ev", Json.Str "progress");
@@ -109,7 +101,6 @@ module Flight = struct
 
   let capacity fl = fl.capacity
   let recorded fl = fl.total
-  let dump_path fl = fl.dump_path
 
   let record fl ev =
     fl.ring.(fl.total mod fl.capacity) <- ev;
@@ -216,19 +207,14 @@ let end_span ?(attrs = []) t sp =
   end;
   dur_ms
 
-let with_span ?attrs t name f =
+let with_span t name f =
   let sp = begin_span t name in
-  Fun.protect
-    ~finally:(fun () -> ignore (end_span ?attrs t sp))
-    f
+  Fun.protect ~finally:(fun () -> ignore (end_span t sp)) f
 
-(* ---------------- counters / gauges / progress ---------------- *)
+(* ---------------- counters / progress ---------------- *)
 
 let count t name total =
   if t.active then emit t (Counter { name; total; t_ms = elapsed_ms t })
-
-let gauge t name value =
-  if t.active then emit t (Gauge { name; value; t_ms = elapsed_ms t })
 
 let progress t name attrs =
   if t.active then emit t (Progress { name; t_ms = elapsed_ms t; attrs })
@@ -237,20 +223,12 @@ let close t = List.iter (fun s -> s.close ()) t.sinks
 
 (* ---------------- sinks ---------------- *)
 
-let sink ?(close = fun () -> ()) emit = { emit; close }
+let sink emit = { emit; close = (fun () -> ()) }
 
 let memory () =
   let events = ref [] in
   ( { emit = (fun ev -> events := ev :: !events); close = (fun () -> ()) },
     fun () -> List.rev !events )
-
-let locked s =
-  let m = Mutex.create () in
-  let guarded f x =
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> f x)
-  in
-  { emit = guarded s.emit; close = (fun () -> guarded s.close ()) }
 
 let jsonl oc =
   (* Track span nesting so the channel is flushed whenever a root span

@@ -15,7 +15,7 @@
 
     The handle keeps no counts.  A request's counts live in its
     {!Sekitei_core.Session.report}; the session emits them as [Counter]
-    and [Gauge] events once the request is finished. *)
+    events once the request is finished. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 
@@ -31,7 +31,6 @@ type event =
     }
   | Counter of { name : string; total : int; t_ms : float }
       (** one request's value of a count, emitted once per plan *)
-  | Gauge of { name : string; value : float; t_ms : float }
   | Progress of { name : string; t_ms : float; attrs : (string * value) list }
       (** periodic search heartbeat (open-list size, best f, ...) *)
 
@@ -61,20 +60,16 @@ module Flight : sig
   (** Events ever recorded (not capped at capacity). *)
   val recorded : t -> int
 
-  val dump_path : t -> string option
   val record : t -> event -> unit
 
   (** The retained events, oldest first — the last
       [min recorded capacity] recorded. *)
   val events : t -> event list
 
-  (** JSONL dump: one meta line
+  (** Writes the ring to [dump_path] (truncating) as JSONL: one meta line
       [{"ev":"flight_dump","capacity":..,"recorded":..,"dropped":..}]
-      followed by the retained events, oldest first.  Flushes [oc]. *)
-  val dump : t -> out_channel -> unit
-
-  (** {!dump} to [dump_path] (truncating); [None] when no path is set,
-      otherwise the path written. *)
+      followed by the retained events, oldest first.  [None] when no path
+      is set, otherwise the path written. *)
   val dump_to_path : t -> string option
 end
 
@@ -99,9 +94,6 @@ val flight : t -> Flight.t option
     not {!enabled} (callers skip the modulo entirely). *)
 val progress_interval : t -> int
 
-(** Milliseconds since {!create} (event timestamps use this origin). *)
-val elapsed_ms : t -> float
-
 (** {1 Spans} *)
 
 type span
@@ -123,15 +115,14 @@ val end_span : ?attrs:(string * value) list -> t -> span -> float
 
 (** [with_span t name f] runs [f] inside a span; the span is closed even
     when [f] raises. *)
-val with_span : ?attrs:(string * value) list -> t -> string -> (unit -> 'a) -> 'a
+val with_span : t -> string -> (unit -> 'a) -> 'a
 
-(** {1 Counters, gauges, progress} *)
+(** {1 Counters and progress} *)
 
 (** [count t name total] emits one [Counter] event at once; a no-op
     unless the handle is {!enabled}. *)
 val count : t -> string -> int -> unit
 
-val gauge : t -> string -> float -> unit
 val progress : t -> string -> (string * value) list -> unit
 
 (** Close every sink. *)
@@ -139,20 +130,12 @@ val close : t -> unit
 
 (** {1 Sinks} *)
 
-(** Custom sink from an event callback. *)
-val sink : ?close:(unit -> unit) -> (event -> unit) -> sink
+(** Custom sink from an event callback; its [close] does nothing. *)
+val sink : (event -> unit) -> sink
 
 (** In-memory sink for tests and reports: returns the sink and a function
     yielding the events captured so far, in emission order. *)
 val memory : unit -> sink * (unit -> event list)
-
-(** [locked s] wraps [s] so that [emit] and [close] hold a private mutex
-    — a sink shared by several domains (e.g. one JSONL channel receiving
-    events from the batch planner's workers) must be wrapped or its
-    events interleave mid-line.  Events from different domains arrive in
-    lock-acquisition order, which is {e not} deterministic; per-worker
-    {!memory} sinks are the alternative when order matters. *)
-val locked : sink -> sink
 
 (** One compact JSON object per event, one per line (JSONL).  The
     channel is flushed after every [Progress] event (so tailing a live

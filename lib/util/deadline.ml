@@ -11,7 +11,6 @@ exception Expired of string
 type t = (unit -> bool) option
 
 let none : t = None
-let of_fn f : t = Some f
 
 let after_ms ms =
   if Float.is_nan ms || ms < 0. then invalid_arg "Deadline.after_ms";

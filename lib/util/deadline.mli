@@ -28,10 +28,6 @@ val after_ms : float -> t
     speed. *)
 val counting : int -> t
 
-(** [of_fn f] expires when [f ()] returns [true].  [f] must be cheap; it
-    runs on search hot paths. *)
-val of_fn : (unit -> bool) -> t
-
 (** Poll the token.  [expired none] is [false] and costs one branch. *)
 val expired : t -> bool
 

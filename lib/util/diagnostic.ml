@@ -62,8 +62,6 @@ let to_string d =
     (severity_label d.severity)
     d.code d.loc d.message ev
 
-let pp fmt d = Format.pp_print_string fmt (to_string d)
-
 let to_json d =
   Json.Obj
     [

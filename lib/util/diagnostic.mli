@@ -60,10 +60,8 @@ val warning :
   code:string -> loc:string -> ?evidence:(string * string) list ->
   ('a, unit, string, t) format4 -> 'a
 
-val severity_label : severity -> string
 val errors : t list -> t list
 val warnings : t list -> t list
-val max_severity : t list -> severity option
 
 (** 0 when empty, 1 when the worst is a warning, 2 when any error — the
     exit-code convention of [sekitei check]. *)
@@ -75,6 +73,5 @@ val by_severity : t list -> t list
 (** ["error[SKT104] interface M: ... (k=v; ...)"] *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
 val to_json : t -> Json.t
 val list_to_json : t list -> Json.t

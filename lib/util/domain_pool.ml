@@ -15,74 +15,30 @@
 
 type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 
-type worker_stats = {
-  worker : int;
-  items : int;
-  busy_ms : float;
-  wall_ms : float;
-}
-
 let default_jobs () = Domain.recommended_domain_count ()
 
-let map ?(jobs = default_jobs ()) ?stats f xs =
+let map ?(jobs = default_jobs ()) f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
   let jobs = min jobs n in
-  if jobs <= 1 then
-    match stats with
-    | None -> List.map f xs
-    | Some report ->
-        let wall = Timer.start () in
-        let busy = ref 0. in
-        let out =
-          List.map
-            (fun x ->
-              let t0 = Timer.start () in
-              let r = f x in
-              busy := !busy +. Timer.elapsed_ms t0;
-              r)
-            xs
-        in
-        report
-          { worker = 0; items = n; busy_ms = !busy; wall_ms = Timer.elapsed_ms wall };
-        out
+  if jobs <= 1 then List.map f xs
   else begin
     let slots = Array.make n Pending in
     let next = Atomic.make 0 in
-    let worker w () =
-      let wall = Timer.start () in
-      let taken = ref 0 and busy = ref 0. in
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          let t0 = Timer.start () in
-          (slots.(i) <-
-            (match f items.(i) with
-            | v -> Done v
-            | exception e -> Failed (e, Printexc.get_raw_backtrace ())));
-          busy := !busy +. Timer.elapsed_ms t0;
-          incr taken;
-          go ()
-        end
-      in
-      go ();
-      match stats with
-      | None -> ()
-      | Some report ->
-          (* Runs on the worker domain, concurrently with the other
-             workers' reports — the callback's contract. *)
-          report
-            {
-              worker = w;
-              items = !taken;
-              busy_ms = !busy;
-              wall_ms = Timer.elapsed_ms wall;
-            }
+    let rec worker () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        slots.(i) <-
+          (match f items.(i) with
+          | v -> Done v
+          | exception e -> Failed (e, Printexc.get_raw_backtrace ()));
+        worker ()
+      end
     in
     (* jobs - 1 spawned domains; the calling domain is the last worker,
        so [jobs] counts total concurrency, not extra domains. *)
-    let domains = Array.init (jobs - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-    worker 0 ();
+    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
     Array.iter Domain.join domains;
     (* Re-raise the earliest failure (deterministic choice independent of
        worker scheduling); later items may have completed or failed too —

@@ -10,18 +10,6 @@
     by {!map} and the planner's batch entry points. *)
 val default_jobs : unit -> int
 
-(** Per-worker accounting reported through {!map}'s [stats] callback:
-    [items] is how many work items this worker won off the shared
-    counter (the steal balance), [busy_ms] its total time inside [f],
-    and [wall_ms] its lifetime — [wall_ms - busy_ms] is the idle/wait
-    overhead.  [worker] 0 is the calling domain. *)
-type worker_stats = {
-  worker : int;
-  items : int;
-  busy_ms : float;
-  wall_ms : float;
-}
-
 (** [map ~jobs f xs] is [List.map f xs] computed by up to [jobs] domains
     ([jobs - 1] spawned plus the calling one), clamped to
     [List.length xs].  Results are returned in input order.
@@ -36,12 +24,5 @@ type worker_stats = {
     [~jobs:1] the exact sequential semantics.
 
     [f] must be safe to run on multiple domains at once: it must not
-    share mutable state between items (or must synchronize it itself,
-    e.g. {!Sekitei_telemetry.Telemetry.locked} for a shared sink).
-
-    [stats] is called once per worker, {e on that worker's domain}, just
-    before it finishes (after its last item; on the sequential path, once
-    at the end) — so it runs concurrently with other workers' reports and
-    must be domain-safe (the metric registry's per-domain shards are).
-    It is not called when the sequential path propagates an exception. *)
-val map : ?jobs:int -> ?stats:(worker_stats -> unit) -> ('a -> 'b) -> 'a list -> 'b list
+    share mutable state between items (or must synchronize it itself). *)
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -46,7 +46,6 @@ let create ?(rel_error = 0.01) () =
     vmax = Float.nan;
   }
 
-let rel_error t = t.rel_error
 let count t = t.n
 let zero_count t = t.zero
 let sum t = t.sum

@@ -11,24 +11,17 @@
     floating-point [sum] accumulates in merge order).
 
     Buckets grow geometrically with ratio [gamma = (1+e)/(1-e)] where
-    [e] is the configured {!rel_error}: any recorded value [v >=
-    min_trackable] falls in the bucket [(gamma^(i-1), gamma^i]] and is
-    later reported as the bucket's midpoint-in-ratio estimate, which is
-    within [e * v] of [v].  Values below {!min_trackable} (including
-    zero and negatives) are counted in a dedicated zero bucket and
-    reported as [0.]. *)
+    [e] is the configured relative error: any recorded value [v >= 1e-9]
+    falls in the bucket [(gamma^(i-1), gamma^i]] and is later reported
+    as the bucket's midpoint-in-ratio estimate, which is within [e * v]
+    of [v].  Smaller values (including zero and negatives) are counted
+    in a dedicated zero bucket and reported as [0.]. *)
 
 type t
-
-(** Smallest positive value tracked with relative-error guarantees
-    ([1e-9]); anything smaller lands in the zero bucket. *)
-val min_trackable : float
 
 (** [create ?rel_error ()] — default relative error [0.01] (1%).
     @raise Invalid_argument unless [0 < rel_error < 1]. *)
 val create : ?rel_error:float -> unit -> t
-
-val rel_error : t -> float
 
 (** Record one value.  Never raises: non-finite values are counted in
     the zero bucket (NaN) or the extreme buckets (infinities are clamped
@@ -39,7 +32,7 @@ val add : t -> float -> unit
 (** Number of values recorded (conserved exactly under {!merge}). *)
 val count : t -> int
 
-(** Count of values that fell below {!min_trackable}. *)
+(** Count of values that fell below [1e-9]. *)
 val zero_count : t -> int
 
 val sum : t -> float

@@ -11,7 +11,6 @@ let make lo hi =
   else if not (Float.is_finite lo) then raise Empty_interval
   else { lo; hi }
 
-let make_opt lo hi = try Some (make lo hi) with Empty_interval -> None
 let full = { lo = 0.; hi = Float.infinity }
 
 let point x =
@@ -21,7 +20,6 @@ let lo i = i.lo
 let hi i = i.hi
 let is_point i = i.lo = i.hi
 let mem x i = if is_point i then x = i.lo else i.lo <= x && x < i.hi
-let operating_point ~cap i = if Float.is_finite i.hi then i.hi else cap
 
 let inter a b =
   let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
@@ -33,7 +31,6 @@ let inter a b =
 let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 let equal a b = a.lo = b.lo && a.hi = b.hi
 let subset a b = b.lo <= a.lo && a.hi <= b.hi
-let overlaps a b = inter a b <> None
 
 (* Arithmetic.  Point-ness is preserved only when both operands are points;
    mixing a point with a proper interval widens to the enclosing interval. *)
@@ -60,9 +57,6 @@ let scale k i =
       hi = (if Float.is_finite i.hi then k *. i.hi else Float.infinity);
     }
 
-let shift c i = { lo = i.lo +. c; hi = i.hi +. c }
-let min_scalar c i = { lo = Float.min c i.lo; hi = Float.min c i.hi }
-let max_scalar c i = { lo = Float.max c i.lo; hi = Float.max c i.hi }
 let min_ a b = { lo = Float.min a.lo b.lo; hi = Float.min a.hi b.hi }
 let max_ a b = { lo = Float.max a.lo b.lo; hi = Float.max a.hi b.hi }
 
@@ -74,7 +68,7 @@ let sat_ge i c = if is_point i then i.lo >= c else i.hi > c
 let sat_gt i c = i.hi > c
 let sat_le i c = i.lo <= c
 let sat_lt i c = i.lo < c
-let sat_eq a b = overlaps a b
+let sat_eq a b = inter a b <> None
 
 let width i = i.hi -. i.lo
 

@@ -14,9 +14,6 @@ exception Empty_interval
     [hi <= lo] or either bound is NaN. *)
 val make : float -> float -> t
 
-(** [make_opt lo hi] is [Some (make lo hi)], or [None] when empty. *)
-val make_opt : float -> float -> t option
-
 (** The full interval [0, infinity) — the default level of an unleveled
     resource. *)
 val full : t
@@ -35,10 +32,6 @@ val is_point : t -> bool
     where [x = lo]. *)
 val mem : float -> t -> bool
 
-(** The throttle value a deployment operates at inside this interval:
-    [hi] when finite, otherwise [cap].  [cap] must be finite. *)
-val operating_point : cap:float -> t -> float
-
 (** Intersection; [None] when the result is empty. *)
 val inter : t -> t -> t option
 
@@ -47,7 +40,6 @@ val hull : t -> t -> t
 
 val equal : t -> t -> bool
 val subset : t -> t -> bool
-val overlaps : t -> t -> bool
 
 (** Interval arithmetic.  All functions return the exact image interval for
     the (monotone) operation. *)
@@ -57,14 +49,6 @@ val sub : t -> t -> t
 
 (** [scale k i] multiplies by a non-negative constant [k]. *)
 val scale : float -> t -> t
-
-(** [shift c i] translates by [c]. *)
-val shift : float -> t -> t
-
-(** Pointwise min/max against a scalar (e.g. capacity capping
-    [min(M.ibw, Link.lbw)]). *)
-val min_scalar : float -> t -> t
-val max_scalar : float -> t -> t
 
 (** Pointwise binary min/max of intervals. *)
 val min_ : t -> t -> t

@@ -22,9 +22,6 @@ type t =
     literals otherwise). *)
 val to_string : t -> string
 
-(** Backslash-escape a string for inclusion between double quotes. *)
-val escape : string -> string
-
 val of_string : string -> (t, string) result
 
 (** Field lookup on an [Obj]; [None] on other constructors. *)

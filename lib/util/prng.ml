@@ -31,9 +31,6 @@ let float t x =
   x *. (v /. 9007199254740992.0 (* 2^53 *))
 
 let bool t p = float t 1.0 < p
-let range t lo hi =
-  if hi < lo then invalid_arg "Prng.range: hi < lo";
-  lo + int t (hi - lo + 1)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
@@ -42,10 +39,6 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let choice t = function
-  | [] -> invalid_arg "Prng.choice: empty list"
-  | xs -> List.nth xs (int t (List.length xs))
 
 let sample t k xs =
   let n = List.length xs in

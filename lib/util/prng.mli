@@ -23,14 +23,8 @@ val float : t -> float -> float
 (** [bool t p] is true with probability [p]. *)
 val bool : t -> float -> bool
 
-(** [range t lo hi] is a uniform integer in [lo, hi] inclusive. *)
-val range : t -> int -> int -> int
-
 (** In-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
-
-(** Uniform element of a non-empty list.  @raise Invalid_argument on []. *)
-val choice : t -> 'a list -> 'a
 
 (** [sample t k xs] draws [k] distinct elements (reservoir order preserved
     by index).  @raise Invalid_argument when [k > List.length xs]. *)

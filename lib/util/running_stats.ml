@@ -1,31 +1,14 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable minv : float;
-  mutable maxv : float;
-  mutable total : float;
-}
+type t = { mutable n : int; mutable mean : float; mutable maxv : float }
 
-let create () =
-  { n = 0; mean = 0.; m2 = 0.; minv = Float.infinity; maxv = Float.neg_infinity; total = 0. }
+let create () = { n = 0; mean = 0.; maxv = Float.neg_infinity }
 
 let add t x =
   t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.minv then t.minv <- x;
-  if x > t.maxv then t.maxv <- x;
-  t.total <- t.total +. x
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n);
+  if x > t.maxv then t.maxv <- x
 
-let count t = t.n
 let mean t = t.mean
-let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
-let min t = t.minv
 let max t = t.maxv
-let total t = t.total
 
 let of_list xs =
   let t = create () in

@@ -1,22 +1,17 @@
-(** Streaming summary statistics (Welford's algorithm).
+(** Streaming summary statistics: running mean and maximum.
 
-    Used by the benchmark harness to aggregate per-run planner timings and
-    graph sizes across repetitions; {!percentile} also gives the
-    heuristic-quality analysis its exact error percentiles. *)
+    The heuristic-quality analysis reads its mean and maximum error from
+    here, and its exact error percentiles from {!percentile}. *)
 
 type t
 
-val create : unit -> t
-val add : t -> float -> unit
-val count : t -> int
+(** [0.] when empty. *)
 val mean : t -> float
-val variance : t -> float
-val stddev : t -> float
-val min : t -> float
-val max : t -> float
-val total : t -> float
 
-(** Convenience: statistics over a list in one pass. *)
+(** [neg_infinity] when empty. *)
+val max : t -> float
+
+(** Statistics over a list, in one pass. *)
 val of_list : float list -> t
 
 (** [percentile p xs] for [p] in [0,1]; linear interpolation on the sorted

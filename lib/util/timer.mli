@@ -17,9 +17,6 @@ val now_s : unit -> float
 
 val start : unit -> t
 
-(** Elapsed seconds since [start]; never negative. *)
-val elapsed_s : t -> float
-
 (** Elapsed milliseconds since [start] (the paper reports ms). *)
 val elapsed_ms : t -> float
 

@@ -179,16 +179,6 @@ let test_monotonicity () =
   Alcotest.check mono "x*x unknown" E.Unknown (m "x * x" "x");
   Alcotest.check mono "denominator unknown" E.Unknown (m "1 / x" "x")
 
-let test_easier_when_lower () =
-  let e text v = E.easier_when_lower (E.parse_cond text) v in
-  Alcotest.(check (option bool)) "consumption constraint" (Some true)
-    (e "30 >= x / 5" "x");
-  Alcotest.(check (option bool)) "demand constraint" (Some false)
-    (e "x >= 90" "x");
-  Alcotest.(check (option bool)) "unrelated" (Some true) (e "y >= 3" "x");
-  Alcotest.(check (option bool)) "equality undecidable" None
-    (e "x == 30" "x")
-
 let test_simplify () =
   let s text = E.to_string (E.simplify (E.parse text)) in
   Alcotest.(check string) "fold consts" "7" (s "3 + 4");
@@ -296,7 +286,6 @@ let suite =
     ("sat conjunction", `Quick, test_sat_conjunction);
     ("vars", `Quick, test_vars);
     ("monotonicity", `Quick, test_monotonicity);
-    ("easier when lower", `Quick, test_easier_when_lower);
     ("simplify", `Quick, test_simplify);
     ("simplify preserves value", `Quick, test_simplify_preserves_value);
     ("parse identifiers", `Quick, test_parse_identifiers);

@@ -60,18 +60,6 @@ let test_large_deterministic () =
   Alcotest.(check int) "same links"
     (T.link_count a.Scenarios.topo) (T.link_count b.Scenarios.topo)
 
-let test_with_weights () =
-  let sc = Scenarios.with_weights ~cross_weight:2. ~place_weight:0.5 (Scenarios.tiny ()) in
-  (* heavier crossings roughly double the plan bound's crossing part *)
-  let o =
-    Planner.plan
-      (Planner.request sc.Scenarios.topo sc.Scenarios.app
-         ~leveling:(Media.leveling Media.C sc.Scenarios.app))
-  in
-  match o.Planner.result with
-  | Ok p -> Alcotest.(check bool) "bound changed" true (p.Plan.cost_lb <> 52.45)
-  | Error _ -> Alcotest.fail "should still plan"
-
 (* ---------------- table 2 ---------------- *)
 
 let test_table2_cell_tiny () =
@@ -93,11 +81,6 @@ let test_table2_run_and_render () =
   Alcotest.(check bool) "mentions Tiny" true (contains rendered "Tiny");
   Alcotest.(check bool) "A shows no plan" true (contains rendered "no plan");
   Alcotest.(check bool) "has headers" true (contains rendered "reserved LAN bw")
-
-let test_row_summary () =
-  let row = Table2.run_cell (Scenarios.tiny ()) Media.A in
-  Alcotest.(check bool) "summary mentions no plan" true
-    (contains (Table2.row_summary row) "no plan")
 
 (* ---------------- figures ---------------- *)
 
@@ -153,7 +136,17 @@ let test_csv_export () =
   let arity l = List.length (String.split_on_char ',' l) in
   List.iter
     (fun l -> Alcotest.(check int) "arity" (arity (List.hd lines)) (arity l))
-    lines
+    lines;
+  (* the count columns, between wan_peak and time_total_ms, are the
+     count table's bench keys in table order *)
+  Alcotest.(check (list string)) "header"
+    ([
+       "network"; "levels"; "found"; "cost_bound"; "plan_actions";
+       "realized_cost"; "lan_peak"; "wan_peak";
+     ]
+    @ List.map Sekitei_harness.Bench_json.key Planner.counts
+    @ [ "time_total_ms"; "time_search_ms" ])
+    (String.split_on_char ',' (List.hd lines))
 
 (* ---------------- bench baseline gate ---------------- *)
 
@@ -227,6 +220,21 @@ let test_baseline_diff_errors () =
   (match Bench_json.diff_baseline ~baseline:"{}" [ r ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-array baseline accepted");
+  (* a baseline off the current schema is rejected, even when every
+     gated key is present *)
+  let renamed =
+    match
+      Sekitei_spec.Str_split.split_once (Bench_json.to_json [ r ])
+        "\"compile_actions\""
+    with
+    | Some (before, after) -> before ^ "\"actions\"" ^ after
+    | None -> Alcotest.fail "record has no compile_actions key"
+  in
+  (match Bench_json.diff_baseline ~baseline:renamed [ r ] with
+  | Error e ->
+      Alcotest.(check bool) "names the missing key" true
+        (contains e "compile_actions")
+  | Ok _ -> Alcotest.fail "baseline without compile_actions accepted");
   let other = Bench_json.to_json [ bench_record ~scenario:"Small-C" () ] in
   match Bench_json.diff_baseline ~baseline:other [ r ] with
   | Error e ->
@@ -264,10 +272,8 @@ let suite =
     ("small shape", `Quick, test_small_shape);
     ("large shape", `Quick, test_large_shape);
     ("large deterministic", `Quick, test_large_deterministic);
-    ("with weights", `Quick, test_with_weights);
     ("table2 cell", `Quick, test_table2_cell_tiny);
     ("table2 run/render", `Quick, test_table2_run_and_render);
-    ("row summary", `Quick, test_row_summary);
     ("table1 text", `Quick, test_table1_text);
     ("fig3-4 text", `Quick, test_fig3_4_text);
     ("fig5 text", `Quick, test_fig5_text);

@@ -50,12 +50,6 @@ let test_mem_half_open () =
   check_bool "hi excluded" false (I.mem 4. i);
   check_bool "below" false (I.mem 1.9 i)
 
-let test_operating_point () =
-  check_float "finite hi" 4. (I.operating_point ~cap:100. (I.make 2. 4.));
-  check_float "unbounded uses cap" 100.
-    (I.operating_point ~cap:100. (I.make 2. Float.infinity));
-  check_float "point" 7. (I.operating_point ~cap:100. (I.point 7.))
-
 let test_inter () =
   Alcotest.(check (option ivl))
     "overlap" (Some (I.make 3. 4.))
@@ -103,15 +97,6 @@ let test_scale () =
   Alcotest.check_raises "negative scale"
     (Invalid_argument "Interval.scale: negative factor") (fun () ->
       ignore (I.scale (-1.) I.full))
-
-let test_shift () =
-  Alcotest.check ivl "shift" (I.make 11. 12.) (I.shift 10. (I.make 1. 2.))
-
-let test_min_max_scalar () =
-  Alcotest.check ivl "min caps" (I.make 1. 3.) (I.min_scalar 3. (I.make 1. 5.));
-  check_bool "min collapses to point" true
-    (I.is_point (I.min_scalar 1. (I.make 1. 5.)));
-  Alcotest.check ivl "max floors" (I.make 3. 5.) (I.max_scalar 3. (I.make 1. 5.))
 
 let test_min_max_pointwise () =
   Alcotest.check ivl "min_" (I.make 1. 3.) (I.min_ (I.make 1. 5.) (I.make 2. 3.));
@@ -181,15 +166,12 @@ let suite =
     ("point infinite raises", `Quick, test_point_infinite_raises);
     ("full", `Quick, test_full);
     ("mem half-open", `Quick, test_mem_half_open);
-    ("operating point", `Quick, test_operating_point);
     ("inter", `Quick, test_inter);
     ("hull", `Quick, test_hull);
     ("subset", `Quick, test_subset);
     ("add", `Quick, test_add);
     ("sub", `Quick, test_sub);
     ("scale", `Quick, test_scale);
-    ("shift", `Quick, test_shift);
-    ("min/max scalar", `Quick, test_min_max_scalar);
     ("min/max pointwise", `Quick, test_min_max_pointwise);
     ("sat_ge", `Quick, test_sat_ge);
     ("sat_le", `Quick, test_sat_le);

@@ -160,31 +160,6 @@ let test_registry_shards () =
     (Histogram.buckets merged = Histogram.buckets expected
     && Histogram.sum merged = Histogram.sum expected)
 
-let prop_snapshot_merge_is_recording_split =
-  (* merge_snapshots over a split recording equals one registry fed
-     everything — the law the batch planner's shared registry and any
-     multi-process scrape aggregation rely on. *)
-  Q.Test.make ~count:100 ~name:"snapshot merge == unsplit recording"
-    (Q.pair arb_values arb_values) (fun (xs, ys) ->
-      let feed vs =
-        let r = Registry.create () in
-        let h = Registry.histogram r "m" in
-        List.iter (Registry.observe h) vs;
-        Registry.count r "n" (List.length vs);
-        Registry.snapshot r
-      in
-      let merged = Registry.merge_snapshots (feed xs) (feed ys) in
-      let whole = feed (xs @ ys) in
-      Registry.counter_value merged "n" = Registry.counter_value whole "n"
-      &&
-      match
-        ( Registry.histogram_value merged "m",
-          Registry.histogram_value whole "m" )
-      with
-      | Some a, Some b -> Histogram.buckets a = Histogram.buckets b
-      | None, None -> true
-      | _ -> false)
-
 (* ---------------- flight recorder ---------------- *)
 
 let counter_ev i =
@@ -346,7 +321,6 @@ let qcheck =
       prop_merge_associative;
       prop_count_conservation;
       prop_percentile_accuracy;
-      prop_snapshot_merge_is_recording_split;
     ]
 
 let suite =

@@ -34,22 +34,10 @@ let test_adjacency () =
     (T.adjacent t 1);
   Alcotest.(check (list (pair int int))) "leaf" [ (1, 0) ] (T.adjacent t 0)
 
-let test_find_link () =
-  let t = small_topo () in
-  Alcotest.(check bool) "forward" true (T.find_link t 0 1 <> None);
-  Alcotest.(check bool) "symmetric" true (T.find_link t 1 0 <> None);
-  Alcotest.(check bool) "absent" true (T.find_link t 0 2 = None)
-
 let test_peer () =
   let t = small_topo () in
   Alcotest.(check int) "peer of 0 on link 0" 1 (T.peer t 0 0);
   Alcotest.(check int) "peer of 1 on link 0" 0 (T.peer t 0 1)
-
-let test_node_by_name () =
-  let t = small_topo () in
-  Alcotest.(check int) "by name" 1 (T.node_by_name t "b").T.node_id;
-  Alcotest.check_raises "missing" Not_found (fun () ->
-      ignore (T.node_by_name t "zz"))
 
 let test_invalid_construction () =
   let raises f = try f (); false with Invalid_argument _ -> true in
@@ -98,7 +86,6 @@ let test_stale_link_accessors () =
   (* dead links vanish from iteration and queries without renumbering *)
   Alcotest.(check int) "live count" 1 (T.link_count t);
   Alcotest.(check int) "id space keeps the slot" 2 (T.link_id_bound t);
-  Alcotest.(check bool) "find_link skips dead" true (T.find_link t 0 1 = None);
   Alcotest.(check (list (pair int int))) "adjacency skips dead" [ (2, 1) ]
     (T.adjacent t 1);
   Alcotest.(check bool) "survivor keeps id" true (T.link_is_live t 1);
@@ -230,34 +217,11 @@ let test_shortest_unreachable () =
   let t = T.make ~nodes:[ T.node 0 "a"; T.node 1 "b" ] ~links:[] in
   Alcotest.(check bool) "unreachable" true (R.shortest_path t 0 1 = None)
 
-let test_dijkstra_weighted () =
-  let t = routing_topo () in
-  (* Weight = 1/bw: prefers the wide 3-hop path. *)
-  let weight (l : T.link) = 1. /. List.assoc "lbw" l.T.link_resources in
-  match R.dijkstra t ~weight 0 3 with
-  | Some p -> Alcotest.(check (list int)) "wide path" [ 0; 1; 2; 3 ] p.R.hops
-  | None -> Alcotest.fail "no path"
-
-let test_widest_path () =
-  let t = routing_topo () in
-  match R.widest_path t 0 3 with
-  | Some (p, width) ->
-      Alcotest.(check (list int)) "widest hops" [ 0; 1; 2; 3 ] p.R.hops;
-      Alcotest.(check (float 0.)) "bottleneck" 100. width
-  | None -> Alcotest.fail "no path"
-
 let test_hop_distance () =
   let t = routing_topo () in
   Alcotest.(check (option int)) "distance" (Some 2) (R.hop_distance t 0 3);
   Alcotest.(check (option int)) "adjacent" (Some 1) (R.hop_distance t 0 1);
   Alcotest.(check (option int)) "self" (Some 0) (R.hop_distance t 1 1)
-
-let test_simple_paths () =
-  let t = routing_topo () in
-  let paths = R.simple_paths t ~max_hops:3 0 3 in
-  Alcotest.(check int) "both routes" 2 (List.length paths);
-  let paths1 = R.simple_paths t ~max_hops:2 0 3 in
-  Alcotest.(check int) "only shortcut fits" 1 (List.length paths1)
 
 let test_path_links_consistent () =
   let t = routing_topo () in
@@ -287,9 +251,7 @@ let suite =
     ("counts", `Quick, test_counts);
     ("resources", `Quick, test_resources);
     ("adjacency", `Quick, test_adjacency);
-    ("find link", `Quick, test_find_link);
     ("peer", `Quick, test_peer);
-    ("node by name", `Quick, test_node_by_name);
     ("invalid construction", `Quick, test_invalid_construction);
     ("connectivity", `Quick, test_connectivity);
     ("resource names", `Quick, test_resource_names);
@@ -306,10 +268,7 @@ let suite =
     ("shortest path", `Quick, test_shortest_path);
     ("shortest path self", `Quick, test_shortest_path_self);
     ("shortest unreachable", `Quick, test_shortest_unreachable);
-    ("dijkstra weighted", `Quick, test_dijkstra_weighted);
-    ("widest path", `Quick, test_widest_path);
     ("hop distance", `Quick, test_hop_distance);
-    ("simple paths", `Quick, test_simple_paths);
     ("path links consistent", `Quick, test_path_links_consistent);
     ("dot output", `Quick, test_dot_output);
   ]

@@ -57,17 +57,6 @@ let test_bool_probability () =
   let rate = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "rate near 0.3" true (rate > 0.25 && rate < 0.35)
 
-let test_range_inclusive () =
-  let t = Prng.create ~seed:17L in
-  let seen_lo = ref false and seen_hi = ref false in
-  for _ = 1 to 1000 do
-    let v = Prng.range t 3 5 in
-    Alcotest.(check bool) "in [3,5]" true (v >= 3 && v <= 5);
-    if v = 3 then seen_lo := true;
-    if v = 5 then seen_hi := true
-  done;
-  Alcotest.(check bool) "endpoints reachable" true (!seen_lo && !seen_hi)
-
 let test_shuffle_permutation () =
   let t = Prng.create ~seed:19L in
   let arr = Array.init 50 Fun.id in
@@ -84,15 +73,6 @@ let test_shuffle_deterministic () =
     arr
   in
   Alcotest.(check (array int)) "same seed, same shuffle" (mk ()) (mk ())
-
-let test_choice () =
-  let t = Prng.create ~seed:29L in
-  for _ = 1 to 100 do
-    let v = Prng.choice t [ 1; 2; 3 ] in
-    Alcotest.(check bool) "member" true (List.mem v [ 1; 2; 3 ])
-  done;
-  Alcotest.check_raises "empty" (Invalid_argument "Prng.choice: empty list")
-    (fun () -> ignore (Prng.choice t []))
 
 let test_sample () =
   let t = Prng.create ~seed:31L in
@@ -129,10 +109,8 @@ let suite =
     ("int covers", `Quick, test_int_covers);
     ("float range", `Quick, test_float_range);
     ("bool probability", `Quick, test_bool_probability);
-    ("range inclusive", `Quick, test_range_inclusive);
     ("shuffle permutation", `Quick, test_shuffle_permutation);
     ("shuffle deterministic", `Quick, test_shuffle_deterministic);
-    ("choice", `Quick, test_choice);
     ("sample", `Quick, test_sample);
     ("split independent", `Quick, test_split_independent);
     ("int non-negative stress", `Quick, test_int_nonnegative_stress);

@@ -1,5 +1,5 @@
 (* Unit tests for Sekitei_spec: Model constructors, Leveling (cutpoints,
-   propagation, tag analysis), Validate. *)
+   propagation), Validate. *)
 
 module Model = Sekitei_spec.Model
 module Leveling = Sekitei_spec.Leveling
@@ -116,22 +116,6 @@ let test_propagation_empty_seed () =
   let l = Leveling.propagate app Leveling.empty in
   Alcotest.(check bool) "nothing to propagate" true (Leveling.is_trivial l)
 
-let test_tag_analysis_media () =
-  let app = Media.app ~server:0 ~client:1 () in
-  let tags = Leveling.analyze_tags app in
-  (* Z never appears in conditions, so the analysis tags it degradable.
-     T and I are tied by the Merger ratio equality, and M is demanded
-     (>= 90) by the client: the conservative analysis must not call any
-     of them degradable. *)
-  let tag_of iface =
-    List.find_map
-      (fun (i, _, t) -> if i = iface then Some t else None)
-      tags
-  in
-  Alcotest.(check bool) "Z degradable" true (tag_of "Z" = Some Model.Degradable);
-  Alcotest.(check bool) "T blocked by ratio" true (tag_of "T" <> Some Model.Degradable);
-  Alcotest.(check bool) "M not auto-degradable" true (tag_of "M" <> Some Model.Degradable)
-
 (* ---------------- validate ---------------- *)
 
 let tiny_topo () = G.line_kinds [ T.Wan ]
@@ -244,7 +228,6 @@ let suite =
     ("propagation media", `Quick, test_propagation_media);
     ("propagation fixpoint", `Quick, test_propagation_fixpoint_stable);
     ("propagation empty seed", `Quick, test_propagation_empty_seed);
-    ("tag analysis media", `Quick, test_tag_analysis_media);
     ("validate clean", `Quick, test_validate_clean);
     ("validate unknown interface", `Quick, test_validate_unknown_interface);
     ("validate unknown variable", `Quick, test_validate_unknown_variable);

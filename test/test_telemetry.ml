@@ -85,8 +85,7 @@ let test_null_is_inert () =
   Alcotest.(check bool) "null disabled" false (Telemetry.enabled Telemetry.null);
   Alcotest.(check int) "no heartbeat" 0
     (Telemetry.progress_interval Telemetry.null);
-  Telemetry.count Telemetry.null "x" 5;
-  Telemetry.gauge Telemetry.null "y" 1.
+  Telemetry.count Telemetry.null "x" 5
 
 (* ---------------- JSONL encoding ---------------- *)
 

@@ -29,14 +29,6 @@ let test_set_node_resource () =
   Alcotest.(check (float 0.)) "changed" 5. (T.node_resource t' 2 "cpu");
   Alcotest.(check (float 0.)) "others untouched" 30. (T.node_resource t' 0 "cpu")
 
-let test_scale_links () =
-  let t = G.line_kinds [ T.Lan; T.Wan ] in
-  let t' = Mutate.scale_links ~kind:T.Wan t "lbw" 0.5 in
-  Alcotest.(check (float 0.)) "wan halved" 35. (T.link_resource t' 1 "lbw");
-  Alcotest.(check (float 0.)) "lan untouched" 150. (T.link_resource t' 0 "lbw");
-  let t'' = Mutate.scale_links t "lbw" 2. in
-  Alcotest.(check (float 0.)) "all scaled" 300. (T.link_resource t'' 0 "lbw")
-
 let test_remove_link () =
   let t = G.line 4 in
   let t' = Mutate.remove_link t 1 in
@@ -211,15 +203,6 @@ let test_suggest_beats_fixed_band () =
         <= pc.Plan.metrics.Sekitei_core.Replay.lan_peak +. 1e-9)
   | _ -> Alcotest.fail "both must plan"
 
-let test_suggest_validation () =
-  let app = Media.app ~server:0 ~client:1 () in
-  Alcotest.check_raises "expansion must exceed 1"
-    (Invalid_argument "Leveling.suggest: expansion must be > 1") (fun () ->
-      ignore (Leveling.suggest ~expansion:1. app));
-  Alcotest.check_raises "intermediate non-negative"
-    (Invalid_argument "Leveling.suggest: negative intermediate") (fun () ->
-      ignore (Leveling.suggest ~intermediate:(-1) app))
-
 (* ---------------- node-resource leveling ---------------- *)
 
 let test_node_cpu_leveling () =
@@ -252,7 +235,6 @@ let suite =
   [
     ("mutate: set link resource", `Quick, test_set_link_resource);
     ("mutate: set node resource", `Quick, test_set_node_resource);
-    ("mutate: scale links", `Quick, test_scale_links);
     ("mutate: remove link", `Quick, test_remove_link);
     ("mutate: fail node", `Quick, test_fail_node);
     ("mutate: rejects bad ids", `Quick, test_mutate_rejects_bad_ids);
@@ -262,6 +244,5 @@ let suite =
     ("suggest: media cutpoints", `Quick, test_suggest_media);
     ("suggest: plans optimally", `Quick, test_suggest_plans_optimally);
     ("suggest: beats fixed band", `Quick, test_suggest_beats_fixed_band);
-    ("suggest: validation", `Quick, test_suggest_validation);
     ("node cpu leveling", `Quick, test_node_cpu_leveling);
   ]

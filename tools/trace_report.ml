@@ -1,9 +1,9 @@
 (* Summarize a JSONL telemetry trace (sekitei plan --trace out.jsonl)
    into an ASCII report: the span tree with call counts and self/total
-   wall time, the counters, final gauges, and the progress heartbeat
-   count.  The planner emits each count once per plan request, with
-   that request's value, so the counter table shows the last request
-   of the trace (the last value per name wins).
+   wall time, the counters, and the progress heartbeat count.  The
+   planner emits each count once per plan request, with that request's
+   value, so the counter table shows the last request of the trace (the
+   last value per name wins).
 
    Sibling spans with the same name are aggregated into one tree row
    (e.g. the hundreds of slrg.query spans under rg), so the report stays
@@ -30,7 +30,6 @@ type trace = {
   spans : (int, span) Hashtbl.t;  (* id -> span; roots have parent 0 *)
   mutable counters : (string * int) list;
       (* last value per name wins: the trace's last request *)
-  mutable gauges : (string * float) list;
   mutable progress : int;
   mutable bad_lines : int;
   mutable truncated_tail : bool;
@@ -94,10 +93,6 @@ let add_event tr j =
       match (get_str j "name", get_int j "total") with
       | Some name, Some total -> tr.counters <- set_assoc name total tr.counters
       | _ -> tr.bad_lines <- tr.bad_lines + 1)
-  | Some "gauge" -> (
-      match (get_str j "name", get_float j "value") with
-      | Some name, Some v -> tr.gauges <- set_assoc name v tr.gauges
-      | _ -> tr.bad_lines <- tr.bad_lines + 1)
   | Some "progress" -> tr.progress <- tr.progress + 1
   | _ -> tr.bad_lines <- tr.bad_lines + 1
 
@@ -106,7 +101,6 @@ let load path =
     {
       spans = Hashtbl.create 256;
       counters = [];
-      gauges = [];
       progress = 0;
       bad_lines = 0;
       truncated_tail = false;
@@ -323,18 +317,6 @@ let render_counters tr =
     "\n" ^ Table.render t
   end
 
-let render_gauges tr =
-  if tr.gauges = [] then ""
-  else begin
-    let t =
-      Table.create ~aligns:[ Table.Left; Table.Right ] [ "gauge"; "last value" ]
-    in
-    List.sort compare tr.gauges
-    |> List.iter (fun (name, v) ->
-           Table.add_row t [ name; Printf.sprintf "%g" v ]);
-    "\n" ^ Table.render t
-  end
-
 let () =
   let self_mode, path =
     match Sys.argv with
@@ -372,7 +354,6 @@ let () =
       else print_string (render_tree (aggregate tr));
       print_string (render_histograms tr);
       print_string (render_counters tr);
-      print_string (render_gauges tr);
       if tr.progress > 0 then
         Printf.printf "\n%d progress heartbeat(s)\n" tr.progress;
       if tr.truncated_tail then
