@@ -97,7 +97,7 @@ examples-smoke:
 # After an intentional perf change, refresh the baseline with
 # `make bench-json` and commit the BENCH_rg.json diff.
 bench-gate:
-	dune exec bench/main.exe -- --json --check --repeat 3 --jobs 1 --warm \
+	dune exec bench/main.exe -- --json --check --repeat 3 \
 	  --out _build/sekitei_bench_gate.json \
 	  --baseline BENCH_rg.json --max-regress 200
 
@@ -173,12 +173,12 @@ bench:
 # Machine-readable planner benchmark: writes BENCH_rg.json (and stdout).
 # The perf trajectory of the RG search is tracked across commits there.
 # Timings are the median of 3 repeats (first-run JIT/GC noise dominates
-# single-shot numbers); --jobs 1 keeps the recorded timings sequential —
-# the same configuration the bench-gate measures against.  --warm also
-# records warm_search_ms, the search time of a session re-plan that
-# reuses the compiled problem and the hot SLRG oracle.
+# single-shot numbers), the same configuration the bench-gate measures
+# against.  Each record also carries warm_search_ms, the search time of
+# a session re-plan that reuses the compiled problem and the hot SLRG
+# oracle.
 bench-json:
-	dune exec bench/main.exe -- --json --tag counts-table --repeat 3 --jobs 1 --warm
+	dune exec bench/main.exe -- --json --tag phases-held --repeat 3
 
 # Profile the Small-C run: trace every planner phase to JSONL and render
 # the span tree / counter summary.

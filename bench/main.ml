@@ -74,11 +74,11 @@ let level_sensitivity () =
       Table.add_row t
         [
           String.concat "," (List.map (Printf.sprintf "%g") cuts);
-          string_of_int o.Planner.stats.Planner.total_actions;
+          string_of_int o.Planner.stats.Planner.compile_actions;
           (match o.Planner.result with
           | Ok p -> Table.float_cell p.Plan.cost_lb
           | Error _ -> "no plan");
-          string_of_int o.Planner.stats.Planner.rg_created;
+          string_of_int o.Planner.stats.Planner.rg.created;
           Printf.sprintf "%.0f" o.Planner.stats.Planner.t_search_ms;
         ])
     cut_sets;
@@ -117,9 +117,9 @@ let size_scaling () =
         Table.add_row t
           [
             string_of_int (Sekitei_network.Topology.node_count topo);
-            string_of_int o.Planner.stats.Planner.total_actions;
-            string_of_int o.Planner.stats.Planner.plrg_props;
-            string_of_int o.Planner.stats.Planner.rg_created;
+            string_of_int o.Planner.stats.Planner.compile_actions;
+            string_of_int o.Planner.stats.Planner.plrg_relevant_props;
+            string_of_int o.Planner.stats.Planner.rg.created;
             Printf.sprintf "%.0f" o.Planner.stats.Planner.t_search_ms;
           ]
       end
@@ -196,7 +196,7 @@ let microbenches () =
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable mode: --json [--tag TAG] [--out FILE] [--check]    *)
-(*                        [--repeat N] [--jobs N] [--warm]             *)
+(*                        [--repeat N]                                 *)
 (*                        [--baseline FILE [--max-regress PCT]]        *)
 (* ------------------------------------------------------------------ *)
 
@@ -228,26 +228,17 @@ let json_mode () =
             Printf.eprintf "bench json: bad --max-regress %S\n" s;
             exit 2)
   in
-  let int_arg flag default =
-    match opt_arg flag argv with
-    | None -> default
+  let repeat =
+    match opt_arg "--repeat" argv with
+    | None -> 1
     | Some s -> (
         match int_of_string_opt s with
         | Some v -> v
         | None ->
-            Printf.eprintf "bench json: bad %s %S\n" flag s;
+            Printf.eprintf "bench json: bad --repeat %S\n" s;
             exit 2)
   in
-  let repeat = int_arg "--repeat" 1 in
-  (* --jobs 0 (or negative) = one worker per recommended domain. *)
-  let jobs =
-    match int_arg "--jobs" 1 with
-    | j when j >= 1 -> j
-    | _ -> Sekitei_util.Domain_pool.default_jobs ()
-  in
-  (* --warm additionally times session re-plans (warm_search_ms). *)
-  let warm = List.mem "--warm" argv in
-  let records = Bench_json.run_default ~repeat ~jobs ~warm () in
+  let records = Bench_json.run_default ~repeat () in
   let doc = Bench_json.to_json ?tag records in
   Bench_json.write_file out doc;
   (if check then

@@ -349,7 +349,7 @@ let report_outcome ?dot_file ?(audit = false) ?(explain = false) ?hquality
   | Some query_budget, Ok p ->
       let hq =
         Hquality.analyze ~plan_cost:p.Plan.cost_lb
-          ~expanded:report.Planner.stats.Planner.rg_expanded
+          ~expanded:report.Planner.stats.Planner.rg.expanded
           (Hquality.samples ~query_budget (pb ()) p)
       in
       Format.printf "Heuristic quality:@.%s" (Hquality.render hq)

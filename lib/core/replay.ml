@@ -245,17 +245,7 @@ let checked_level_ok ~mode rem ivl =
   | From_init -> I.mem rem ivl || rem = I.hi ivl
 
 let store_output out_ivl assumed what =
-  let narrowed =
-    match I.inter out_ivl assumed with
-    | Some x -> Some x
-    | None ->
-        (* A degradable output that computes above its assumed level can be
-           throttled down into it; below it is a real failure. *)
-        if I.lo out_ivl >= I.hi assumed then None
-        else if I.hi out_ivl <= I.lo assumed then None
-        else I.inter out_ivl assumed
-  in
-  match narrowed with
+  match I.inter out_ivl assumed with
   | Some x -> x
   | None ->
       raise

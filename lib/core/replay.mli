@@ -25,8 +25,17 @@
       the running remainder already includes consumption by plan-later
       actions, amounts not yet consumed at the moment the new action
       really runs.  Consumption sums themselves are order-independent,
-      so capacity exhaustion checks stay exact, and a failure here is
-      definitive: no completion of the tail can succeed. *)
+      so capacity exhaustion checks stay exact.  Interval narrowing is
+      not: [extend] meets the consumers of one stream at one site in the
+      mirror of plan order, so a consumer that throttles a degradable
+      stream narrows it for the plan-earlier consumers too.  A
+      Regression failure therefore proves that the tail fails with each
+      site's consumers narrowing it in that mirrored order, not that no
+      completion of the tail can succeed: in the core test "order repair
+      witness", Regression rejects [place(High); place(Low)] while
+      [cross(V,cam->tv); place(High); place(Low)] runs from init.  The
+      search recovers such plans only through order repair
+      ({!Rg.repair_order}). *)
 
 module I = Sekitei_util.Interval
 

@@ -15,6 +15,19 @@ type stats = {
   slrg_saved : int;
 }
 
+let no_stats =
+  {
+    created = 0;
+    expanded = 0;
+    open_left = 0;
+    replay_pruned = 0;
+    final_replay_rejected = 0;
+    duplicates = 0;
+    order_repaired = 0;
+    slrg_deferred = 0;
+    slrg_saved = 0;
+  }
+
 type frontier = { best_f : float; tail : string list; unmet : string list }
 
 type result =

@@ -24,9 +24,10 @@
     are still validated by a full from-init replay of the tail in
     execution order, with a backtracking re-sequencing fallback
     ({!repair_order}) because that validation is order-sensitive while
-    dedup is not.  Re-sequencing is opportunistic: all attempts of one
-    search share a step pool and action sets proven unrepairable are
-    never retried, so infeasible instances rejecting thousands of
+    dedup is not, and Regression replay can prune the one order that
+    runs ({!Replay.mode}).  Re-sequencing is opportunistic: all attempts
+    of one search share a step pool and action sets proven unrepairable
+    are never retried, so infeasible instances rejecting thousands of
     candidates pay at most the pool. *)
 
 type stats = {
@@ -49,6 +50,9 @@ type stats = {
       (** deferred nodes that terminated still unrefined — oracle queries
           this search never ran *)
 }
+
+(** All zero: the counts of a request that never searched. *)
+val no_stats : stats
 
 (** Why a search stopped short, as evidence: the best-f open node when
     the search was cut off, rendered once at the cutoff.  [best_f] is an
@@ -76,7 +80,16 @@ type result =
     feasible order and its deployment metrics, or [None] when no ordering
     of the set replays (or the step budget runs out).  Used by {!search}
     on candidate solutions whose dedup-surviving order fails validation;
-    exposed for direct testing against brute-force permutation search. *)
+    exposed for direct testing against brute-force permutation search.
+
+    The case it exists for is pinned by the core test "order repair
+    witness": two goal components read one degradable stream at one node
+    at different levels ([High] needs [V.ibw >= 50], [Low]
+    [V.ibw <= 40], the camera supplies 60).  Regression replay rejects
+    [place(High); place(Low)] (see {!Replay.mode}), so the candidate
+    that reaches validation runs [Low] first and fails from init; repair
+    returns [cross(V,cam->tv); place(High); place(Low)] at cost bound
+    13, and without it the planner finds no plan. *)
 val repair_order :
   ?max_steps:int ->
   Problem.t ->

@@ -72,23 +72,11 @@ type failure_reason =
   | Certification_failed of string
 
 type stats = {
-  total_actions : int;
-  plrg_props : int;
-  plrg_actions : int;
-  slrg_nodes : int;
-  slrg_queries : int;
-  rg_created : int;
-  rg_open_left : int;
-  rg_expanded : int;
-  replay_pruned : int;
-  final_replay_rejected : int;
-  rg_duplicates : int;
-  order_repaired : int;
-  slrg_cache_hits : int;
-  slrg_suffix_harvested : int;
-  slrg_bound_promoted : int;
-  slrg_deferred : int;
-  slrg_saved : int;
+  compile_actions : int;
+  plrg_relevant_props : int;
+  plrg_relevant_actions : int;
+  slrg : Slrg.stats;
+  rg : Rg.stats;
   invalidated_actions : int;
   evicted_entries : int;
   t_total_ms : float;
@@ -116,25 +104,13 @@ type report = {
   stats : stats;
 }
 
-let empty_stats =
+let no_stats =
   {
-    total_actions = 0;
-    plrg_props = 0;
-    plrg_actions = 0;
-    slrg_nodes = 0;
-    slrg_queries = 0;
-    rg_created = 0;
-    rg_open_left = 0;
-    rg_expanded = 0;
-    replay_pruned = 0;
-    final_replay_rejected = 0;
-    rg_duplicates = 0;
-    order_repaired = 0;
-    slrg_cache_hits = 0;
-    slrg_suffix_harvested = 0;
-    slrg_bound_promoted = 0;
-    slrg_deferred = 0;
-    slrg_saved = 0;
+    compile_actions = 0;
+    plrg_relevant_props = 0;
+    plrg_relevant_actions = 0;
+    slrg = Slrg.no_stats;
+    rg = Rg.no_stats;
     invalidated_actions = 0;
     evicted_entries = 0;
     t_total_ms = 0.;
@@ -142,32 +118,33 @@ let empty_stats =
   }
 
 (* The report's counts, declared once: each row names a count, the
-   stage a request must reach for it to measure anything, and its field
-   of [stats].  The trace's Counter events, the registry's counters and
-   the bench record's keys are all read off this table. *)
+   stage a request must reach for it to measure anything, and where
+   [stats] holds it.  The trace's Counter events, the registry's
+   counters and the bench record's keys are all read off this table. *)
 type stage = Requested | Compiled | Searched
 type count = { name : string; stage : stage; get : stats -> int }
 
 let counts =
   let row stage name get = { name; stage; get } in
   [
-    row Compiled "compile.actions" (fun s -> s.total_actions);
-    row Compiled "plrg.relevant_props" (fun s -> s.plrg_props);
-    row Compiled "plrg.relevant_actions" (fun s -> s.plrg_actions);
-    row Searched "slrg.nodes" (fun s -> s.slrg_nodes);
-    row Searched "slrg.queries" (fun s -> s.slrg_queries);
-    row Searched "rg.created" (fun s -> s.rg_created);
-    row Searched "rg.open_left" (fun s -> s.rg_open_left);
-    row Searched "rg.expanded" (fun s -> s.rg_expanded);
-    row Searched "rg.replay_pruned" (fun s -> s.replay_pruned);
-    row Searched "rg.final_replay_rejected" (fun s -> s.final_replay_rejected);
-    row Searched "rg.duplicates" (fun s -> s.rg_duplicates);
-    row Searched "rg.order_repaired" (fun s -> s.order_repaired);
-    row Searched "slrg.cache_hits" (fun s -> s.slrg_cache_hits);
-    row Searched "slrg.suffix_harvested" (fun s -> s.slrg_suffix_harvested);
-    row Searched "slrg.bound_promoted" (fun s -> s.slrg_bound_promoted);
-    row Searched "slrg.deferred" (fun s -> s.slrg_deferred);
-    row Searched "slrg.saved" (fun s -> s.slrg_saved);
+    row Compiled "compile.actions" (fun s -> s.compile_actions);
+    row Compiled "plrg.relevant_props" (fun s -> s.plrg_relevant_props);
+    row Compiled "plrg.relevant_actions" (fun s -> s.plrg_relevant_actions);
+    row Searched "slrg.nodes" (fun s -> s.slrg.nodes);
+    row Searched "slrg.queries" (fun s -> s.slrg.queries);
+    row Searched "rg.created" (fun s -> s.rg.created);
+    row Searched "rg.open_left" (fun s -> s.rg.open_left);
+    row Searched "rg.expanded" (fun s -> s.rg.expanded);
+    row Searched "rg.replay_pruned" (fun s -> s.rg.replay_pruned);
+    row Searched "rg.final_replay_rejected" (fun s ->
+        s.rg.final_replay_rejected);
+    row Searched "rg.duplicates" (fun s -> s.rg.duplicates);
+    row Searched "rg.order_repaired" (fun s -> s.rg.order_repaired);
+    row Searched "slrg.cache_hits" (fun s -> s.slrg.cache_hits);
+    row Searched "slrg.suffix_harvested" (fun s -> s.slrg.suffix_harvested);
+    row Searched "slrg.bound_promoted" (fun s -> s.slrg.bound_promoted);
+    row Searched "slrg.deferred" (fun s -> s.rg.slrg_deferred);
+    row Searched "slrg.saved" (fun s -> s.rg.slrg_saved);
     row Requested "session.invalidated_actions" (fun s ->
         s.invalidated_actions);
     row Requested "session.evicted_entries" (fun s -> s.evicted_entries);
@@ -210,10 +187,11 @@ let pp_stats fmt s =
     "actions=%d plrg=%d/%d slrg=%d rg=%d/%d expanded=%d pruned=%d dups=%d \
      rejected=%d repaired=%d deferred=%d/%d invalidated=%d evicted=%d \
      time=%.1f/%.1fms"
-    s.total_actions s.plrg_props s.plrg_actions s.slrg_nodes s.rg_created
-    s.rg_open_left s.rg_expanded s.replay_pruned s.rg_duplicates
-    s.final_replay_rejected s.order_repaired s.slrg_deferred s.slrg_saved
-    s.invalidated_actions s.evicted_entries s.t_total_ms s.t_search_ms
+    s.compile_actions s.plrg_relevant_props s.plrg_relevant_actions
+    s.slrg.nodes s.rg.created s.rg.open_left s.rg.expanded s.rg.replay_pruned
+    s.rg.duplicates s.rg.final_replay_rejected s.rg.order_repaired
+    s.rg.slrg_deferred s.rg.slrg_saved s.invalidated_actions s.evicted_entries
+    s.t_total_ms s.t_search_ms
 
 let pp_phases fmt (r : report) =
   (* Each phase's time beside its characteristic count from [stats];
@@ -224,9 +202,10 @@ let pp_phases fmt (r : report) =
     "compile=%.1fms/%d plrg=%.1fms/%d slrg=%.1fms/%d slrg_cache=%d/%d/%d \
      rg=%.1fms/%d reuse=%d/%d gc_minor_kw=%.0f/%.0f/%.0f/%.0f \
      gc_major=%d/%d/%d/%d"
-    p.compile.ms s.total_actions p.plrg.ms s.plrg_props p.slrg.ms s.slrg_nodes
-    s.slrg_cache_hits s.slrg_suffix_harvested s.slrg_bound_promoted p.rg.ms
-    s.rg_created s.invalidated_actions s.evicted_entries
+    p.compile.ms s.compile_actions p.plrg.ms s.plrg_relevant_props p.slrg.ms
+    s.slrg.nodes s.slrg.cache_hits s.slrg.suffix_harvested
+    s.slrg.bound_promoted p.rg.ms s.rg.created s.invalidated_actions
+    s.evicted_entries
     (p.compile.minor_words /. 1000.)
     (p.plrg.minor_words /. 1000.)
     (p.slrg.minor_words /. 1000.)
@@ -469,7 +448,7 @@ let plan_exn t =
   in
   let failed reason =
     finish (Error reason)
-      { empty_stats with t_total_ms = Timer.elapsed_ms t_total }
+      { no_stats with t_total_ms = Timer.elapsed_ms t_total }
   in
   match
     if config.validate_spec then
@@ -501,13 +480,13 @@ let plan_exn t =
       | Error reason -> failed reason
       | Ok (st, t_search) ->
           let pb = st.pb and plrg = st.plrg in
-          let plrg_props, plrg_actions = Plrg.stats plrg in
+          let plrg_relevant_props, plrg_relevant_actions = Plrg.stats plrg in
           let stats =
             {
-              empty_stats with
-              total_actions = Array.length pb.Problem.actions;
-              plrg_props;
-              plrg_actions;
+              no_stats with
+              compile_actions = Array.length pb.Problem.actions;
+              plrg_relevant_props;
+              plrg_relevant_actions;
             }
           in
           (* Consume the pending compile/plrg phase timings: they belong
@@ -579,20 +558,8 @@ let plan_exn t =
             let stats =
               {
                 stats with
-                slrg_nodes = Slrg.nodes_generated slrg;
-                slrg_queries = Slrg.queries slrg;
-                slrg_cache_hits = Slrg.cache_hits slrg;
-                slrg_suffix_harvested = Slrg.suffix_harvested slrg;
-                slrg_bound_promoted = Slrg.bound_promoted slrg;
-                rg_created = rg_stats.Rg.created;
-                rg_open_left = rg_stats.Rg.open_left;
-                rg_expanded = rg_stats.Rg.expanded;
-                replay_pruned = rg_stats.Rg.replay_pruned;
-                final_replay_rejected = rg_stats.Rg.final_replay_rejected;
-                rg_duplicates = rg_stats.Rg.duplicates;
-                order_repaired = rg_stats.Rg.order_repaired;
-                slrg_deferred = rg_stats.Rg.slrg_deferred;
-                slrg_saved = rg_stats.Rg.slrg_saved;
+                slrg = Slrg.stats slrg;
+                rg = rg_stats;
                 t_total_ms = Timer.elapsed_ms t_total;
                 t_search_ms = Timer.elapsed_ms t_search;
               }
@@ -608,9 +575,9 @@ let plan_exn t =
                 slrg =
                   {
                     slrg_create with
-                    ms = slrg_create.ms +. Slrg.query_ms slrg;
+                    ms = slrg_create.ms +. stats.slrg.query_ms;
                     minor_words =
-                      slrg_create.minor_words +. Slrg.gc_minor_words slrg;
+                      slrg_create.minor_words +. stats.slrg.minor_words;
                   };
                 rg = rg_phase;
               }

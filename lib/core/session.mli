@@ -131,39 +131,17 @@ type failure_reason =
 (** One request's counts.  Every other view of a count — {!pp_phases},
     the trace's [Counter] events, the registry's counters, the bench
     record — is read from this record, through {!counts} where it is
-    named.  A count of a stage the request never reached is 0. *)
+    named.  The oracle's and the search's counts are their own records,
+    held as they are.  A count of a stage the request never reached
+    is 0. *)
 type stats = {
-  total_actions : int;  (** Table 2 col 5: leveled actions after pruning *)
-  plrg_props : int;  (** Table 2 col 6 (left) *)
-  plrg_actions : int;  (** Table 2 col 6 (right) *)
-  slrg_nodes : int;  (** Table 2 col 7 — this request's share *)
-  slrg_queries : int;
-      (** SLRG queries that ran an A* (the rest were {!slrg_cache_hits}) *)
-  rg_created : int;  (** Table 2 col 8 (left) *)
-  rg_open_left : int;  (** Table 2 col 8 (right) *)
-  rg_expanded : int;
-  replay_pruned : int;
-  final_replay_rejected : int;
-  rg_duplicates : int;
-      (** RG nodes pruned by duplicate detection (pending set re-derived
-          at an equal-or-worse g) *)
-  order_repaired : int;
-      (** candidate tails recovered by the RG backtracking re-sequencer
-          after failing from-init validation *)
-  slrg_cache_hits : int;
-      (** SLRG queries answered from the solved or capped-bound caches
-          without running an A* *)
-  slrg_suffix_harvested : int;
-      (** exact SLRG cache entries recorded by suffix-cost harvesting
-          beyond the queried roots themselves *)
-  slrg_bound_promoted : int;
-      (** budget-exhausted SLRG bounds later replaced by exact entries *)
-  slrg_deferred : int;
-      (** RG nodes queued with the cheap PLRG bound instead of an
-          up-front SLRG query *)
-  slrg_saved : int;
-      (** deferred nodes never refined — SLRG oracle queries the search
-          skipped entirely *)
+  compile_actions : int;  (** Table 2 col 5: leveled actions after pruning *)
+  plrg_relevant_props : int;  (** Table 2 col 6 (left) *)
+  plrg_relevant_actions : int;  (** Table 2 col 6 (right) *)
+  slrg : Slrg.stats;
+      (** the oracle's counts and query time for this request; [nodes]
+          is Table 2 col 7 *)
+  rg : Rg.stats;  (** [created] / [open_left] are Table 2 col 8 *)
   invalidated_actions : int;
       (** actions the {!update}s since the previous plan call could not
           reuse (recompiled or dropped); 0 on cold runs *)
@@ -180,18 +158,19 @@ type stats = {
 type stage = Requested | Compiled | Searched
 
 (** A report count: its name, the stage a request must reach for the
-    count to measure anything, and its field of {!stats}. *)
+    count to measure anything, and where {!stats} holds it. *)
 type count = { name : string; stage : stage; get : stats -> int }
 
-(** Every report count, declared once, in {!stats} order; the single
-    place a count is named.  Each {!plan} sends each row whose stage the
-    request reached to the trace, as a [Counter] event carrying that
-    plan's value, and to the registry, whose counter of the same name
-    sums it over plans; a row of a stage not reached goes to neither.
+(** Every report count, declared once; the single place a count is
+    named.  Each {!plan} sends each row whose stage the request reached
+    to the trace, as a [Counter] event carrying that plan's value, and
+    to the registry, whose counter of the same name sums it over plans;
+    a row of a stage not reached goes to neither.
     The bench record's JSON key for a row is its name through
     {!Sekitei_telemetry.Export.sanitize} (["rg.created"] is
-    [rg_created]).  Adding a count means adding its {!stats} field and
-    one row here. *)
+    [rg_created]).  Adding a count means adding its field to {!stats},
+    or to the {!Rg.stats} or {!Slrg.stats} it holds, and one row
+    here. *)
 val counts : count list
 
 (** Everything a planning run needs.  Build with {!request}; override
@@ -229,7 +208,8 @@ type phases = {
   plrg : phase;
   slrg : phase;
       (** oracle construction (first request only) plus the time and
-          minor words of its lazy queries, which run {e inside} the RG
+          minor words of its lazy queries ([query_ms] and [minor_words]
+          of the report's [stats.slrg]), which run {e inside} the RG
           search (so the slrg phase overlaps the rg one).  Its
           [major_collections] count only the oracle's construction:
           collections during the lazy queries are counted in the rg

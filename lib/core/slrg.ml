@@ -27,6 +27,27 @@ let escalation_pool_factor = 100
    every subsequent query — for no pruning in return. *)
 let harvest_cap = 4096
 
+type stats = {
+  nodes : int;
+  queries : int;
+  cache_hits : int;
+  suffix_harvested : int;
+  bound_promoted : int;
+  query_ms : float;
+  minor_words : float;
+}
+
+let no_stats =
+  {
+    nodes = 0;
+    queries = 0;
+    cache_hits = 0;
+    suffix_harvested = 0;
+    bound_promoted = 0;
+    query_ms = 0.;
+    minor_words = 0.;
+  }
+
 (* All caches are keyed by the dense interned-set id ({!Propset.handle}).
    Interned ids are dense, so the three persistent caches (exact costs,
    exhausted bounds, PLRG h_max) are flat arrays indexed by id with NaN
@@ -69,8 +90,8 @@ type t = {
   m_query_ms : Registry.histogram option;
       (** per-query latency distribution in the always-on registry *)
   (* The counts below cover the current request: {!begin_request} zeroes
-     them.  They are plain fields, always tracked — the planner's report
-     is their only reader. *)
+     them.  They are plain fields, always tracked, read only by
+     {!stats}. *)
   mutable generated : int;
   mutable queries : int;  (** non-memoized queries (A* runs) *)
   mutable cache_hits : int;
@@ -545,13 +566,17 @@ let query_h t (root : Propset.handle) =
 (* [root] must be canonical (see {!Propset}); it is interned on entry. *)
 let query_set t (root : int array) = query_h t (Propset.intern t.ctx root)
 let query t props = query_set t (Propset.canonical t.problem props)
-let nodes_generated t = t.generated
-let queries t = t.queries
-let query_ms t = t.query_ms
-let gc_minor_words t = t.gc_minor_words
-let cache_hits t = t.cache_hits
-let suffix_harvested t = t.suffix_harvested
-let bound_promoted t = t.bound_promoted
+
+let stats t : stats =
+  {
+    nodes = t.generated;
+    queries = t.queries;
+    cache_hits = t.cache_hits;
+    suffix_harvested = t.suffix_harvested;
+    bound_promoted = t.bound_promoted;
+    query_ms = t.query_ms;
+    minor_words = t.gc_minor_words;
+  }
 
 let entries t =
   Array.fold_left

@@ -58,7 +58,7 @@ type t
     ["slrg.query_ms"] histogram (the handle is resolved once here, on
     the creating domain, so recording stays off the registry's locks).
     Per-query samples exist only in these two places; the oracle's
-    counts below are plain fields the planner's report reads. *)
+    {!stats} are plain fields the planner's report reads. *)
 val create :
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
   ?metrics:Sekitei_telemetry.Registry.t ->
@@ -96,40 +96,39 @@ val query_h : t -> Propset.handle -> float
     pushes. *)
 val h_max_h : t -> Propset.handle -> float
 
-(** {1 Counts}
+(** {1 Counts} *)
 
-    Each count covers the queries since the last {!begin_request} (or
-    since {!create}), so after a request's search it holds that
-    request's share. *)
+(** The oracle's counts since the last {!begin_request} (or since
+    {!create}), so after a request's search they hold that request's
+    share.  The planner's report carries them as they are. *)
+type stats = {
+  nodes : int;  (** set nodes generated (Table 2, column SLRG) *)
+  queries : int;
+      (** non-memoized queries: each one runs an A* (escalated re-runs
+          included) *)
+  cache_hits : int;
+      (** queries answered from the solved or capped-bound caches without
+          running an A* *)
+  suffix_harvested : int;
+      (** exact cache entries recorded by suffix-cost harvesting beyond
+          the queried roots themselves *)
+  bound_promoted : int;
+      (** budget-exhausted bounds later replaced by exact solved entries
+          (escalated re-query or harvest) *)
+  query_ms : float;
+      (** wall time (ms) spent inside non-memoized queries — the SLRG
+          share of the RG search phase; tracked whether or not telemetry
+          is enabled *)
+  minor_words : float;
+      (** [Gc.minor_words] allocated inside non-memoized queries (the
+          SLRG share of the search phase's allocation); major
+          collections are not counted per query *)
+}
 
-(** Set nodes generated (Table 2, column SLRG). *)
-val nodes_generated : t -> int
+(** All zero: the counts of a request that never queried an oracle. *)
+val no_stats : stats
 
-(** Non-memoized queries: each one runs an A* (escalated re-runs
-    included). *)
-val queries : t -> int
-
-(** Wall time (ms) spent inside non-memoized queries — the SLRG share of
-    the RG search phase in the planner's report.  Tracked whether or not
-    telemetry is enabled. *)
-val query_ms : t -> float
-
-(** [Gc.minor_words] allocated inside non-memoized queries (the SLRG
-    share of the search phase's allocation, reported next to
-    {!query_ms}).  Major collections are not counted per query. *)
-val gc_minor_words : t -> float
-
-(** Queries answered from the solved or capped-bound caches without
-    running an A*. *)
-val cache_hits : t -> int
-
-(** Exact cache entries recorded by suffix-cost harvesting beyond the
-    queried roots themselves. *)
-val suffix_harvested : t -> int
-
-(** Budget-exhausted bounds later replaced by exact solved entries
-    (escalated re-query or harvest). *)
-val bound_promoted : t -> int
+val stats : t -> stats
 
 (** {1 Cache access and request lifecycle} *)
 
@@ -157,8 +156,8 @@ val iter_bounds : t -> (int array -> float -> unit) -> unit
 (** [begin_request t ~deadline] resets the per-request state before a
     (possibly warm) plan request: every exhausted-query bound is dropped,
     the escalation pool is refilled, and [deadline] becomes the token
-    polled (every 64 expansions) by subsequent queries; every count
-    above restarts at zero.  Exact solved entries and memoized h_max
+    polled (every 64 expansions) by subsequent queries; the {!stats}
+    restart at zero.  Exact solved entries and memoized h_max
     values are kept — they are path-independent facts about the
     problem — while bounds depend on budgets and query order and would
     make warm results diverge from a cold run.  A query interrupted by

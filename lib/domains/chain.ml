@@ -27,8 +27,8 @@ let stream ~cross_weight name =
     ~properties:[ Model.property ~tag:Model.Degradable "ibw" ]
     name
 
-let app ?(cross_weight = 1.) ?(place_weight = 1.) () =
-  let cost expr_text = e (Printf.sprintf "%g * (1 + %s)" place_weight expr_text) in
+let app ?(cross_weight = 1.) () =
+  let cost expr_text = e ("1 + " ^ expr_text) in
   {
     Model.interfaces = List.map (stream ~cross_weight) [ "T"; "Z" ];
     components =

@@ -4,9 +4,9 @@
     client.  Two routes exist: a three-link wide path usable by the raw
     stream, and a two-link narrow path (60 bandwidth units) that only fits
     the compressed stream [Z], requiring Zip/Unzip components.  Which plan
-    is cheaper depends on the relative price of link bandwidth
-    ([cross_weight]) and node computation ([place_weight]) — the planner
-    must flip between them as the weights change. *)
+    is cheaper depends on the price of link bandwidth ([cross_weight],
+    against node computation at a fixed [1 + bw/10]) — the planner must
+    flip between the routes as the weight changes. *)
 
 module Model = Sekitei_spec.Model
 module Leveling = Sekitei_spec.Leveling
@@ -16,7 +16,7 @@ module Topology = Sekitei_network.Topology
     client n3. *)
 val topology : unit -> Topology.t
 
-val app : ?cross_weight:float -> ?place_weight:float -> unit -> Model.app
+val app : ?cross_weight:float -> unit -> Model.app
 
 (** Scenario-C-style levels on [T] (cutpoints 90, 100) with [Z] derived. *)
 val leveling : Model.app -> Leveling.t

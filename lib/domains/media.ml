@@ -5,20 +5,15 @@ module Expr = Sekitei_expr.Expr
 let e = Expr.parse
 let c = Expr.parse_cond
 
-let stream ~cross_weight name =
-  Model.iface
-    ~cross_cost:(e (Printf.sprintf "%g * (1 + ibw / 10)" cross_weight))
+let stream name =
+  Model.iface ~cross_cost:(e "1 + ibw / 10")
     ~properties:[ Model.property ~tag:Model.Degradable "ibw" ]
     name
 
-let cost ~place_weight expr_text =
-  e (Printf.sprintf "%g * (1 + %s)" place_weight expr_text)
+let cost expr_text = e ("1 + " ^ expr_text)
 
-let app ?(supply = 200.) ?(demand = 90.) ?(cross_weight = 1.)
-    ?(place_weight = 1.) ~server ~client () =
-  let interfaces =
-    List.map (stream ~cross_weight) [ "M"; "T"; "I"; "Z" ]
-  in
+let app ?(supply = 200.) ?(demand = 90.) ~server ~client () =
+  let interfaces = List.map stream [ "M"; "T"; "I"; "Z" ] in
   let components =
     [
       Model.component ~provides:[ "M" ]
@@ -26,29 +21,29 @@ let app ?(supply = 200.) ?(demand = 90.) ?(cross_weight = 1.)
         ~placeable:false "Server";
       Model.component ~requires:[ "M" ]
         ~conditions:[ c (Printf.sprintf "M.ibw >= %g" demand) ]
-        ~place_cost:(cost ~place_weight "M.ibw / 10")
+        ~place_cost:(cost "M.ibw / 10")
         "Client";
       Model.component ~requires:[ "M" ] ~provides:[ "T"; "I" ]
         ~effects:
           [ ("T", "ibw", e "M.ibw * 7 / 10"); ("I", "ibw", e "M.ibw * 3 / 10") ]
         ~consumes:[ ("cpu", e "M.ibw / 5") ]
-        ~place_cost:(cost ~place_weight "M.ibw / 10")
+        ~place_cost:(cost "M.ibw / 10")
         "Splitter";
       Model.component ~requires:[ "T"; "I" ] ~provides:[ "M" ]
         ~conditions:[ c "T.ibw * 3 == I.ibw * 7" ]
         ~effects:[ ("M", "ibw", e "T.ibw + I.ibw") ]
         ~consumes:[ ("cpu", e "(T.ibw + I.ibw) / 5") ]
-        ~place_cost:(cost ~place_weight "(T.ibw + I.ibw) / 10")
+        ~place_cost:(cost "(T.ibw + I.ibw) / 10")
         "Merger";
       Model.component ~requires:[ "T" ] ~provides:[ "Z" ]
         ~effects:[ ("Z", "ibw", e "T.ibw / 2") ]
         ~consumes:[ ("cpu", e "T.ibw / 10") ]
-        ~place_cost:(cost ~place_weight "T.ibw / 10")
+        ~place_cost:(cost "T.ibw / 10")
         "Zip";
       Model.component ~requires:[ "Z" ] ~provides:[ "T" ]
         ~effects:[ ("T", "ibw", e "Z.ibw * 2") ]
         ~consumes:[ ("cpu", e "Z.ibw / 5") ]
-        ~place_cost:(cost ~place_weight "Z.ibw * 2 / 10")
+        ~place_cost:(cost "Z.ibw * 2 / 10")
         "Unzip";
     ]
   in

@@ -16,24 +16,15 @@
     node at ~111 units of [M], the paper's stated bound.
 
     Plan costs are proportional to processed/transferred bandwidth
-    ([1 + bw/10]), matching the paper's Merger example; [cross_weight] and
-    [place_weight] scale the two families for the Figure 5 tradeoff
-    experiment. *)
+    ([1 + bw/10]), matching the paper's Merger example. *)
 
 module Model = Sekitei_spec.Model
 module Leveling = Sekitei_spec.Leveling
 
 (** [app ~server ~client ()] builds the application specification.
-    Defaults: [supply] 200, [demand] 90, weights 1. *)
+    Defaults: [supply] 200, [demand] 90. *)
 val app :
-  ?supply:float ->
-  ?demand:float ->
-  ?cross_weight:float ->
-  ?place_weight:float ->
-  server:int ->
-  client:int ->
-  unit ->
-  Model.app
+  ?supply:float -> ?demand:float -> server:int -> client:int -> unit -> Model.app
 
 (** Table 1 resource-level scenarios. *)
 type scenario = A | B | C | D | E

@@ -11,9 +11,6 @@ module Planner = Sekitei_core.Planner
 module Session = Sekitei_core.Session
 module Media = Sekitei_domains.Media
 module Json = Sekitei_util.Json
-module Timer = Sekitei_util.Timer
-module Domain_pool = Sekitei_util.Domain_pool
-module Histogram = Sekitei_util.Histogram
 module Telemetry = Sekitei_telemetry.Telemetry
 module Registry = Sekitei_telemetry.Registry
 module Export = Sekitei_telemetry.Export
@@ -24,20 +21,8 @@ type record = {
   scenario : string;
   stats : Session.stats;
   search_ms : float;
-  search_ms_p50 : float;
-  search_ms_p90 : float;
-  search_ms_p99 : float;
   warm_search_ms : float;
-  compile_ms : float;
-  compile_minor_words : float;
-  plrg_ms : float;
-  slrg_ms : float;
-  rg_ms : float;
-  minor_words : float;
-  slrg_minor_words : float;
-  major_collections : int;
-  jobs : int;
-  wall_ms_batch : float;
+  phases : Session.phases;
 }
 
 let median xs =
@@ -48,7 +33,25 @@ let median xs =
   else if n mod 2 = 1 then a.(n / 2)
   else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
-let measure ?config ?(repeat = 1) ?(warm = false) (sc : Scenarios.t) level =
+(* Every field of every phase, each the median over [runs]. *)
+let median_phases (runs : Planner.report list) =
+  let phase get =
+    let med f = median (List.map (fun r -> f (get r.Planner.phases)) runs) in
+    {
+      Session.ms = med (fun p -> p.Session.ms);
+      minor_words = med (fun p -> p.Session.minor_words);
+      major_collections =
+        Float.to_int (med (fun p -> float_of_int p.Session.major_collections));
+    }
+  in
+  {
+    Session.compile = phase (fun p -> p.Session.compile);
+    plrg = phase (fun p -> p.Session.plrg);
+    slrg = phase (fun p -> p.Session.slrg);
+    rg = phase (fun p -> p.Session.rg);
+  }
+
+let measure ?config ?(repeat = 1) (sc : Scenarios.t) level =
   let repeat = Stdlib.max 1 repeat in
   let leveling = Media.leveling level sc.Scenarios.app in
   (* The recorded timings measure the production configuration: metric
@@ -90,77 +93,37 @@ let measure ?config ?(repeat = 1) ?(warm = false) (sc : Scenarios.t) level =
                sc.Scenarios.name (Media.scenario_name level)
                (Diagnostic.to_string d)))
   | Error _ -> ());
-  let med f = median (List.map f runs) in
   (* Warm timings come from a {!Session}: one cold plan compiles
      the problem and fills the oracle, then [repeat] warm re-plans are
      timed and the median recorded — the cross-request reuse the Session
      API exists for.  The cold figures above stay one-shot runs so they
-     remain comparable with pre-session baselines; 0.0 when [warm] was
-     not requested, keeping the schema fixed. *)
-  let warm_search_ms =
-    if not warm then 0.
-    else begin
-      Gc.compact ();
-      let session =
-        Session.create ~metrics
-          (Planner.request ?config ~telemetry:(telemetry ())
-             sc.Scenarios.topo sc.Scenarios.app ~leveling)
-      in
-      ignore (Session.plan session);
-      median
-        (List.init repeat (fun _ ->
-             (Session.plan session).Session.stats.Session.t_search_ms))
-    end
+     remain comparable with pre-session baselines. *)
+  Gc.compact ();
+  let session =
+    Session.create ~metrics
+      (Planner.request ?config ~telemetry:(telemetry ()) sc.Scenarios.topo
+         sc.Scenarios.app ~leveling)
   in
-  (* Per-repeat distribution of the search time, through the same
-     log-bucketed histogram the metric registry uses: with --repeat 3
-     the percentiles bracket the median that the gate tracks (p50 can
-     differ from the even-count interpolated [median] by the histogram's
-     1% relative error); schema-checked but never gated, since small-N
-     tails are noise by construction. *)
-  let search_hist = Histogram.create () in
-  List.iter
-    (fun r -> Histogram.add search_hist r.Planner.stats.Planner.t_search_ms)
-    runs;
-  let search_p q = Histogram.percentile search_hist q in
+  ignore (Session.plan session);
+  let warm_search_ms =
+    median
+      (List.init repeat (fun _ ->
+           (Session.plan session).Session.stats.Session.t_search_ms))
+  in
   {
     scenario =
       Printf.sprintf "%s-%s" sc.Scenarios.name (Media.scenario_name level);
     stats = first.Planner.stats;
-    search_ms = med (fun r -> r.Planner.stats.Planner.t_search_ms);
-    search_ms_p50 = search_p 0.50;
-    search_ms_p90 = search_p 0.90;
-    search_ms_p99 = search_p 0.99;
+    search_ms =
+      median (List.map (fun r -> r.Planner.stats.Planner.t_search_ms) runs);
     warm_search_ms;
-    compile_ms = med (fun r -> r.Planner.phases.Planner.compile.Planner.ms);
-    compile_minor_words =
-      med (fun r -> r.Planner.phases.Planner.compile.Planner.minor_words);
-    plrg_ms = med (fun r -> r.Planner.phases.Planner.plrg.Planner.ms);
-    slrg_ms = med (fun r -> r.Planner.phases.Planner.slrg.Planner.ms);
-    rg_ms = med (fun r -> r.Planner.phases.Planner.rg.Planner.ms);
-    minor_words =
-      med (fun r -> r.Planner.phases.Planner.rg.Planner.minor_words);
-    slrg_minor_words =
-      med (fun r -> r.Planner.phases.Planner.slrg.Planner.minor_words);
-    major_collections =
-      first.Planner.phases.Planner.rg.Planner.major_collections;
-    jobs = 1;
-    wall_ms_batch = 0.;
+    phases = median_phases runs;
   }
 
-let run_default ?config ?(repeat = 1) ?(jobs = 1) ?(warm = false) () =
-  let t = Timer.start () in
-  let records =
-    Domain_pool.map ~jobs
-      (fun (sc, level) -> measure ?config ~repeat ~warm sc level)
-      [
-        (Scenarios.tiny (), Media.C);
-        (Scenarios.small (), Media.C);
-        (Scenarios.large (), Media.C);
-      ]
-  in
-  let wall_ms_batch = Timer.elapsed_ms t in
-  List.map (fun r -> { r with jobs; wall_ms_batch }) records
+let run_default ?config ?(repeat = 1) () =
+  List.map
+    (fun sc -> measure ?config ~repeat sc Media.C)
+    [ Scenarios.tiny (); Scenarios.small (); Scenarios.large () ]
 
 (* A count's key: its {!Session.counts} name, sanitized as the
    Prometheus exposition does (dots become underscores). *)
@@ -185,20 +148,15 @@ let columns =
    :: List.map count Session.counts)
   @ [
       ms "search_ms" (fun r -> r.search_ms);
-      ms "search_ms_p50" (fun r -> r.search_ms_p50);
-      ms "search_ms_p90" (fun r -> r.search_ms_p90);
-      ms "search_ms_p99" (fun r -> r.search_ms_p99);
       ms "warm_search_ms" (fun r -> r.warm_search_ms);
-      ms "compile_ms" (fun r -> r.compile_ms);
-      words "compile_minor_words" (fun r -> r.compile_minor_words);
-      ms "plrg_ms" (fun r -> r.plrg_ms);
-      ms "slrg_ms" (fun r -> r.slrg_ms);
-      ms "rg_ms" (fun r -> r.rg_ms);
-      words "minor_words" (fun r -> r.minor_words);
-      words "slrg_minor_words" (fun r -> r.slrg_minor_words);
-      int "major_collections" (fun r -> r.major_collections);
-      int "jobs" (fun r -> r.jobs);
-      ms "wall_ms_batch" (fun r -> r.wall_ms_batch);
+      ms "compile_ms" (fun r -> r.phases.compile.ms);
+      words "compile_minor_words" (fun r -> r.phases.compile.minor_words);
+      ms "plrg_ms" (fun r -> r.phases.plrg.ms);
+      ms "slrg_ms" (fun r -> r.phases.slrg.ms);
+      ms "rg_ms" (fun r -> r.phases.rg.ms);
+      words "minor_words" (fun r -> r.phases.rg.minor_words);
+      words "slrg_minor_words" (fun r -> r.phases.slrg.minor_words);
+      int "major_collections" (fun r -> r.phases.rg.major_collections);
     ]
 
 let record_to_json ?tag r =
@@ -258,10 +216,9 @@ type delta = {
 (* The gated metrics: RG search wall time, RG nodes created (exactly
    reproducible — it catches search-space blowups that a fast machine
    would hide), the SLRG share of the search, the warm session re-plan
-   time (a cross-request reuse regression shows up there first; when
-   neither baseline nor current run measured warm, both sides are 0.0
-   and the comparison is a no-op), and the words compilation allocates
-   (exactly reproducible too: a grounding blowup trips it on any host). *)
+   time (a cross-request reuse regression shows up there first), and the
+   words compilation allocates (exactly reproducible too: a grounding
+   blowup trips it on any host). *)
 let gated_metrics =
   [
     "search_ms"; "rg_created"; "slrg_ms"; "warm_search_ms"; "compile_minor_words";

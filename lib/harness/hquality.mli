@@ -72,7 +72,7 @@ type report = {
 
 (** [analyze ~plan_cost ~expanded samples] — [samples] root first as
     {!samples} returns them; [expanded] is the run's
-    [stats.rg_expanded]. *)
+    [stats.rg.expanded]. *)
 val analyze : plan_cost:float -> expanded:int -> sample list -> report
 
 (** Render as ASCII tables (one row per phase, plus a summary line). *)

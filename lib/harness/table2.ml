@@ -71,10 +71,11 @@ let render rows =
                  if peak > 0. then Table.float_cell peak else "N/A")
                r.plan)
             "-";
-          string_of_int s.Planner.total_actions;
-          Printf.sprintf "%d / %d" s.Planner.plrg_props s.Planner.plrg_actions;
-          string_of_int s.Planner.slrg_nodes;
-          Printf.sprintf "%d / %d" s.Planner.rg_created s.Planner.rg_open_left;
+          string_of_int s.Planner.compile_actions;
+          Printf.sprintf "%d / %d" s.Planner.plrg_relevant_props
+            s.Planner.plrg_relevant_actions;
+          string_of_int s.Planner.slrg.nodes;
+          Printf.sprintf "%d / %d" s.Planner.rg.created s.Planner.rg.open_left;
           Printf.sprintf "%.0f / %.0f" s.Planner.t_total_ms s.Planner.t_search_ms;
         ])
     rows;

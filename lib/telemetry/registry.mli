@@ -22,7 +22,7 @@
 type t
 
 (** An empty registry.  Its histograms have
-    {!Sekitei_util.Histogram.create}'s default relative error (1%). *)
+    {!Sekitei_util.Histogram}'s 1% relative error. *)
 val create : unit -> t
 
 (** {1 Recording} *)

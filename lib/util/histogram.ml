@@ -8,14 +8,11 @@
    int array indexed by (bucket - base); the window grows geometrically
    as new extremes are recorded, and is bounded by the log of the
    tracked range — ln(1e9 / 1e-9) / ln(1.0202) ~ 2100 buckets at the
-   default 1% error even for a histogram fed everything from a
+   fixed 1% error even for a histogram fed everything from a
    nanosecond to a month — so memory is constant in the number of
    recorded values. *)
 
 type t = {
-  rel_error : float;
-  gamma : float;
-  inv_log_gamma : float;  (* 1 / ln gamma, hoisted out of the add path *)
   mutable counts : int array;
   mutable base : int;  (* bucket index of counts.(0); meaningless when empty *)
   mutable occupied : bool;  (* some positive-range bucket has been hit *)
@@ -28,14 +25,14 @@ type t = {
 
 let min_trackable = 1e-9
 
-let create ?(rel_error = 0.01) () =
-  if not (rel_error > 0. && rel_error < 1.) then
-    invalid_arg "Histogram.create: rel_error not in (0,1)";
-  let gamma = (1. +. rel_error) /. (1. -. rel_error) in
+(* The relative error e = 1% fixes the bucket ratio for every
+   histogram, so any two merge bucket for bucket. *)
+let rel_error = 0.01
+let gamma = (1. +. rel_error) /. (1. -. rel_error)
+let inv_log_gamma = 1. /. log gamma
+
+let create () =
   {
-    rel_error;
-    gamma;
-    inv_log_gamma = 1. /. log gamma;
     counts = [||];
     base = 0;
     occupied = false;
@@ -53,15 +50,13 @@ let min_value t = t.vmin
 let max_value t = t.vmax
 let mean t = if t.n = 0 then Float.nan else t.sum /. float_of_int t.n
 
-let bucket_index t v = int_of_float (Float.ceil (log v *. t.inv_log_gamma))
+let bucket_index v = int_of_float (Float.ceil (log v *. inv_log_gamma))
 
 (* Value estimate for bucket index i: the point whose relative distance
    to both bucket ends is the same, 2*gamma^i/(gamma+1). *)
-let bucket_estimate t i =
-  2. *. (t.gamma ** float_of_int i) /. (t.gamma +. 1.)
-
-let bucket_lo t i = t.gamma ** float_of_int (i - 1)
-let bucket_hi t i = t.gamma ** float_of_int i
+let bucket_estimate i = 2. *. (gamma ** float_of_int i) /. (gamma +. 1.)
+let bucket_lo i = gamma ** float_of_int (i - 1)
+let bucket_hi i = gamma ** float_of_int i
 
 (* Ensure bucket index [i] falls inside the window, growing front/back
    with geometric slack so repeated extremes amortize. *)
@@ -96,8 +91,8 @@ let add t v =
     (* Infinities would overflow ceil-of-log; clamp to the float range's
        last representable bucket instead of raising mid-flight. *)
     let i =
-      if Float.is_finite v then bucket_index t v
-      else bucket_index t Float.max_float
+      if Float.is_finite v then bucket_index v
+      else bucket_index Float.max_float
     in
     ensure t i;
     t.counts.(i - t.base) <- t.counts.(i - t.base) + 1
@@ -136,7 +131,7 @@ let percentile t p =
          (fun off c ->
            if c > 0 then begin
              if !remaining < c then begin
-               answer := bucket_estimate t (t.base + off);
+               answer := bucket_estimate (t.base + off);
                raise Exit
              end;
              remaining := !remaining - c
@@ -154,8 +149,6 @@ let percentile t p =
 let copy t = { t with counts = Array.copy t.counts }
 
 let merge a b =
-  if a.rel_error <> b.rel_error then
-    invalid_arg "Histogram.merge: mismatched rel_error";
   let fmin x y =
     if Float.is_nan x then y else if Float.is_nan y then x else Float.min x y
   in
@@ -186,7 +179,7 @@ let buckets t =
       let c = t.counts.(off) in
       if c > 0 then
         let i = t.base + off in
-        acc := (bucket_lo t i, bucket_hi t i, c) :: !acc
+        acc := (bucket_lo i, bucket_hi i, c) :: !acc
     done;
   if t.zero > 0 then (0., 0., t.zero) :: !acc else !acc
 

@@ -11,17 +11,16 @@
     floating-point [sum] accumulates in merge order).
 
     Buckets grow geometrically with ratio [gamma = (1+e)/(1-e)] where
-    [e] is the configured relative error: any recorded value [v >= 1e-9]
-    falls in the bucket [(gamma^(i-1), gamma^i]] and is later reported
-    as the bucket's midpoint-in-ratio estimate, which is within [e * v]
-    of [v].  Smaller values (including zero and negatives) are counted
+    [e] is the relative error, fixed at 1%: any recorded value
+    [v >= 1e-9] falls in the bucket [(gamma^(i-1), gamma^i]] and is later
+    reported as the bucket's midpoint-in-ratio estimate, which is within
+    [e * v] of [v].  Smaller values (including zero and negatives) are counted
     in a dedicated zero bucket and reported as [0.]. *)
 
 type t
 
-(** [create ?rel_error ()] — default relative error [0.01] (1%).
-    @raise Invalid_argument unless [0 < rel_error < 1]. *)
-val create : ?rel_error:float -> unit -> t
+(** An empty histogram. *)
+val create : unit -> t
 
 (** Record one value.  Never raises: non-finite values are counted in
     the zero bucket (NaN) or the extreme buckets (infinities are clamped
@@ -47,15 +46,14 @@ val mean : t -> float
 
 (** [percentile t p] for [p] in [0,1]: the estimate of the sample order
     statistic at rank [round (p * (count - 1))].  The estimate is within
-    [rel_error] (relative) of that sample value, and is additionally
+    1% (relative) of that sample value, and is additionally
     clamped to the exact recorded [\[min_value, max_value\]] range.
     @raise Invalid_argument on an empty histogram or [p] outside [0,1]. *)
 val percentile : t -> float -> float
 
 (** [merge a b] — a new histogram with [a] and [b]'s counts summed
     bucket-wise.  Associative and commutative on everything except the
-    floating-point [sum] (within rounding).  Neither input is mutated.
-    @raise Invalid_argument when the two relative errors differ. *)
+    floating-point [sum] (within rounding).  Neither input is mutated. *)
 val merge : t -> t -> t
 
 (** Deep copy (mutating the copy leaves the original untouched). *)

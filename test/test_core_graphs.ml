@@ -134,10 +134,11 @@ let test_slrg_memoized () =
   let slrg = Slrg.create pb plrg in
   let goal = pb.Problem.goal_props.(0) in
   let first = Slrg.query slrg [ goal ] in
-  let nodes_after_first = Slrg.nodes_generated slrg in
+  let nodes_after_first = (Slrg.stats slrg).Slrg.nodes in
   let second = Slrg.query slrg [ goal ] in
   Alcotest.(check (float 0.)) "same answer" first second;
-  Alcotest.(check int) "no new nodes" nodes_after_first (Slrg.nodes_generated slrg)
+  Alcotest.(check int) "no new nodes" nodes_after_first
+    (Slrg.stats slrg).Slrg.nodes
 
 let test_slrg_unreachable_infinite () =
   let app = Media.app ~server:0 ~client:1 () in
@@ -166,9 +167,9 @@ let test_slrg_cache_hits_counted () =
   let slrg = Slrg.create pb plrg in
   let goal = pb.Problem.goal_props.(0) in
   ignore (Slrg.query slrg [ goal ]);
-  Alcotest.(check int) "first query misses" 0 (Slrg.cache_hits slrg);
+  Alcotest.(check int) "first query misses" 0 (Slrg.stats slrg).Slrg.cache_hits;
   ignore (Slrg.query slrg [ goal ]);
-  Alcotest.(check int) "second query hits" 1 (Slrg.cache_hits slrg)
+  Alcotest.(check int) "second query hits" 1 (Slrg.stats slrg).Slrg.cache_hits
 
 let test_slrg_bound_escalation () =
   (* A query_budget:1 oracle starts with only an exhausted bound for the
@@ -193,12 +194,12 @@ let test_slrg_bound_escalation () =
   done;
   Alcotest.(check (float 1e-9)) "escalates to the exact value" exact !final;
   Alcotest.(check bool) "bound promoted to solved" true
-    (Slrg.bound_promoted small >= 1);
+    ((Slrg.stats small).Slrg.bound_promoted >= 1);
   (* Once solved, further queries are pure cache hits. *)
-  let hits = Slrg.cache_hits small in
+  let hits = (Slrg.stats small).Slrg.cache_hits in
   ignore (Slrg.query small [ goal ]);
   Alcotest.(check int) "post-promotion query hits cache" (hits + 1)
-    (Slrg.cache_hits small)
+    (Slrg.stats small).Slrg.cache_hits
 
 let test_slrg_harvest_agrees_with_fresh () =
   (* Every suffix-harvested solved entry must equal what a fresh,
@@ -210,7 +211,7 @@ let test_slrg_harvest_agrees_with_fresh () =
   let goal = pb.Problem.goal_props.(0) in
   ignore (Slrg.query slrg [ goal ]);
   Alcotest.(check bool) "harvested beyond the root" true
-    (Slrg.suffix_harvested slrg > 0);
+    ((Slrg.stats slrg).Slrg.suffix_harvested > 0);
   let fresh = Slrg.create ~query_budget:1_000_000 pb plrg in
   let checked = ref 0 in
   Slrg.iter_solved slrg (fun set cost ->

@@ -189,7 +189,7 @@ let profiled sc level =
   let samples = Hquality.samples pb p in
   let hq =
     Hquality.analyze ~plan_cost:p.Plan.cost_lb
-      ~expanded:report.Planner.stats.Planner.rg_expanded samples
+      ~expanded:report.Planner.stats.Planner.rg.expanded samples
   in
   (pb, p, samples, hq)
 

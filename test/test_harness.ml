@@ -166,22 +166,20 @@ let bench_record ?(scenario = "Tiny-C") ?(search_ms = 10.) ?(rg_created = 100)
     ?(slrg_ms = 5.) () =
   {
     Bench_json.scenario;
-    stats = { (Lazy.force tiny_c_stats) with Planner.rg_created };
+    stats =
+      (let s = Lazy.force tiny_c_stats in
+       { s with Planner.rg = { s.Planner.rg with created = rg_created } });
     search_ms;
-    search_ms_p50 = search_ms;
-    search_ms_p90 = search_ms;
-    search_ms_p99 = search_ms;
     warm_search_ms = 4.;
-    compile_ms = 0.1;
-    compile_minor_words = 30_000.;
-    plrg_ms = 0.02;
-    slrg_ms;
-    rg_ms = 9.;
-    minor_words = 120_000.;
-    slrg_minor_words = 40_000.;
-    major_collections = 1;
-    jobs = 1;
-    wall_ms_batch = 11.;
+    phases =
+      {
+        Planner.compile =
+          { Planner.ms = 0.1; minor_words = 30_000.; major_collections = 0 };
+        plrg = { Planner.ms = 0.02; minor_words = 0.; major_collections = 0 };
+        slrg =
+          { Planner.ms = slrg_ms; minor_words = 40_000.; major_collections = 0 };
+        rg = { Planner.ms = 9.; minor_words = 120_000.; major_collections = 1 };
+      };
   }
 
 let test_baseline_diff () =

@@ -283,13 +283,13 @@ let test_direct_when_wide_enough () =
 let test_stats_populated () =
   let o, _ = solve (Scenarios.tiny ()) Media.C in
   let s = o.Planner.stats in
-  Alcotest.(check bool) "actions" true (s.Planner.total_actions > 0);
-  Alcotest.(check bool) "plrg" true (s.Planner.plrg_props > 0);
-  Alcotest.(check bool) "rg" true (s.Planner.rg_created > 0);
+  Alcotest.(check bool) "actions" true (s.Planner.compile_actions > 0);
+  Alcotest.(check bool) "plrg" true (s.Planner.plrg_relevant_props > 0);
+  Alcotest.(check bool) "rg" true (s.Planner.rg.created > 0);
   Alcotest.(check bool) "deferred >= saved >= 0" true
-    (s.Planner.slrg_deferred >= s.Planner.slrg_saved
-    && s.Planner.slrg_saved >= 0);
-  Alcotest.(check bool) "deferred" true (s.Planner.slrg_deferred > 0);
+    (s.Planner.rg.slrg_deferred >= s.Planner.rg.slrg_saved
+    && s.Planner.rg.slrg_saved >= 0);
+  Alcotest.(check bool) "deferred" true (s.Planner.rg.slrg_deferred > 0);
   Alcotest.(check bool) "time" true (s.Planner.t_total_ms >= 0.)
 
 (* ---------------- batch executor ---------------- *)
@@ -325,11 +325,12 @@ let test_plan_batch_matches_sequential () =
           | Error r1, Error r2 ->
               Alcotest.(check bool) "same failure" true (r1 = r2)
           | _ -> Alcotest.fail "sequential and batch outcomes diverge");
-          Alcotest.(check int) "same rg_created" a.Planner.stats.Planner.rg_created
-            b.Planner.stats.Planner.rg_created;
+          Alcotest.(check int) "same rg_created"
+            a.Planner.stats.Planner.rg.created
+            b.Planner.stats.Planner.rg.created;
           Alcotest.(check int) "same rg_expanded"
-            a.Planner.stats.Planner.rg_expanded
-            b.Planner.stats.Planner.rg_expanded)
+            a.Planner.stats.Planner.rg.expanded
+            b.Planner.stats.Planner.rg.expanded)
         seq par)
     [ 1; 2; 4 ]
 
@@ -359,6 +360,99 @@ let test_postprocess_rejects_invalid () =
   Alcotest.(check bool) "None on broken plan" true
     (Postprocess.minimize pb broken = None)
 
+(* ---------------- order repair witness ---------------- *)
+
+(* Two goal components read one stream at one node at different levels:
+   [High] needs V >= 50 and [Low] V <= 40 of the degradable stream the
+   camera supplies at 60.  From init only [High] before [Low] runs: [Low]
+   throttles the stream after [High] has read it.  Regression replay
+   meets a site's consumers in reverse plan order, so it rejects that
+   order; the candidate that survives to from-init validation is [Low]
+   before [High], which fails there, and only order repair turns it into
+   the plan.  With repair disabled the planner answers "no
+   resource-feasible plan found". *)
+let witness_spec =
+  {|interface V {
+  property ibw degradable;
+  cross ibw := min(ibw, link.lbw);
+  consume link.lbw -= min(ibw, link.lbw);
+  cost 1 + ibw / 10;
+  levels ibw: 40, 50;
+}
+
+component Camera {
+  provides V;
+  effect V.ibw := 60;
+  anchored;
+}
+
+component Low {
+  requires V;
+  condition V.ibw <= 40;
+  cost 1 + V.ibw / 10;
+}
+
+component High {
+  requires V;
+  condition V.ibw >= 50;
+  cost 1 + V.ibw / 10;
+}
+
+network {
+  node cam cpu 30;
+  node tv cpu 30;
+  link cam -- tv lan lbw 100;
+}
+
+deploy {
+  place Camera on cam;
+  goal Low on tv;
+  goal High on tv;
+}
+|}
+
+let test_order_repair_witness () =
+  let doc = Sekitei_spec.Dsl.parse_document witness_spec in
+  let topo = Option.get doc.Sekitei_spec.Dsl.topo in
+  let app = doc.Sekitei_spec.Dsl.app
+  and leveling = doc.Sekitei_spec.Dsl.leveling in
+  let report = Planner.plan (Planner.request topo app ~leveling) in
+  let p = expect_plan "witness" report in
+  let pb = Compile.compile topo app leveling in
+  let cross, high, low =
+    match p.Plan.steps with
+    | [ cross; high; low ] -> (cross, high, low)
+    | steps -> Alcotest.failf "expected 3 steps, got %d" (List.length steps)
+  in
+  Alcotest.(check (list string)) "plan"
+    [ "cross(V,cam->tv)"; "place(High,tv)"; "place(Low,tv)" ]
+    (List.map
+       (fun (a : Sekitei_core.Action.t) ->
+         String.sub a.label 0 (String.index a.label '['))
+       p.Plan.steps);
+  Alcotest.(check (float 1e-9)) "cost bound" 13. p.Plan.cost_lb;
+  Alcotest.(check int) "repaired" 1
+    report.Planner.stats.Planner.rg.order_repaired;
+  let from_init tail =
+    Result.is_ok (Replay.run pb ~mode:Replay.From_init tail)
+  in
+  (* The search extends a tail's regression state last action first. *)
+  let regresses tail =
+    List.fold_left
+      (fun rs a ->
+        Result.bind rs (fun rs -> Replay.extend pb ~mode:Replay.Regression rs a))
+      (Ok (Replay.initial pb)) (List.rev tail)
+    |> Result.is_ok
+  in
+  Alcotest.(check bool) "the plan runs from init" true
+    (from_init [ cross; high; low ]);
+  Alcotest.(check bool) "regression rejects its tail" false
+    (regresses [ high; low ]);
+  Alcotest.(check bool) "regression accepts the other order" true
+    (regresses [ cross; low; high ]);
+  Alcotest.(check bool) "the other order fails from init" false
+    (from_init [ cross; low; high ])
+
 let suite =
   [
     ("tiny: greedy fails (scenario 1)", `Quick, test_tiny_greedy_fails);
@@ -384,4 +478,5 @@ let suite =
     ("plan_batch empty", `Quick, test_plan_batch_empty);
     ("postprocess minimizes", `Quick, test_postprocess_minimizes);
     ("postprocess rejects invalid", `Quick, test_postprocess_rejects_invalid);
+    ("order repair witness", `Quick, test_order_repair_witness);
   ]

@@ -190,7 +190,7 @@ let test_planner_deterministic () =
            sc.Sekitei_harness.Scenarios.app ~leveling)
     in
     match o.Planner.result with
-    | Ok p -> (Plan.labels p, p.Plan.cost_lb, o.Planner.stats.Planner.rg_created)
+    | Ok p -> (Plan.labels p, p.Plan.cost_lb, o.Planner.stats.Planner.rg.created)
     | Error _ -> Alcotest.fail "no plan"
   in
   let l1, c1, n1 = run () in

@@ -193,21 +193,22 @@ let test_dedup_counts_duplicates () =
 let test_bench_json_schema () =
   let r = Bench_json.measure (Scenarios.tiny ()) Media.C in
   let s = r.Bench_json.stats in
-  Alcotest.(check bool) "actions positive" true (s.Planner.total_actions > 0);
-  Alcotest.(check bool) "created positive" true (s.Planner.rg_created > 0);
+  Alcotest.(check bool) "actions positive" true (s.Planner.compile_actions > 0);
+  Alcotest.(check bool) "created positive" true (s.Planner.rg.created > 0);
   let doc = Bench_json.to_json [ r ] in
   (match Bench_json.parse_check doc with
   | Ok n -> Alcotest.(check int) "one record" 1 n
   | Error e -> Alcotest.failf "schema: %s" e);
+  let p = r.Bench_json.phases in
   Alcotest.(check bool) "phase timings cover the search" true
-    (r.Bench_json.plrg_ms >= 0.
-    && r.Bench_json.slrg_ms >= 0.
-    && r.Bench_json.rg_ms >= 0.
-    && r.Bench_json.compile_ms >= 0.);
+    (p.Planner.plrg.Planner.ms >= 0.
+    && p.Planner.slrg.Planner.ms >= 0.
+    && p.Planner.rg.Planner.ms >= 0.
+    && p.Planner.compile.Planner.ms >= 0.);
   Alcotest.(check bool) "slrg cache counters present and sane" true
-    (s.Planner.slrg_cache_hits >= 0
-    && s.Planner.slrg_suffix_harvested >= 0
-    && s.Planner.slrg_bound_promoted >= 0);
+    (s.Planner.slrg.cache_hits >= 0
+    && s.Planner.slrg.suffix_harvested >= 0
+    && s.Planner.slrg.bound_promoted >= 0);
   let tagged = Bench_json.to_json ~tag:"test" [ r; r ] in
   (match Bench_json.parse_check tagged with
   | Ok n -> Alcotest.(check int) "parses as two records" 2 n

@@ -70,8 +70,8 @@ let test_warm_skips_compile () =
   close "warm compile ms" 0. warm.Planner.phases.Planner.compile.Planner.ms;
   close "warm plrg ms" 0. warm.Planner.phases.Planner.plrg.Planner.ms;
   Alcotest.(check int) "warm keeps action count"
-    cold.Planner.stats.Planner.total_actions
-    warm.Planner.stats.Planner.total_actions;
+    cold.Planner.stats.Planner.compile_actions
+    warm.Planner.stats.Planner.compile_actions;
   close "same cost" (cost_of "cold" cold) (cost_of "warm" warm);
   Alcotest.(check int) "no invalidation without updates" 0
     warm.Planner.stats.Planner.invalidated_actions;
@@ -85,11 +85,11 @@ let test_one_shot_plan_is_cold_session () =
   let cold = Session.plan session in
   close "same cost" (cost_of "one-shot" one_shot) (cost_of "session" cold);
   Alcotest.(check int) "same rg_created"
-    one_shot.Planner.stats.Planner.rg_created
-    cold.Planner.stats.Planner.rg_created;
+    one_shot.Planner.stats.Planner.rg.created
+    cold.Planner.stats.Planner.rg.created;
   Alcotest.(check int) "same slrg_nodes"
-    one_shot.Planner.stats.Planner.slrg_nodes
-    cold.Planner.stats.Planner.slrg_nodes
+    one_shot.Planner.stats.Planner.slrg.nodes
+    cold.Planner.stats.Planner.slrg.nodes
 
 (* After an update, the warm re-plan must agree with a cold plan of the
    session's current topology (same result constructor and cost bound —
@@ -137,7 +137,7 @@ let test_update_inside_level_keeps_oracle () =
   Alcotest.(check int) "nothing evicted" 0
     warm.Planner.stats.Planner.evicted_entries;
   Alcotest.(check int) "no SLRG search" 0
-    warm.Planner.stats.Planner.slrg_queries;
+    warm.Planner.stats.Planner.slrg.queries;
   let pb = Option.get (Session.problem session) in
   close "the session plans against the new capacity" 80.
     (Problem.link_cap pb 2 "lbw");
@@ -327,10 +327,10 @@ let test_changed_update_starts_over () =
     List.iter
       (fun (what, f) -> Alcotest.(check int) (name ^ ": " ^ what) (f cs) (f ws))
       [
-        ("slrg_queries", fun (s : Planner.stats) -> s.Planner.slrg_queries);
-        ("slrg_nodes", fun s -> s.Planner.slrg_nodes);
-        ("rg_created", fun s -> s.Planner.rg_created);
-        ("rg_expanded", fun s -> s.Planner.rg_expanded);
+        ("slrg_queries", fun (s : Planner.stats) -> s.Planner.slrg.queries);
+        ("slrg_nodes", fun s -> s.Planner.slrg.nodes);
+        ("rg_created", fun s -> s.Planner.rg.created);
+        ("rg_expanded", fun s -> s.Planner.rg.expanded);
       ]
   in
   let sc = Scenarios.small () in
@@ -687,7 +687,7 @@ let test_counters_agree () =
   Alcotest.check counts "cold plan's counters" (expected cold) cold_counters;
   Alcotest.check counts "warm plan's counters" (expected warm) warm_counters;
   Alcotest.(check bool) "warm oracle runs fewer queries" true
-    (warm.stats.Planner.slrg_queries < cold.stats.Planner.slrg_queries);
+    (warm.stats.Planner.slrg.queries < cold.stats.Planner.slrg.queries);
   let snap = Session.metrics_snapshot session in
   Alcotest.(check int) "rg.searches" 2
     (Registry.counter_value snap "rg.searches");
