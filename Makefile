@@ -178,7 +178,7 @@ bench:
 # a session re-plan that reuses the compiled problem and the hot SLRG
 # oracle.
 bench-json:
-	dune exec bench/main.exe -- --json --tag phases-held --repeat 3
+	dune exec bench/main.exe -- --json --tag grounding-per-class --repeat 3
 
 # Profile the Small-C run: trace every planner phase to JSONL and render
 # the span tree / counter summary.

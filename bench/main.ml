@@ -208,36 +208,47 @@ let read_file path =
 
 let json_mode () =
   let module Bench_json = Sekitei_harness.Bench_json in
-  let rec opt_arg flag = function
-    | [] | [ _ ] -> None
-    | f :: v :: _ when f = flag -> Some v
-    | _ :: rest -> opt_arg flag rest
+  let usage fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline ("bench json: " ^ msg);
+        exit 2)
+      fmt
   in
-  let argv = Array.to_list Sys.argv in
-  let tag = opt_arg "--tag" argv in
-  let out = Option.value (opt_arg "--out" argv) ~default:"BENCH_rg.json" in
-  let check = List.mem "--check" argv in
-  let baseline = opt_arg "--baseline" argv in
-  let max_regress =
-    match opt_arg "--max-regress" argv with
-    | None -> 50.
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some v -> v
-        | None ->
-            Printf.eprintf "bench json: bad --max-regress %S\n" s;
-            exit 2)
+  let number flag parse s =
+    match parse s with Some v -> v | None -> usage "bad %s %S" flag s
   in
-  let repeat =
-    match opt_arg "--repeat" argv with
-    | None -> 1
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some v -> v
-        | None ->
-            Printf.eprintf "bench json: bad --repeat %S\n" s;
-            exit 2)
+  let tag = ref None and out = ref "BENCH_rg.json" and check = ref false in
+  let baseline = ref None and max_regress = ref 50. and repeat = ref 1 in
+  let rec parse = function
+    | [] -> ()
+    | "--json" :: rest -> parse rest
+    | "--check" :: rest ->
+        check := true;
+        parse rest
+    | "--tag" :: v :: rest ->
+        tag := Some v;
+        parse rest
+    | "--out" :: v :: rest ->
+        out := v;
+        parse rest
+    | "--baseline" :: v :: rest ->
+        baseline := Some v;
+        parse rest
+    | "--max-regress" :: v :: rest ->
+        max_regress := number "--max-regress" float_of_string_opt v;
+        parse rest
+    | "--repeat" :: v :: rest ->
+        repeat := number "--repeat" int_of_string_opt v;
+        parse rest
+    | [ (("--tag" | "--out" | "--baseline" | "--max-regress" | "--repeat") as
+         flag) ] ->
+        usage "%s needs a value" flag
+    | arg :: _ -> usage "unknown argument %s" arg
   in
+  parse (List.tl (Array.to_list Sys.argv));
+  let tag = !tag and out = !out and check = !check in
+  let baseline = !baseline and max_regress = !max_regress and repeat = !repeat in
   let records = Bench_json.run_default ~repeat () in
   let doc = Bench_json.to_json ?tag records in
   Bench_json.write_file out doc;

@@ -104,6 +104,7 @@ type formulas = {
   first : int;
   checked_res : (string * I.t list) array;  (* leveled site resources *)
   cap_res : string array;  (* the other site resources read, by [Cap] slot *)
+  reads : string array;  (* every site resource the formulas read *)
   conditions : slot Expr.cond_gen list;
   consumes : (string * slot Expr.gen) array;
   cost : slot Expr.gen;
@@ -129,6 +130,16 @@ let resolve_formulas ~site ~levels_of ~first ~input ~other_vars ~conditions
         Expr.vars cost;
       ]
   in
+  let reads =
+    List.sort_uniq String.compare
+      (List.map fst consumes
+      @ List.filter_map
+          (fun v ->
+            match Model.split_var v with
+            | p, r when String.equal p site -> Some r
+            | _ -> None)
+          vars)
+  in
   let checked =
     Array.of_list
       (List.filter_map
@@ -136,14 +147,7 @@ let resolve_formulas ~site ~levels_of ~first ~input ~other_vars ~conditions
            match levels_of r with
            | [ single ] when I.equal single I.full -> None
            | lvls -> Some (r, lvls))
-         (List.sort_uniq String.compare
-            (List.map fst consumes
-            @ List.filter_map
-                (fun v ->
-                  match Model.split_var v with
-                  | p, r when String.equal p site -> Some r
-                  | _ -> None)
-                vars)))
+         reads)
   in
   let caps = ref [] in
   let site_slot r =
@@ -173,6 +177,7 @@ let resolve_formulas ~site ~levels_of ~first ~input ~other_vars ~conditions
       first;
       checked_res = checked;
       cap_res = Array.of_list (List.rev_map fst !caps);
+      reads = Array.of_list reads;
       conditions;
       consumes;
       cost;
@@ -214,40 +219,54 @@ let bind f cap =
   let price () = Expr.eval ~env:(fun v -> I.lo (env v)) f.cost in
   { combos; cur; env; admits; price }
 
-(* One input-level combination of a placement schema. *)
+(* Site capacities compared bit for bit: two sites whose capacities
+   agree on every resource a schema reads ground it alike. *)
+module Sites = Hashtbl.Make (struct
+  type t = float array
+
+  let equal a b =
+    Array.length a = Array.length b
+    && Array.for_all2
+         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         a b
+
+  let hash = Hashtbl.hash
+end)
+
+(* One input-level combination of a schema. *)
 type in_combo = {
-  ivls : I.t array;  (* per required interface *)
+  ivls : I.t array;  (* per input interface *)
   lvls : int array;
   in_levels : (int * I.t) array;
-  suffix : string;  (* label suffix, e.g. "[T:1,I:1]" *)
+  suffix : string;  (* label suffix: "[T:1,I:1]" placing, "[1]" crossing *)
 }
 
-(* A provided interface: its index and resolved primary effect, or the
+(* An output interface: its index and resolved primary value, or the
    error grounding raises when it first needs them. *)
 type output = Output of int * slot Expr.gen | Bad_output of exn
 
-(* Everything about a placeable component that does not depend on the
-   node it is placed on. *)
-type place_schema = {
-  req : int array;
-  in_combos : in_combo array;
-  outputs : output array;
-  place : formulas;
+(* One admitted (input levels, checked site levels) combination at a
+   class of sites: its checked levels, its cost bound and its
+   output-level choices, one action each. *)
+type admitted = {
+  checked : (string * I.t) array;
+  cost_lb : float;
+  outs : (int * int * I.t) array array;  (* (interface, level, achieved) *)
+  out_levels : (int * I.t) array array;  (* per choice, the action's *)
 }
 
-(* The same for crossings of one interface; slot 0 is the stream's
-   primary property. *)
-type cross_schema = { transform : slot Expr.gen; cross : formulas }
-
-(* One (input level, checked link levels) combination of a link that
-   yields crossings, with its candidate output levels.  It holds for
-   both directions of the link. *)
-type crossing = {
-  in_lvl : int;
-  in_levels : (int * I.t) array;
-  checked_link : (string * I.t) array;
-  cost_lb : float;
-  candidates : (int * (int * I.t) array) array;  (* out level, out_levels *)
+(* Everything about a placement schema (per placeable component) or a
+   crossing schema (per interface) that does not depend on its site.  A
+   crossing's one input and one output are its stream.  [memo] holds
+   what the schema yields at each class of sites met so far: the input
+   combinations with an admitted combination, in grounding order. *)
+type schema = {
+  req : int array;  (* input interfaces *)
+  in_combos : in_combo array;
+  outputs : output array;
+  formulas : formulas;
+  keep : in_combo -> int -> bool;  (* whether an output level is emitted *)
+  memo : (in_combo * admitted list) list Sites.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -405,18 +424,10 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
   (* ---------------- action construction ---------------- *)
   let actions = ref [] in
   let next_id = ref 0 in
-  let emit ~kind ~pre ~add ~add_closure ~cost_lb ~in_levels ~out_levels
+  let emit ~kind ~pre ~add ~add_closure ~cost_lb ~extra ~in_levels ~out_levels
       ~checked_node ~checked_link ~label =
-    if cost_lb < 0. || Float.is_nan cost_lb then
-      fail "negative cost bound for action %s" label;
-    let cost_extra =
-      match kind with
-      | Action.Place { comp; node } ->
-          adjust ~comp:comps.(comp).Model.comp_name ~node
-      | Action.Cross _ -> 0.
-    in
     (* Adjustments may discount, but never below zero total. *)
-    let cost_extra = Float.max cost_extra (-.cost_lb) in
+    let cost_extra = Float.max extra (-.cost_lb) in
     let cost_lb = cost_lb +. cost_extra in
     actions :=
       {
@@ -488,6 +499,108 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
      "leveling" sub-span of compilation. *)
   let sp_leveling = Telemetry.begin_span telemetry "leveling" in
 
+  (* Every input-level combination of the interfaces [req], the first
+     varying slowest, labelled by [suffix]. *)
+  let in_combos req ~suffix =
+    Array.map
+      (fun combo ->
+        {
+          ivls = Array.map snd combo;
+          lvls = Array.map fst combo;
+          in_levels = Array.mapi (fun k (_, ivl) -> (req.(k), ivl)) combo;
+          suffix = suffix combo;
+        })
+      (product
+         (Array.map
+            (fun i -> Array.mapi (fun l ivl -> (l, ivl)) iface_levels.(i))
+            req))
+  in
+
+  (* What schema [s] yields at one site, whose formulas [site] binds:
+     for each input combination, the checked-level combinations whose
+     conditions and demands hold and that reach some output level.
+     [prefix] starts the labels of the site's actions, for the error a
+     negative cost bound raises. *)
+  let evaluate s (site : site) ~prefix =
+    let admit ic acc checked =
+      if not (site.admits checked) then acc
+      else
+        let choices =
+          product
+            (Array.map
+               (function
+                 | Bad_output e -> raise e
+                 | Output (o, effect) ->
+                     let out_ivl = Expr.eval_interval ~env:site.env effect in
+                     let levels = iface_levels.(o) in
+                     let cands = ref [] in
+                     for l = Array.length levels - 1 downto 0 do
+                       match I.inter levels.(l) out_ivl with
+                       | Some achieved when s.keep ic l ->
+                           cands := (o, l, achieved) :: !cands
+                       | _ -> ()
+                     done;
+                     Array.of_list !cands)
+               s.outputs)
+        in
+        if Array.length choices = 0 then acc
+        else begin
+          let cost_lb = site.price () in
+          if cost_lb < 0. || Float.is_nan cost_lb then
+            fail "negative cost bound for action %s%s" prefix ic.suffix;
+          let out_levels =
+            Array.map (Array.map (fun (o, _, ivl) -> (o, ivl))) choices
+          in
+          { checked; cost_lb; outs = choices; out_levels } :: acc
+        end
+    in
+    List.rev
+      (Array.fold_left
+         (fun groups ic ->
+           Array.blit ic.ivls 0 site.cur 0 (Array.length ic.ivls);
+           match Array.fold_left (admit ic) [] site.combos with
+           | [] -> groups
+           | admitted -> (ic, List.rev admitted) :: groups)
+         [] s.in_combos)
+  in
+  (* The yields of [s] at the site whose capacities [cap] gives.  The
+     formulas read the site only through [cap] of the resources in
+     [reads], so each schema is evaluated once per distinct capacities
+     of those: on a network whose nodes, or links, agree in them, once
+     per compilation, and a link's two directions always share one
+     evaluation. *)
+  let yields s cap ~prefix =
+    let key = Array.map cap s.formulas.reads in
+    match Sites.find_opt s.memo key with
+    | Some y -> y
+    | None ->
+        let y = evaluate s (bind s.formulas cap) ~prefix in
+        Sites.add s.memo key y;
+        y
+  in
+  (* Emit a site's actions from the yields of its class.  Only what
+     names the site is built here: each input combination's
+     preconditions, read at node [at], and label, shared by its actions,
+     then [act ~pre ~label ic a k] emits output choice [k] of admitted
+     combination [a]. *)
+  let emit_site s ~at ~prefix groups act =
+    List.iter
+      (fun (ic, admitted) ->
+        let pre =
+          Array.mapi
+            (fun k l -> Prop.avail_id props ~iface:s.req.(k) ~node:at ~level:l)
+            ic.lvls
+        in
+        let label = prefix ^ ic.suffix in
+        List.iter
+          (fun a ->
+            for k = 0 to Array.length a.outs - 1 do
+              act ~pre ~label ic a k
+            done)
+          admitted)
+      groups
+  in
+
   (* ----- place actions ----- *)
   (* Node-independent part of a placement schema: required interfaces,
      input-level combinations and formulas with their variables resolved
@@ -524,7 +637,7 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
                    (Printf.sprintf "component %s sets no %s.%s"
                       comp.Model.comp_name prov prim)))
     in
-    let place, outputs =
+    let formulas, outputs =
       resolve_formulas ~site:"node" ~levels_of:(Leveling.node_levels leveling)
         ~first:n_in ~input
         ~other_vars:
@@ -534,105 +647,49 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
         (fun resolve ->
           Array.of_list (List.map (output resolve) comp.Model.provides))
     in
-    let in_combos =
-      Array.map
-        (fun combo ->
-          {
-            ivls = Array.map snd combo;
-            lvls = Array.map fst combo;
-            in_levels = Array.mapi (fun k (_, ivl) -> (req.(k), ivl)) combo;
-            suffix =
-              (if n_in = 0 then ""
-               else
-                 "["
-                 ^ String.concat ","
-                     (Array.to_list
-                        (Array.mapi
-                           (fun k (l, _) ->
-                             ifaces.(req.(k)).Model.iface_name ^ ":"
-                             ^ string_of_int l)
-                           combo))
-                 ^ "]");
-          })
-        (product
-           (Array.map
-              (fun i -> Array.mapi (fun l ivl -> (l, ivl)) iface_levels.(i))
-              req))
+    let suffix combo =
+      if n_in = 0 then ""
+      else
+        "["
+        ^ String.concat ","
+            (Array.to_list
+               (Array.mapi
+                  (fun k (l, _) ->
+                    ifaces.(req.(k)).Model.iface_name ^ ":" ^ string_of_int l)
+                  combo))
+        ^ "]"
     in
-    { req; in_combos; outputs; place }
+    {
+      req;
+      in_combos = in_combos req ~suffix;
+      outputs;
+      formulas;
+      keep = (fun _ _ -> true);
+      memo = Sites.create 8;
+    }
   in
-  let ground_place c (comp : Model.component) (s : place_schema) node =
-    let site = bind s.place (node_cap node) in
-    let env = site.env in
-    let kind = Action.Place { comp = c; node } in
-    let placed = Prop.placed_id props ~comp:c ~node in
-    Array.iter
-      (fun ic ->
-        Array.blit ic.ivls 0 site.cur 0 (Array.length ic.ivls);
-        (* Shared by every action of this input combination on [node],
-           built with the first. *)
-        let pre_label = ref None in
-        Array.iter
-          (fun checked_node ->
-            if site.admits checked_node then begin
-              (* Output level candidates per provided interface. *)
-              let out_choices =
-                Array.map
-                  (function
-                    | Bad_output e -> raise e
-                    | Output (o, effect) ->
-                        let out_ivl = Expr.eval_interval ~env effect in
-                        let cands = ref [] in
-                        for l = Array.length iface_levels.(o) - 1 downto 0 do
-                          match I.inter iface_levels.(o).(l) out_ivl with
-                          | Some achieved -> cands := (o, l, achieved) :: !cands
-                          | None -> ()
-                        done;
-                        Array.of_list !cands)
-                  s.outputs
-              in
-              let out_combos = product out_choices in
-              if Array.length out_combos > 0 then begin
-                let cost_lb = site.price () in
-                let pre, label =
-                  match !pre_label with
-                  | Some pl -> pl
-                  | None ->
-                      let pl =
-                        ( Array.mapi
-                            (fun k l ->
-                              Prop.avail_id props ~iface:s.req.(k) ~node
-                                ~level:l)
-                            ic.lvls,
-                          "place(" ^ comp.Model.comp_name ^ "," ^ node_name node
-                          ^ ")" ^ ic.suffix )
-                      in
-                      pre_label := Some pl;
-                      pl
-                in
-                Array.iter
-                  (fun out_combo ->
-                    emit ~kind ~pre
-                      ~add:
-                        (Array.append [| placed |]
-                           (Array.map
-                              (fun (o, l, _) ->
-                                Prop.avail_id props ~iface:o ~node ~level:l)
-                              out_combo))
-                      ~add_closure:
-                        (place_closure placed
-                           (Array.map
-                              (fun (o, l, _) -> implied_closure o node l)
-                              out_combo))
-                      ~cost_lb ~in_levels:ic.in_levels
-                      ~out_levels:
-                        (Array.map (fun (o, _, ivl) -> (o, ivl)) out_combo)
-                      ~checked_node ~checked_link:[||] ~label)
-                  out_combos
-              end
-            end)
-          site.combos)
-      s.in_combos
+  let ground_place c (comp : Model.component) s node =
+    let prefix = "place(" ^ comp.Model.comp_name ^ "," ^ node_name node ^ ")" in
+    match yields s (node_cap node) ~prefix with
+    | [] -> ()
+    | groups ->
+        let kind = Action.Place { comp = c; node } in
+        let placed = Prop.placed_id props ~comp:c ~node in
+        let extra = adjust ~comp:comp.Model.comp_name ~node in
+        emit_site s ~at:node ~prefix groups (fun ~pre ~label ic a k ->
+            let outs = a.outs.(k) in
+            let add = Array.make (1 + Array.length outs) placed in
+            for j = 0 to Array.length outs - 1 do
+              let o, l, _ = outs.(j) in
+              add.(j + 1) <- Prop.avail_id props ~iface:o ~node ~level:l
+            done;
+            emit ~kind ~pre ~add
+              ~add_closure:
+                (place_closure placed
+                   (Array.map (fun (o, l, _) -> implied_closure o node l) outs))
+              ~cost_lb:a.cost_lb ~extra ~in_levels:ic.in_levels
+              ~out_levels:a.out_levels.(k) ~checked_node:a.checked
+              ~checked_link:[||] ~label)
   in
   Array.iteri
     (fun c (comp : Model.component) ->
@@ -657,6 +714,8 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
     comps;
 
   (* ----- cross actions ----- *)
+  (* A crossing's formulas read only [link.*] and the stream's own
+     properties: slot 0 is its primary property. *)
   let cross_schema i (iface : Model.iface) =
     let prim = primary i in
     let input v =
@@ -664,7 +723,7 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
       | "", p -> if String.equal p prim then Level 0 else Full
       | _ -> Unbound v
     in
-    let cross, transform =
+    let formulas, transform =
       resolve_formulas ~site:"link" ~levels_of:(Leveling.link_levels leveling)
         ~first:1 ~input
         ~other_vars:
@@ -678,103 +737,66 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
           | Some e -> Expr.map_vars resolve e
           | None -> Expr.Var (Level 0) (* unchanged by crossing *))
     in
-    { transform; cross }
+    let req = [| i |] in
+    {
+      req;
+      in_combos =
+        in_combos req ~suffix:(fun combo ->
+            "[" ^ string_of_int (fst combo.(0)) ^ "]");
+      outputs = [| Output (i, transform) |];
+      formulas;
+      (* Dominance pruning for monotone streams: entering at a higher
+         level than what comes out is never useful. *)
+      keep =
+        (match iface_tags.(i) with
+        | Model.Degradable -> fun ic l -> l >= ic.lvls.(0)
+        | Model.Upgradable -> fun ic l -> l <= ic.lvls.(0)
+        | Model.Neither -> fun _ _ -> true);
+      memo = Sites.create 8;
+    }
   in
-  (* The crossings of one link, evaluated once for both directions:
-     crossing formulas read only [link.*] and the stream's own
-     properties.  [on_crossing] sees each one as soon as it is evaluated,
-     so the first direction grounds in the same order as evaluating each
-     direction separately would. *)
-  let link_crossings i (s : cross_schema) lid =
-    let site = bind s.cross (link_cap lid) in
-    let levels = iface_levels.(i) in
-    fun ~on_crossing ->
-      let found = ref [] in
-      Array.iteri
-        (fun in_lvl in_ivl ->
-          site.cur.(0) <- in_ivl;
-          Array.iter
-            (fun checked_link ->
-              if site.admits checked_link then begin
-                let out_ivl = Expr.eval_interval ~env:site.env s.transform in
-                let candidates = ref [] in
-                for lvl = Array.length levels - 1 downto 0 do
-                  match I.inter levels.(lvl) out_ivl with
-                  | None -> ()
-                  | Some achieved ->
-                      (* Dominance pruning for monotone streams: entering at
-                         a higher level than what comes out is never
-                         useful. *)
-                      let dominated =
-                        match iface_tags.(i) with
-                        | Model.Degradable -> lvl < in_lvl
-                        | Model.Upgradable -> lvl > in_lvl
-                        | Model.Neither -> false
-                      in
-                      if not dominated then
-                        candidates := (lvl, [| (i, achieved) |]) :: !candidates
-                done;
-                match !candidates with
-                | [] -> ()
-                | candidates ->
-                    let x =
-                      {
-                        in_lvl;
-                        in_levels = [| (i, in_ivl) |];
-                        checked_link;
-                        cost_lb = site.price ();
-                        candidates = Array.of_list candidates;
-                      }
-                    in
-                    on_crossing x;
-                    found := x :: !found
-              end)
-            site.combos)
-        levels;
-      List.rev !found
-  in
-  let emit_crossings i (iface : Model.iface) lid (src, dst) =
+  let ground_cross i (iface : Model.iface) s lid src dst =
+    let prefix =
+      "cross(" ^ iface.Model.iface_name ^ "," ^ node_name src ^ "->"
+      ^ node_name dst ^ ")"
+    in
+    let groups = yields s (link_cap lid) ~prefix in
     let kind = Action.Cross { iface = i; link = lid; src; dst } in
-    let labels = Array.make (Array.length iface_levels.(i)) "" in
-    fun x ->
-      if labels.(x.in_lvl) = "" then
-        labels.(x.in_lvl) <-
-          "cross(" ^ iface.Model.iface_name ^ "," ^ node_name src ^ "->"
-          ^ node_name dst ^ ")[" ^ string_of_int x.in_lvl ^ "]";
-      let pre = [| Prop.avail_id props ~iface:i ~node:src ~level:x.in_lvl |] in
-      Array.iter
-        (fun (out_lvl, out_levels) ->
-          emit ~kind ~pre
-            ~add:[| Prop.avail_id props ~iface:i ~node:dst ~level:out_lvl |]
-            ~add_closure:(implied_closure i dst out_lvl)
-            ~cost_lb:x.cost_lb ~in_levels:x.in_levels ~out_levels
-            ~checked_node:[||] ~checked_link:x.checked_link
-            ~label:labels.(x.in_lvl))
-        x.candidates
+    emit_site s ~at:src ~prefix groups (fun ~pre ~label ic a k ->
+        let o, l, _ = a.outs.(k).(0) in
+        emit ~kind ~pre
+          ~add:[| Prop.avail_id props ~iface:o ~node:dst ~level:l |]
+          ~add_closure:(implied_closure o dst l) ~cost_lb:a.cost_lb ~extra:0.
+          ~in_levels:ic.in_levels ~out_levels:a.out_levels.(k)
+          ~checked_node:[||] ~checked_link:a.checked ~label)
   in
   Array.iteri
     (fun i (iface : Model.iface) ->
-      let schema = cross_schema i iface in
+      let s = cross_schema i iface in
       Array.iter
         (fun (l : Topology.link) ->
           let lid = l.Topology.link_id in
+          let direction src dst =
+            Deadline.guard deadline ~phase:"compile";
+            match reuse.reuse_cross ~iface:i ~link_id:lid ~src ~dst with
+            | Some olds -> List.iter emit_copy olds
+            | None -> ground_cross i iface s lid src dst
+          in
           let a, b = l.Topology.ends in
-          let evaluate = link_crossings i schema lid in
-          let crossings = ref None in
-          List.iter
-            (fun (src, dst) ->
-              Deadline.guard deadline ~phase:"compile";
-              match reuse.reuse_cross ~iface:i ~link_id:lid ~src ~dst with
-              | Some olds -> List.iter emit_copy olds
-              | None -> (
-                  let on_crossing = emit_crossings i iface lid (src, dst) in
-                  match !crossings with
-                  | Some xs -> List.iter on_crossing xs
-                  | None -> crossings := Some (evaluate ~on_crossing)))
-            [ (a, b); (b, a) ])
+          direction a b;
+          direction b a)
         (Topology.links topo))
     ifaces;
 
+  (* An array of more than 256 actions is allocated in the major heap,
+     and [Array.of_list] fills it from the list's young head, so it
+     first empties the minor heap: a compilation of that many actions
+     ends with a minor collection.  It stays on purpose: filling a
+     pre-sized array from a static placeholder skips it here only to
+     leave a fuller minor heap to whatever runs next, usually a warm
+     re-plan's search, and no session-churn measurement has shown that
+     move to be free (EXPERIMENTS.md, "Grounding once per class of
+     sites"). *)
   let actions = Array.of_list (List.rev !actions) in
   ignore
     (Telemetry.end_span telemetry sp_leveling
@@ -853,15 +875,16 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
     if not prune then (actions, 0)
     else begin
       let n = Array.length actions in
+      (* The per-action loops are [for] loops: a closure over the action
+         would be allocated once per action. *)
       let live = Array.make n true in
-      Array.iteri
-        (fun k (a : Action.t) ->
-          if
-            Array.exists
-              (fun (i, ivl) -> I.lo ivl > iface_max.(i))
-              a.Action.in_levels
-          then live.(k) <- false)
-        actions;
+      for k = 0 to n - 1 do
+        let in_levels = actions.(k).Action.in_levels in
+        for j = 0 to Array.length in_levels - 1 do
+          let i, ivl = in_levels.(j) in
+          if I.lo ivl > iface_max.(i) then live.(k) <- false
+        done
+      done;
       (* Worklist reachability: [missing.(k)] counts live action [k]'s
          preconditions not yet producible (with multiplicity), and
          [waiting] lists, per such proposition, the actions it blocks
@@ -870,33 +893,33 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
       let producible = Array.copy init in
       let missing = Array.make n 0 in
       let start = Array.make (Array.length init + 1) 0 in
-      Array.iteri
-        (fun k (a : Action.t) ->
-          if live.(k) then
-            Array.iter
-              (fun p ->
-                if not producible.(p) then begin
-                  missing.(k) <- missing.(k) + 1;
-                  start.(p + 1) <- start.(p + 1) + 1
-                end)
-              a.Action.pre)
-        actions;
+      for k = 0 to n - 1 do
+        let pre = actions.(k).Action.pre in
+        if live.(k) then
+          for j = 0 to Array.length pre - 1 do
+            let p = pre.(j) in
+            if not producible.(p) then begin
+              missing.(k) <- missing.(k) + 1;
+              start.(p + 1) <- start.(p + 1) + 1
+            end
+          done
+      done;
       for p = 1 to Array.length init do
         start.(p) <- start.(p) + start.(p - 1)
       done;
       let waiting = Array.make start.(Array.length init) 0 in
       let fill = Array.sub start 0 (Array.length init) in
-      Array.iteri
-        (fun k (a : Action.t) ->
-          if live.(k) then
-            Array.iter
-              (fun p ->
-                if not producible.(p) then begin
-                  waiting.(fill.(p)) <- k;
-                  fill.(p) <- fill.(p) + 1
-                end)
-              a.Action.pre)
-        actions;
+      for k = 0 to n - 1 do
+        let pre = actions.(k).Action.pre in
+        if live.(k) then
+          for j = 0 to Array.length pre - 1 do
+            let p = pre.(j) in
+            if not producible.(p) then begin
+              waiting.(fill.(p)) <- k;
+              fill.(p) <- fill.(p) + 1
+            end
+          done
+      done;
       let applied = Array.make n false in
       let queue = Array.make n 0 and head = ref 0 and tail = ref 0 in
       let push k =
@@ -906,34 +929,31 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
       in
       Array.iteri (fun k m -> if live.(k) && m = 0 then push k) missing;
       while !head < !tail do
-        let a = actions.(queue.(!head)) in
+        let closure = actions.(queue.(!head)).Action.add_closure in
         incr head;
-        Array.iter
-          (fun p ->
-            if not producible.(p) then begin
-              producible.(p) <- true;
-              for w = start.(p) to start.(p + 1) - 1 do
-                let k = waiting.(w) in
-                missing.(k) <- missing.(k) - 1;
-                if missing.(k) = 0 then push k
-              done
-            end)
-          a.Action.add_closure
+        for j = 0 to Array.length closure - 1 do
+          let p = closure.(j) in
+          if not producible.(p) then begin
+            producible.(p) <- true;
+            for w = start.(p) to start.(p + 1) - 1 do
+              let k = waiting.(w) in
+              missing.(k) <- missing.(k) - 1;
+              if missing.(k) = 0 then push k
+            done
+          end
+        done
       done;
-      for k = 0 to n - 1 do
-        if live.(k) && not applied.(k) then live.(k) <- false
-      done;
-      let survivors = ref [] in
-      for k = n - 1 downto 0 do
-        if live.(k) then survivors := actions.(k) :: !survivors
-      done;
-      match Array.of_list !survivors with
-      | kept when Array.length kept = n -> (actions, 0)
-      | kept ->
-          Array.iteri
-            (fun k a -> kept.(k) <- { a with Action.act_id = k })
-            kept;
-          (kept, n - Array.length kept)
+      (* The survivors are the applied actions, each queued once. *)
+      if !tail = n then (actions, 0)
+      else begin
+        let survivors = ref [] in
+        for k = n - 1 downto 0 do
+          if applied.(k) then survivors := actions.(k) :: !survivors
+        done;
+        let kept = Array.of_list !survivors in
+        Array.iteri (fun k a -> kept.(k) <- { a with Action.act_id = k }) kept;
+        (kept, n - Array.length kept)
+      end
     end
   in
 
@@ -943,9 +963,10 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
      id order (determinism). *)
   for k = Array.length actions - 1 downto 0 do
     let a = actions.(k) in
-    Array.iter
-      (fun pid -> supports.(pid) <- a.Action.act_id :: supports.(pid))
-      a.Action.add_closure
+    for j = 0 to Array.length a.Action.add_closure - 1 do
+      let pid = a.Action.add_closure.(j) in
+      supports.(pid) <- a.Action.act_id :: supports.(pid)
+    done
   done;
 
   let goal_props =
@@ -975,9 +996,7 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
     comp_allowed_node;
     iface_max;
     pruned_actions;
-    (* Share the one array when pruning removed nothing. *)
-    ground_actions =
-      (if pruned_actions = 0 then actions else ground_actions);
+    ground_actions;
   }
 
 let no_adjust ~comp:_ ~node:_ = 0.

@@ -25,11 +25,15 @@
     property), and computes what does not depend on the site: required
     interfaces, mentioned resources, input-level combinations with
     their label suffixes, and the resource levels.  A combination then
-    costs array reads and interval arithmetic.  A crossing's formulas
-    read only [link.*] and the stream's own properties, so each link's
-    combinations are evaluated once and serve both directions.
-    Add-closures are contiguous per-proposition id ranges, built once
-    and shared by the actions achieving them.  None of this changes
+    costs array reads and interval arithmetic.  A schema reads its site
+    only through the capacities of the resources its formulas name, so
+    it is evaluated once per distinct value of those capacities: the
+    checked levels, cost bounds and output levels of that evaluation
+    serve every node, or every link in both directions, that shares
+    them, and each site builds only its proposition ids, labels,
+    add-closures and cost adjustment.  Add-closures are contiguous
+    per-proposition id ranges, built once and shared by the actions
+    achieving them.  None of this changes
     what is emitted: action order, ids, labels, cost bits and the
     exceptions raised on malformed specifications are those of grounding
     each combination from the raw specification. *)
@@ -40,8 +44,9 @@ exception Compile_error of string
 
     [adjust ~comp ~node] (default 0) returns an additive cost adjustment
     applied to every placement of [comp] on [node] - the hook behind
-    {!Redeploy}'s keep-discounts and migration surcharges.  A total action
-    cost is never adjusted below zero.
+    {!Redeploy}'s keep-discounts and migration surcharges.  It is asked
+    once per node [comp] has placements on.  A total action cost is
+    never adjusted below zero.
 
     [telemetry] wraps the leveled-grounding stage in a ["leveling"]
     sub-span (attribute: leveled action count).

@@ -336,6 +336,55 @@ let problem_digest (pb : Problem.t) =
   Array.iter action pb.Problem.ground_actions;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* [topo] with every node's cpu replaced by [cpu node old] and every
+   link's lbw by [lbw link old]. *)
+let with_capacities ~cpu ~lbw topo =
+  let topo =
+    Array.fold_left
+      (fun t (n : T.node) ->
+        let id = n.T.node_id in
+        T.with_node_resources t id
+          (List.map
+             (fun (r, v) -> (r, if r = "cpu" then cpu id v else v))
+             n.T.node_resources))
+      topo (T.nodes topo)
+  in
+  Array.fold_left
+    (fun t (l : T.link) ->
+      let id = l.T.link_id in
+      T.with_link_resources t id
+        (List.map
+           (fun (r, v) -> (r, if r = "lbw" then lbw id v else v))
+           l.T.link_resources))
+    topo (T.links topo)
+
+(* Networks whose sites differ in capacity, where the Table 2 networks
+   give every node cpu 30 and every LAN and WAN link one bandwidth each:
+   the Large network with node n's cpu at 25 + (n mod 7) and link l's
+   lbw raised by (l mod 5), so some sites repeat and some do not, and
+   the Small network with every node's cpu and every link's lbw
+   distinct.  Scenario E levels the link bandwidth as well. *)
+let varied_problems ~prune =
+  List.concat_map
+    (fun (name, (sc : Scenarios.t), cpu, lbw) ->
+      let topo = with_capacities ~cpu ~lbw sc.Scenarios.topo in
+      List.map
+        (fun level ->
+          ( Printf.sprintf "%s-%s" name (Media.scenario_name level),
+            Compile.compile ~prune topo sc.Scenarios.app
+              (Media.leveling level sc.Scenarios.app) ))
+        [ Media.C; Media.E ])
+    [
+      ( "Large-varied",
+        Scenarios.large (),
+        (fun n _ -> 25. +. float_of_int (n mod 7)),
+        fun l v -> v +. float_of_int (l mod 5) );
+      ( "Small-distinct",
+        Scenarios.small (),
+        (fun n v -> v +. float_of_int n),
+        fun l v -> v +. float_of_int l );
+    ]
+
 (* The shipped specs, read from the build tree (the test's dependencies)
    or, when the runner is started from the repository root, from there. *)
 let spec_problems ~prune =
@@ -371,6 +420,10 @@ let fingerprints =
     ("Large-C", "c6be9e6447aa1a290178e608ba4d2a8c");
     ("Large-D", "1ec80f0366adf962a4803f46cc9d137d");
     ("Large-E", "4264fbfae8c53c8a50639c37b8d4a449");
+    ("Large-varied-C", "b4e5a3f419bebc634f3518347b2e52ea");
+    ("Large-varied-E", "95101b8e19dcbf495f0b441045ea3be6");
+    ("Small-distinct-C", "bde3c64d7fef19e489ce41c843268244");
+    ("Small-distinct-E", "73ae6e29d580eeb10af47409caa606e4");
     ("infeasible", "c2291d0e1e5b924491825c878d02e3e4");
     ("video", "7d3f8e2663843db1d4c86ed19ba74628");
     ("Tiny-A/noprune", "719b23c70f2f3705adf59b0f10efbd1a");
@@ -388,6 +441,10 @@ let fingerprints =
     ("Large-C/noprune", "c6be9e6447aa1a290178e608ba4d2a8c");
     ("Large-D/noprune", "1ec80f0366adf962a4803f46cc9d137d");
     ("Large-E/noprune", "4264fbfae8c53c8a50639c37b8d4a449");
+    ("Large-varied-C/noprune", "b4e5a3f419bebc634f3518347b2e52ea");
+    ("Large-varied-E/noprune", "95101b8e19dcbf495f0b441045ea3be6");
+    ("Small-distinct-C/noprune", "bde3c64d7fef19e489ce41c843268244");
+    ("Small-distinct-E/noprune", "73ae6e29d580eeb10af47409caa606e4");
     ("infeasible/noprune", "8613cfde5642e63d92ec17bdd130a883");
     ("video/noprune", "ec8b31ecdcdb638925b425fa20547812");
   ]
@@ -399,7 +456,8 @@ let test_compile_fingerprint () =
         let suffix = if prune then "" else "/noprune" in
         List.map
           (fun (name, pb) -> (name ^ suffix, problem_digest pb))
-          (scenario_problems ~prune @ spec_problems ~prune))
+          (scenario_problems ~prune @ varied_problems ~prune
+         @ spec_problems ~prune))
       [ true; false ]
   in
   let bad =

@@ -3,15 +3,17 @@
 
 Run from the root of a checkout:
 
-    python3 tools/perfpairs.py --parent REV --workload NAME \\
+    python3 tools/perfpairs.py --parent REV --workload NAME[,NAME...] \\
         [--pairs 10] [--seconds 40] [--seed N]
 
-Exports REV with `git archive` into a temporary directory and runs each
-tree's own perfbench/run.py (the parent's from the export, the change's
-from this checkout) on the same workload and seed, pairs in alternating
-order: parent first in odd pairs, change first in even ones.  Prints
-every run, then for each end-to-end metric BENCHMARK.json declares each
-side's median and quartiles, the change's win count and two verdicts:
+Exports REV with `git archive` into a temporary directory once and runs
+each tree's own perfbench/run.py (the parent's from the export, the
+change's from this checkout) on the same workload and seed, pairs in
+alternating order: parent first in odd pairs, change first in even
+ones.  Several comma-separated workloads run one after another, each
+with its own pairs.  Prints every run, then per workload, for each
+end-to-end metric BENCHMARK.json declares, each side's median and
+quartiles, the change's win count and two verdicts:
 
 - the gain rule, which holds when the change wins at least 9 of 10
   pairs (the same share of other pair counts) and the medians differ by
@@ -22,8 +24,8 @@ side's median and quartiles, the change's win count and two verdicts:
   the change's median is worse than the parent's by more than bound x
   the parent's median, else "no regression".
 
-Last it prints each side's share of failed requests.  Exits non-zero
-when a run fails.
+Last in each workload's block it prints each side's share of failed
+requests.  Exits non-zero when a run fails.
 """
 
 import argparse
@@ -49,10 +51,10 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(tree, args):
-    """One perfbench run in [tree]; its parsed result line."""
+def run_once(tree, workload, args):
+    """One perfbench run of [workload] in [tree]; its parsed result line."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed),
+           "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -66,33 +68,21 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def main():
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", required=True, help="git revision to compare against")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=40)
-    p.add_argument("--seed", type=int, default=1)
-    args = p.parse_args()
-    if args.pairs < 2:
-        sys.exit("perfpairs: --pairs must be at least 2")
-    metrics = end_to_end_metrics()
+def compare(workload, trees, metrics, args):
+    """Run the pairs of [workload] and print its runs and verdicts."""
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="perfpairs-") as parent_tree:
-        export(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(trees[side], args)
-                runs[side].append(result)
-                values = " ".join(
-                    f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
-                    for m in metrics)
-                print(f"pair {i + 1} {side}: {values} "
-                      f"attempted={result['attempted']} failed={result['failed']}",
-                      flush=True)
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(trees[side], workload, args)
+            runs[side].append(result)
+            values = " ".join(
+                f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
+                for m in metrics)
+            print(f"{workload} pair {i + 1} {side}: {values} "
+                  f"attempted={result['attempted']} failed={result['failed']}",
+                  flush=True)
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds} s (parent {args.parent})")
     need = -(-9 * args.pairs // 10)  # ceil(0.9 * pairs)
     for m in metrics:
@@ -123,6 +113,29 @@ def main():
         attempted = sum(r["attempted"] for r in results)
         print(f"failed requests, {side}: {failed}/{attempted} "
               f"({failed / attempted:.2%})")
+    print(flush=True)
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--workload", required=True,
+                   help="a workload name, or several separated by commas")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=int, default=40)
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args()
+    if args.pairs < 2:
+        sys.exit("perfpairs: --pairs must be at least 2")
+    workloads = args.workload.split(",")
+    if "" in workloads:
+        sys.exit("perfpairs: --workload has an empty name")
+    metrics = end_to_end_metrics()
+    with tempfile.TemporaryDirectory(prefix="perfpairs-") as parent_tree:
+        export(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for workload in workloads:
+            compare(workload, trees, metrics, args)
 
 
 if __name__ == "__main__":
