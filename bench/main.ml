@@ -158,10 +158,9 @@ let microbenches () =
   let registry_observe =
     let module Registry = Sekitei_telemetry.Registry in
     let reg = Registry.create () in
-    let h = Registry.histogram reg "bench.hist" in
     fun () ->
       for i = 1 to 1000 do
-        Registry.observe h (float_of_int i)
+        Registry.observe_ms reg "bench.hist" (float_of_int i)
       done
   in
   let tests =

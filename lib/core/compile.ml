@@ -219,16 +219,14 @@ let bind f cap =
   let price () = Expr.eval ~env:(fun v -> I.lo (env v)) f.cost in
   { combos; cur; env; admits; price }
 
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
 (* Site capacities compared bit for bit: two sites whose capacities
    agree on every resource a schema reads ground it alike. *)
 module Sites = Hashtbl.Make (struct
   type t = float array
 
-  let equal a b =
-    Array.length a = Array.length b
-    && Array.for_all2
-         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-         a b
+  let equal a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
 
   let hash = Hashtbl.hash
 end)
@@ -1006,28 +1004,27 @@ let compile ?(adjust = no_adjust) ?(telemetry = Telemetry.null)
   compile_with ~adjust ~telemetry ~deadline ~prune ~reuse:no_reuse topo app
     leveling
 
-(* Incremental recompilation after a topology delta.  The old problem's
+(* Incremental recompilation after a topology change.  The old problem's
    actions are indexed by grounding group — (comp, node) for placements,
-   (iface, link id, src, dst) for crossings — and groups whose site the
-   delta did not touch are copied instead of re-grounded.  Link ids are
-   stable across every Mutate operation, so the crossing key needs no
-   translation: a surviving link's group is found under the same id it
-   always had, and a tombstoned link's group is simply never asked for
-   (the new topology's live view no longer contains it).  A copied group
-   is exactly what fresh grounding would produce: placement groups
-   depend only on their node's capacities, crossing groups only on their
-   link's capacities and the endpoint names, all unchanged at untouched
-   sites (and [adjust] must be the same function that compiled [old] —
-   {!Session} fixes it per session).  Because {!compile_with} walks
-   groups in the canonical cold order and assigns sequential act_ids, the
-   result is structurally identical to a cold [compile] of the mutated
-   topology, just cheaper. *)
+   (iface, link id, src, dst) for crossings — and a group whose site
+   reads the same capacities in [old.topo] and [topo] is copied instead
+   of re-grounded.  That copy is exactly what fresh grounding would
+   produce: a placement group reads only its node's capacities, and a
+   crossing group only its link's ([cross_schema] resolves a [node.*]
+   variable to [Unbound]) and the endpoint names, which never change
+   ([adjust] must be the same function that compiled [old] —
+   {!Session} fixes it per session).  Link ids are stable across every
+   Mutate operation, so a surviving link's group is found under the id
+   it always had, and a tombstoned link's group is never asked for.
+   Because {!compile_with} walks groups in the canonical cold order and
+   assigns sequential act_ids, the result is structurally identical to
+   a cold [compile] of [topo], just cheaper. *)
 let recompile ?(adjust = no_adjust) ?(telemetry = Telemetry.null)
-    ~(old : Problem.t) ~node_touched ~link_touched topo app leveling =
+    ~(old : Problem.t) topo app leveling =
   (* Reuse groups are built from the *pre-prune* ground set: deadness is
      a global property (it flows through [iface_max] and the relaxed
-     reachability cascade), so a delta at one site can revive an action
-     pruned at an untouched one.  Serving the full ground groups keeps
+     reachability cascade), so a change at one site can revive an action
+     pruned at an unchanged one.  Serving the full ground groups keeps
      every candidate on the table, and the fresh compile's own prune
      pass re-proves deadness over the assembled set — both the kill and
      the revive direction land exactly where a cold compile would. *)
@@ -1047,28 +1044,56 @@ let recompile ?(adjust = no_adjust) ?(telemetry = Telemetry.null)
   (* Restore original emission order within each group. *)
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) place_groups;
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) cross_groups;
+  (* One flag per site, worked out before grounding: whether each of its
+     resources reads, as grounding reads it (the first binding), the
+     same bits in both topologies.  [Mutate] moves a set resource to the
+     front of its list, so the lists are compared name by name, not
+     position by position; a site [Mutate] left alone shares its list,
+     and [==] settles it. *)
+  let same_reads a b =
+    let agree x y =
+      List.for_all
+        (fun (r, _) ->
+          match (List.assoc_opt r x, List.assoc_opt r y) with
+          | Some v, Some w -> same_bits v w
+          | _ -> false)
+        x
+    in
+    a == b || (agree a b && agree b a)
+  in
+  let old_topo = old.Problem.topo in
+  let node_same =
+    Array.init (Topology.node_count topo) (fun n ->
+        same_reads (Topology.get_node old_topo n).Topology.node_resources
+          (Topology.get_node topo n).Topology.node_resources)
+  in
+  let link_same = Array.make (Topology.link_id_bound topo) false in
+  Array.iter
+    (fun (l : Topology.link) ->
+      let id = l.Topology.link_id in
+      link_same.(id) <-
+        Topology.link_is_live old_topo id
+        && same_reads (Topology.get_link old_topo id).Topology.link_resources
+             l.Topology.link_resources)
+    (Topology.links topo);
   let reused = ref 0 in
-  let serve olds =
-    reused := !reused + List.length olds;
-    Some olds
+  let serve tbl key =
+    match Hashtbl.find_opt tbl key with
+    | Some olds ->
+        reused := !reused + List.length olds;
+        Some olds
+    | None -> None
   in
   let reuse =
     {
       reuse_place =
         (fun ~comp ~node ->
-          if node_touched node then None
-          else
-            match Hashtbl.find_opt place_groups (comp, node) with
-            | Some olds -> serve olds
-            | None -> None);
+          if node_same.(node) then serve place_groups (comp, node) else None);
       reuse_cross =
         (fun ~iface ~link_id ~src ~dst ->
-          if link_touched link_id || node_touched src || node_touched dst then
-            None
-          else
-            match Hashtbl.find_opt cross_groups (iface, link_id, src, dst) with
-            | Some olds -> serve olds
-            | None -> None);
+          if link_same.(link_id) then
+            serve cross_groups (iface, link_id, src, dst)
+          else None);
     }
   in
   let pb =

@@ -79,31 +79,30 @@ val compile :
   Sekitei_spec.Leveling.t ->
   Problem.t
 
-(** [recompile ~old ~node_touched ~link_touched topo app leveling]
-    recompiles after a topology delta, reusing the grounding work of
-    [old] (a problem compiled from the {e same} [app], [leveling] and
-    [adjust] against the pre-delta topology).  Grounding groups — per
-    (component, node) and per (interface, link, direction) — whose site
-    the delta did not touch are copied from [old] with freshly assigned
-    act_ids; touched groups are re-grounded against the new capacities.
-    Link ids are stable across every {!Sekitei_network.Mutate}
-    operation, so crossing groups are matched between [old] and the new
-    topology by their link id directly; removed (tombstoned) links
-    simply have no group on the new side.  [node_touched] /
-    [link_touched] receive node indices and stable link ids.  The node
-    set must be unchanged (deltas may zero a node's resources but never
-    remove the node), which keeps the proposition id space stable.
+(** [recompile ~old topo app leveling] recompiles after a topology
+    change, reusing the grounding work of [old] (a problem compiled
+    from the {e same} [app], [leveling] and [adjust] against
+    [old.topo]).  Grounding groups — per (component, node) and per
+    (interface, link, direction) — whose site reads the same capacities
+    in [old.topo] and [topo] are copied from [old] with freshly assigned
+    act_ids; the others are re-grounded against the new capacities.  A
+    site's capacities agree when every resource it lists has the same
+    value, bit for bit, on both sides, in any list order.  Link ids are
+    stable across every {!Sekitei_network.Mutate} operation, so crossing
+    groups are matched between [old] and the new topology by their link
+    id directly; removed (tombstoned) links simply have no group on the
+    new side.  The node set must be unchanged (a change may zero a
+    node's resources but never remove the node), which keeps the
+    proposition id space stable.
 
     Returns the new problem — structurally identical to a cold
-    {!compile} of the mutated topology — and the number of [old] actions
-    that could not be reused (recompiled or dropped), surfaced as the
-    session's [invalidated_actions] counter. *)
+    {!compile} of [topo] — and the number of [old] actions that could
+    not be reused (recompiled or dropped), surfaced as the session's
+    [invalidated_actions] counter. *)
 val recompile :
   ?adjust:(comp:string -> node:int -> float) ->
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
   old:Problem.t ->
-  node_touched:(int -> bool) ->
-  link_touched:(int -> bool) ->
   Sekitei_network.Topology.t ->
   Sekitei_spec.Model.app ->
   Sekitei_spec.Leveling.t ->

@@ -44,9 +44,10 @@ type t = {
       (** the full grounded action set {e before} dead-action pruning,
           in emission order with pre-prune ids — physically [actions]
           when nothing was pruned.  Only {!Compile.recompile} reads it:
-          reuse groups must carry every instance of an untouched site,
-          dead ones included, because a delta elsewhere can revive them
-          (the fresh compile re-proves deadness from scratch) *)
+          reuse groups must carry every instance of a site whose
+          capacities did not change, dead ones included, because a
+          change elsewhere can revive them (the fresh compile re-proves
+          deadness from scratch) *)
 }
 
 val iface_index : t -> string -> int

@@ -497,46 +497,6 @@ let exec_action pb st ~mode (act : Action.t) =
   in
   Float.max 0. (c +. act.Action.cost_extra)
 
-let run ?(telemetry = Telemetry.null) ?source_scale pb ~mode tail =
-  let sp = Telemetry.begin_span telemetry "replay" in
-  let st = init_state ?source_scale pb in
-  let cost = ref 0. in
-  let result = ref (Ok ()) in
-  let rec go idx = function
-    | [] -> ()
-    | (act : Action.t) :: rest -> (
-        match exec_action pb st ~mode act with
-        | c ->
-            cost := !cost +. c;
-            go (idx + 1) rest
-        | exception Fail reason ->
-            result :=
-              Error
-                { failed_index = idx; failed_action = act.Action.label; reason }
-        | exception Division_by_zero ->
-            result :=
-              Error
-                {
-                  failed_index = idx;
-                  failed_action = act.Action.label;
-                  reason = lazy "division by zero in a specification formula";
-                })
-  in
-  go 0 tail;
-  let out =
-    match !result with
-    | Error f -> Error f
-    | Ok () -> Ok (collect_metrics pb st !cost)
-  in
-  ignore
-    (Telemetry.end_span telemetry sp
-       ~attrs:
-         [
-           ("actions", Telemetry.Int (List.length tail));
-           ("ok", Telemetry.Bool (Result.is_ok out));
-         ]);
-  out
-
 (* ------------------------------------------------------------------ *)
 (* Incremental replay states                                           *)
 (* ------------------------------------------------------------------ *)
@@ -567,6 +527,24 @@ let extend pb ~mode rs (act : Action.t) =
 let rstate_cost rs = rs.rcost
 let rstate_length rs = rs.rlen
 let rstate_metrics pb rs = collect_metrics pb rs.rst rs.rcost
+
+let run ?(telemetry = Telemetry.null) ?source_scale pb ~mode tail =
+  let sp = Telemetry.begin_span telemetry "replay" in
+  let rec go rs = function
+    | [] -> Ok (rstate_metrics pb rs)
+    | act :: rest -> Result.bind (extend pb ~mode rs act) (fun rs -> go rs rest)
+  in
+  let out =
+    go { rst = init_state ?source_scale pb; rcost = 0.; rlen = 0 } tail
+  in
+  ignore
+    (Telemetry.end_span telemetry sp
+       ~attrs:
+         [
+           ("actions", Telemetry.Int (List.length tail));
+           ("ok", Telemetry.Bool (Result.is_ok out));
+         ]);
+  out
 
 let pp_failure fmt f =
   Format.fprintf fmt "action %d (%s): %s" f.failed_index f.failed_action

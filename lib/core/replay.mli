@@ -93,9 +93,8 @@ val run :
 
     Equivalence guarantee: folding [extend pb ~mode] over an action list
     [l] from [initial pb] yields the same accept/reject outcome — and on
-    acceptance the same {!metrics} — as [run pb ~mode l].  Both run the
-    identical per-action execution code; [extend] merely snapshots the
-    state between actions. *)
+    acceptance the same {!metrics} — as [run pb ~mode l], because [run]
+    is that fold. *)
 
 type rstate
 

@@ -6,13 +6,13 @@
    first request compiles (and reports compile/plrg timings exactly like
    a one-shot run); later requests start from the hot state and skip
    straight to the search.  {!update} applies a topology delta with
-   dependency-tracked invalidation: only grounding groups at touched
-   sites are recompiled ({!Compile.recompile}).  A recompiled problem
-   that poses the same leveled problem ({!Problem.leveled_diff} [Same])
-   keeps the PLRG and the whole oracle; one with only fewer actions
-   keeps the oracle entries whose witnessed optimal path survives
-   ({!Slrg.shrink}); any other drops the oracle, and the next plan
-   creates a fresh one as a cold run does.
+   dependency-tracked invalidation: only grounding groups at sites whose
+   capacities changed are recompiled ({!Compile.recompile}).  A
+   recompiled problem that poses the same leveled problem
+   ({!Problem.leveled_diff} [Same]) keeps the PLRG and the whole oracle;
+   one with only fewer actions keeps the oracle entries whose witnessed
+   optimal path survives ({!Slrg.shrink}); any other drops the oracle,
+   and the next plan creates a fresh one as a cold run does.
 
    Warm-equals-cold contract: a warm re-plan returns bit-identical
    results (plan actions, cost bounds, failure constructors) to a cold
@@ -644,35 +644,13 @@ let apply_delta topo = function
   | Remove_link { link } -> Mutate.remove_link topo link
   | Fail_node { node } -> Mutate.fail_node topo node
 
-(* Touched sites of a delta, as {!Compile.recompile}'s reuse hooks read
-   them: node indices and link ids.  Link ids are stable across every
-   Mutate operation, so a touched id names the same link in the old
-   problem's grounding groups as in the new topology — where a
-   tombstoned one has no group at all. *)
-let touched_of old_topo = function
-  | Set_node_resource { node; _ } -> ([ node ], [])
-  | Set_link_resource { link; _ } -> ([], [ link ])
-  | Remove_link { link } -> ([], [ link ])
-  | Fail_node { node } ->
-      let incident =
-        Array.to_list (Topology.links old_topo)
-        |> List.filter_map (fun (l : Topology.link) ->
-               let a, b = l.Topology.ends in
-               if a = node || b = node then Some l.Topology.link_id else None)
-      in
-      ([ node ], incident)
-
 let update t delta =
-  let old_topo = t.topo in
-  let new_topo = apply_delta old_topo delta in
+  let new_topo = apply_delta t.topo delta in
   t.topo <- new_topo;
   Registry.count t.metrics "session.updates" 1;
   (match t.state with
   | None -> ()  (* nothing compiled yet; the next plan starts cold *)
   | Some st -> (
-      let touched_nodes, touched_links = touched_of old_topo delta in
-      let node_touched n = List.mem n touched_nodes in
-      let link_touched l = List.mem l touched_links in
       let telemetry = t.telemetry in
       match
         run_phase telemetry "compile"
@@ -683,7 +661,7 @@ let update t delta =
             ])
           (fun () ->
             Compile.recompile ?adjust:t.adjust ~telemetry ~old:st.pb
-              ~node_touched ~link_touched new_topo t.app t.leveling)
+              new_topo t.app t.leveling)
       with
       | exception Compile.Compile_error _ ->
           (* The mutated spec no longer compiles (e.g. a pre-placed

@@ -9,7 +9,7 @@
     subsequent calls for the same (topology, app, leveling) skip
     compilation entirely and start with a hot oracle.  {!update} applies
     a {!delta} with dependency-tracked invalidation: only grounding
-    groups at the touched nodes/links are recompiled
+    groups at the nodes/links whose capacities changed are recompiled
     ({!Compile.recompile}); the work done is surfaced as the
     [invalidated_actions] / [evicted_entries] counts of the next
     report.
@@ -249,8 +249,8 @@ type t
 
     [metrics] is the always-on registry the session records lifetime
     metrics into; by default each session owns a private one.  Pass a
-    shared registry to aggregate several sessions (the batch planner
-    does — its per-domain shards keep workers contention-free). *)
+    shared registry to aggregate several sessions, as the bench does for
+    the runs of one scenario. *)
 val create :
   ?adjust:(comp:string -> node:int -> float) ->
   ?metrics:Sekitei_telemetry.Registry.t ->
@@ -311,12 +311,13 @@ val metrics_snapshot : t -> Sekitei_telemetry.Registry.snapshot
 val plan : t -> report
 
 (** [update t delta] mutates the session's topology and incrementally
-    revalidates the compiled state: untouched grounding groups are
-    copied and touched ones recompiled.  {!Problem.leveled_diff} picks
-    the path (the reuse rule above): on [Same] the PLRG, the oracle's
-    entries and the supports rows are all kept; on [Fewer] the PLRG is
-    rebuilt and the entries whose witness path survives are kept; on
-    [Changed] the PLRG is rebuilt and the oracle dropped.  The
+    revalidates the compiled state: grounding groups whose site kept its
+    capacities are copied and the others recompiled.
+    {!Problem.leveled_diff} picks the path (the reuse rule above): on
+    [Same] the PLRG, the oracle's entries and the supports rows are all
+    kept; on [Fewer] the PLRG is rebuilt and the entries whose witness
+    path survives are kept; on [Changed] the PLRG is rebuilt and the
+    oracle dropped.  The
     invalidation work is accumulated into the next {!plan} report's
     [invalidated_actions] / [evicted_entries] counters.  Falls back to a
     full flush (next plan compiles cold) only when the mutated spec no

@@ -87,8 +87,8 @@ type t = {
       (** remaining expansions escalated re-runs may spend, shared across
           all sets of this oracle *)
   telemetry : Telemetry.t;
-  m_query_ms : Registry.histogram option;
-      (** per-query latency distribution in the always-on registry *)
+  metrics : Registry.t option;
+      (** the always-on registry the per-query latency is recorded in *)
   (* The counts below cover the current request: {!begin_request} zeroes
      them.  They are plain fields, always tracked, read only by
      {!stats}. *)
@@ -142,8 +142,7 @@ let create ?(telemetry = Telemetry.null) ?metrics ?(query_budget = 500)
     bound_spent = Array.make 1024 0;
     escalation_pool = escalation_pool_factor * query_budget;
     telemetry;
-    m_query_ms =
-      Option.map (fun m -> Registry.histogram m "slrg.query_ms") metrics;
+    metrics;
     generated = 0;
     queries = 0;
     cache_hits = 0;
@@ -515,8 +514,8 @@ let run_query t (root : Propset.handle) ~prior ~budget =
     t.escalation_pool <- t.escalation_pool - !expansions;
   let this_query_ms = Timer.elapsed_ms t0 in
   t.queries <- t.queries + 1;
-  (match t.m_query_ms with
-  | Some h -> Registry.observe h this_query_ms
+  (match t.metrics with
+  | Some m -> Registry.observe_ms m "slrg.query_ms" this_query_ms
   | None -> ());
   t.query_ms <- t.query_ms +. this_query_ms;
   t.gc_minor_words <- t.gc_minor_words +. (Gc.minor_words () -. gc0_minor);

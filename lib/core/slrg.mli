@@ -55,10 +55,9 @@ type t
 (** [telemetry] attaches a ["slrg.query"] sub-span to every non-memoized
     query (set size, A* expansions, resulting cost).  [metrics] records
     each such query's latency into the always-on registry's
-    ["slrg.query_ms"] histogram (the handle is resolved once here, on
-    the creating domain, so recording stays off the registry's locks).
-    Per-query samples exist only in these two places; the oracle's
-    {!stats} are plain fields the planner's report reads. *)
+    ["slrg.query_ms"] histogram.  Per-query samples exist only in these
+    two places; the oracle's {!stats} are plain fields the planner's
+    report reads. *)
 val create :
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
   ?metrics:Sekitei_telemetry.Registry.t ->

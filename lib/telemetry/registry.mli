@@ -1,23 +1,10 @@
 (** Named metric registry — counters, last-value gauges, and
-    {!Sekitei_util.Histogram} latency/size distributions — with
-    per-domain shards.
+    {!Sekitei_util.Histogram} latency/size distributions.
 
-    Handles resolve to the {e calling} domain's shard, so each
-    [Domain_pool] worker records into private cells and never contends:
-    {!count} bumps an [int ref], {!observe} is a histogram array store,
-    {!set_gauge} a ref store.  Locks guard only structure (shard/metric
-    creation, snapshot walks), never the recording fast path.
-
-    {!snapshot} merges every shard into one coherent view: counters sum,
-    histograms merge (associatively — see {!Sekitei_util.Histogram}),
-    gauges keep the most recent write program-wide.  A snapshot taken
-    while other domains are mid-record may miss in-flight increments;
-    once recorders are quiescent it is exact, equal to what
-    single-domain recording would have produced.
-
-    A handle is bound to the domain that created it — create handles
-    from the domain that will record on them (sharing one handle across
-    domains reintroduces the data race the shards exist to avoid). *)
+    One mutex guards the three name-keyed tables.  Each recording call
+    takes it once, so several domains may record into one registry and
+    the totals come out exact.  {!snapshot} copies the tables under the
+    same lock. *)
 
 type t
 
@@ -25,27 +12,22 @@ type t
     {!Sekitei_util.Histogram}'s 1% relative error. *)
 val create : unit -> t
 
-(** {1 Recording} *)
+(** {1 Recording} — each call finds or creates the named metric. *)
 
-type histogram
-
-(** Find-or-create the named histogram in the calling domain's shard. *)
-val histogram : t -> string -> histogram
-
-val observe : histogram -> float -> unit
-
-(** {1 Name-resolved conveniences} — one-shot record on cold paths
-    (resolve shard + metric per call). *)
-
+(** Add [n] to the named counter. *)
 val count : t -> string -> int -> unit
 
+(** Set the named gauge; a snapshot holds the latest value. *)
 val set_gauge : t -> string -> float -> unit
+
+(** Record one sample in the named histogram. *)
 val observe_ms : t -> string -> float -> unit
 
 (** {1 Snapshots} *)
 
 type snapshot
 
+(** A copy of every metric: recording after it leaves it unchanged. *)
 val snapshot : t -> snapshot
 
 (** Each accessor returns entries sorted by metric name. *)

@@ -26,7 +26,7 @@ type t = {
 let min_trackable = 1e-9
 
 (* The relative error e = 1% fixes the bucket ratio for every
-   histogram, so any two merge bucket for bucket. *)
+   histogram. *)
 let rel_error = 0.01
 let gamma = (1. +. rel_error) /. (1. -. rel_error)
 let inv_log_gamma = 1. /. log gamma
@@ -147,30 +147,6 @@ let percentile t p =
   end
 
 let copy t = { t with counts = Array.copy t.counts }
-
-let merge a b =
-  let fmin x y =
-    if Float.is_nan x then y else if Float.is_nan y then x else Float.min x y
-  in
-  let fmax x y =
-    if Float.is_nan x then y else if Float.is_nan y then x else Float.max x y
-  in
-  let m = copy a in
-  m.zero <- a.zero + b.zero;
-  m.n <- a.n + b.n;
-  m.sum <- a.sum +. b.sum;
-  m.vmin <- fmin a.vmin b.vmin;
-  m.vmax <- fmax a.vmax b.vmax;
-  if b.occupied then
-    Array.iteri
-      (fun off c ->
-        if c > 0 then begin
-          let i = b.base + off in
-          ensure m i;
-          m.counts.(i - m.base) <- m.counts.(i - m.base) + c
-        end)
-      b.counts;
-  m
 
 let buckets t =
   let acc = ref [] in

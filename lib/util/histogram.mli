@@ -1,14 +1,10 @@
 (** Log-bucketed (HDR/DDSketch-style) histograms with constant memory,
-    exact counts, bounded relative error, and an associative merge.
+    exact counts and bounded relative error.
 
     Built for always-on production metrics: recording a value is a
-    handful of float operations plus one array increment, the footprint
-    is bounded by the log of the tracked value range (independent of how
-    many values are recorded), and two histograms recorded independently
-    — by two worker domains, or two processes — merge into exactly the
-    histogram a single recorder would have produced (bucket counts are
-    integers, so merging is associative and commutative; only the
-    floating-point [sum] accumulates in merge order).
+    handful of float operations plus one array increment, and the
+    footprint is bounded by the log of the tracked value range
+    (independent of how many values are recorded).
 
     Buckets grow geometrically with ratio [gamma = (1+e)/(1-e)] where
     [e] is the relative error, fixed at 1%: any recorded value
@@ -28,7 +24,7 @@ val create : unit -> t
     unsanitized data should filter first). *)
 val add : t -> float -> unit
 
-(** Number of values recorded (conserved exactly under {!merge}). *)
+(** Number of values recorded. *)
 val count : t -> int
 
 (** Count of values that fell below [1e-9]. *)
@@ -51,18 +47,12 @@ val mean : t -> float
     @raise Invalid_argument on an empty histogram or [p] outside [0,1]. *)
 val percentile : t -> float -> float
 
-(** [merge a b] — a new histogram with [a] and [b]'s counts summed
-    bucket-wise.  Associative and commutative on everything except the
-    floating-point [sum] (within rounding).  Neither input is mutated. *)
-val merge : t -> t -> t
-
 (** Deep copy (mutating the copy leaves the original untouched). *)
 val copy : t -> t
 
 (** Non-empty buckets, ascending: [(lo, hi, count)] with the bucket
     holding values in [(lo, hi]].  The zero bucket, when non-empty, is
-    reported first as [(0., 0., n)].  Feeds the Prometheus/JSON
-    exposition encoders and the merge/associativity tests. *)
+    reported first as [(0., 0., n)]. *)
 val buckets : t -> (float * float * int) list
 
 (** Upper bucket bounds only, with {e cumulative} counts — the shape

@@ -1,8 +1,8 @@
-(* Always-on metrics layer: histogram properties (merge laws, percentile
-   accuracy against the exact sample), registry shard merging across
-   domains, flight-recorder ring semantics and the planner's
-   dump-on-failure hook, counter handles, jsonl flushing, and the
-   exposition encoders' schema validators. *)
+(* Always-on metrics layer: histogram properties (percentile accuracy
+   against the exact sample), registry recording from two domains and
+   snapshot isolation, flight-recorder ring semantics and the planner's
+   dump-on-failure hook, jsonl flushing, and the exposition encoders'
+   schema validators. *)
 
 module Q = QCheck
 module Histogram = Sekitei_util.Histogram
@@ -60,45 +60,6 @@ let test_histogram_empty_and_errors () =
 
 (* ---------------- histogram properties ---------------- *)
 
-let arb_values = Q.list_of_size Q.Gen.(int_range 0 60) (Q.float_range 0. 1000.)
-let nan_eq a b = (Float.is_nan a && Float.is_nan b) || a = b
-
-(* Everything that must merge exactly: bucket contents (int counts),
-   totals, extremes.  [sum] is float addition and merging only
-   reassociates it, so it gets an epsilon instead. *)
-let agree a b =
-  Histogram.buckets a = Histogram.buckets b
-  && Histogram.count a = Histogram.count b
-  && Histogram.zero_count a = Histogram.zero_count b
-  && nan_eq (Histogram.min_value a) (Histogram.min_value b)
-  && nan_eq (Histogram.max_value a) (Histogram.max_value b)
-  && Float.abs (Histogram.sum a -. Histogram.sum b)
-     <= 1e-9 *. (1. +. Float.abs (Histogram.sum a))
-
-let prop_merge_commutative =
-  Q.Test.make ~count:200 ~name:"histogram merge commutative"
-    (Q.pair arb_values arb_values) (fun (xs, ys) ->
-      let a = of_values xs and b = of_values ys in
-      agree (Histogram.merge a b) (Histogram.merge b a))
-
-let prop_merge_associative =
-  Q.Test.make ~count:200 ~name:"histogram merge associative"
-    (Q.triple arb_values arb_values arb_values) (fun (xs, ys, zs) ->
-      let a = of_values xs and b = of_values ys and c = of_values zs in
-      agree
-        (Histogram.merge (Histogram.merge a b) c)
-        (Histogram.merge a (Histogram.merge b c)))
-
-let prop_count_conservation =
-  Q.Test.make ~count:200 ~name:"merge conserves counts"
-    (Q.pair arb_values arb_values) (fun (xs, ys) ->
-      let a = of_values xs and b = of_values ys in
-      let m = Histogram.merge a b in
-      Histogram.count m = List.length xs + List.length ys
-      && Histogram.count a + Histogram.count b = Histogram.count m
-      && Histogram.zero_count a + Histogram.zero_count b
-         = Histogram.zero_count m)
-
 let prop_percentile_accuracy =
   (* At p = k/(n-1), Running_stats.percentile's linear interpolation
      lands exactly on the k-th order statistic, so the bucketed estimate
@@ -120,13 +81,12 @@ let prop_percentile_accuracy =
 
 let record_values reg n =
   Registry.count reg "work.items" n;
-  let h = Registry.histogram reg "work.ms" in
   for i = 1 to 100 do
-    Registry.observe h (float_of_int (n * i))
+    Registry.observe_ms reg "work.ms" (float_of_int (n * i))
   done;
   Registry.set_gauge reg "work.last" (float_of_int n)
 
-let test_registry_shards () =
+let test_two_domains_exact () =
   let reg = Registry.create () in
   let d1 = Domain.spawn (fun () -> record_values reg 1) in
   let d2 = Domain.spawn (fun () -> record_values reg 2) in
@@ -134,22 +94,38 @@ let test_registry_shards () =
   Domain.join d2;
   record_values reg 3;
   let snap = Registry.snapshot reg in
-  Alcotest.(check int) "counters sum across shards" 6
+  Alcotest.(check int) "counters sum across domains" 6
     (Registry.counter_value snap "work.items");
   Alcotest.(check (float 1e-9)) "gauge takes the latest write" 3.
     (Option.get (Registry.gauge_value snap "work.last"));
-  let merged = Option.get (Registry.histogram_value snap "work.ms") in
-  (* The shard-merged histogram equals single-domain recording of the
-     same values. *)
+  let recorded = Option.get (Registry.histogram_value snap "work.ms") in
+  (* The histogram three domains recorded equals single-domain
+     recording of the same values. *)
   let ref_reg = Registry.create () in
   List.iter (record_values ref_reg) [ 1; 2; 3 ];
   let expected =
     Option.get (Registry.histogram_value (Registry.snapshot ref_reg) "work.ms")
   in
-  Alcotest.(check int) "300 samples" 300 (Histogram.count merged);
-  Alcotest.(check bool) "shard merge == single-domain recording" true
-    (Histogram.buckets merged = Histogram.buckets expected
-    && Histogram.sum merged = Histogram.sum expected)
+  Alcotest.(check int) "300 samples" 300 (Histogram.count recorded);
+  Alcotest.(check bool) "two domains == single-domain recording" true
+    (Histogram.buckets recorded = Histogram.buckets expected
+    && Histogram.sum recorded = Histogram.sum expected)
+
+let test_snapshot_is_a_copy () =
+  let reg = Registry.create () in
+  record_values reg 1;
+  let snap = Registry.snapshot reg in
+  record_values reg 2;
+  Alcotest.(check int) "counter as taken" 1
+    (Registry.counter_value snap "work.items");
+  Alcotest.(check (float 0.)) "gauge as taken" 1.
+    (Option.get (Registry.gauge_value snap "work.last"));
+  Alcotest.(check int) "histogram count as taken" 100
+    (Histogram.count (Option.get (Registry.histogram_value snap "work.ms")));
+  Alcotest.(check int) "the registry kept recording" 200
+    (Histogram.count
+       (Option.get
+          (Registry.histogram_value (Registry.snapshot reg) "work.ms")))
 
 (* ---------------- flight recorder ---------------- *)
 
@@ -270,8 +246,7 @@ let test_export_validators () =
   let reg = Registry.create () in
   Registry.count reg "session.plans" 3;
   Registry.set_gauge reg "plan.last_cost" 52.45;
-  let h = Registry.histogram reg "plan.total_ms" in
-  List.iter (Registry.observe h) [ 0.; 0.4; 12.; 250. ];
+  List.iter (Registry.observe_ms reg "plan.total_ms") [ 0.; 0.4; 12.; 250. ];
   let snap = Registry.snapshot reg in
   (match Export.validate_prometheus (Export.to_prometheus snap) with
   | Ok () -> ()
@@ -305,20 +280,14 @@ let test_session_metrics () =
   | Some c -> Alcotest.(check (float 1e-6)) "last cost" 52.45 c
   | None -> Alcotest.fail "plan.last_cost gauge missing"
 
-let qcheck =
-  List.map QCheck_alcotest.to_alcotest
-    [
-      prop_merge_commutative;
-      prop_merge_associative;
-      prop_count_conservation;
-      prop_percentile_accuracy;
-    ]
+let qcheck = [ QCheck_alcotest.to_alcotest prop_percentile_accuracy ]
 
 let suite =
   [
     ("histogram basics", `Quick, test_histogram_basics);
     ("histogram empty/errors", `Quick, test_histogram_empty_and_errors);
-    ("registry shards", `Quick, test_registry_shards);
+    ("two-domain exact totals", `Quick, test_two_domains_exact);
+    ("snapshot is a copy", `Quick, test_snapshot_is_a_copy);
     ("flight ring wraparound", `Quick, test_ring_wraparound);
     ("flight dump format", `Quick, test_ring_dump_format);
     ("flight dump on failure", `Quick, test_dump_on_failure);

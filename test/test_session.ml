@@ -494,58 +494,72 @@ let test_fail_node_replan () =
 (* Compile.recompile's contract: the reused-and-patched problem is
    structurally identical to a cold compile of the mutated topology —
    same actions in the same order (act_ids are reassigned in cold order),
-   same initial section, goals and supports tables.  A session keeps the
-   recompiled problem after every delta, one that moves the initial
-   section included, so each kind of delta is checked: a cut below a
-   cutpoint and the raise back above it, a removed link, a failed node,
-   a cpu change, and a cpu change at the server of an app whose supply
-   reads its node's cpu. *)
+   same initial section, goals and supports tables — and it re-grounds
+   exactly the ground actions at the sites whose capacities changed.  A
+   session recompiles each delta from the problem the previous one
+   produced, so the deltas run as one chain, on Small's app with the
+   server's supply read off its node's cpu: a cut below a cutpoint and
+   the raise back above it, a capacity set to the value it has, a cpu
+   change, a cpu change at the server (which moves the initial section),
+   a removed link and a failed node. *)
 let test_recompile_equals_cold_compile () =
   let sc = Scenarios.small () in
-  let check name ?(app = sc.Scenarios.app) ?(init_moves = false) topo mutate
-      ~nodes ~links =
-    let leveling = Media.leveling Media.C app in
-    let old = Compile.compile topo app leveling in
-    let topo' = mutate topo in
-    let pb, invalidated =
-      Compile.recompile ~old
-        ~node_touched:(fun n -> List.mem n nodes)
-        ~link_touched:(fun l -> List.mem l links)
-        topo' app leveling
-    in
-    let fresh = Compile.compile topo' app leveling in
-    Alcotest.(check bool) (name ^ ": some actions invalidated") true
-      (invalidated > 0);
+  let app = cpu_supplied_app sc in
+  let leveling = Media.leveling Media.C app in
+  (* The ground actions of [old] at the given sites. *)
+  let at ~nodes ~links (old : Problem.t) =
+    Array.fold_left
+      (fun n (a : Action.t) ->
+        match a.Action.kind with
+        | Action.Place { node; _ } when List.mem node nodes -> n + 1
+        | Action.Cross { link; _ } when List.mem link links -> n + 1
+        | _ -> n)
+      0 old.Problem.ground_actions
+  in
+  let step (old : Problem.t) (name, mutate, nodes, links, init_moves) =
+    let topo = mutate old.Problem.topo in
+    let pb, invalidated = Compile.recompile ~old topo app leveling in
+    let fresh = Compile.compile topo app leveling in
+    let expected = at ~nodes ~links old in
+    Alcotest.(check bool) (name ^ ": re-grounds iff a site changed") true
+      ((expected > 0) = (nodes <> [] || links <> []));
+    Alcotest.(check int) (name ^ ": invalidated") expected invalidated;
     Alcotest.(check bool) (name ^ ": the initial section moved") init_moves
       (old.Problem.init <> fresh.Problem.init);
-    Alcotest.(check int) (name ^ ": same action count")
-      (Array.length fresh.Problem.actions)
-      (Array.length pb.Problem.actions);
-    Alcotest.(check bool) (name ^ ": identical actions") true
-      (pb.Problem.actions = fresh.Problem.actions);
-    Alcotest.(check (array bool)) (name ^ ": same init") fresh.Problem.init
-      pb.Problem.init;
-    Alcotest.(check (array int)) (name ^ ": same goal_props")
-      fresh.Problem.goal_props pb.Problem.goal_props;
-    Alcotest.(check (array (list int))) (name ^ ": same supports")
-      fresh.Problem.supports pb.Problem.supports
+    let same field f =
+      Alcotest.(check bool) (name ^ ": same " ^ field) true
+        (compare (f pb) (f fresh) = 0)
+    in
+    same "actions" (fun p -> p.Problem.actions);
+    same "ground actions" (fun p -> p.Problem.ground_actions);
+    same "pruned count" (fun p -> p.Problem.pruned_actions);
+    same "supports" (fun p -> p.Problem.supports);
+    same "init" (fun p -> p.Problem.init);
+    same "init_consumed" (fun p -> p.Problem.init_consumed);
+    same "sources" (fun p -> p.Problem.sources);
+    same "goal_props" (fun p -> p.Problem.goal_props);
+    same "comp_allowed_node" (fun p -> p.Problem.comp_allowed_node);
+    same "iface_max" (fun p -> p.Problem.iface_max);
+    pb
   in
-  let topo = sc.Scenarios.topo in
   let lbw v t = Mutate.set_link_resource t 2 "lbw" v in
-  check "lbw 66" topo (lbw 66.) ~nodes:[] ~links:[ 2 ];
-  check "lbw 66 -> 70" (lbw 66. topo) (lbw 70.) ~nodes:[] ~links:[ 2 ];
-  check "remove link 1" topo
-    (fun t -> Mutate.remove_link t 1)
-    ~nodes:[] ~links:[ 1 ];
-  check "fail node 2" topo
-    (fun t -> Mutate.fail_node t 2)
-    ~nodes:[ 2 ] ~links:[ 1; 2 ];
-  check "cpu 10 at n3" topo
-    (fun t -> Mutate.set_node_resource t 3 "cpu" 10.)
-    ~nodes:[ 3 ] ~links:[];
-  check "server cpu 14" ~app:(cpu_supplied_app sc) ~init_moves:true topo
-    (fun t -> Mutate.set_node_resource t 4 "cpu" 14.)
-    ~nodes:[ 4 ] ~links:[]
+  let cpu node v t = Mutate.set_node_resource t node "cpu" v in
+  let remove link t = Mutate.remove_link t link in
+  let fail node t = Mutate.fail_node t node in
+  ignore
+    (List.fold_left step
+       (Compile.compile sc.Scenarios.topo app leveling)
+       [
+         ("lbw 66", lbw 66., [], [ 2 ], false);
+         ("lbw 66 -> 70", lbw 70., [], [ 2 ], false);
+         ("lbw 70 again", lbw 70., [], [], false);
+         ("cpu 10 at n3", cpu 3 10., [ 3 ], [], false);
+         ("server cpu 14", cpu 4 14., [ 4 ], [], true);
+         ("remove link 1", remove 1, [], [ 1 ], false);
+         (* its links: 1 (removed above) and 2 *)
+         ("fail node 2", fail 2, [ 2 ], [ 1; 2 ], false);
+       ]
+      : Problem.t)
 
 (* ---------------- deadlines ---------------- *)
 
