@@ -105,12 +105,14 @@ bench-gate:
 # schema-validate both exposition formats (--check exits 3 on a schema
 # violation), then force a deadline failure with the flight recorder
 # armed and assert the dump is written and readable.  Last, force a
-# Search_limit dump (--rg-budget 1) and assert that the counter table
-# trace_report reads from it shows the same rg.created, rg.expanded and
+# Search_limit dump (--rg-budget 5, where every compared count is
+# non-zero) and assert that the counter table trace_report reads from
+# it shows the same rg.created, rg.expanded, rg.ungenerated and
 # plrg.relevant_props/_actions as the run's Stats line (rg=, expanded=,
-# plrg=P/A): the trace's counts are the report's.  Guards the
-# always-on metrics path end to end: an encoder change that would break
-# a scraper or the postmortem tooling fails here, not on a dashboard.
+# ungenerated=, plrg=P/A): the trace's counts are the report's.  Guards
+# the always-on metrics path end to end: an encoder change that would
+# break a scraper or the postmortem tooling fails here, not on a
+# dashboard.
 metrics-smoke:
 	dune build bin tools
 	dune exec -- sekitei metrics --network small --levels C --repeat 2 \
@@ -126,7 +128,7 @@ metrics-smoke:
 	  | grep -q "flight-recorder dump" || \
 	  { echo "metrics-smoke: trace_report cannot read the dump"; exit 1; }
 	@rm -f _build/sekitei_flight_limit.jsonl
-	-dune exec -- sekitei plan --network small --levels C --rg-budget 1 \
+	-dune exec -- sekitei plan --network small --levels C --rg-budget 5 \
 	  --flight _build/sekitei_flight_limit.jsonl \
 	  > _build/sekitei_flight_limit.out 2>&1
 	@dune exec -- tools/trace_report.exe _build/sekitei_flight_limit.jsonl \
@@ -141,6 +143,7 @@ metrics-smoke:
 	      "but '$$stats' on the Stats line"; exit 1; }; }; \
 	  same 'rg=\([0-9]*\)/' 'rg\.created' && \
 	  same 'expanded=\([0-9]*\) ' 'rg\.expanded' && \
+	  same 'ungenerated=\([0-9]*\) ' 'rg\.ungenerated' && \
 	  same 'plrg=\([0-9]*\)/' 'plrg\.relevant_props' && \
 	  same 'plrg=[0-9]*/\([0-9]*\) ' 'plrg\.relevant_actions'
 	@echo "metrics-smoke: ok"
@@ -178,7 +181,7 @@ bench:
 # a session re-plan that reuses the compiled problem and the hot SLRG
 # oracle.
 bench-json:
-	dune exec bench/main.exe -- --json --tag grounding-per-class --repeat 3
+	dune exec bench/main.exe -- --json --tag partial-expansion --repeat 3
 
 # Profile the Small-C run: trace every planner phase to JSONL and render
 # the span tree / counter summary.

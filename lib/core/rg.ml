@@ -8,6 +8,7 @@ type stats = {
   expanded : int;
   open_left : int;
   replay_pruned : int;
+  ungenerated : int;
   final_replay_rejected : int;
   duplicates : int;
   order_repaired : int;
@@ -21,6 +22,7 @@ let no_stats =
     expanded = 0;
     open_left = 0;
     replay_pruned = 0;
+    ungenerated = 0;
     final_replay_rejected = 0;
     duplicates = 0;
     order_repaired = 0;
@@ -44,17 +46,29 @@ type node = {
   set : Propset.handle;  (** interned canonical pending propositions *)
   g : float;
   serial : int;
-      (** creation order; the heap tie-break key, preserved across
-          deferred re-insertions so a re-inserted node keeps its place
-          among f- and g-tied nodes *)
+      (** the heap tie-break key: the parent's [base] plus the
+          candidate slot this node came through.  Serials order nodes by
+          their parents' first expansions, then by slot — the order an
+          eager expansion generated them in — whatever order they are
+          generated in; kept across deferred re-insertions so a
+          re-inserted node keeps its place among f- and g-tied nodes *)
   acts : Iset.t;  (** action ids in [tail] (repetition guard) *)
   zh : int;  (** Zobrist hash of [acts] (see {!Key}) *)
   rs : Replay.rstate;
       (** optimistic replay state of the suffix, built incrementally in
-          regression order (one [Replay.extend] per search edge) *)
+          regression order (one [Replay.extend] per generated child) *)
   mutable refined : bool;
       (** whether [h] is the SLRG value (true) or the cheap PLRG bound
-          [push] queued the node with (false) *)
+          the node was queued with (false) *)
+  mutable base : int;
+      (** the serial of candidate slot 0, reserved for the whole row at
+          the node's first expansion; -1 before it *)
+  mutable pending : int array;
+      (** the candidate slots the first expansion left pending, in the
+          (f, -g, serial) order of the children they make; those from
+          [next] on are not generated yet.  Only the queue refers to an
+          expanded node, so the list goes with the node once drained *)
+  mutable next : int;
 }
 
 (* Duplicate-detection key: interned pending set plus the set of action
@@ -158,6 +172,8 @@ let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
   let progress_interval = Telemetry.progress_interval telemetry in
   let created = ref 0
   and expanded = ref 0
+  and considered = ref 0
+  and replayed = ref 0
   and replay_pruned = ref 0
   and final_rejected = ref 0
   and duplicates = ref 0
@@ -169,7 +185,7 @@ let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
      lets the candidate and successor rows pay off twice. *)
   let ctx = Slrg.ctx slrg in
   let supports = Slrg.supports slrg in
-  (* (pending set, action set) pairs already on the open list.  A node
+  (* (pending set, action set) pairs already generated.  A node
      re-deriving a recorded pair is a permutation of the recorded one —
      a duplicate, pruned.  Order sensitivity of the final from-init
      validation is restored by [repair_search] below.  The empty set is
@@ -190,62 +206,169 @@ let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
      drain the pool alone. *)
   let repair_pool = ref 500_000 in
   let heap = Heap.create () in
-  (* PLRG h_max of a pending set: the per-proposition heuristic the SLRG
-     refines, and the cheap first-stage bound successors are queued
-     with; served from the oracle's per-id memo, which the oracle's own
-     A* expansions share. *)
-  let h_plrg (h : Propset.handle) = Slrg.h_max_h slrg h in
-  let push node =
-    (* Two-stage heuristic evaluation (the deferred-evaluation trick from
-       satisficing planners, applied admissibly): queue the successor
-       with the cheap PLRG h_max bound and run the expensive SLRG oracle
-       only when the node reaches the top of the heap — most generated
-       nodes never do, and never pay an oracle query.  Since the SLRG h
-       dominates the PLRG h, the refined f only grows; re-inserting the
-       popped node under its refined value (below) is sound A*.  A
-       candidate solution (empty pending set) is refined at once. *)
-    let h =
-      if Array.length node.set.Propset.set > 0 then h_plrg node.set
-      else begin
-        node.refined <- true;
-        Slrg.query_h slrg node.set
-      end
+  (* Two-stage heuristic evaluation (the deferred-evaluation trick from
+     satisficing planners, applied admissibly): a child is queued with
+     the cheap PLRG h_max bound of its pending set, served from the
+     oracle's per-id memo, and the expensive SLRG oracle runs only when
+     the node reaches the top of the heap — most queued nodes never do,
+     and never pay an oracle query.  Since the SLRG h dominates the PLRG
+     h, the refined f only grows; re-inserting the popped node under its
+     refined value (below) is sound A*.  A candidate solution (empty
+     pending set) has the exact h 0 at once.  [f_at set g] is that
+     push-time f of a node at [g] pending [set]; a child's is read off
+     its parent's candidate row without replaying the child. *)
+  let f_at (set : Propset.handle) g =
+    if Array.length set.Propset.set = 0 then g else g +. Slrg.h_max_h slrg set
+  in
+  let child_f node i g = f_at (Supports.successor supports node.set i) g in
+  (* Queue [node] under (f, -g, serial) unless it is a duplicate. *)
+  let queue node f =
+    let solution = Array.length node.set.Propset.set = 0 in
+    let fresh =
+      solution
+      ||
+      (* One probe: [replace] grows the table exactly when the key is
+         new. *)
+      let before = Ktbl.length seen_keys in
+      Ktbl.replace seen_keys
+        { Key.sid = node.set.Propset.id; zh = node.zh; acts = node.acts }
+        ();
+      Ktbl.length seen_keys > before
     in
-    if Float.is_finite h then begin
-      let keep =
-        Array.length node.set.Propset.set = 0
-        ||
-        (* One probe: [replace] grows the table exactly when the key is
-           new. *)
-        let before = Ktbl.length seen_keys in
-        Ktbl.replace seen_keys
-          { Key.sid = node.set.Propset.id; zh = node.zh; acts = node.acts }
-          ();
-        Ktbl.length seen_keys > before
-        || begin
-             incr duplicates;
-             false
-           end
-      in
-      if keep then begin
-        incr created;
-        if not node.refined then incr deferred;
-        Heap.add heap ~prio:(node.g +. h) ~prio2:(-.node.g) ~seq:node.serial
-          node
-      end
+    if not fresh then incr duplicates
+    else begin
+      incr created;
+      if not solution then incr deferred;
+      Heap.add heap ~prio:f ~prio2:(-.node.g) ~seq:node.serial node
     end
   in
-  let next_serial = ref 0 in
-  let mk ~tail ~set ~g ~acts ~zh ~rs =
-    let serial = !next_serial in
-    incr next_serial;
-    { tail; set; g; serial; acts; zh; rs; refined = false }
+  let mk ~tail ~set ~g ~serial ~acts ~zh ~rs =
+    {
+      tail;
+      set;
+      g;
+      serial;
+      acts;
+      zh;
+      rs;
+      refined = Array.length set.Propset.set = 0;
+      base = -1;
+      pending = [||];
+      next = 0;
+    }
   in
-  push
-    (mk ~tail:[]
+  (* Replay the child through slot [i] of [node]'s candidate row and
+     queue it, unless replay prunes it. *)
+  let generate node cands i g f =
+    incr replayed;
+    let aid = cands.(i) in
+    let a = pb.actions.(aid) in
+    match Replay.extend pb ~mode:Replay.Regression node.rs a with
+    | Error _ -> incr replay_pruned
+    | Ok rs ->
+        queue
+          (mk ~tail:(a :: node.tail)
+             ~set:(Supports.successor supports node.set i)
+             ~g ~serial:(node.base + i) ~acts:(Iset.add aid node.acts)
+             ~zh:(node.zh lxor zobrist aid) ~rs)
+          f
+  in
+  (* Scratch for one first expansion: the slots it leaves pending, with
+     their children's f and g, kept sorted on (f, -g, slot) by
+     insertion as the row is walked in slot order (rows hold tens of
+     candidates). *)
+  let held = ref (Array.make 64 0)
+  and held_f = ref (Float.Array.make 64 0.)
+  and held_g = ref (Float.Array.make 64 0.) in
+  let hold m i f g =
+    if m = Array.length !held then begin
+      let grow a =
+        let a' = Float.Array.make (2 * m) 0. in
+        Float.Array.blit a 0 a' 0 m;
+        a'
+      in
+      held := Array.append !held !held;
+      held_f := grow !held_f;
+      held_g := grow !held_g
+    end;
+    let hs = !held and hf = !held_f and hg = !held_g in
+    let j = ref m in
+    while
+      !j > 0
+      &&
+      let fj = Float.Array.get hf (!j - 1) in
+      fj > f || (fj = f && Float.Array.get hg (!j - 1) < g)
+    do
+      hs.(!j) <- hs.(!j - 1);
+      Float.Array.set hf !j (Float.Array.get hf (!j - 1));
+      Float.Array.set hg !j (Float.Array.get hg (!j - 1));
+      decr j
+    done;
+    hs.(!j) <- i;
+    Float.Array.set hf !j f;
+    Float.Array.set hg !j g
+  in
+  (* Partial Expansion A*: a node's first expansion reserves one
+     serial per candidate slot and computes every child's push-time f
+     without replaying it.  It generates the children whose f is at
+     most the node's own popped f, drops those with infinite f, and
+     queues the node again under the key of its least pending child:
+     each later pop generates the next f-level of the row, until it is
+     drained.  A pending child is thus generated before any entry with
+     a larger key pops, so the nodes expand in the order an eager
+     expansion would give them, and a child whose f is never popped is
+     never replayed. *)
+  let next_serial = ref 1 in
+  let expand node f =
+    let cands = Supports.candidates supports node.set in
+    node.base <- !next_serial;
+    next_serial := !next_serial + Array.length cands;
+    let m = ref 0 in
+    for i = 0 to Array.length cands - 1 do
+      let aid = cands.(i) in
+      if not (Iset.mem aid node.acts) then begin
+        incr considered;
+        let g = node.g +. pb.actions.(aid).Action.cost_lb in
+        let fi = child_f node i g in
+        if fi <= f then generate node cands i g fi
+        else if Float.is_finite fi then begin
+          hold !m i fi g;
+          incr m
+        end
+      end
+    done;
+    if !m > 0 then begin
+      node.pending <- Array.sub !held 0 !m;
+      Heap.add heap
+        ~prio:(Float.Array.get !held_f 0)
+        ~prio2:(-.Float.Array.get !held_g 0)
+        ~seq:(node.base + !held.(0))
+        node
+    end
+  in
+  let next_level node f =
+    let cands = Supports.candidates supports node.set in
+    let rec go () =
+      if node.next < Array.length node.pending then
+        let i = node.pending.(node.next) in
+        let g = node.g +. pb.actions.(cands.(i)).Action.cost_lb in
+        let fi = child_f node i g in
+        if fi <= f then begin
+          node.next <- node.next + 1;
+          generate node cands i g fi;
+          go ()
+        end
+        else Heap.add heap ~prio:fi ~prio2:(-.g) ~seq:(node.base + i) node
+    in
+    go ()
+  in
+  (let root =
+     mk ~tail:[]
        ~set:(Propset.intern ctx (Propset.canonical_array pb pb.goal_props))
-       ~g:0. ~acts:Iset.empty ~zh:0
-       ~rs:(Replay.initial pb));
+       ~g:0. ~serial:0 ~acts:Iset.empty ~zh:0 ~rs:(Replay.initial pb)
+   in
+   let f = f_at root.set 0. in
+   if Float.is_finite f then queue root f);
   let finish result =
     ( result,
       {
@@ -253,6 +376,7 @@ let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
         expanded = !expanded;
         open_left = Heap.length heap;
         replay_pruned = !replay_pruned;
+        ungenerated = !considered - !replayed;
         final_replay_rejected = !final_rejected;
         duplicates = !duplicates;
         order_repaired = !order_repaired;
@@ -284,7 +408,12 @@ let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
     else
       let f = Heap.top_prio heap in
       let node = Heap.pop_value heap in
-      if not node.refined then begin
+      if node.base >= 0 then begin
+        (* An expanded node standing for its least pending child. *)
+        next_level node f;
+        loop ()
+      end
+      else if not node.refined then begin
         (* Second heuristic stage, on pop: refine the cheap bound with
            the SLRG oracle and re-insert unless the node is still the
            frontier minimum under the full (f, -g, serial) order — the
@@ -359,24 +488,7 @@ let search ?(max_expansions = 500_000) ?(telemetry = Telemetry.null)
                   loop ())
       end
       else begin
-        let cands = Supports.candidates supports node.set in
-        for i = 0 to Array.length cands - 1 do
-          let aid = cands.(i) in
-          if not (Iset.mem aid node.acts) then begin
-            let a = pb.actions.(aid) in
-            match Replay.extend pb ~mode:Replay.Regression node.rs a with
-            | Error _ -> incr replay_pruned
-            | Ok rs' ->
-                push
-                  (mk
-                     ~tail:(a :: node.tail)
-                     ~set:(Supports.successor supports node.set i)
-                     ~g:(node.g +. a.Action.cost_lb)
-                     ~acts:(Iset.add aid node.acts)
-                     ~zh:(node.zh lxor zobrist aid)
-                     ~rs:rs')
-          end
-        done;
+        expand node f;
         loop ()
       end
     end

@@ -3,11 +3,11 @@
     A* over totally-ordered plan tails, regressing from the goal
     propositions.  Each node carries the tail built so far and the set of
     propositions still to achieve; expanding a node prepends an action that
-    supports at least one pending proposition.  Every new tail is replayed
-    forward in its optimistic resource map and pruned on failure (early
-    detection of resource and QoS violations).  A node whose pending set is
-    empty is a candidate solution; it is accepted only when the tail also
-    replays successfully from the true initial state.
+    supports at least one pending proposition.  Every generated tail is
+    replayed forward in its optimistic resource map and pruned on failure
+    (early detection of resource and QoS violations).  A node whose
+    pending set is empty is a candidate solution; it is accepted only
+    when the tail also replays successfully from the true initial state.
 
     The remaining-cost heuristic is the SLRG set cost; path cost is the sum
     of the leveled actions' cost lower bounds, so the first accepted
@@ -16,13 +16,14 @@
 
     The hot path is incremental: each node carries a {!Replay.rstate}
     snapshot of its suffix's optimistic resource map, extended by exactly
-    one action per search edge in the [Regression] replay mode, and a
+    one action per generated child in the [Regression] replay mode, and a
+    child is generated only once its f can be popped (see {!search}).  A
     duplicate table keyed by (canonical pending set, tail action set)
-    prunes permutations of already-open nodes — nodes agreeing on both
-    components regress the same obligations at the same cost.  Candidate
-    solutions (empty pending set) are exempt from duplicate pruning and
-    are still validated by a full from-init replay of the tail in
-    execution order, with a backtracking re-sequencing fallback
+    prunes permutations of already-generated nodes — nodes agreeing on
+    both components regress the same obligations at the same cost.
+    Candidate solutions (empty pending set) are exempt from duplicate
+    pruning and are still validated by a full from-init replay of the
+    tail in execution order, with a backtracking re-sequencing fallback
     ({!repair_order}) because that validation is order-sensitive while
     dedup is not, and Regression replay can prune the one order that
     runs ({!Replay.mode}).  Re-sequencing is opportunistic: all attempts
@@ -31,14 +32,23 @@
     candidates pay at most the pool. *)
 
 type stats = {
-  created : int;  (** RG nodes created *)
-  expanded : int;
-  open_left : int;  (** nodes left in the A* queue at termination *)
-  replay_pruned : int;  (** successor edges discarded by optimistic replay *)
+  created : int;
+      (** RG nodes queued: the root and the generated children that
+          replay did not prune and that were not duplicates *)
+  expanded : int;  (** first expansions *)
+  open_left : int;
+      (** queue entries left at termination: unexpanded nodes, and
+          expanded nodes still standing for their pending children *)
+  replay_pruned : int;  (** generated children discarded by optimistic replay *)
+  ungenerated : int;
+      (** candidates past the repetition guard that were never
+          generated (never replayed): their f was infinite, or above
+          every f the search popped *)
   final_replay_rejected : int;  (** complete tails rejected from the init map *)
   duplicates : int;
-      (** successors pruned by the duplicate table: permutations of a
-          (pending set, action set) pair already on the open list *)
+      (** generated children pruned by the duplicate table:
+          permutations of a (pending set, action set) pair already
+          generated *)
   order_repaired : int;
       (** candidate tails whose surviving order failed from-init
           validation but were recovered by the backtracking re-sequencer
@@ -48,7 +58,8 @@ type stats = {
           (every queued node except candidate solutions) *)
   slrg_saved : int;
       (** deferred nodes that terminated still unrefined — oracle queries
-          this search never ran *)
+          this search never ran.  Children are generated only once their
+          f can be popped, so few queued nodes end unrefined *)
 }
 
 (** All zero: the counts of a request that never searched. *)
@@ -96,7 +107,25 @@ val repair_order :
   Action.t list ->
   (Action.t list * Replay.metrics) option
 
-(** Heuristic evaluation is lazy and two-stage: successors are queued
+(** Expansion is partial (Partial Expansion A*, Yoshizumi, Miura &
+    Ishida, AAAI 2000; the {!Supports} candidate row plays the part of
+    the operator table of Felner et al.'s Enhanced PEA*, AAAI 2012).  A
+    node's first expansion reserves one serial per candidate slot and
+    computes each candidate's successor set and push-time f — g, plus
+    the action's [cost_lb], plus the PLRG h_max of the successor, or 0
+    for the empty set — without replaying it.  Only the candidates
+    whose f is at most the node's popped f are generated: replayed,
+    checked against the duplicate table and queued.  Candidates with
+    infinite f are dropped unreplayed; the rest stay pending, and the
+    node goes back into the queue under the (f, -g, serial) key of its
+    least pending child, where each later pop generates the next
+    f-level of its row.  A pending child is therefore generated before
+    any entry with a larger key pops, so nodes are first-expanded in
+    the order an eager expansion of every candidate would give, and a
+    child whose f is never popped is never replayed
+    ([stats.ungenerated]).
+
+    Heuristic evaluation is lazy and two-stage: successors are queued
     under the cheap PLRG h_max bound and the expensive SLRG oracle query
     runs only when a node first reaches the top of the open list,
     re-inserting it if the refined f-value exceeds the new frontier
@@ -119,6 +148,23 @@ val repair_order :
     enough to swap f-tied frontier nodes, perturb [expanded], and return
     a different equally-cheap optimum.
 
+    The duplicate table keeps the first generated permutation of a
+    (pending set, action set) pair, and generation follows f-levels,
+    not serials.  So it can keep a different permutation than an eager
+    expansion, which keeps the lowest serial, in two cases.  Two
+    permutations sum the same cost bounds in different orders, so
+    their g and f can differ in the last ulp, and the one with the
+    smaller f is generated first, whatever its serial.  And on an exact
+    f and g tie, one pop generates a whole f-level of a row, which can
+    hold a higher-serial permutation whose twin is still pending
+    elsewhere.  The kept node then has the same pending set, action
+    set and (to the ulp) g, but another tail order, so its replay and
+    the oracle's query order can differ.  On every Table 2 cell this
+    changes no expansion count, plan or cost bound (the core test
+    "search trajectory" pins Tiny, Small and Large-C); on 400 random
+    3-node media instances it moved [expanded] on one, and the SLRG
+    set-node count on eleven.
+
     [telemetry] emits a periodic ["rg"] progress heartbeat (every
     {!Sekitei_telemetry.Telemetry.progress_interval} expansions: open-list
     size, best f, expansions, duplicates) and wraps final candidate
@@ -130,7 +176,8 @@ val repair_order :
     read off the plan afterwards ([Sekitei_harness.Hquality.samples]).
 
     [max_expansions] (default 500000) and [deadline] are checked once
-    per expansion (at pop, after heuristic refinement); whichever trips
+    per first expansion (at pop, after heuristic refinement), never when
+    an expanded node is popped for its next f-level; whichever trips
     first stops the search with a [Cutoff] whose frontier carries the
     frontier-minimum f as a valid lower bound. *)
 val search :

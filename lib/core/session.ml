@@ -136,6 +136,7 @@ let counts =
     row Searched "rg.open_left" (fun s -> s.rg.open_left);
     row Searched "rg.expanded" (fun s -> s.rg.expanded);
     row Searched "rg.replay_pruned" (fun s -> s.rg.replay_pruned);
+    row Searched "rg.ungenerated" (fun s -> s.rg.ungenerated);
     row Searched "rg.final_replay_rejected" (fun s ->
         s.rg.final_replay_rejected);
     row Searched "rg.duplicates" (fun s -> s.rg.duplicates);
@@ -184,14 +185,14 @@ let pp_failure fmt = function
 
 let pp_stats fmt s =
   Format.fprintf fmt
-    "actions=%d plrg=%d/%d slrg=%d rg=%d/%d expanded=%d pruned=%d dups=%d \
-     rejected=%d repaired=%d deferred=%d/%d invalidated=%d evicted=%d \
-     time=%.1f/%.1fms"
+    "actions=%d plrg=%d/%d slrg=%d rg=%d/%d expanded=%d pruned=%d \
+     ungenerated=%d dups=%d rejected=%d repaired=%d deferred=%d/%d \
+     invalidated=%d evicted=%d time=%.1f/%.1fms"
     s.compile_actions s.plrg_relevant_props s.plrg_relevant_actions
     s.slrg.nodes s.rg.created s.rg.open_left s.rg.expanded s.rg.replay_pruned
-    s.rg.duplicates s.rg.final_replay_rejected s.rg.order_repaired
-    s.rg.slrg_deferred s.rg.slrg_saved s.invalidated_actions s.evicted_entries
-    s.t_total_ms s.t_search_ms
+    s.rg.ungenerated s.rg.duplicates s.rg.final_replay_rejected
+    s.rg.order_repaired s.rg.slrg_deferred s.rg.slrg_saved
+    s.invalidated_actions s.evicted_entries s.t_total_ms s.t_search_ms
 
 let pp_phases fmt (r : report) =
   (* Each phase's time beside its characteristic count from [stats];

@@ -141,7 +141,10 @@ type stats = {
   slrg : Slrg.stats;
       (** the oracle's counts and query time for this request; [nodes]
           is Table 2 col 7 *)
-  rg : Rg.stats;  (** [created] / [open_left] are Table 2 col 8 *)
+  rg : Rg.stats;
+      (** [created] / [open_left] are Table 2 col 8, counting generated
+          nodes: a child whose f is never popped is not generated
+          ([ungenerated]) *)
   invalidated_actions : int;
       (** actions the {!update}s since the previous plan call could not
           reuse (recompiled or dropped); 0 on cold runs *)

@@ -292,6 +292,96 @@ let test_stats_populated () =
   Alcotest.(check bool) "deferred" true (s.Planner.rg.slrg_deferred > 0);
   Alcotest.(check bool) "time" true (s.Planner.t_total_ms >= 0.)
 
+(* ---------------- search trajectory ---------------- *)
+
+(* What the search does on Tiny and Small at every level and on
+   Large-C: the outcome (the plan's labels, in order, and its cost bound
+   in exact hex, or the failure's constructor), the first expansions,
+   the candidate tails rejected by from-init validation, and the SLRG
+   oracle's set nodes.  A change to the search's order of work moves
+   these before it moves a plan; a deliberate one pastes the rows the
+   failure message lists. *)
+let trajectories =
+  [
+    ("Tiny-A",
+     "Resource_exhausted",
+     3, 1, 4);
+    ("Tiny-B",
+     "place(Splitter,n0)[M:0] place(Zip,n0)[T:0] cross(Z,n0->n1)[0] place(Unzip,n1)[Z:0] cross(I,n0->n1)[0] place(Merger,n1)[T:0,I:0] place(Client,n1)[M:0] @ 0x1.cp+2",
+     16, 1, 33);
+    ("Tiny-C",
+     "place(Splitter,n0)[M:1] place(Zip,n0)[T:1] cross(Z,n0->n1)[1] place(Unzip,n1)[Z:1] cross(I,n0->n1)[1] place(Merger,n1)[T:1,I:1] place(Client,n1)[M:1] @ 0x1.a399999999999p+5",
+     15, 0, 96);
+    ("Tiny-D",
+     "place(Splitter,n0)[M:3] place(Zip,n0)[T:3] cross(Z,n0->n1)[3] place(Unzip,n1)[Z:3] cross(I,n0->n1)[3] place(Merger,n1)[T:3,I:3] place(Client,n1)[M:3] @ 0x1.a399999999999p+5",
+     15, 0, 96);
+    ("Tiny-E",
+     "place(Splitter,n0)[M:3] place(Zip,n0)[T:3] cross(Z,n0->n1)[3] place(Unzip,n1)[Z:3] cross(I,n0->n1)[3] place(Merger,n1)[T:3,I:3] place(Client,n1)[M:3] @ 0x1.a399999999999p+5",
+     37, 3, 69);
+    ("Small-A",
+     "Resource_exhausted",
+     7, 1, 13);
+    ("Small-B",
+     "cross(M,n4->n3)[0] place(Splitter,n3)[M:0] place(Zip,n3)[T:0] cross(Z,n3->n2)[0] place(Unzip,n2)[Z:0] cross(I,n3->n2)[0] place(Merger,n2)[T:0,I:0] cross(M,n2->n1)[0] cross(M,n1->n0)[0] place(Client,n0)[M:0] @ 0x1.4p+3",
+     118, 6, 317);
+    ("Small-C",
+     "place(Splitter,n4)[M:1] place(Zip,n4)[T:1] cross(Z,n4->n3)[1] cross(Z,n3->n2)[1] cross(Z,n2->n1)[1] cross(Z,n1->n0)[1] place(Unzip,n0)[Z:1] cross(I,n4->n3)[1] cross(I,n3->n2)[1] cross(I,n2->n1)[1] cross(I,n1->n0)[1] place(Merger,n0)[T:1,I:1] place(Client,n0)[M:1] @ 0x1.2ffffffffffffp+6",
+     116, 0, 2906);
+    ("Small-D",
+     "place(Splitter,n4)[M:3] place(Zip,n4)[T:3] cross(Z,n4->n3)[3] cross(Z,n3->n2)[3] cross(Z,n2->n1)[3] cross(Z,n1->n0)[3] place(Unzip,n0)[Z:3] cross(I,n4->n3)[3] cross(I,n3->n2)[3] cross(I,n2->n1)[3] cross(I,n1->n0)[3] place(Merger,n0)[T:3,I:3] place(Client,n0)[M:3] @ 0x1.2ffffffffffffp+6",
+     116, 0, 2906);
+    ("Small-E",
+     "place(Splitter,n4)[M:3] place(Zip,n4)[T:3] cross(Z,n4->n3)[3] cross(Z,n3->n2)[3] cross(Z,n2->n1)[3] cross(Z,n1->n0)[3] place(Unzip,n0)[Z:3] cross(I,n4->n3)[3] cross(I,n3->n2)[3] cross(I,n2->n1)[3] cross(I,n1->n0)[3] place(Merger,n0)[T:3,I:3] place(Client,n0)[M:3] @ 0x1.2ffffffffffffp+6",
+     6727, 1247, 3193);
+    ("Large-C",
+     "place(Splitter,n4)[M:1] place(Zip,n4)[T:1] cross(Z,n4->n7)[1] cross(Z,n7->n0)[1] cross(Z,n0->n15)[1] cross(Z,n15->n14)[1] place(Unzip,n14)[Z:1] cross(I,n4->n7)[1] cross(I,n7->n0)[1] cross(I,n0->n15)[1] cross(I,n15->n14)[1] place(Merger,n14)[T:1,I:1] place(Client,n14)[M:1] @ 0x1.2ffffffffffffp+6",
+     68, 0, 18995);
+  ]
+
+let trajectory_row name (report : Planner.report) =
+  let outcome =
+    match report.Planner.result with
+    | Ok p ->
+        Printf.sprintf "%s @ %h" (String.concat " " (Plan.labels p))
+          p.Plan.cost_lb
+    | Error (Planner.Invalid_spec _) -> "Invalid_spec"
+    | Error (Planner.Unreachable_goal _) -> "Unreachable_goal"
+    | Error Planner.Resource_exhausted -> "Resource_exhausted"
+    | Error (Planner.Search_limit _) -> "Search_limit"
+    | Error (Planner.Deadline_exceeded _) -> "Deadline_exceeded"
+    | Error (Planner.Certification_failed _) -> "Certification_failed"
+  in
+  let s = report.Planner.stats in
+  ( name,
+    outcome,
+    s.Planner.rg.expanded,
+    s.Planner.rg.final_replay_rejected,
+    s.Planner.slrg.nodes )
+
+let test_search_trajectory () =
+  let cells =
+    List.concat_map
+      (fun sc -> List.map (fun level -> (sc, level)) Media.all_scenarios)
+      [ Scenarios.tiny (); Scenarios.small () ]
+    @ [ (Scenarios.large (), Media.C) ]
+  in
+  let got =
+    List.map
+      (fun ((sc : Scenarios.t), level) ->
+        trajectory_row
+          (Printf.sprintf "%s-%s" sc.Scenarios.name (Media.scenario_name level))
+          (fst (solve sc level)))
+      cells
+  in
+  if got <> trajectories then
+    Alcotest.failf "search trajectories changed:\n%s"
+      (String.concat "\n"
+         (List.map
+            (fun (name, outcome, expanded, rejected, slrg) ->
+              Printf.sprintf "    (%S,\n     %S,\n     %d, %d, %d);" name
+                outcome expanded rejected slrg)
+            got))
+
 (* ---------------- batch executor ---------------- *)
 
 let batch_requests () =
@@ -474,6 +564,7 @@ let suite =
     ("insufficient cpu everywhere", `Quick, test_insufficient_cpu_everywhere);
     ("direct plan when wide enough", `Quick, test_direct_when_wide_enough);
     ("stats populated", `Quick, test_stats_populated);
+    ("search trajectory", `Quick, test_search_trajectory);
     ("plan_batch matches sequential", `Quick, test_plan_batch_matches_sequential);
     ("plan_batch empty", `Quick, test_plan_batch_empty);
     ("postprocess minimizes", `Quick, test_postprocess_minimizes);

@@ -641,6 +641,7 @@ let count_rows =
       ("rg.open_left", Searched);
       ("rg.expanded", Searched);
       ("rg.replay_pruned", Searched);
+      ("rg.ungenerated", Searched);
       ("rg.final_replay_rejected", Searched);
       ("rg.duplicates", Searched);
       ("rg.order_repaired", Searched);
